@@ -20,6 +20,7 @@ from .dual import (
     NotTopSimplex,
     SeedChain,
     SeedConflict,
+    SeedMisoriented,
     build_dual,
     orientation,
     seed_of,
@@ -39,6 +40,7 @@ from .solver import (
     SAT,
     TIMEOUT,
     UNSAT,
+    CertificateRejected,
     SolveResult,
     SolverConfig,
     Unsupported,

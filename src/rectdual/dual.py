@@ -36,6 +36,10 @@ class DimensionMismatch(ValueError):
     """Point count does not match the ambient dimension."""
 
 
+class SeedMisoriented(Exception):
+    """A seed chain's pixel centers lack the orientation of its axis order."""
+
+
 def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
@@ -144,17 +148,10 @@ def seed_of(dc: DualComplex, simplex) -> SeedChain:
         cells.append(tuple(cell))
     pixels = tuple(Pixel(c) for c in cells)
     sign = orientation([px.center2 for px in pixels])
-    assert sign == _perm_parity(perm)
+    if sign != _perm_parity(perm):
+        raise SeedMisoriented(
+            f"seed of {ordered} has orientation {sign}, axis order {perm}")
     return SeedChain(ordered, pixels, anchor, perm, sign)
-
-
-def _inversion_parity(seq) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
 
 
 def build_dual(p: Partition) -> DualComplex:
@@ -186,13 +183,13 @@ def build_dual(p: Partition) -> DualComplex:
 
 
 def _register_top(top, key, ordered, anchor, perm):
-    canon = _perm_parity(perm) * _inversion_parity(ordered)
+    canon = _perm_parity(perm) * _perm_parity(ordered)
     prev = top.get(key)
     if prev is None:
         top[key] = (anchor, perm, ordered)
         return
     p_anchor, p_perm, p_ordered = prev
-    p_canon = _perm_parity(p_perm) * _inversion_parity(p_ordered)
+    p_canon = _perm_parity(p_perm) * _perm_parity(p_ordered)
     if p_canon != canon:
         raise SeedConflict(f"simplex {key} seen with both orientations")
 

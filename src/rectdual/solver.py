@@ -24,6 +24,10 @@ class Unsupported(Exception):
     """Partition has no top-dimensional simplex; embedding is undefined."""
 
 
+class CertificateRejected(Exception):
+    """A solution the search found failed the certificate re-check."""
+
+
 SAT = "sat"
 UNSAT = "unsat"
 TIMEOUT = "timeout"
@@ -254,7 +258,9 @@ def solve(p: Partition, cfg: SolverConfig = None, dc: DualComplex = None,
     if status == SAT:
         proj = Projection(sol)
         check = verify_certificate(p, dc, proj)
-        assert check.ok, f"certificate failed verification: {check.reason}"
+        if not check.ok:
+            raise CertificateRejected(
+                f"certificate failed verification: {check.reason}")
         return SolveResult(SAT, projection=proj, stats=stats)
     return SolveResult(status, stats=stats)
 
@@ -280,7 +286,9 @@ def enumerate_all(p: Partition, cfg: SolverConfig = None, dc: DualComplex = None
         seenq.add(sol)
         proj = Projection(sol)
         check = verify_certificate(p, dc, proj)
-        assert check.ok, f"certificate failed verification: {check.reason}"
+        if not check.ok:
+            raise CertificateRejected(
+                f"certificate failed verification: {check.reason}")
         projections.append(proj)
     if status == TIMEOUT:
         return SolveResult(TIMEOUT, stats=stats, solutions=projections)

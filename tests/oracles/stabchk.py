@@ -8,7 +8,7 @@ their closed-form descriptions.
 
 from fractions import Fraction
 
-from rectdual.ratlp import EQ, LE, OPTIMAL, feasible_point, strict_feasible
+from oracles.fraclp import EQ, LE, OPTIMAL, feasible_point, strict_feasible
 
 
 def _functional(vertices, face):

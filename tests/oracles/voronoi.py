@@ -15,7 +15,7 @@ that complex under the pixel -> owner map.
 from functools import lru_cache
 from itertools import combinations
 
-from rectdual.ratlp import EQ, LE, feasible_point
+from oracles.fraclp import EQ, LE, feasible_point
 
 
 def _sheared_sites(d, n):

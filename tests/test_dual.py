@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from rectdual import dual
 from rectdual.boxes import IntBox, validate_partition
 from rectdual.dual import (
     DimensionMismatch,
     NotTopSimplex,
     SeedConflict,
+    SeedMisoriented,
     build_dual,
     orientation,
     seed_of,
@@ -63,6 +65,13 @@ def test_dual_2x2_seed_anchor():
     assert s.anchor == (1, 1)
     assert s.perm == (0, 1)
     assert [px.cell for px in s.pixels] == [(0, 0), (1, 0), (1, 1)]
+
+
+def test_seed_of_rejects_misoriented_seed(monkeypatch):
+    dc = build_dual(unit_grid(2, 2))
+    monkeypatch.setattr(dual, "orientation", lambda pts: -orientation(pts))
+    with pytest.raises(SeedMisoriented):
+        seed_of(dc, (0, 2, 3))
 
 
 def test_dual_1xn_strip_has_no_triangles():

@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from rectdual import ratlp
 from rectdual.ratlp import (
     EQ,
     GE,
@@ -7,10 +11,13 @@ from rectdual.ratlp import (
     LE,
     OPTIMAL,
     UNBOUNDED,
+    PhaseOneUnbounded,
     feasible_point,
     solve_lp,
     strict_feasible,
 )
+
+from oracles import fraclp
 
 
 def test_simple_max():
@@ -116,3 +123,49 @@ def test_weak_only_boundary_point():
     assert ok
     assert x[0] == 0
     assert margin == 1  # the cap, since no strict rows constrain it
+
+
+def test_no_rows_left_after_phase_one():
+    # every variable is free once no row constrains it
+    assert solve_lp([1], []).status == UNBOUNDED
+    assert solve_lp([1], [([0], EQ, 0)]).status == UNBOUNDED
+    assert solve_lp([0, 2], [([0, 0], LE, 1)], maximize=True).status == UNBOUNDED
+    for cons in ([], [([0], EQ, 0)], [([0], GE, -3)]):
+        res = solve_lp([0], cons)
+        assert (res.status, res.x, res.value) == (OPTIMAL, (0,), 0)
+        assert isinstance(res.value, Fraction)
+    assert feasible_point([], 2).x == (0, 0)
+
+
+def test_phase_one_unbounded_raises(monkeypatch):
+    monkeypatch.setattr(ratlp, "_simplex_min", lambda M, basis, d: (UNBOUNDED, d))
+    with pytest.raises(PhaseOneUnbounded):
+        solve_lp([1], [([1], LE, 1)])
+
+
+# --- equivalence with the frozen Fraction simplex ---------------------------
+
+_q = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def small_lps(draw):
+    nv = draw(st.integers(1, 4))
+    coeffs = st.lists(_q, min_size=nv, max_size=nv)
+    row = st.tuples(coeffs, st.sampled_from([LE, GE, EQ]), _q)
+    return (draw(coeffs), draw(st.lists(row, min_size=1, max_size=6)),
+            draw(st.booleans()))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_lps())
+def test_matches_fraction_oracle(lp):
+    objective, constraints, maximize = lp
+    try:
+        want = fraclp.solve_lp(objective, constraints, maximize)
+    except IndexError:  # the oracle cannot run when no row survives phase one
+        assume(False)
+    got = solve_lp(objective, constraints, maximize)
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+    if got.status == OPTIMAL:
+        assert isinstance(got.value, Fraction)

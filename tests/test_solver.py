@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from rectdual import solver
 from rectdual.boxes import IntBox, validate_partition
 from rectdual.dual import build_dual
 from rectdual.embedding import (
@@ -15,8 +16,10 @@ from rectdual.solver import (
     SAT,
     TIMEOUT,
     UNSAT,
+    CertificateRejected,
     SolverConfig,
     Unsupported,
+    VerifyResult,
     box_domain,
     enumerate_all,
     solve,
@@ -71,6 +74,14 @@ def test_planar3_sat():
     res = solve(p)
     assert res.status == SAT
     assert verify_certificate(p, build_dual(p), res.projection)
+
+
+@pytest.mark.parametrize("run", [solve, enumerate_all])
+def test_rejected_certificate_raises(monkeypatch, run):
+    monkeypatch.setattr(solver, "verify_certificate",
+                        lambda p, dc, proj: VerifyResult(False, "forced"))
+    with pytest.raises(CertificateRejected, match="forced"):
+        run(planar3_partition())
 
 
 def brute_force_planar3(p, dc):

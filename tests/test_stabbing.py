@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rectdual import stabbing
 from rectdual.stabbing import (
     FEASIBLE,
     INFEASIBLE,
@@ -23,6 +24,7 @@ from rectdual.stabbing import (
     _project_to_yz,
 )
 
+from oracles import fraclp
 from oracles.stabchk import (
     in_planar,
     in_regular,
@@ -236,6 +238,25 @@ def test_regular_witness_survives_beyond_three():
     for b in (F(31, 10), F(7, 2), F(13)):
         sets = build_config_sets("regular", b).sets
         assert all(meets_hyperplane(s, (1, 1, 1, 3)) for s in sets)
+
+
+def test_verdicts_match_fraction_oracle(monkeypatch):
+    # every witness, certificate string and case count is the one the
+    # Fraction simplex gives
+    probs = [build_config_sets("regular", F(3)),
+             build_config_sets("regular", F(7, 2)),
+             build_config_sets("singular", F(5)),
+             build_planar_sets(F(29, 10)), build_planar_sets(F(3))]
+
+    def stab_all():
+        return [plane_stab(p) if p.dim == 3 else line_stab(p) for p in probs]
+
+    got = stab_all()
+    monkeypatch.setattr(stabbing, "feasible_point", fraclp.feasible_point)
+    monkeypatch.setattr(stabbing, "strict_feasible", fraclp.strict_feasible)
+    assert got == stab_all()
+    assert [v.status for v in got] == [INFEASIBLE, FEASIBLE, INFEASIBLE,
+                                       INFEASIBLE, FEASIBLE]
 
 
 # --- line_stab on the planar family ---------------------------------------
