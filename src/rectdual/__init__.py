@@ -3,6 +3,7 @@
 from .boxes import (
     BalanceReport,
     CoverageGap,
+    GridTooLarge,
     IntBox,
     OutOfBounds,
     Overlap,

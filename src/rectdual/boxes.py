@@ -3,12 +3,21 @@
 All geometry in this package is exact. Coordinates of box corners are
 integers; half-integral data (pixel centers, projections) is stored as
 doubled integers so that every predicate reduces to integer arithmetic.
+
+A partition of [0,n]^d owns one flat grid of box ids over the unit cells
+of [-1,n+1]^d: the cube's cells hold their box (-1 where a partial
+partition leaves a gap) and a border one cell wide holds -1 on every
+side, so the 2^d cells around any grid vertex of the cube can be read
+without bounds checks. Validation fills this grid when it has at most
+_GRID_LIMIT cells; larger partitions are checked by a sweep, and asking
+them for the grid raises GridTooLarge before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product
 from typing import Iterator, Optional, Sequence
 
 
@@ -33,6 +42,16 @@ class CoverageGap(ValidationError):
     def __init__(self, missing_volume):
         self.missing_volume = missing_volume
         super().__init__(f"boxes cover too little volume (missing {missing_volume})")
+
+
+class GridTooLarge(ValidationError):
+    def __init__(self, cells):
+        self.cells = cells
+        super().__init__(f"owner grid of {cells} cells exceeds the limit of {_GRID_LIMIT}")
+
+
+# the one cell limit: owner grids, and materialized generator output
+_GRID_LIMIT = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -80,15 +99,7 @@ class IntBox:
 
     def cells(self) -> Iterator[tuple]:
         """All unit cells covered by the box, as lower-corner tuples."""
-        def rec(i, prefix):
-            if i == len(self.lo):
-                yield tuple(prefix)
-                return
-            for x in range(self.lo[i], self.hi[i]):
-                prefix.append(x)
-                yield from rec(i + 1, prefix)
-                prefix.pop()
-        yield from rec(0, [])
+        return product(*(range(a, b) for a, b in zip(self.lo, self.hi)))
 
     def contains_point2(self, p2: Sequence[int], strict=False) -> bool:
         """Membership of a doubled-coordinate point."""
@@ -125,7 +136,8 @@ class BalanceReport:
     witness: tuple  # boxes achieving (longest side, shortest side)
 
     def __post_init__(self):
-        assert self.value >= 1
+        if self.value < 1:
+            raise ValueError(f"balance {self.value} is below 1")
 
 
 @dataclass
@@ -143,19 +155,16 @@ class Partition:
     _owner: Optional[list] = field(default=None, repr=False, compare=False)
 
     def cell_index(self, cell) -> int:
+        """Index in the padded owner grid of the cell with lower corner in [-1,n]^d."""
         idx = 0
         for c in cell:
-            idx = idx * self.n + c
+            idx = idx * (self.n + 2) + c + 1
         return idx
 
     def owner_grid(self) -> list:
-        """Flat cell -> box id map (-1 for uncovered cells); cached."""
+        """Flat, padded cell -> box id map (-1 for uncovered cells); cached."""
         if self._owner is None:
-            grid = [-1] * (self.n ** self.dim)
-            for bid, box in enumerate(self.boxes):
-                for cell in box.cells():
-                    grid[self.cell_index(cell)] = bid
-            self._owner = grid
+            self._owner = _claim_cells(self.boxes, self.dim, self.n)
         return self._owner
 
     def owner_of(self, cell) -> int:
@@ -163,6 +172,53 @@ class Partition:
             if c < 0 or c >= self.n:
                 return -1
         return self.owner_grid()[self.cell_index(cell)]
+
+    def vertex_owners(self):
+        """Iterate over (w, around) for every grid vertex w of [0,n]^d in
+        lexicographic order; around[s] is the owner of the cell
+        w - 1 + bits(s), bit k of s standing for axis k (-1 outside)."""
+        d, n = self.dim, self.n
+        grid = self.owner_grid()
+        strides = _strides(d, n)
+        # cell w - 1 + bits(s) has padded index sum(w[k] * strides[k]) + shift[s]
+        shift = [sum(st for k, st in enumerate(strides) if s >> k & 1)
+                 for s in range(1 << d)]
+        rows = map(sum, product(*(range(0, (n + 1) * st, st)
+                                  for st in strides[:-1])))
+        around = chain.from_iterable(
+            zip(*(grid[r + s:r + s + n + 1] for s in shift)) for r in rows)
+        return zip(product(range(n + 1), repeat=d), around)
+
+
+def _strides(d, n):
+    return [(n + 2) ** (d - 1 - k) for k in range(d)]
+
+
+def _claim_cells(boxes, d, n) -> list:
+    """Padded owner grid of the boxes, which lie inside [0,n]^d.
+
+    Raises GridTooLarge before allocating, and Overlap at the first cell
+    (in box order, then lexicographic cell order) claimed twice."""
+    cells = (n + 2) ** d
+    if cells > _GRID_LIMIT:
+        raise GridTooLarge(cells)
+    grid = [-1] * cells
+    strides = _strides(d, n)
+    for bid, box in enumerate(boxes):
+        # the box's cells as runs along the last axis
+        first = box.lo[-1] + 1
+        run = box.hi[-1] - box.lo[-1]
+        free = [-1] * run
+        claim = [bid] * run
+        for row in map(sum, product(*(range((a + 1) * st, (b + 1) * st, st)
+                                      for a, b, st in zip(box.lo, box.hi,
+                                                          strides[:-1])))):
+            start = row + first
+            if grid[start:start + run] != free:
+                prev = next(o for o in grid[start:start + run] if o != -1)
+                raise Overlap(boxes[prev], box)
+            grid[start:start + run] = claim
+    return grid
 
 
 def _interiors_overlap(a: IntBox, b: IntBox) -> bool:
@@ -173,7 +229,7 @@ def _interiors_overlap(a: IntBox, b: IntBox) -> bool:
 
 
 def check_disjoint_all_pairs(boxes) -> None:
-    # quadratic fallback, kept as the oracle for the sweep
+    # quadratic, kept as the oracle for the sweep
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
             if _interiors_overlap(boxes[i], boxes[j]):
@@ -196,23 +252,13 @@ def _check_disjoint_sweep(boxes) -> None:
         active.append(i)
 
 
-def _check_disjoint_grid(boxes, d, n) -> None:
-    # cell-claiming pass; linear in covered volume
-    grid = {}
-    for i, box in enumerate(boxes):
-        for cell in box.cells():
-            prev = grid.setdefault(cell, i)
-            if prev != i:
-                raise Overlap(boxes[prev], boxes[i])
-
-
-# volume threshold above which validation avoids materializing the cell grid
-_GRID_LIMIT = 4_000_000
-
-
 def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partition:
     """Validate containment, interior disjointness and (unless partial)
-    exact coverage of [0,n]^d. Raises OutOfBounds, Overlap or CoverageGap."""
+    exact coverage of [0,n]^d. Raises OutOfBounds, Overlap or CoverageGap.
+
+    Disjointness is checked by filling the owner grid, or by a sweep when
+    the grid would exceed _GRID_LIMIT. An overfull partition covers some
+    cell twice, so either check rejects it."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     boxes = tuple(b if isinstance(b, IntBox) else IntBox(*b) for b in boxes)
@@ -223,17 +269,14 @@ def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partitio
         if any(a < 0 for a in box.lo) or any(b > n for b in box.hi):
             raise OutOfBounds(box)
         total += box.volume()
-    if not partial and total > n ** d:
-        # overfull implies an overlap somewhere; find a concrete pair
-        check_disjoint_all_pairs(boxes)
-    if total <= _GRID_LIMIT:
-        _check_disjoint_grid(boxes, d, n)
-    else:
+    try:
+        owner = _claim_cells(boxes, d, n)
+    except GridTooLarge:
+        owner = None
         _check_disjoint_sweep(boxes)
-    if not partial:
-        if total != n ** d:
-            raise CoverageGap(n ** d - total)
-    return Partition(d, n, boxes, partial)
+    if not partial and total != n ** d:
+        raise CoverageGap(n ** d - total)
+    return Partition(d, n, boxes, partial, owner)
 
 
 def is_generic(p: Partition):
@@ -242,37 +285,19 @@ def is_generic(p: Partition):
     Returns (flag, witness) where witness is a violating grid point or None.
     Only grid vertices can witness a violation since boxes have integral
     corners."""
-    d, n = p.dim, p.n
-    p.owner_grid()
-    shifts = [tuple((s >> k) & 1 for k in range(d)) for s in range(1 << d)]
-    for vert in _grid_vertices(d, n):
-        owners = set()
-        for sh in shifts:
-            cell = tuple(v - 1 + s for v, s in zip(vert, sh))
-            o = p.owner_of(cell)
-            if o >= 0:
-                owners.add(o)
-        if len(owners) > d + 1:
+    for vert, around in p.vertex_owners():
+        owners = set(around)
+        owners.discard(-1)
+        if len(owners) > p.dim + 1:
             return False, vert
     return True, None
-
-
-def _grid_vertices(d, n):
-    def rec(i, prefix):
-        if i == d:
-            yield tuple(prefix)
-            return
-        for x in range(n + 1):
-            prefix.append(x)
-            yield from rec(i + 1, prefix)
-            prefix.pop()
-    yield from rec(0, [])
 
 
 def balance_of_set(boxes) -> BalanceReport:
     """Longest side over shortest side across all boxes of the set."""
     boxes = list(boxes)
-    assert boxes
+    if not boxes:
+        raise ValueError("balance of an empty set of boxes")
     best_max = None
     best_min = None
     for box in boxes:

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .boxes import IntBox, Partition, validate_partition
-from .dual import orientation
+from .boxes import _GRID_LIMIT, IntBox, Partition, validate_partition
+from .dual import _det, orientation
 
 __all__ = [
     "BetaTooSmall",
+    "ConstructionFault",
     "NoFeasibleAB",
     "MaterializationRefused",
     "TooSmall",
@@ -38,6 +39,10 @@ __all__ = [
 
 class BetaTooSmall(ValueError):
     """Requested aspect bound admits no construction."""
+
+
+class ConstructionFault(Exception):
+    """A generator's output broke an invariant its construction guarantees."""
 
 
 class NoFeasibleAB(Exception):
@@ -211,10 +216,15 @@ def coprime_base(k, lam):
     zs = (1,) + _first_primes(k)
     b = lam * prod(zs) + 1
     out = tuple(b + z - 1 for z in zs)
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            assert gcd(out[i], out[j]) == 1, (out[i], out[j])
+    _check_coprime(out)
     return out
+
+
+def _check_coprime(sides):
+    for i in range(len(sides)):
+        for j in range(i + 1, len(sides)):
+            if gcd(sides[i], sides[j]) != 1:
+                raise ConstructionFault(f"sides {sides[i]} and {sides[j]} share a factor")
 
 
 def represent_two_products(p1, p2, length):
@@ -243,7 +253,8 @@ def fill_threshold(sides) -> int:
     part only raises that number, so bipartitions dominate all disjoint
     pairs."""
     sides = tuple(sides)
-    assert len(sides) >= 2
+    if len(sides) < 2:
+        raise ValueError("need at least two sides")
     best = 0
     for mask in range(1, 2 ** (len(sides) - 1)):
         p1 = prod(s for i, s in enumerate(sides) if mask >> i & 1)
@@ -252,12 +263,19 @@ def fill_threshold(sides) -> int:
     return best + 1
 
 
+def _represent(p1, p2, length):
+    # square_fill checked the threshold, so every extent is representable
+    lam = represent_two_products(p1, p2, length)
+    if lam is None:
+        raise ConstructionFault(f"{length} is not representable by {p1} and {p2}")
+    return lam
+
+
 def _tile(ext, sides):
     # exact cover of a d-dimensional extent by squares with the given
     # sorted coprime sides; yields (low corner, side) pairs
     if len(ext) == 1:
-        lam = represent_two_products(sides[0], sides[1], ext[0])
-        assert lam is not None
+        lam = _represent(sides[0], sides[1], ext[0])
         out, x = [], 0
         for s, count in zip(sides, lam):
             for _ in range(count):
@@ -267,8 +285,7 @@ def _tile(ext, sides):
     half = len(sides) // 2
     groups = (sides[:half], sides[half:])
     heights = (prod(groups[0]), prod(groups[1]))
-    lam = represent_two_products(heights[0], heights[1], ext[-1])
-    assert lam is not None
+    lam = _represent(heights[0], heights[1], ext[-1])
     layers = (_tile(ext[:-1], groups[0]), _tile(ext[:-1], groups[1]))
     out, z = [], 0
     for which in (0, 1):
@@ -318,15 +335,13 @@ def square_fill(box: IntBox, sides) -> Partition:
     if min(ext) < threshold:
         raise TooSmall(min(ext), threshold)
     squares = [IntBox(lo, tuple(c + s for c in lo)) for lo, s in _tile(ext, sides)]
-    assert sum(sq.volume() for sq in squares) == box.volume()
+    if sum(sq.volume() for sq in squares) != box.volume():
+        raise ConstructionFault(f"squares do not fill {box}")
     return validate_partition(squares, d, max(ext), partial=len(set(ext)) > 1)
 
 
 # ---------------------------------------------------------------------------
 # cubical configurations (certificate scale)
-
-
-_MATERIALIZE_CELL_LIMIT = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -355,28 +370,8 @@ def _center_rows(d, a, b, delta):
     return rows
 
 
-def _det(matrix):
-    m = [list(r) for r in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
 def _bordered_det(rows):
-    return _det([[Fraction(1), *r] for r in rows])
+    return _det([[1, *r] for r in rows])
 
 
 def verify_det_formula(d, a, b):
@@ -386,7 +381,7 @@ def verify_det_formula(d, a, b):
     Returns (exact, closed_form, equal)."""
     if d < 3:
         raise ValueError("needs d >= 3")
-    exact = _bordered_det(_center_rows(d, a, b, delta=0))
+    exact = Fraction(_bordered_det(_center_rows(d, a, b, delta=0)))
     closed = Fraction(b) ** (d - 1) * (d * a - (d - 2) * b) / 2
     return exact, closed, exact == closed
 
@@ -427,7 +422,8 @@ def gen_cubical_config(d, beta, materialize=False) -> CubicalConfigReport:
     zs = (1,) + _first_primes(D - 1)
     modulus = prod(zs[1:])
     zmax = zs[-1]
-    assert orientation(_seed_cube_corners(d)) == 1
+    if orientation(_seed_cube_corners(d)) != 1:
+        raise ConstructionFault("the staircase seed is not positively oriented")
     for lam in range(1, 65):
         b = lam * modulus + 1
         a_hi = b * (d - 2) // d                      # largest a with b/a >= d/(d-2)
@@ -441,15 +437,12 @@ def gen_cubical_config(d, beta, materialize=False) -> CubicalConfigReport:
             if det >= 0:
                 continue
             side_set = tuple(b + z - 1 for z in zs)
-            for i in range(len(side_set)):
-                for j in range(i + 1, len(side_set)):
-                    assert gcd(side_set[i], side_set[j]) == 1
+            _check_coprime(side_set)
             cells = (4 * b) ** d
-            materializable = cells <= _MATERIALIZE_CELL_LIMIT
+            materializable = cells <= _GRID_LIMIT
             if materialize and not materializable:
                 raise MaterializationRefused(
-                    f"{cells} cells at b={b} exceed the limit of "
-                    f"{_MATERIALIZE_CELL_LIMIT}")
+                    f"{cells} cells at b={b} exceed the limit of {_GRID_LIMIT}")
             return CubicalConfigReport(
                 d=d, a=a, b=b,
                 centers=tuple(_center_rows(d, a, b, delta=1)),

@@ -10,9 +10,15 @@ all of them. Every simplex therefore arises from a chain
     u_0, u_0 + e_{pi(1)}, u_0 + e_{pi(1)} + e_{pi(2)}, ...
 
 anchored at a grid vertex w (u_0 is the all-below cell) for some axis
-permutation pi. Chains at boundary vertices simply lose their
-out-of-domain cells. A chain whose d+1 cells lie in d+1 distinct boxes
-witnesses a top-dimensional simplex; the chain is stored as its seed.
+permutation pi. build_dual makes one walk over the grid vertices in
+lexicographic order, reading the owners of the 2^d cells around each
+vertex from the partition's padded owner grid, and follows the d! chains
+there in permutations order; cells outside the cube read -1 and drop out
+of the chain. A chain whose d+1 cells lie in d+1 distinct boxes
+witnesses a top-dimensional simplex; the first such chain is stored as
+its seed, together with its sign, the orientation of its pixel centers.
+A vertex inside a single box only witnesses that box, so its chains are
+skipped.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from .boxes import Partition, Pixel
 
@@ -44,6 +51,41 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
+def _det(rows):
+    """Exact determinant of a square matrix of ints or Fractions.
+
+    Fraction entries are first scaled to integers by one positive common
+    denominator L, and the integer determinant, found by fraction-free
+    elimination (Bareiss 1968), is divided by L^n again."""
+    n = len(rows)
+    den = 1
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                den = lcm(den, x.denominator)
+    if den == 1:
+        m = [list(row) for row in rows]
+    else:
+        m = [[int(x * den) for x in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                # exact by Sylvester's identity
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
+    det = sign * m[n - 1][n - 1]
+    return det if den == 1 else Fraction(det, den ** n)
+
+
 def _sign_det(rows) -> int:
     n = len(rows)
     if n == 1:
@@ -54,23 +96,7 @@ def _sign_det(rows) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return _sign(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    # generic exact elimination
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        if m[col][col] < 0:
-            sign = -sign
-            m[col] = [-x for x in m[col]]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return sign
+    return _sign(_det(rows))
 
 
 def orientation(points) -> int:
@@ -116,7 +142,7 @@ class DualComplex:
         self.partition = partition
         self.dim = partition.dim
         self.simplices = simplices          # k -> set of sorted id tuples
-        self._top = top                     # sorted ids -> (anchor, perm, ordered ids)
+        self._top = top     # sorted ids -> (anchor, perm, ordered ids, sign)
 
     def edges(self):
         return self.simplices.get(1, ())
@@ -129,8 +155,8 @@ class DualComplex:
 
     def top_items(self):
         """Yield (simplex, ordered box ids, seed orientation sign)."""
-        for key, (anchor, perm, ordered) in self._top.items():
-            yield key, ordered, _perm_parity(perm)
+        for key, (anchor, perm, ordered, sign) in self._top.items():
+            yield key, ordered, sign
 
     def seed_raw(self, simplex):
         key = tuple(sorted(simplex))
@@ -140,7 +166,7 @@ class DualComplex:
 
 
 def seed_of(dc: DualComplex, simplex) -> SeedChain:
-    anchor, perm, ordered = dc.seed_raw(simplex)
+    anchor, perm, ordered, want = dc.seed_raw(simplex)
     cell = list(x - 1 for x in anchor)
     cells = [tuple(cell)]
     for axis in perm:
@@ -148,7 +174,7 @@ def seed_of(dc: DualComplex, simplex) -> SeedChain:
         cells.append(tuple(cell))
     pixels = tuple(Pixel(c) for c in cells)
     sign = orientation([px.center2 for px in pixels])
-    if sign != _perm_parity(perm):
+    if sign != want:
         raise SeedMisoriented(
             f"seed of {ordered} has orientation {sign}, axis order {perm}")
     return SeedChain(ordered, pixels, anchor, perm, sign)
@@ -162,10 +188,7 @@ def build_dual(p: Partition) -> DualComplex:
     guards the construction).
     """
     d = p.dim
-    if d == 2:
-        top, lower = _chains_2d(p)
-    else:
-        top, lower = _chains_generic(p)
+    top, lower = _chains(p)
 
     m = len(p.boxes)
     simplices = {k: set() for k in range(d + 1)}
@@ -182,115 +205,45 @@ def build_dual(p: Partition) -> DualComplex:
     return DualComplex(p, simplices, top)
 
 
-def _register_top(top, key, ordered, anchor, perm):
-    canon = _perm_parity(perm) * _perm_parity(ordered)
+def _register_top(top, key, ordered, anchor, perm, sign):
     prev = top.get(key)
     if prev is None:
-        top[key] = (anchor, perm, ordered)
+        top[key] = (anchor, perm, ordered, sign)
         return
-    p_anchor, p_perm, p_ordered = prev
-    p_canon = _perm_parity(p_perm) * _perm_parity(p_ordered)
-    if p_canon != canon:
+    # both chains must orient the boxes, taken in sorted order, alike
+    if prev[3] * _perm_parity(prev[2]) != sign * _perm_parity(ordered):
         raise SeedConflict(f"simplex {key} seen with both orientations")
 
 
-def _chains_2d(p: Partition):
-    n = p.n
-    owner = p.owner_grid()
+def _chains(p: Partition):
+    """Top simplices with their seeds, and the lower simplices, that the
+    monotone chains at all grid vertices witness."""
+    d = p.dim
     top = {}
     lower = set()
-    add_lower = lower.add
-    for x in range(n + 1):
-        for y in range(n + 1):
-            # owners of the four cells around vertex (x, y); -1 outside
-            ll = owner[(x - 1) * n + (y - 1)] if x > 0 and y > 0 else -1
-            lr = owner[x * n + (y - 1)] if x < n and y > 0 else -1
-            ul = owner[(x - 1) * n + y] if x > 0 and y < n else -1
-            ur = owner[x * n + y] if x < n and y < n else -1
-            w = (x, y)
-            for seq, perm in (((ll, lr, ur), (0, 1)), ((ll, ul, ur), (1, 0))):
-                a = [v for v in seq if v >= 0]
-                if not a:
-                    continue
-                dd = [a[0]]
-                for v in a[1:]:
-                    if v != dd[-1]:
-                        dd.append(v)
-                k = len(dd)
-                if k == 3:
-                    i, j, l = dd
-                    key = (i, j, l) if i < j < l else tuple(sorted(dd))
-                    _register_top(top, key, tuple(dd), w, perm)
-                elif k == 2:
-                    i, j = dd
-                    add_lower((i, j) if i < j else (j, i))
-                else:
-                    add_lower((dd[0],))
-    return top, lower
-
-
-def _chains_generic(p: Partition):
-    d, n = p.dim, p.n
-    owner = p.owner_grid()
-    top = {}
-    lower = set()
-    perms = [tuple(pi) for pi in permutations(range(d))]
-    # bitmask prefixes per permutation: cell shifts visited along the chain
-    prefix_masks = []
-    for pi in perms:
-        masks = [0]
-        acc = 0
-        for axis in pi:
+    # per axis order: the cell shifts visited along the chain, as bitmasks
+    chains = []
+    for perm in permutations(range(d)):
+        masks, acc = [0], 0
+        for axis in perm:
             acc |= 1 << axis
             masks.append(acc)
-        prefix_masks.append(masks)
-    shifts = list(range(1 << d))
-
-    def owners_around(w):
-        out = []
-        for s in shifts:
-            cell = []
-            ok = True
-            for k in range(d):
-                c = w[k] - 1 + ((s >> k) & 1)
-                if c < 0 or c >= n:
-                    ok = False
-                    break
-                cell.append(c)
-            if not ok:
-                out.append(-1)
-            else:
-                idx = 0
-                for c in cell:
-                    idx = idx * n + c
-                out.append(owner[idx])
-        return out
-
-    def vertices():
-        w = [0] * d
-        while True:
-            yield tuple(w)
-            i = d - 1
-            while i >= 0 and w[i] == n:
-                w[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            w[i] += 1
-
-    for w in vertices():
-        around = owners_around(w)
-        for pi, masks in zip(perms, prefix_masks):
-            a = [around[msk] for msk in masks]
-            a = [v for v in a if v >= 0]
-            if not a:
-                continue
-            dd = [a[0]]
-            for v in a[1:]:
-                if v != dd[-1]:
+        chains.append((perm, masks, _perm_parity(perm)))
+    cells = 1 << d
+    for w, around in p.vertex_owners():
+        first = around[0]
+        if around.count(first) == cells:
+            if first >= 0:
+                lower.add((first,))
+            continue
+        for perm, masks, sign in chains:
+            dd = []
+            for msk in masks:
+                v = around[msk]
+                if v >= 0 and (not dd or v != dd[-1]):
                     dd.append(v)
             if len(dd) == d + 1:
-                _register_top(top, tuple(sorted(dd)), tuple(dd), w, pi)
-            else:
-                lower.add(tuple(sorted(set(dd))))
+                _register_top(top, tuple(sorted(dd)), tuple(dd), w, perm, sign)
+            elif dd:
+                lower.add(tuple(sorted(dd)))
     return top, lower

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boxes import Partition
-from .dual import DualComplex, _perm_parity, build_dual, orientation
+from .dual import DualComplex, build_dual, orientation
 
 
 class NotFaithful(ValueError):
@@ -88,8 +88,7 @@ def check_faithful(p: Partition, proj: Projection) -> None:
 
 
 def simplex_preserved(dc: DualComplex, simplex, proj: Projection) -> bool:
-    anchor, perm, ordered = dc.seed_raw(simplex)
-    want = _perm_parity(perm)
+    anchor, perm, ordered, want = dc.seed_raw(simplex)
     pts = [proj.points2[i] for i in ordered]
     return orientation(pts) == want
 

@@ -108,7 +108,7 @@ def format_dual(dc: DualComplex) -> str:
             line = f"{k} " + " ".join(str(v) for v in key)
             if k == dc.dim:
                 # every simplex of full dimension carries a seed
-                anchor, perm, _ordered = dc.seed_raw(key)
+                anchor, perm, _ordered, _sign = dc.seed_raw(key)
                 permtok = ",".join(str(a + 1) for a in perm)
                 line += " | " + " ".join(str(w) for w in anchor) + " " + permtok
             out.append(line)

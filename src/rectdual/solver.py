@@ -193,7 +193,8 @@ def _search(csp: _Csp, cfg: SolverConfig, collect=None):
     deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
     if not csp.propagate():
         return UNSAT, None, nodes
-    stack = [[list(dom) for dom in csp.domains]]
+    # domains are rebound, never changed in place, so shallow copies do
+    stack = [list(csp.domains)]
     found = None
     while stack:
         nodes += 1
@@ -214,8 +215,8 @@ def _search(csp: _Csp, cfg: SolverConfig, collect=None):
         lo_half, hi_half = dom[:mid], dom[mid:]
         base = csp.domains  # second branch must not see the first one's pruning
         for half in (hi_half, lo_half):  # explore the low half first
-            saved = [list(d) for d in base]
-            saved[var] = list(half)
+            saved = list(base)
+            saved[var] = half
             csp.domains = saved
             if csp.propagate(csp.watching.get(var, ())):
                 stack.append(csp.domains)

@@ -92,6 +92,14 @@ def pixel_complex(d, n, max_size):
     return complex_
 
 
+def _owner(boxes, cell):
+    # the box containing the cell, found from the box corners alone
+    for i, box in enumerate(boxes):
+        if all(a <= c < b for a, b, c in zip(box.lo, box.hi, cell)):
+            return i
+    return -1
+
+
 def nerve_of_partition(p, max_size):
     """Box subsets (as sorted tuples) with a common distorted point,
     keyed by dimension (set size minus one) to match DualComplex."""
@@ -99,7 +107,7 @@ def nerve_of_partition(p, max_size):
     out = {}
     for size, tuples in K.items():
         for cand in tuples:
-            owners = tuple(sorted({p.owner_of(c) for c in cand}))
+            owners = tuple(sorted({_owner(p.boxes, c) for c in cand}))
             assert all(o >= 0 for o in owners)
             out.setdefault(len(owners) - 1, set()).add(owners)
     return out

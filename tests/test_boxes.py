@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rectdual.boxes import (
+    BalanceReport,
     CoverageGap,
     IntBox,
     OutOfBounds,
@@ -116,6 +117,14 @@ def test_balance_of_set():
     assert rep.witness[0].sides() == (3, 1) or rep.witness[0].sides() == (3, 2)
     rep2 = balance_of_set([IntBox((0, 0), (2, 2))])
     assert rep2.value == 1
+
+
+def test_balance_rejects_bad_input():
+    with pytest.raises(ValueError):
+        balance_of_set([])
+    box = IntBox((0, 0), (1, 1))
+    with pytest.raises(ValueError):
+        BalanceReport(Fraction(1, 2), (box, box))
 
 
 def test_partition_balance_uses_dual_edges():

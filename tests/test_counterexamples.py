@@ -4,9 +4,11 @@ from math import gcd, prod
 
 import pytest
 
+from rectdual import counterexamples
 from rectdual.boxes import IntBox, partition_balance
 from rectdual.counterexamples import (
     BetaTooSmall,
+    ConstructionFault,
     MaterializationRefused,
     NoFeasibleAB,
     NotRepresentable,
@@ -185,6 +187,12 @@ def test_fill_threshold_values():
         assert fill_threshold(sides) == brute_fill_threshold(sides)
 
 
+def test_fill_threshold_needs_two_sides():
+    for sides in ((), (5,)):
+        with pytest.raises(ValueError):
+            fill_threshold(sides)
+
+
 # ---------------------------------------------------------------- square filling
 
 
@@ -237,6 +245,30 @@ def test_square_fill_input_validation():
         square_fill(box, (2, 3, 5, 6))  # shared factor
     with pytest.raises(ValueError):
         square_fill(box, (2, 3, 5))  # wrong count
+
+
+def test_square_fill_construction_faults(monkeypatch):
+    # with the threshold check defeated, an extent of 1 has no (3, 5) tiling
+    monkeypatch.setattr(counterexamples, "fill_threshold", lambda sides: 0)
+    with pytest.raises(ConstructionFault):
+        square_fill(IntBox((0, 0), (1, 2)), (1, 2, 3, 5))
+    monkeypatch.setattr(counterexamples, "_tile", lambda ext, sides: [])
+    with pytest.raises(ConstructionFault):
+        square_fill(IntBox((0, 0), (2, 2)), (1, 2, 3, 5))
+
+
+def test_coprimality_faults(monkeypatch):
+    monkeypatch.setattr(counterexamples, "gcd", lambda a, b: 2)
+    with pytest.raises(ConstructionFault):
+        coprime_base(2, 1)
+    with pytest.raises(ConstructionFault):
+        gen_cubical_config(3, Fraction(7, 2))
+
+
+def test_cubical_seed_orientation_fault(monkeypatch):
+    monkeypatch.setattr(counterexamples, "orientation", lambda pts: -1)
+    with pytest.raises(ConstructionFault):
+        gen_cubical_config(3, Fraction(7, 2))
 
 
 # ---------------------------------------------------------------- cubical report

@@ -1,0 +1,104 @@
+"""The padded owner grid, its vertex walk, and the chains read from it,
+checked against brute force and the frozen generic enumerator."""
+
+import random
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rectdual.boxes import (
+    GridTooLarge,
+    IntBox,
+    Overlap,
+    check_disjoint_all_pairs,
+    is_generic,
+    validate_partition,
+)
+from rectdual.counterexamples import gen_3d_layered, gen_planar_lcycle
+from rectdual.dual import build_dual, seed_of
+from rectdual.io import parse_partition
+
+from oracles.chains import dual_of
+from oracles.partitions import random_partition
+
+
+def _guillotine(d, n, seed):
+    return lambda: random_partition(d, n, random.Random(seed), stop=0.2)
+
+
+PARTITIONS = {
+    **{f"guillotine{d}d#{seed}": _guillotine(d, n, seed)
+       for d, n, seeds in ((2, 8, 4), (3, 5, 3), (4, 3, 2))
+       for seed in range(seeds)},
+    "lcycle": gen_planar_lcycle,
+    "layered4": lambda: gen_3d_layered(4),
+}
+
+
+@pytest.mark.parametrize("label", PARTITIONS)
+def test_chains_match_frozen_enumerator(label):
+    p = PARTITIONS[label]()
+    dc = build_dual(p)
+    top, simplices = dual_of(p)
+    # same keys, seeds and insertion order
+    assert [(k, v[:3]) for k, v in dc._top.items()] == list(top.items())
+    assert dc.simplices == simplices
+    for key in dc._top:
+        assert seed_of(dc, key).sign == dc._top[key][3]
+
+
+def _brute_owner(boxes, cell):
+    for i, box in enumerate(boxes):
+        if all(a <= c < b for a, b, c in zip(box.lo, box.hi, cell)):
+            return i
+    return -1
+
+
+@st.composite
+def _box_sets(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = [draw(st.integers(0, n - 1)) for _ in range(d)]
+        hi = [draw(st.integers(a + 1, n)) for a in lo]
+        boxes.append(IntBox(tuple(lo), tuple(hi)))
+    return d, n, boxes
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_box_sets())
+def test_owner_grid_matches_brute_force(case):
+    d, n, boxes = case
+    try:
+        check_disjoint_all_pairs(boxes)
+        disjoint = True
+    except Overlap:
+        disjoint = False
+    if not disjoint:
+        with pytest.raises(Overlap):
+            validate_partition(boxes, d, n, partial=True)
+        return
+    p = validate_partition(boxes, d, n, partial=True)
+    grid = p.owner_grid()
+    assert len(grid) == (n + 2) ** d
+    # every cell of the padded grid, the -1 border included
+    for cell in product(range(-1, n + 1), repeat=d):
+        assert grid[p.cell_index(cell)] == _brute_owner(boxes, cell)
+    walk = list(p.vertex_owners())
+    assert [w for w, _ in walk] == list(product(range(n + 1), repeat=d))
+    for w, around in walk:
+        assert list(around) == [
+            _brute_owner(boxes, [x - 1 + (s >> k & 1) for k, x in enumerate(w)])
+            for s in range(1 << d)]
+
+
+def test_huge_grid_is_refused_before_allocation():
+    # validation takes the sweep; the owner grid would need 10^15 cells
+    p = parse_partition("3 100000 1\n0 100000 0 100000 0 100000\n")
+    with pytest.raises(GridTooLarge):
+        build_dual(p)
+    with pytest.raises(GridTooLarge):
+        is_generic(p)
