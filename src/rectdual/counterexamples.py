@@ -20,7 +20,6 @@ __all__ = [
     "BetaTooSmall",
     "ConstructionFault",
     "NoFeasibleAB",
-    "MaterializationRefused",
     "TooSmall",
     "NotRepresentable",
     "CubicalConfigReport",
@@ -47,10 +46,6 @@ class ConstructionFault(Exception):
 
 class NoFeasibleAB(Exception):
     """No (a, b) pair satisfies the inequality chain within the search bound."""
-
-
-class MaterializationRefused(Exception):
-    """Materializing the configuration would exceed the cell limit."""
 
 
 class TooSmall(ValueError):
@@ -396,7 +391,7 @@ def _seed_cube_corners(d):
     return pts
 
 
-def gen_cubical_config(d, beta, materialize=False) -> CubicalConfigReport:
+def gen_cubical_config(d, beta) -> CubicalConfigReport:
     """Find the smallest-b cubical configuration certificate for
     dimension d under aspect bound beta.
 
@@ -407,10 +402,11 @@ def gen_cubical_config(d, beta, materialize=False) -> CubicalConfigReport:
     report carries the centers, the pairwise-coprime filler side set
     b + z_i - 1, and the filling threshold those sides would need.
 
-    Materializing is refused: the smallest admissible b for d = 3 is
+    Nothing is materialized: the smallest admissible b for d = 3 is
     already 510511, putting the full partition's cell count far beyond
-    any sensible limit.  Practical only for d <= 4; the threshold scan
-    enumerates 2^(D-1) bipartitions.
+    any sensible limit; the report's materializable field says whether
+    its (4b)^d cells would fit.  Practical only for d <= 4; the
+    threshold scan enumerates 2^(D-1) bipartitions.
     """
     if d < 3:
         raise ValueError("needs d >= 3")
@@ -438,17 +434,12 @@ def gen_cubical_config(d, beta, materialize=False) -> CubicalConfigReport:
                 continue
             side_set = tuple(b + z - 1 for z in zs)
             _check_coprime(side_set)
-            cells = (4 * b) ** d
-            materializable = cells <= _GRID_LIMIT
-            if materialize and not materializable:
-                raise MaterializationRefused(
-                    f"{cells} cells at b={b} exceed the limit of {_GRID_LIMIT}")
             return CubicalConfigReport(
                 d=d, a=a, b=b,
                 centers=tuple(_center_rows(d, a, b, delta=1)),
                 det_sign=-1,
                 side_set=side_set,
                 L0_bound=fill_threshold(side_set),
-                materializable=materializable,
+                materializable=(4 * b) ** d <= _GRID_LIMIT,
             )
     raise NoFeasibleAB(f"no (a, b) found for d={d}, beta={beta} within the search bound")

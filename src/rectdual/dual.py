@@ -47,10 +47,6 @@ class SeedMisoriented(Exception):
     """A seed chain's pixel centers lack the orientation of its axis order."""
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
 def _det(rows):
     """Exact determinant of a square matrix of ints or Fractions.
 
@@ -86,33 +82,40 @@ def _det(rows):
     return det if den == 1 else Fraction(det, den ** n)
 
 
-def _sign_det(rows) -> int:
-    n = len(rows)
-    if n == 1:
-        return _sign(rows[0][0])
-    if n == 2:
-        (a, b), (c, d) = rows
-        return _sign(a * d - b * c)
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return _sign(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    return _sign(_det(rows))
-
-
 def orientation(points) -> int:
     """Orientation sign of d+1 points in R^d.
 
-    Sign of the determinant of the (d+1)x(d+1) matrix whose rows are
-    (1, p_i). Exact for integer or Fraction coordinates, and invariant
-    under scaling all coordinates by a positive factor, so doubled
-    half-integral coordinates can be passed directly.
+    points is a sequence of d+1 points, each a sequence of d int or
+    Fraction coordinates. The sign is that of the determinant of the
+    (d+1)x(d+1) matrix whose rows are (1, p_i): by closed forms on the
+    points for d <= 3, by Bareiss elimination (_det) of the difference
+    rows p_i - p_0 above. Invariant under scaling all coordinates by a
+    positive factor, so doubled half-integral coordinates can be passed
+    directly.
     """
-    pts = [tuple(p) for p in points]
-    d = len(pts) - 1
-    if d < 1 or any(len(p) != d for p in pts):
-        raise DimensionMismatch(f"need d+1 points of dimension d, got {len(pts)}")
-    rows = [[pts[i][j] - pts[0][j] for j in range(d)] for i in range(1, d + 1)]
-    return _sign_det(rows)
+    n = len(points)
+    try:
+        if n == 3:
+            (ax, ay), (bx, by), (cx, cy) = points
+            v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            return (v > 0) - (v < 0)
+        if n == 4:
+            (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = points
+            bx, by, bz = bx - ax, by - ay, bz - az
+            cx, cy, cz = cx - ax, cy - ay, cz - az
+            dx, dy, dz = dx - ax, dy - ay, dz - az
+            v = (bx * (cy * dz - cz * dy) - by * (cx * dz - cz * dx)
+                 + bz * (cx * dy - cy * dx))
+            return (v > 0) - (v < 0)
+    except ValueError:
+        raise DimensionMismatch(
+            f"need {n} points of dimension {n - 1}") from None
+    d = n - 1
+    if d < 1 or any(len(p) != d for p in points):
+        raise DimensionMismatch(f"need d+1 points of dimension d, got {n}")
+    p0 = points[0]
+    v = _det([[x - y for x, y in zip(p, p0)] for p in points[1:]])
+    return (v > 0) - (v < 0)
 
 
 def _perm_parity(perm) -> int:

@@ -83,18 +83,6 @@ class Grid3SatInstance:
     clauses: tuple
     paths: tuple
 
-    def variable(self, vid) -> Variable:
-        return self._vars()[vid]
-
-    def clause(self, cid) -> Clause:
-        return {c.id: c for c in self.clauses}[cid]
-
-    def path(self, pid) -> Path:
-        return {p.id: p for p in self.paths}[pid]
-
-    def _vars(self):
-        return {v.id: v for v in self.variables}
-
 
 def _adjacent(p, q):
     return abs(p[0] - q[0]) + abs(p[1] - q[1]) == 1

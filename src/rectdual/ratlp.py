@@ -23,8 +23,9 @@ lcm of their denominators) multiplies every reduced cost by a positive
 number, and all ratios of one column's ratio test by the same positive
 number. So the same column enters, the same row leaves, and the
 structural columns, and with them the witness, are those of the
-rational tableau. The input is read as Fractions; only the result is
-converted back.
+rational tableau. The input is read through the numerators and
+denominators of its ints and Fractions, with no Fraction copies; only
+the result is converted back.
 """
 
 from __future__ import annotations
@@ -112,12 +113,8 @@ def solve_lp(objective, constraints, maximize=False) -> LpResult:
     parts. Returns OPTIMAL with a witness, INFEASIBLE, or UNBOUNDED.
     """
     nv = len(objective)
-    obj = [Fraction(c) for c in objective]
-    if maximize:
-        obj = [-c for c in obj]
-
-    cons = [([Fraction(c) for c in coeffs], rel, Fraction(rhs))
-            for coeffs, rel, rhs in constraints]
+    obj = [-c for c in objective] if maximize else list(objective)
+    cons = list(constraints)
     scale = lcm(*(v.denominator for coeffs, _, rhs in cons
                   for v in (*coeffs, rhs)))
     m = len(cons)

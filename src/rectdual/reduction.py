@@ -162,17 +162,6 @@ def _off_point2(rect, h, k):
     return (x0 + x1, 2 * y0 + k)
 
 
-def _offset_of(rect, h, pt2):
-    (x0, y0), (x1, y1) = rect
-    if h == "E":
-        return 2 * x1 - pt2[0]
-    if h == "W":
-        return pt2[0] - 2 * x0
-    if h == "N":
-        return 2 * y1 - pt2[1]
-    return pt2[1] - 2 * y0
-
-
 # ---------------------------------------------------------------- gadget map
 
 

@@ -2,11 +2,20 @@
 
 Each box contributes a finite domain: the half-integral points strictly
 inside it, prod(2 l_i - 1) many for side lengths l_i. Every top simplex of
-the dual complex is a constraint requiring the seed's orientation sign.
-The solver runs generalized arc consistency over the constraints whose
-scope still has undecided boxes, and branches by bisecting the
-lexicographically sorted domain of a smallest undecided box. UNSAT is
-reported only on exhaustion, so it is a proof.
+the dual complex is a constraint requiring the seed's orientation sign,
+read from dual.orientation. The solver runs generalized arc consistency
+over the constraints whose scope still has undecided boxes, and branches
+by bisecting the lexicographically sorted domain of a smallest undecided
+box. UNSAT is reported only on exhaustion, so it is a proof.
+
+solve and enumerate_all share one routine, _drive: it builds the
+constraint problem, searches, stopping at the first solution unless
+every one is wanted, and re-checks each solution as a certificate. The
+search honours SolverConfig.node_limit between nodes and
+SolverConfig.time_limit, a deadline fixed when solve or enumerate_all
+starts, between nodes, before each revise of the arc-consistency loop
+and once per domain value inside it; either limit ends the run with
+TIMEOUT and the nodes and propagations counted so far.
 """
 
 from __future__ import annotations
@@ -33,9 +42,12 @@ UNSAT = "unsat"
 TIMEOUT = "timeout"
 
 
+class _Deadline(Exception):
+    """The time limit passed inside propagation."""
+
+
 @dataclass
 class SolverConfig:
-    variable_order: str = "mrv"  # "mrv" or "input"
     node_limit: int = 0          # 0 = unlimited
     time_limit: float = 0.0      # seconds, 0 = unlimited
 
@@ -73,16 +85,9 @@ def box_domain(box) -> tuple:
     return tuple(product(*ranges))
 
 
-def _tri_sign(a, b, c):
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
-
-
 class _Csp:
-    def __init__(self, p: Partition, dc: DualComplex, pins=None):
-        self.p = p
+    def __init__(self, p: Partition, dc: DualComplex, pins=None, deadline=None):
         self.dc = dc
-        self.d = p.dim
         if not dc.has_top():
             raise Unsupported("no top-dimensional simplex")
         domains = [list(box_domain(b)) for b in p.boxes]
@@ -91,17 +96,13 @@ class _Csp:
                 allowed = set(tuple(v) for v in allowed)
                 domains[bid] = [v for v in domains[bid] if v in allowed]
         self.domains = domains
+        self.deadline = deadline  # time.monotonic() value, or None
         self.propagations = 0
         # constraints: (ordered box ids, required sign)
         self.constraints = []
         self.watching = {}  # box id -> constraint indices
         self.root_failed = False
         self._setup()
-
-    def _sign(self, pts):
-        if self.d == 2:
-            return _tri_sign(*pts)
-        return orientation(pts)
 
     def _setup(self):
         dyn = []
@@ -113,7 +114,7 @@ class _Csp:
             free = [i for i, s in zip(ordered, sizes) if s > 1]
             if not free:
                 pts = [self.domains[i][0] for i in ordered]
-                if self._sign(pts) != want:
+                if orientation(pts) != want:
                     self.root_failed = True
                     return
             elif len(free) == 1:
@@ -124,7 +125,7 @@ class _Csp:
                 keep = []
                 for v in self.domains[var]:
                     fixed[pos] = v
-                    if self._sign(fixed) == want:
+                    if orientation(fixed) == want:
                         keep.append(v)
                 self.domains[var] = keep
                 if not keep:
@@ -137,29 +138,32 @@ class _Csp:
             for i in ordered:
                 self.watching.setdefault(i, []).append(ci)
 
+    def _check_deadline(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Deadline
+
     def revise(self, ci, var) -> bool:
         """Drop values of var without support in constraint ci."""
         ordered, want = self.constraints[ci]
         self.propagations += 1
         pos = ordered.index(var)
-        others = [self.domains[i] if i != var else None for i in ordered]
+        others = [self.domains[i] for i in ordered if i != var]
         keep = []
-        sign = self._sign
+        deadline = self.deadline
         for v in self.domains[var]:
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Deadline
             pts = [None] * len(ordered)
             pts[pos] = v
-            found = False
-            for combo in product(*(dom for dom in others if dom is not None)):
+            for combo in product(*others):
                 k = 0
                 for idx in range(len(ordered)):
                     if idx != pos:
                         pts[idx] = combo[k]
                         k += 1
-                if sign(pts) == want:
-                    found = True
+                if orientation(pts) == want:
+                    keep.append(v)
                     break
-            if found:
-                keep.append(v)
         if len(keep) != len(self.domains[var]):
             self.domains[var] = keep
             return True
@@ -176,6 +180,7 @@ class _Csp:
         while queue:
             ci, var = queue.pop()
             seen.discard((ci, var))
+            self._check_deadline()
             if self.revise(ci, var):
                 if not self.domains[var]:
                     return False
@@ -187,57 +192,74 @@ class _Csp:
         return True
 
 
-def _search(csp: _Csp, cfg: SolverConfig, collect=None):
-    """Bisection search; returns (status, assignment or None, nodes)."""
+def _search(csp: _Csp, cfg: SolverConfig, sols: list, every: bool):
+    """Bisection search; appends each solution to sols, stopping at the
+    first unless every is set. Returns (status, nodes)."""
     nodes = 0
-    deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
-    if not csp.propagate():
-        return UNSAT, None, nodes
-    # domains are rebound, never changed in place, so shallow copies do
-    stack = [list(csp.domains)]
-    found = None
-    while stack:
-        nodes += 1
-        if cfg.node_limit and nodes > cfg.node_limit:
-            return TIMEOUT, found, nodes
-        if deadline and time.monotonic() > deadline:
-            return TIMEOUT, found, nodes
-        csp.domains = stack.pop()
-        var = _pick_var(csp, cfg)
-        if var is None:
-            sol = tuple(dom[0] for dom in csp.domains)
-            if collect is not None:
-                collect.append(sol)
+    try:
+        if not csp.propagate():
+            return UNSAT, nodes
+        # domains are rebound, never changed in place, so shallow copies do
+        stack = [list(csp.domains)]
+        while stack:
+            nodes += 1
+            if cfg.node_limit and nodes > cfg.node_limit:
+                return TIMEOUT, nodes
+            csp._check_deadline()
+            csp.domains = stack.pop()
+            var = _pick_var(csp)
+            if var is None:
+                sols.append(tuple(dom[0] for dom in csp.domains))
+                if not every:
+                    return SAT, nodes
                 continue
-            return SAT, sol, nodes
-        dom = csp.domains[var]
-        mid = len(dom) // 2
-        lo_half, hi_half = dom[:mid], dom[mid:]
-        base = csp.domains  # second branch must not see the first one's pruning
-        for half in (hi_half, lo_half):  # explore the low half first
-            saved = list(base)
-            saved[var] = half
-            csp.domains = saved
-            if csp.propagate(csp.watching.get(var, ())):
-                stack.append(csp.domains)
-        csp.domains = None
-    if collect is not None:
-        return SAT if collect else UNSAT, None, nodes
-    return UNSAT, None, nodes
+            dom = csp.domains[var]
+            mid = len(dom) // 2
+            lo_half, hi_half = dom[:mid], dom[mid:]
+            base = csp.domains  # second branch must not see the first one's pruning
+            for half in (hi_half, lo_half):  # explore the low half first
+                saved = list(base)
+                saved[var] = half
+                csp.domains = saved
+                if csp.propagate(csp.watching.get(var, ())):
+                    stack.append(csp.domains)
+            csp.domains = None
+    except _Deadline:
+        return TIMEOUT, nodes
+    return (SAT if sols else UNSAT), nodes
 
 
-def _pick_var(csp: _Csp, cfg: SolverConfig):
+def _pick_var(csp: _Csp):
     best = None
-    if cfg.variable_order == "input":
-        for i, dom in enumerate(csp.domains):
-            if len(dom) > 1:
-                return i
-        return None
     for i, dom in enumerate(csp.domains):
         k = len(dom)
         if k > 1 and (best is None or k < best[0]):
             best = (k, i)
     return best[1] if best else None
+
+
+def _drive(p, cfg, dc, pins, every):
+    """Search, then re-check every solution found as a certificate.
+
+    Returns (status, projections in sorted order, stats)."""
+    cfg = cfg or SolverConfig()
+    deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
+    if dc is None:
+        dc = build_dual(p)
+    csp = _Csp(p, dc, pins=pins, deadline=deadline)
+    sols = []
+    if csp.root_failed:
+        status, nodes = UNSAT, 0
+    else:
+        status, nodes = _search(csp, cfg, sols, every)
+    projections = [Projection(sol) for sol in sorted(sols)]
+    for proj in projections:
+        check = verify_certificate(p, dc, proj)
+        if not check.ok:
+            raise CertificateRejected(
+                f"certificate failed verification: {check.reason}")
+    return status, projections, {"nodes": nodes,
+                                 "propagations": csp.propagations}
 
 
 def solve(p: Partition, cfg: SolverConfig = None, dc: DualComplex = None,
@@ -248,50 +270,12 @@ def solve(p: Partition, cfg: SolverConfig = None, dc: DualComplex = None,
     before being returned. pins optionally restricts the domain of given
     boxes to the supplied doubled points (used to probe gadgets).
     """
-    cfg = cfg or SolverConfig()
-    if dc is None:
-        dc = build_dual(p)
-    csp = _Csp(p, dc, pins=pins)
-    if csp.root_failed:
-        return SolveResult(UNSAT, stats={"nodes": 0, "propagations": 0})
-    status, sol, nodes = _search(csp, cfg)
-    stats = {"nodes": nodes, "propagations": csp.propagations}
-    if status == SAT:
-        proj = Projection(sol)
-        check = verify_certificate(p, dc, proj)
-        if not check.ok:
-            raise CertificateRejected(
-                f"certificate failed verification: {check.reason}")
-        return SolveResult(SAT, projection=proj, stats=stats)
-    return SolveResult(status, stats=stats)
+    status, projections, stats = _drive(p, cfg, dc, pins, every=False)
+    return SolveResult(status, projections[0] if projections else None, stats)
 
 
 def enumerate_all(p: Partition, cfg: SolverConfig = None, dc: DualComplex = None,
                   pins=None) -> SolveResult:
     """Enumerate every faithful half-integral embedding (desk scale only)."""
-    cfg = cfg or SolverConfig()
-    if dc is None:
-        dc = build_dual(p)
-    csp = _Csp(p, dc, pins=pins)
-    if csp.root_failed:
-        return SolveResult(UNSAT, stats={"nodes": 0, "propagations": 0},
-                           solutions=[])
-    sols = []
-    status, _, nodes = _search(csp, cfg, collect=sols)
-    stats = {"nodes": nodes, "propagations": csp.propagations}
-    projections = []
-    seenq = set()
-    for sol in sorted(sols):
-        if sol in seenq:
-            continue
-        seenq.add(sol)
-        proj = Projection(sol)
-        check = verify_certificate(p, dc, proj)
-        if not check.ok:
-            raise CertificateRejected(
-                f"certificate failed verification: {check.reason}")
-        projections.append(proj)
-    if status == TIMEOUT:
-        return SolveResult(TIMEOUT, stats=stats, solutions=projections)
-    return SolveResult(SAT if projections else UNSAT, stats=stats,
-                       solutions=projections)
+    status, projections, stats = _drive(p, cfg, dc, pins, every=True)
+    return SolveResult(status, stats=stats, solutions=projections)

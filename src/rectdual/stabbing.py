@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from .dual import orientation
 from .ratlp import EQ, LE, OPTIMAL, feasible_point, strict_feasible
 
 FEASIBLE = "feasible"
@@ -51,10 +52,6 @@ def _eval(coeffs, pt):
     return v
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def hull2d(points):
     """Extreme points in counterclockwise order (monotone chain).
 
@@ -66,12 +63,12 @@ def hull2d(points):
         return pts
     lower = []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and orientation((lower[-2], lower[-1], p)) <= 0:
             lower.pop()
         lower.append(p)
     upper = []
     for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and orientation((upper[-2], upper[-1], p)) <= 0:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
@@ -273,7 +270,7 @@ def _rows_for_case(prefix, cond):
     eq, weak, strict = [], [], []
     for pt, rel in cond:
         const = sum(c * x for c, x in zip(prefix, pt[:k]))
-        row = [Fraction(x) for x in pt[k:]] + [Fraction(1)]
+        row = [*pt[k:], 1]
         if rel == _EQ0:
             eq.append((row, -const))
         elif rel == _LE0:

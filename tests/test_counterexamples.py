@@ -9,7 +9,6 @@ from rectdual.boxes import IntBox, partition_balance
 from rectdual.counterexamples import (
     BetaTooSmall,
     ConstructionFault,
-    MaterializationRefused,
     NoFeasibleAB,
     NotRepresentable,
     TooSmall,
@@ -306,11 +305,6 @@ def test_cubical_l0_matches_bipartition_scan():
             p2 = prod(sides[i] for i in range(len(sides)) if i not in left)
             best = max(best, p1 * p2 - p1 - p2)
     assert rep.L0_bound == best + 1
-
-
-def test_cubical_refuses_materialization():
-    with pytest.raises(MaterializationRefused):
-        gen_cubical_config(3, Fraction(7, 2), materialize=True)
 
 
 def test_cubical_infeasible_beta():

@@ -109,13 +109,6 @@ def test_planar3_enumeration_matches_brute_force():
     assert got == want
 
 
-def test_planar3_enumeration_input_order_agrees():
-    p = planar3_partition()
-    a = enumerate_all(p)
-    b = enumerate_all(p, cfg=SolverConfig(variable_order="input"))
-    assert [s.points2 for s in a.solutions] == [s.points2 for s in b.solutions]
-
-
 def test_pins_force_unsat():
     p = planar3_partition()
     res = solve(p, pins={0: [(1, 1)], 2: [(7, 5)]})
@@ -146,6 +139,20 @@ def test_time_limit_times_out():
     p = planar3_partition()
     res = solve(p, cfg=SolverConfig(time_limit=1e-9))
     assert res.status == TIMEOUT
+
+
+def test_time_limit_stops_root_propagation(monkeypatch):
+    # a fake clock one second later at every reading: the deadline, fixed
+    # at 0 + 3, passes inside the root propagation, before any node
+    p = planar3_partition()
+    full = solve(p)
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
+    res = solve(p, cfg=SolverConfig(time_limit=3))
+    assert res.status == TIMEOUT
+    assert res.projection is None
+    assert res.stats["nodes"] == 0
+    assert 0 < res.stats["propagations"] < full.stats["propagations"]
 
 
 def test_solver_is_deterministic():
