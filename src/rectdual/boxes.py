@@ -279,6 +279,16 @@ def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partitio
     return Partition(d, n, boxes, partial, owner)
 
 
+def pixel_fill(boxes, n: int) -> Partition:
+    """Complete 2d boxes to a validated partition of [0,n]^2: every cell
+    no box covers becomes a unit pixel, appended in x-major order."""
+    boxes = [b if isinstance(b, IntBox) else IntBox(*b) for b in boxes]
+    covered = set(chain.from_iterable(b.cells() for b in boxes))
+    boxes += [IntBox((x, y), (x + 1, y + 1))
+              for x in range(n) for y in range(n) if (x, y) not in covered]
+    return validate_partition(boxes, 2, n)
+
+
 def is_generic(p: Partition):
     """True iff no point lies in more than d+1 closed boxes.
 

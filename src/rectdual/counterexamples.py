@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .boxes import _GRID_LIMIT, IntBox, Partition, validate_partition
+from .boxes import _GRID_LIMIT, IntBox, Partition, pixel_fill, validate_partition
 from .dual import _det, orientation
 
 __all__ = [
@@ -65,19 +65,6 @@ class NotRepresentable(ValueError):
 # planar generators
 
 
-def _pixel_fill(rects, n):
-    """Complete 2d boxes to a full partition of [0,n]^2 with unit pixels."""
-    boxes = [IntBox(lo, hi) for lo, hi in rects]
-    covered = set()
-    for b in boxes:
-        covered.update(b.cells())
-    for x in range(n):
-        for y in range(n):
-            if (x, y) not in covered:
-                boxes.append(IntBox((x, y), (x + 1, y + 1)))
-    return validate_partition(boxes, 2, n)
-
-
 _LCYCLE_N = 16
 _LCYCLE_RECTS = (
     ((6, 4), (14, 5)),    # T0 central bar
@@ -108,7 +95,7 @@ def gen_planar_lcycle(drop_sink: bool = False) -> Partition:
     rectangles are boxes 0..5 (0..4 when dropped).
     """
     rects = _LCYCLE_RECTS[:5] if drop_sink else _LCYCLE_RECTS
-    return _pixel_fill(rects, _LCYCLE_N)
+    return pixel_fill(rects, _LCYCLE_N)
 
 
 def gen_planar_3balanced() -> Partition:
@@ -120,7 +107,7 @@ def gen_planar_3balanced() -> Partition:
     exist (the partition itself is embeddable).
     """
     rects = (((0, 0), (3, 1)), ((2, 1), (3, 2)), ((3, 1), (4, 4)))
-    return _pixel_fill(rects, 4)
+    return pixel_fill(rects, 4)
 
 
 def gen_planar_beta4() -> Partition:
@@ -133,7 +120,7 @@ def gen_planar_beta4() -> Partition:
     The output is validated by measurement, not assumed.
     """
     rects = (((0, 0), (3, 1)), ((2, 1), (3, 2)), ((3, 1), (4, 5)))
-    return _pixel_fill(rects, 5)
+    return pixel_fill(rects, 5)
 
 
 # ---------------------------------------------------------------------------

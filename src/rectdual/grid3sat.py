@@ -18,12 +18,19 @@ Text format (whitespace separated, # starts a comment line):
 Path points exclude the variable and clause endpoints; the first must be
 grid-adjacent to the variable's point, the last to the clause's point
 (k = 0 means the two are adjacent).
+
+A text that does not follow the format raises io.ParseError with its
+line number; a well-formed instance that breaks a structural rule raises
+InvalidInstance or one of its more specific siblings below.
 """
 
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .io import ParseError
+
 __all__ = [
+    "InvalidInstance",
     "DisjointnessViolation",
     "ClauseArity",
     "VariableOveruse",
@@ -36,6 +43,11 @@ __all__ = [
     "evaluate",
     "brute_force_sat",
 ]
+
+
+class InvalidInstance(ValueError):
+    """A well-formed instance names unknown or duplicate ids, or leaves
+    the grid, or routes a path through non-adjacent points."""
 
 
 class DisjointnessViolation(ValueError):
@@ -97,52 +109,52 @@ def parse_grid3sat(text: str) -> Grid3SatInstance:
         if stripped:
             rows.append((lineno, stripped.split()))
     if not rows:
-        raise SyntaxError("line 0: empty input")
+        raise ParseError(0, "empty input")
 
     def ints(lineno, toks):
         try:
             return [int(t) for t in toks]
         except ValueError:
-            raise SyntaxError(f"line {lineno}: expected integers, got {toks}") from None
+            raise ParseError(lineno, f"expected integers, got {toks}") from None
 
     lineno, head = rows[0]
     if len(head) != 4:
-        raise SyntaxError(f"line {lineno}: header must be 'N V C P'")
+        raise ParseError(lineno, "header must be 'N V C P'")
     n, nv, nc, np_ = ints(lineno, head)
     if n < 1 or nv < 0 or nc < 0 or np_ < 0:
-        raise SyntaxError(f"line {lineno}: bad header counts")
+        raise ParseError(lineno, "bad header counts")
 
     variables, clauses, paths = [], [], []
     for lineno, toks in rows[1:]:
         kind = toks[0]
         if kind == "V":
             if len(toks) != 4:
-                raise SyntaxError(f"line {lineno}: variable needs 'V id x y'")
+                raise ParseError(lineno, "variable needs 'V id x y'")
             vid, x, y = ints(lineno, toks[1:])
             variables.append(Variable(vid, (x, y)))
         elif kind == "C":
             if len(toks) != 7:
-                raise SyntaxError(f"line {lineno}: clause needs 'C id x y p1 p2 p3'")
+                raise ParseError(lineno, "clause needs 'C id x y p1 p2 p3'")
             cid, x, y, p1, p2, p3 = ints(lineno, toks[1:])
             clauses.append(Clause(cid, (x, y), (p1, p2, p3)))
         elif kind == "P":
             if len(toks) < 6:
-                raise SyntaxError(f"line {lineno}: path needs 'P id var clause sign k ...'")
+                raise ParseError(lineno, "path needs 'P id var clause sign k ...'")
             pid, var, clause = ints(lineno, toks[1:4])
             if toks[4] not in ("+", "-"):
-                raise SyntaxError(f"line {lineno}: sign must be + or -")
+                raise ParseError(lineno, "sign must be + or -")
             sign = 1 if toks[4] == "+" else -1
             k = ints(lineno, toks[5:6])[0]
             coords = ints(lineno, toks[6:])
             if k < 0 or len(coords) != 2 * k:
-                raise SyntaxError(f"line {lineno}: expected {k} points")
+                raise ParseError(lineno, f"expected {k} points")
             pts = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(k))
             paths.append(Path(pid, var, clause, sign, pts))
         else:
-            raise SyntaxError(f"line {lineno}: unknown record '{kind}'")
+            raise ParseError(lineno, f"unknown record '{kind}'")
 
     if (len(variables), len(clauses), len(paths)) != (nv, nc, np_):
-        raise SyntaxError(f"line {lineno}: header counts do not match body")
+        raise ParseError(rows[0][0], "header counts do not match body")
 
     inst = Grid3SatInstance(n, tuple(variables), tuple(clauses), tuple(paths))
     _validate(inst)
@@ -154,11 +166,11 @@ def _validate(inst):
     cmap = {c.id: c for c in inst.clauses}
     pmap = {p.id: p for p in inst.paths}
     if len(vmap) != len(inst.variables):
-        raise SyntaxError("line 0: duplicate variable id")
+        raise InvalidInstance("duplicate variable id")
     if len(cmap) != len(inst.clauses):
-        raise SyntaxError("line 0: duplicate clause id")
+        raise InvalidInstance("duplicate clause id")
     if len(pmap) != len(inst.paths):
-        raise SyntaxError("line 0: duplicate path id")
+        raise InvalidInstance("duplicate path id")
 
     def inside(pt):
         return 0 <= pt[0] <= inst.n and 0 <= pt[1] <= inst.n
@@ -166,13 +178,13 @@ def _validate(inst):
     terminals = {}
     for v in inst.variables:
         if not inside(v.point):
-            raise SyntaxError(f"line 0: variable {v.id} off grid")
+            raise InvalidInstance(f"variable {v.id} off grid")
         if v.point in terminals:
             raise DisjointnessViolation(f"terminal collision at {v.point}")
         terminals[v.point] = ("V", v.id)
     for c in inst.clauses:
         if not inside(c.point):
-            raise SyntaxError(f"line 0: clause {c.id} off grid")
+            raise InvalidInstance(f"clause {c.id} off grid")
         if c.point in terminals:
             raise DisjointnessViolation(f"terminal collision at {c.point}")
         terminals[c.point] = ("C", c.id)
@@ -180,16 +192,16 @@ def _validate(inst):
     seen = {}
     for p in inst.paths:
         if p.var not in vmap:
-            raise SyntaxError(f"line 0: path {p.id} names unknown variable {p.var}")
+            raise InvalidInstance(f"path {p.id} names unknown variable {p.var}")
         if p.clause not in cmap:
-            raise SyntaxError(f"line 0: path {p.id} names unknown clause {p.clause}")
+            raise InvalidInstance(f"path {p.id} names unknown clause {p.clause}")
         route = (vmap[p.var].point,) + p.points + (cmap[p.clause].point,)
         for a, b in zip(route, route[1:]):
             if not _adjacent(a, b):
-                raise SyntaxError(f"line 0: path {p.id} jumps from {a} to {b}")
+                raise InvalidInstance(f"path {p.id} jumps from {a} to {b}")
         for pt in p.points:
             if not inside(pt):
-                raise SyntaxError(f"line 0: path {p.id} leaves the grid at {pt}")
+                raise InvalidInstance(f"path {p.id} leaves the grid at {pt}")
             if pt in terminals:
                 raise DisjointnessViolation(
                     f"path {p.id} runs through terminal {terminals[pt]} at {pt}")
@@ -222,18 +234,12 @@ def _validate(inst):
             raise DisjointnessViolation(f"clause {c.id} has colliding final steps")
 
     for v in inst.variables:
-        count = sum(1 for p in inst.paths if p.var == v.id)
-        if count > 4:
-            raise VariableOveruse(f"variable {v.id} feeds {count} paths")
-        firsts = set()
-        for p in inst.paths:
-            if p.var == v.id:
-                nxt = p.points[0] if p.points else cmap[p.clause].point
-                firsts.add(nxt)
-                if not _adjacent(vmap[v.id].point, nxt):
-                    raise SyntaxError(f"line 0: path {p.id} does not start next to "
-                                      f"variable {v.id}")
-        if len(firsts) != sum(1 for p in inst.paths if p.var == v.id):
+        # the route check above puts every first step next to v
+        firsts = [p.points[0] if p.points else cmap[p.clause].point
+                  for p in inst.paths if p.var == v.id]
+        if len(firsts) > 4:
+            raise VariableOveruse(f"variable {v.id} feeds {len(firsts)} paths")
+        if len(set(firsts)) != len(firsts):
             raise DisjointnessViolation(f"variable {v.id} has colliding first steps")
 
 

@@ -1,6 +1,8 @@
 """Hardness-gadget synthesis: grid3sat instances to rectangular partitions.
 
-Each grid point becomes a square block of side 2^refinement_levels.  A
+The gadgets have one fixed geometry, the one whose joint law the solver
+confirms: every grid point becomes a square block of side 32, thin
+rectangles are at least 4 cells long and clause arms exactly 4.  A
 variable becomes a clockwise ring of four thin rectangles; the truth
 value is which half of its rectangle each ring vertex occupies (head
 cells = front = True).  A path becomes a chain of thin rectangles, every
@@ -22,15 +24,12 @@ from dataclasses import dataclass
 from itertools import permutations
 import json
 
-from .boxes import IntBox, validate_partition
+from .boxes import IntBox, pixel_fill
 from .embedding import Projection
 from .grid3sat import Grid3SatInstance
 from .solver import SAT, solve
 
 __all__ = [
-    "GadgetProfile",
-    "HALF_INTEGRAL",
-    "CONTINUOUS",
     "RoutingFailure",
     "InconsistentCycle",
     "UnsatisfiedClause",
@@ -62,18 +61,11 @@ class UnsatisfiedClause(ValueError):
         self.clause = clause
 
 
-@dataclass(frozen=True)
-class GadgetProfile:
-    thin_min_length: int
-    clause_arm_length: int
-    refinement_levels: int
-
-
-HALF_INTEGRAL = GadgetProfile(4, 4, 5)
-CONTINUOUS = GadgetProfile(8, 14, 5)
-
-
 # ---------------------------------------------------------------- geometry
+
+_THIN = 4     # least length of a thin rectangle
+_ARM = 4      # length of a clause arm
+_BLOCK = 32   # side of the block each grid point becomes
 
 _VEC = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
 _OPP = {"E": "W", "W": "E", "N": "S", "S": "N"}
@@ -203,7 +195,6 @@ class ClauseGadget:
 
 @dataclass(frozen=True)
 class GadgetMap:
-    profile: GadgetProfile
     scale: int
     variables: tuple
     paths: tuple
@@ -212,9 +203,6 @@ class GadgetMap:
 
 def gadget_map_to_json(gmap: GadgetMap) -> str:
     doc = {
-        "profile": [gmap.profile.thin_min_length,
-                    gmap.profile.clause_arm_length,
-                    gmap.profile.refinement_levels],
         "scale": gmap.scale,
         "variables": [
             {"var": v.var, "point": list(v.point),
@@ -239,7 +227,6 @@ def gadget_map_to_json(gmap: GadgetMap) -> str:
 def gadget_map_from_json(text: str) -> GadgetMap:
     doc = json.loads(text)
     return GadgetMap(
-        profile=GadgetProfile(*doc["profile"]),
         scale=doc["scale"],
         variables=tuple(
             VariableGadget(v["var"], tuple(v["point"]), tuple(
@@ -315,36 +302,28 @@ class _Canvas:
                                 f" near {(x, y)}")
 
 
-def _clause_core(base, rot, profile, s):
-    """Clause square, arms and helper in global cells.  rot is 0 or 2
-    (quarter turns break the gadget's law; the half turn was verified)."""
-    t, arm_len = profile.thin_min_length, profile.clause_arm_length
-    hi = s - 1
-
-    def pmap(c):
-        return c if rot == 0 else (2 * base[0] + hi - c[0],
-                                   2 * base[1] + hi - c[1])
+def _clause_core(base):
+    """Clause square, arms and helper in global cells."""
 
     def shift(c):
         return (base[0] + c[0], base[1] + c[1])
 
-    sq = _span(pmap(shift(_R0[0])), pmap(shift((_R0[1][0] - 1, _R0[1][1] - 1))))
+    sq = (shift(_R0[0]), shift(_R0[1]))
     arms = []
     for head, out in _ARM_SEEDS:
-        d = out if rot == 0 else _OPP[out]
-        h0 = pmap(shift(head))
-        tail = _step(h0, d, arm_len - 1)
-        arms.append((_span(h0, tail), d, _OPP[d], tail))
+        h0 = shift(head)
+        tail = _step(h0, out, _ARM - 1)
+        arms.append((_span(h0, tail), out, _OPP[out], tail))
     m0 = shift(_M_TAIL)
-    m1 = (m0[0] + t - 1, m0[1])
-    helper = _span(pmap(m0), pmap(m1))
+    helper = _span(m0, _step(m0, "E", _THIN - 1))
     return sq, arms, helper
 
 
-def _route(canvas, region, h_in, face, target, min_len, own_tag, arm_tag):
+def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
     """Find reception legs from an entering corridor to a clause arm.
 
-    target: (arm tail cell, allowed final headings).  Returns a list of
+    region: the block coordinates the legs may use.  target: (arm tail
+    cell, allowed final headings).  Returns a list of
     (tail, head, heading) legs; the first starts at the block face and
     continues the open corridor rectangle."""
     T, finals = target
@@ -355,8 +334,7 @@ def _route(canvas, region, h_in, face, target, min_len, own_tag, arm_tag):
         for k, c in enumerate(cells):
             if c in canvas.occ or c in mine:
                 return False
-            bx, by = c[0] // region.s, c[1] // region.s
-            if (bx, by) not in region.blocks:
+            if (c[0] // _BLOCK, c[1] // _BLOCK) not in region:
                 return False
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):
@@ -389,7 +367,7 @@ def _route(canvas, region, h_in, face, target, min_len, own_tag, arm_tag):
             if d < 0:
                 continue
             m = d + 1
-            if m < min_len and leg_idx > 0:
+            if m < _THIN and leg_idx > 0:
                 continue
             cells = [_step(tail, h, i) for i in range(m)]
             if clear(cells, mine, leg_idx, near_arm_from=m - 2):
@@ -408,9 +386,9 @@ def _route(canvas, region, h_in, face, target, min_len, own_tag, arm_tag):
             if not clear([cell], mine, leg_idx):
                 break
             run.append(cell)
-            if m > 3 * region.s:
+            if m > 3 * _BLOCK:
                 break
-            if m < min_len and leg_idx > 0:
+            if m < _THIN and leg_idx > 0:
                 continue
             bend = _step(tail, h, m)
             sub = dict(mine)
@@ -429,53 +407,40 @@ def _route(canvas, region, h_in, face, target, min_len, own_tag, arm_tag):
     return dfs(face, h_in, 4, 0, {}, [])
 
 
-class _Region:
-    def __init__(self, s, blocks):
-        self.s = s
-        self.blocks = blocks
-
-
-def _exit_zigzag(base, side, sign, t):
+def _exit_zigzag(base, side, sign):
     """Stub and first turn of a lane.  Returns (stub rect, corr1 rect,
     corr1 heading, bend2 cell) in global cells."""
     spot = _STUB_SPOT[(side, sign)]
     if side == "N":
         stub = ((base[0] + spot, base[1] + 21),
-                (base[0] + spot + 1, base[1] + 21 + t))
+                (base[0] + spot + 1, base[1] + 21 + _THIN))
     elif side == "S":
-        stub = ((base[0] + spot, base[1] + 12 - t),
+        stub = ((base[0] + spot, base[1] + 12 - _THIN),
                 (base[0] + spot + 1, base[1] + 12))
     elif side == "E":
         stub = ((base[0] + 21, base[1] + spot),
-                (base[0] + 21 + t, base[1] + spot + 1))
+                (base[0] + 21 + _THIN, base[1] + spot + 1))
     else:
-        stub = ((base[0] + 12 - t, base[1] + spot),
+        stub = ((base[0] + 12 - _THIN, base[1] + spot),
                 (base[0] + 12, base[1] + spot + 1))
     bend1 = _step(_head_cell(stub, side), side)
     h1 = _CORR1_HEAD[(side, sign)]
-    corr1 = _span(bend1, _step(bend1, h1, t - 1))
-    bend2 = _step(bend1, h1, t)
+    corr1 = _span(bend1, _step(bend1, h1, _THIN - 1))
+    bend2 = _step(bend1, h1, _THIN)
     return stub, corr1, h1, bend2
 
 
-def reduce(inst: Grid3SatInstance, profile: GadgetProfile = HALF_INTEGRAL):
+def reduce(inst: Grid3SatInstance):
     """Build the gadget partition for a grid3sat instance.
 
-    Returns (partition, gadget map).  The half-integral profile's output
-    is solver-faithful; the relaxed profile only guarantees a valid
-    partition with its length constraints."""
-    t = profile.thin_min_length
-    arm_len = profile.clause_arm_length
-    if profile.refinement_levels < 5:
-        raise ValueError("need at least 5 refinement levels")
-    if t < 4 or arm_len < t:
-        raise ValueError("profile too thin for the joint law")
-    s = 1 << profile.refinement_levels
-    n = s * (inst.n + 1)
+    Returns (partition, gadget map).  The gadgets have the module's one
+    geometry (blocks of side 32, thin rectangles at least 4 long, clause
+    arms exactly 4), whose output is solver-faithful."""
+    n = _BLOCK * (inst.n + 1)
     canvas = _Canvas(n)
 
     def block(pt):
-        return (pt[0] * s, pt[1] * s)
+        return (pt[0] * _BLOCK, pt[1] * _BLOCK)
 
     # variable rings
     ring_tags = {}
@@ -502,7 +467,7 @@ def reduce(inst: Grid3SatInstance, profile: GadgetProfile = HALF_INTEGRAL):
                 for a, b in zip(route, route[1:])]
         side = dirs[0]
         base = block(vmap[p.var].point)
-        stub, corr1, h1, bend2 = _exit_zigzag(base, side, p.sign, t)
+        stub, corr1, h1, bend2 = _exit_zigzag(base, side, p.sign)
         stag, c1tag = ("chain", p.id, 0), ("chain", p.id, 1)
         ring = ring_tags[p.var]
         touch = [ring[_RING_INDEX[side]]]
@@ -523,7 +488,7 @@ def reduce(inst: Grid3SatInstance, profile: GadgetProfile = HALF_INTEGRAL):
             bend = tuple(bend)
             tag = ("chain", p.id, len(chain))
             leg = _span(tail, _step(bend, h, -1))
-            if _length(leg, h) < t:
+            if _length(leg, h) < _THIN:
                 raise RoutingFailure(f"path {p.id}: transit leg too short")
             canvas.claim(leg, h, tag, touch=[chain[-1]])
             chain.append(tag)
@@ -533,7 +498,8 @@ def reduce(inst: Grid3SatInstance, profile: GadgetProfile = HALF_INTEGRAL):
         axis = 0 if h in ("E", "W") else 1
         face = [0, 0]
         face[1 - axis] = tail[1 - axis]
-        face[axis] = cbase[axis] if _VEC[h][axis] > 0 else cbase[axis] + s - 1
+        face[axis] = cbase[axis] if _VEC[h][axis] > 0 \
+            else cbase[axis] + _BLOCK - 1
         face = tuple(face)
         tag = ("chain", p.id, len(chain))
         outside = _span(tail, _step(face, h, -1))
@@ -563,85 +529,59 @@ def reduce(inst: Grid3SatInstance, profile: GadgetProfile = HALF_INTEGRAL):
             if 0 <= q[0] <= inst.n and 0 <= q[1] <= inst.n \
                     and q not in used_pts:
                 blocks.add(q)
-        rotations = [0] if profile is HALF_INTEGRAL or \
-            (profile.thin_min_length, profile.clause_arm_length) == (4, 4) \
-            else [0, 2]
-        if len(rotations) == 2:
-            def match(rot):
-                _, arms, _ = _clause_core(base, rot, profile, s)
-                outs = {a[1] for a in arms}
-                return -len(outs & set(sides.values()))
-            rotations.sort(key=match)
-        placed = None
-        for rot in rotations:
-            sq, arms, helper = _clause_core(base, rot, profile, s)
-            sq_tag, m_tag = ("square", c.id), ("helper", c.id)
-            arm_tags = [("arm", c.id, k) for k in range(3)]
-            core = [(sq, None, sq_tag), (helper, "E", m_tag)] + \
-                   [(arms[k][0], arms[k][2], arm_tags[k]) for k in range(3)]
-            try:
-                for rect, h, tag in core:
-                    others = [tg for _, _, tg in core if tg != tag]
-                    canvas.claim(rect, h, tag, touch=others)
-            except RoutingFailure:
-                for _, _, tag in core:
-                    if tag in canvas.rects:
-                        canvas.release(_cells(canvas.rects.pop(tag)[0]))
-                continue
-            perms = sorted(
-                permutations(range(3)),
-                key=lambda pm: (-sum(arms[pm[i]][1] == sides[ent[i][0]]
-                                     for i in range(3)), pm))
-            for pm in perms:
-                claimed = []
-                routed = {}
-                ok = True
-                for i, (pid, face, h_in) in enumerate(ent):
-                    arm_rect, out, arm_h, arm_tail = arms[pm[i]]
-                    d_in = _VEC[_OPP[h_in]]
-                    own = (c.point[0] + d_in[0], c.point[1] + d_in[1])
-                    region = _Region(s, blocks | {own})
-                    finals = _PERP[out]
-                    open_tag = open_legs[pid][0]
-                    legs = _route(canvas, region, h_in, face,
-                                  (arm_tail, finals), t,
-                                  open_tag, arm_tags[pm[i]])
-                    if not legs:
-                        ok = False
-                        break
-                    new_tags = []
-                    for j, (lt, lh, lhead) in enumerate(legs):
-                        rect = _span(lt, lh)
-                        if j == 0:
-                            tag = open_tag
-                        else:
-                            tag = ("chain", pid, len(chains[pid]) + j - 1)
-                        before = set(_cells(rect)) - set(canvas.occ)
-                        old = canvas.rects.get(tag)
-                        prev = new_tags[-1] if new_tags else None
-                        touch = [prev] if prev else []
-                        if j == len(legs) - 1:
-                            touch.append(arm_tags[pm[i]])
-                        canvas.claim(rect, lhead, tag, touch=touch)
-                        claimed.append((tag, before, old))
-                        new_tags.append(tag)
-                    routed[pid] = (new_tags[1:], arm_tags[pm[i]], pm[i])
-                if ok:
-                    placed = (pm, routed, arm_tags, sq_tag, m_tag, arms)
+        sq, arms, helper = _clause_core(base)
+        sq_tag, m_tag = ("square", c.id), ("helper", c.id)
+        arm_tags = [("arm", c.id, k) for k in range(3)]
+        core = [(sq, None, sq_tag), (helper, "E", m_tag)] + \
+               [(arms[k][0], arms[k][2], arm_tags[k]) for k in range(3)]
+        for rect, h, tag in core:
+            others = [tg for _, _, tg in core if tg != tag]
+            canvas.claim(rect, h, tag, touch=others)
+        perms = sorted(
+            permutations(range(3)),
+            key=lambda pm: (-sum(arms[pm[i]][1] == sides[ent[i][0]]
+                                 for i in range(3)), pm))
+        for pm in perms:
+            claimed = []
+            routed = {}
+            for i, (pid, face, h_in) in enumerate(ent):
+                arm_rect, out, arm_h, arm_tail = arms[pm[i]]
+                d_in = _VEC[_OPP[h_in]]
+                own = (c.point[0] + d_in[0], c.point[1] + d_in[1])
+                finals = _PERP[out]
+                open_tag = open_legs[pid][0]
+                legs = _route(canvas, blocks | {own}, h_in, face,
+                              (arm_tail, finals), open_tag, arm_tags[pm[i]])
+                if not legs:
                     break
-                for tag, cells, old in reversed(claimed):
-                    canvas.release(cells)
-                    if old is None:
-                        canvas.rects.pop(tag, None)
+                new_tags = []
+                for j, (lt, lh, lhead) in enumerate(legs):
+                    rect = _span(lt, lh)
+                    if j == 0:
+                        tag = open_tag
                     else:
-                        canvas.rects[tag] = old
-            if placed:
-                break
-            for _, _, tag in core:
-                canvas.release(_cells(canvas.rects.pop(tag)[0]))
-        if not placed:
+                        tag = ("chain", pid, len(chains[pid]) + j - 1)
+                    before = set(_cells(rect)) - set(canvas.occ)
+                    old = canvas.rects.get(tag)
+                    prev = new_tags[-1] if new_tags else None
+                    touch = [prev] if prev else []
+                    if j == len(legs) - 1:
+                        touch.append(arm_tags[pm[i]])
+                    canvas.claim(rect, lhead, tag, touch=touch)
+                    claimed.append((tag, before, old))
+                    new_tags.append(tag)
+                routed[pid] = (new_tags[1:], arm_tags[pm[i]], pm[i])
+            else:
+                break  # every entry reached its arm: keep this permutation
+            # roll this permutation's legs back before the next one
+            for tag, cells, old in reversed(claimed):
+                canvas.release(cells)
+                if old is None:
+                    canvas.rects.pop(tag, None)
+                else:
+                    canvas.rects[tag] = old
+        else:
             raise RoutingFailure(f"clause {c.id}: no reception layout found")
-        pm, routed, arm_tags, sq_tag, m_tag, arms = placed
         for pid, (extra, arm_tag, k) in routed.items():
             chains[pid].extend(extra)
             chains[pid].append(arm_tag)
@@ -669,16 +609,11 @@ def reduce(inst: Grid3SatInstance, profile: GadgetProfile = HALF_INTEGRAL):
         rect, h = canvas.rects[tag]
         boxes.append(IntBox(*rect))
         L = _length(rect, h) if h else None
-        if h and min(boxes[-1].sides()) == 1 and L < t:
-            raise RoutingFailure(f"{tag}: thin length {L} < {t}")
-        if tag[0] == "arm" and L != arm_len:
-            raise RoutingFailure(f"{tag}: arm length {L} != {arm_len}")
-    covered = set(canvas.occ)
-    for x in range(n):
-        for y in range(n):
-            if (x, y) not in covered:
-                boxes.append(IntBox((x, y), (x + 1, y + 1)))
-    p_out = validate_partition(tuple(boxes), 2, n)
+        if h and min(boxes[-1].sides()) == 1 and L < _THIN:
+            raise RoutingFailure(f"{tag}: thin length {L} < {_THIN}")
+        if tag[0] == "arm" and L != _ARM:
+            raise RoutingFailure(f"{tag}: arm length {L} != {_ARM}")
+    p_out = pixel_fill(boxes, n)
     canvas.check_contacts()
 
     variables = []
@@ -708,8 +643,7 @@ def reduce(inst: Grid3SatInstance, profile: GadgetProfile = HALF_INTEGRAL):
             c.id, c.point, ids[sq_tag],
             tuple(ids[tg] for tg in arm_tags), tuple(arm_heads),
             tuple(arm_paths), (ids[m_tag],)))
-    gmap = GadgetMap(profile, s, tuple(variables), tuple(paths),
-                     tuple(clauses))
+    gmap = GadgetMap(_BLOCK, tuple(variables), tuple(paths), tuple(clauses))
     check_gadget_map(p_out, gmap)
     return p_out, gmap
 
@@ -724,8 +658,7 @@ def _as_rect(box):
 def check_gadget_map(p, gmap: GadgetMap):
     """Geometric invariants: mapped ids exist, chains are L-joint chains
     of thin rectangles with the bulge pixel present, arms have the exact
-    profile length."""
-    t = gmap.profile.thin_min_length
+    fixed length."""
     nboxes = len(p.boxes)
 
     def rect_of(i):
@@ -739,7 +672,7 @@ def check_gadget_map(p, gmap: GadgetMap):
         for c in v.cycle:
             rect = rect_of(c.box)
             L = _length(rect, c.heading)
-            if min(p.boxes[c.box].sides()) != 1 or L < t:
+            if min(p.boxes[c.box].sides()) != 1 or L < _THIN:
                 raise ValueError(f"variable {v.var}: ring rect not thin")
             if c.front2 != _off_point2(rect, c.heading, 1):
                 raise ValueError(f"variable {v.var}: bad front marker")
@@ -749,7 +682,7 @@ def check_gadget_map(p, gmap: GadgetMap):
         rects = [rect_of(b) for b in pg.boxes]
         for rect, h in zip(rects, pg.headings):
             box = IntBox(*rect)
-            if min(box.sides()) != 1 or _length(rect, h) < t:
+            if min(box.sides()) != 1 or _length(rect, h) < _THIN:
                 raise ValueError(f"path {pg.path}: rect not thin enough")
         for (ra, ha), (rb, hb) in zip(zip(rects, pg.headings),
                                       zip(rects[1:], pg.headings[1:])):
@@ -769,7 +702,7 @@ def check_gadget_map(p, gmap: GadgetMap):
             raise ValueError(f"clause {cg.clause}: square is {sq.sides()}")
         for b, h in zip(cg.arms, cg.arm_headings):
             rect = rect_of(b)
-            if _length(rect, h) != gmap.profile.clause_arm_length:
+            if _length(rect, h) != _ARM:
                 raise ValueError(f"clause {cg.clause}: arm length off")
             hx, hy = _head_cell(rect, h)
             if not any(p.owner_of((hx + dx, hy + dy)) == cg.square
@@ -782,14 +715,10 @@ def check_gadget_map(p, gmap: GadgetMap):
 # ------------------------------------------------- assignment <-> projection
 
 
-def _points_of(proj):
-    return proj.points2 if hasattr(proj, "points2") else tuple(proj)
-
-
-def assignment_from_projection(proj, gmap: GadgetMap) -> dict:
+def assignment_from_projection(proj: Projection, gmap: GadgetMap) -> dict:
     """Read each ring's half; front = True.  Raises InconsistentCycle on
     a ring that mixes halves or sits dead center."""
-    pts = _points_of(proj)
+    pts = proj.points2
     out = {}
     for v in gmap.variables:
         halves = set()

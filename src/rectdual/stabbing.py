@@ -19,7 +19,7 @@ side-ratio bound b with unit short side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -120,24 +120,31 @@ def face_functional(fset: FlaggedConvexSet, face) -> tuple:
     return tuple(res.x[:d]), res.x[d]
 
 
-def contains_point(fset: FlaggedConvexSet, pt) -> bool:
-    """Exact membership: inside the hull and off every excluded face."""
-    pt = _frac_point(pt)
-    m = len(fset.vertices)
-    cons = [([1] * m, EQ, 1)]
-    for i in range(fset.dim):
-        cons.append(([v[i] for v in fset.vertices], EQ, pt[i]))
+def _in_fiber(fset: FlaggedConvexSet, axes, sample, functionals) -> bool:
+    """Does the set have a point whose coordinates on `axes` are `sample`?
+
+    The point is a convex combination w of the vertices.  Every excluded
+    face a.x = c, given by its functional (a, c), becomes the strict row
+    sum_j (a.v_j - c) w_j < 0: the point lies off the face."""
+    verts = fset.vertices
+    m = len(verts)
+    eq = [([1] * m, 1)]
+    for axis, x in zip(axes, sample):
+        eq.append(([v[axis] for v in verts], x))
+    weak = []
     for j in range(m):
         row = [0] * m
         row[j] = -1
-        cons.append((row, LE, 0))
-    if feasible_point(cons, m).status != OPTIMAL:
-        return False
-    for face in fset.excluded_faces:
-        a, c = face_functional(fset, face)
-        if sum(ai * xi for ai, xi in zip(a, pt)) == c:
-            return False
-    return True
+        weak.append((row, 0))
+    strict = [([sum(ai * vi for ai, vi in zip(a, v)) - c for v in verts], 0)
+              for a, c in functionals]
+    return strict_feasible(m, eq, weak, strict)[0]
+
+
+def contains_point(fset: FlaggedConvexSet, pt) -> bool:
+    """Exact membership: inside the hull and off every excluded face."""
+    functionals = [face_functional(fset, f) for f in fset.excluded_faces]
+    return _in_fiber(fset, range(fset.dim), _frac_point(pt), functionals)
 
 
 def meets_hyperplane(fset: FlaggedConvexSet, coeffs) -> bool:
@@ -534,22 +541,7 @@ def _project_to_yz(problem: StabbingProblem):
         functionals = [face_functional(fset, f) for f in fset.excluded_faces]
 
         def fiber_included(sample):
-            m = len(fset.vertices)
-            eq = [([1] * m, Fraction(1))]
-            for axis in (1, 2):
-                eq.append(([v[axis] for v in fset.vertices], sample[axis - 1]))
-            weak = []
-            for j in range(m):
-                row = [0] * m
-                row[j] = -1
-                weak.append((row, 0))
-            strict = []
-            for a, c in functionals:
-                strict.append((
-                    [sum(ai * vi for ai, vi in zip(a, v)) - c
-                     for v in fset.vertices], 0))
-            ok, _, _ = strict_feasible(m, eq, weak, strict)
-            return ok
+            return _in_fiber(fset, (1, 2), sample, functionals)
 
         k = len(hull)
         edges = [(i, (i + 1) % k) for i in range(k)] if k > 2 else []
