@@ -35,7 +35,6 @@ from .embedding import (
     center_embeddable,
     center_projection,
     classify_projection,
-    simplex_preserved,
 )
 from .solver import (
     SAT,

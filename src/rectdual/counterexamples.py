@@ -3,10 +3,10 @@
 The planar generators return small pixel-filled partitions with known
 embedding behaviour: a balance-3 partition whose center projection is
 degenerate, a balance-4 variant that flips an orientation outright, and
-a six-rectangle construction with no faithful embedding at all.  The 3d
-generators scale from a concrete 64-box layered partition up to
-certificate-only cubical configurations whose boxes are far too large
-to materialize.
+a six-rectangle construction with no faithful half-integral embedding
+(finer rational embeddings exist).  The 3d generators scale from a
+concrete 64-box layered partition up to certificate-only cubical
+configurations whose boxes are far too large to materialize.
 """
 
 from dataclasses import dataclass
@@ -77,7 +77,8 @@ _LCYCLE_RECTS = (
 
 
 def gen_planar_lcycle(drop_sink: bool = False) -> Partition:
-    """Six thin rectangles wired into an unsatisfiable cycle of contacts.
+    """Six thin rectangles wired into a cycle of contacts that no
+    half-integral drawing satisfies.
 
     A central bar T0 feeds two chains of corner contacts, T1 -> T3 on
     the left and T2 -> T4 on the right.  Each contact forces "this
@@ -87,7 +88,9 @@ def gen_planar_lcycle(drop_sink: bool = False) -> Partition:
     side junction) in the middle band, and T5's own foot junction on T0
     ties the escape routes together.  Chasing the implications from
     either branch of that junction dead-ends, so no faithful
-    half-integral placement exists.
+    half-integral placement exists.  Finer points do: scaled by 3, the
+    partition has a half-integral drawing (solve finds it in 898 nodes),
+    so the original has one at denominator 6.
 
     With drop_sink=True the rectangle T5 is replaced by pixels and the
     remaining system is satisfiable, isolating T5 as the sink of the

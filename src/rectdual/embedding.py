@@ -50,9 +50,6 @@ class Projection:
             doubled.append(tuple(row))
         return cls(tuple(doubled))
 
-    def point(self, i):
-        return self.points2[i]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -85,12 +82,6 @@ def check_faithful(p: Partition, proj: Projection) -> None:
     for i, box in enumerate(p.boxes):
         if not box.contains_point2(proj.points2[i], strict=True):
             raise NotFaithful(i)
-
-
-def simplex_preserved(dc: DualComplex, simplex, proj: Projection) -> bool:
-    anchor, perm, ordered, want = dc.seed_raw(simplex)
-    pts = [proj.points2[i] for i in ordered]
-    return orientation(pts) == want
 
 
 def classify_projection(p: Partition, dc: DualComplex, proj: Projection) -> EmbeddingVerdict:

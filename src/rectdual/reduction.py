@@ -20,6 +20,7 @@ unit pixels; a pixel's vertex is pinned at its center by the model
 itself, which keeps every local law exact under composition.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import permutations
 import json
@@ -202,48 +203,30 @@ class GadgetMap:
 
 
 def gadget_map_to_json(gmap: GadgetMap) -> str:
-    doc = {
-        "scale": gmap.scale,
-        "variables": [
-            {"var": v.var, "point": list(v.point),
-             "cycle": [{"box": c.box, "heading": c.heading,
-                        "front2": list(c.front2), "back2": list(c.back2)}
-                       for c in v.cycle]}
-            for v in gmap.variables],
-        "paths": [
-            {"path": p.path, "var": p.var, "clause": p.clause,
-             "sign": p.sign, "boxes": list(p.boxes),
-             "headings": list(p.headings)}
-            for p in gmap.paths],
-        "clauses": [
-            {"clause": c.clause, "point": list(c.point), "square": c.square,
-             "arms": list(c.arms), "arm_headings": list(c.arm_headings),
-             "arm_paths": list(c.arm_paths), "helpers": list(c.helpers)}
-            for c in gmap.clauses],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
+    return json.dumps(dataclasses.asdict(gmap), indent=1, sort_keys=True)
+
+
+# fields that hold nested gadgets, by the class of their items
+_NESTED = {"variables": VariableGadget, "cycle": CycleRect,
+           "paths": PathGadget, "clauses": ClauseGadget}
+
+
+def _rebuild(cls, doc):
+    """cls from its asdict() form: nested gadgets rebuilt, lists turned
+    back into tuples; keys that name no field (a legacy "profile") are
+    ignored."""
+    kw = {}
+    for f in dataclasses.fields(cls):
+        v = doc[f.name]
+        if f.name in _NESTED:
+            kw[f.name] = tuple(_rebuild(_NESTED[f.name], d) for d in v)
+        else:
+            kw[f.name] = tuple(v) if isinstance(v, list) else v
+    return cls(**kw)
 
 
 def gadget_map_from_json(text: str) -> GadgetMap:
-    doc = json.loads(text)
-    return GadgetMap(
-        scale=doc["scale"],
-        variables=tuple(
-            VariableGadget(v["var"], tuple(v["point"]), tuple(
-                CycleRect(c["box"], c["heading"],
-                          tuple(c["front2"]), tuple(c["back2"]))
-                for c in v["cycle"]))
-            for v in doc["variables"]),
-        paths=tuple(
-            PathGadget(p["path"], p["var"], p["clause"], p["sign"],
-                       tuple(p["boxes"]), tuple(p["headings"]))
-            for p in doc["paths"]),
-        clauses=tuple(
-            ClauseGadget(c["clause"], tuple(c["point"]), c["square"],
-                         tuple(c["arms"]), tuple(c["arm_headings"]),
-                         tuple(c["arm_paths"]), tuple(c["helpers"]))
-            for c in doc["clauses"]),
-    )
+    return _rebuild(GadgetMap, json.loads(text))
 
 
 # ---------------------------------------------------------------- builder

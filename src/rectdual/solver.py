@@ -6,16 +6,20 @@ the dual complex is a constraint requiring the seed's orientation sign,
 read from dual.orientation. The solver runs generalized arc consistency
 over the constraints whose scope still has undecided boxes, and branches
 by bisecting the lexicographically sorted domain of a smallest undecided
-box. UNSAT is reported only on exhaustion, so it is a proof.
+box. UNSAT is reported only on exhaustion, so it proves that no
+half-integral drawing exists; a drawing with finer rational coordinates
+may still exist.
 
 solve and enumerate_all share one routine, _drive: it builds the
 constraint problem, searches, stopping at the first solution unless
 every one is wanted, and re-checks each solution as a certificate. The
-search honours SolverConfig.node_limit between nodes and
-SolverConfig.time_limit, a deadline fixed when solve or enumerate_all
-starts, between nodes, before each revise of the arc-consistency loop
-and once per domain value inside it; either limit ends the run with
-TIMEOUT and the nodes and propagations counted so far.
+search honours SolverConfig.node_limit between nodes.
+SolverConfig.time_limit fixes a deadline when solve or enumerate_all
+starts. It is checked once build_dual has returned, before each top
+simplex of the constraint setup, between nodes, before each revise of
+the arc-consistency loop and once per domain value inside it; build_dual
+itself cannot be interrupted. Either limit ends the run with TIMEOUT and
+the nodes and propagations counted so far.
 """
 
 from __future__ import annotations
@@ -90,28 +94,31 @@ class _Csp:
         self.dc = dc
         if not dc.has_top():
             raise Unsupported("no top-dimensional simplex")
+        self.deadline = deadline  # time.monotonic() value, or None
+        self._check_deadline()  # the first reading after build_dual
         domains = [list(box_domain(b)) for b in p.boxes]
         if pins:
             for bid, allowed in pins.items():
                 allowed = set(tuple(v) for v in allowed)
                 domains[bid] = [v for v in domains[bid] if v in allowed]
         self.domains = domains
-        self.deadline = deadline  # time.monotonic() value, or None
         self.propagations = 0
         # constraints: (ordered box ids, required sign)
         self.constraints = []
         self.watching = {}  # box id -> constraint indices
-        self.root_failed = False
-        self._setup()
+        # a box in no top simplex is seen by no constraint, so an empty
+        # domain (from a pin) must fail here
+        self.root_failed = not all(domains)
+        if not self.root_failed:
+            self._setup()
 
     def _setup(self):
         dyn = []
+        deadline = self.deadline
         for key, ordered, want in self.dc.top_items():
-            sizes = [len(self.domains[i]) for i in ordered]
-            if any(s == 0 for s in sizes):
-                self.root_failed = True
-                return
-            free = [i for i, s in zip(ordered, sizes) if s > 1]
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Deadline
+            free = [i for i in ordered if len(self.domains[i]) > 1]
             if not free:
                 pts = [self.domains[i][0] for i in ordered]
                 if orientation(pts) != want:
@@ -245,8 +252,11 @@ def _drive(p, cfg, dc, pins, every):
     cfg = cfg or SolverConfig()
     deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
     if dc is None:
-        dc = build_dual(p)
-    csp = _Csp(p, dc, pins=pins, deadline=deadline)
+        dc = build_dual(p)  # not interruptible: the deadline is read after it
+    try:
+        csp = _Csp(p, dc, pins=pins, deadline=deadline)
+    except _Deadline:
+        return TIMEOUT, [], {"nodes": 0, "propagations": 0}
     sols = []
     if csp.root_failed:
         status, nodes = UNSAT, 0

@@ -15,6 +15,23 @@ configurations (regular and singular) whose stabbing planes certify
 flat tetrahedra in balanced partitions, and the planar triple whose
 stabbing line certifies a flat triangle. All are parametrized by the
 side-ratio bound b with unit short side.
+
+Each set of a 3d configuration is one point class around the meeting
+vertex, written as a cube-face code: "-" or "+" fixes the sign of a
+coordinate, "*" leaves it free. The class is the hull of s and b.s over
+its sign vectors s, minus, for each free coordinate and each sign, the
+face of the vertices on that side:
+
+    regular   ---  +--  *+-  **+
+    singular  *--  *+-  -*+  +*+
+
+The codes alone give the sets, the per-set product formulas of the
+lemma (each unit vertex s against b.s reflected in the free
+coordinates) and the yz-shadows: the shadow of a class is the class of
+its code without the x sign over the hull of the projected vertices.
+That needs no LP: every vertex has |x| = |z| and z's sign is fixed, so
+with x's sign fixed too the class lies in one plane x = +-z and projects
+injectively; with x free, the fiber points with x = 0 avoid both x faces.
 """
 
 from __future__ import annotations
@@ -120,8 +137,8 @@ def face_functional(fset: FlaggedConvexSet, face) -> tuple:
     return tuple(res.x[:d]), res.x[d]
 
 
-def _in_fiber(fset: FlaggedConvexSet, axes, sample, functionals) -> bool:
-    """Does the set have a point whose coordinates on `axes` are `sample`?
+def contains_point(fset: FlaggedConvexSet, pt) -> bool:
+    """Exact membership: inside the hull and off every excluded face.
 
     The point is a convex combination w of the vertices.  Every excluded
     face a.x = c, given by its functional (a, c), becomes the strict row
@@ -129,42 +146,32 @@ def _in_fiber(fset: FlaggedConvexSet, axes, sample, functionals) -> bool:
     verts = fset.vertices
     m = len(verts)
     eq = [([1] * m, 1)]
-    for axis, x in zip(axes, sample):
+    for axis, x in enumerate(_frac_point(pt)):
         eq.append(([v[axis] for v in verts], x))
     weak = []
     for j in range(m):
         row = [0] * m
         row[j] = -1
         weak.append((row, 0))
-    strict = [([sum(ai * vi for ai, vi in zip(a, v)) - c for v in verts], 0)
-              for a, c in functionals]
+    strict = []
+    for face in fset.excluded_faces:
+        a, c = face_functional(fset, face)
+        strict.append(([sum(ai * vi for ai, vi in zip(a, v)) - c
+                        for v in verts], 0))
     return strict_feasible(m, eq, weak, strict)[0]
 
 
-def contains_point(fset: FlaggedConvexSet, pt) -> bool:
-    """Exact membership: inside the hull and off every excluded face."""
-    functionals = [face_functional(fset, f) for f in fset.excluded_faces]
-    return _in_fiber(fset, range(fset.dim), _frac_point(pt), functionals)
-
-
 def meets_hyperplane(fset: FlaggedConvexSet, coeffs) -> bool:
-    """Does the hyperplane coeffs[:-1].x + coeffs[-1] = 0 meet the set?
-
-    Pure sign analysis: if the vertex values take both strict signs the
-    plane crosses the relative interior; a one-sided touch meets the set
-    unless the zero vertices all lie in a single excluded face.
-    """
-    vals = [_eval(coeffs, v) for v in fset.vertices]
-    if min(vals) > 0 or max(vals) < 0:
-        return False
-    if min(vals) < 0 < max(vals):
-        return True
-    zero = {i for i, v in enumerate(vals) if v == 0}
-    return not any(zero <= set(f) for f in fset.excluded_faces)
+    """Does the hyperplane coeffs[:-1].x + coeffs[-1] = 0 meet the set?"""
+    return stab_point(fset, coeffs) is not None
 
 
 def stab_point(fset: FlaggedConvexSet, coeffs):
     """A rational point of the flagged set on the hyperplane, or None.
+
+    Pure sign analysis: if the vertex values take both strict signs the
+    plane crosses the relative interior; a one-sided touch meets the set
+    unless the zero vertices all lie in a single excluded face.
 
     Crossing case: move from the vertex centroid (relative interior)
     toward an opposite-signed vertex; the zero stays interior. Touching
@@ -220,35 +227,40 @@ class StabVerdict:
         return self.status == FEASIBLE
 
 
+# --- 3d: the two meeting configurations as face codes ------------------
+
+_CODES = {
+    "regular": ("---", "+--", "*+-", "**+"),
+    "singular": ("*--", "*+-", "-*+", "+*+"),
+}
+_SIGNS = {"-": (-1,), "+": (1,), "*": (-1, 1)}
+
+
+def _signs(code) -> list:
+    """Sign vectors of a class, first coordinate slowest."""
+    return list(product(*(_SIGNS[c] for c in code)))
+
+
+def _class_set(code, vertices) -> FlaggedConvexSet:
+    """The hull of vertices minus, for each free coordinate of code and
+    each sign, the face made of the vertices on that side."""
+    faces = [tuple(i for i, v in enumerate(vertices) if v[axis] * side > 0)
+             for axis, c in enumerate(code) if c == "*" for side in (-1, 1)]
+    return FlaggedConvexSet(tuple(vertices), tuple(sorted(faces)))
+
+
 def build_config_sets(kind: str, b) -> StabbingProblem:
     """The four point-class sets of the regular or singular meeting
     pattern around a vertex, at side ratio b (unit short side)."""
     b = Fraction(b)
     if b <= 1:
         raise ValueError("need b > 1")
-    if kind == "regular":
-        sets = (
-            FlaggedConvexSet(((-1, -1, -1), (-b, -b, -b))),
-            FlaggedConvexSet(((1, -1, -1), (b, -b, -b))),
-            FlaggedConvexSet(
-                ((-1, 1, -1), (-b, b, -b), (1, 1, -1), (b, b, -b)),
-                ((0, 1), (2, 3))),
-            FlaggedConvexSet(
-                ((-1, -1, 1), (-b, -b, b), (-1, 1, 1), (-b, b, b),
-                 (1, -1, 1), (b, -b, b), (1, 1, 1), (b, b, b)),
-                ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 6, 7), (4, 5, 6, 7))),
-        )
-    elif kind == "singular":
-        sets = tuple(
-            FlaggedConvexSet(verts, ((0, 1), (2, 3)))
-            for verts in (
-                ((-1, -1, -1), (-b, -b, -b), (1, -1, -1), (b, -b, -b)),
-                ((-1, 1, -1), (-b, b, -b), (1, 1, -1), (b, b, -b)),
-                ((-1, -1, 1), (-b, -b, b), (-1, 1, 1), (-b, b, b)),
-                ((1, -1, 1), (b, -b, b), (1, 1, 1), (b, b, b)),
-            ))
-    else:
+    if kind not in _CODES:
         raise ValueError(f"unknown kind {kind!r}")
+    sets = tuple(
+        _class_set(code, [v for s in _signs(code)
+                          for v in (s, tuple(b * x for x in s))])
+        for code in _CODES[kind])
     return StabbingProblem(3, sets, b)
 
 
@@ -436,10 +448,10 @@ def _verify_witness(sets, coeffs):
     """Re-check a feasible verdict by direct evaluation on every set."""
     points = []
     for i, s in enumerate(sets):
-        if not meets_hyperplane(s, coeffs):
-            raise AssertionError(f"witness misses set {i}")
         pt = stab_point(s, coeffs)
-        if pt is None or _eval(coeffs, pt) != 0 or not contains_point(s, pt):
+        if pt is None:
+            raise AssertionError(f"witness misses set {i}")
+        if _eval(coeffs, pt) != 0 or not contains_point(s, pt):
             raise AssertionError(f"witness point check failed on set {i}")
         points.append(pt)
     return tuple(points)
@@ -469,32 +481,22 @@ def line_stab(problem: StabbingProblem) -> StabVerdict:
     return StabVerdict(INFEASIBLE, certificate=tuple(cert), cases=cases)
 
 
-# --- 3d: the two meeting configurations --------------------------------
+# --- 3d: plane stabbing -------------------------------------------------
 
 def _lemma_rows(kind: str, b: Fraction):
     """Per-set disjunctions of vertex-pair product conditions for the
-    t0 = 1 normalization; (p, q, strict) encodes E(p).E(q) <= 0 / < 0."""
-    if kind == "regular":
-        return [
-            [((-1, -1, -1), (-b, -b, -b), False)],
-            [((1, -1, -1), (b, -b, -b), False)],
-            [((-1, 1, -1), (b, b, -b), True),
-             ((1, 1, -1), (-b, b, -b), True)],
-            [((-1, -1, 1), (b, b, b), True),
-             ((1, -1, 1), (-b, b, b), True),
-             ((-1, 1, 1), (b, -b, b), True),
-             ((1, 1, 1), (-b, -b, b), True)],
-        ]
-    return [
-        [((-1, -1, -1), (b, -b, -b), True),
-         ((1, -1, -1), (-b, -b, -b), True)],
-        [((-1, 1, -1), (b, b, -b), True),
-         ((1, 1, -1), (-b, b, -b), True)],
-        [((-1, -1, 1), (-b, b, b), True),
-         ((-1, 1, 1), (-b, -b, b), True)],
-        [((1, -1, 1), (b, b, b), True),
-         ((1, 1, 1), (b, -b, b), True)],
-    ]
+    t0 = 1 normalization; (p, q, strict) encodes E(p).E(q) <= 0 / < 0.
+
+    Each unit vertex s of a class, first coordinate fastest, pairs with
+    b.s reflected in the free coordinates; only a closed segment (no
+    free coordinate) admits a zero product."""
+    rows = []
+    for code in _CODES[kind]:
+        rows.append([
+            (s, tuple(-b * x if c == "*" else b * x for c, x in zip(code, s)),
+             "*" in code)
+            for s in sorted(_signs(code), key=lambda s: s[::-1])])
+    return rows
 
 
 def lemma_formulas_hold(kind: str, b, coeffs) -> bool:
@@ -516,56 +518,24 @@ def lemma_formulas_hold(kind: str, b, coeffs) -> bool:
 
 
 def _detect_kind(problem: StabbingProblem) -> str:
-    sizes = sorted(len(s.vertices) for s in problem.sets)
-    kind = "regular" if sizes == [2, 2, 4, 8] else "singular"
-    want = build_config_sets(kind, problem.b)
-    if tuple(problem.sets) != want.sets:
-        raise ArityMismatch(
-            "sets are not the regular or singular configuration at this scale")
-    return kind
+    for kind in _CODES:
+        if problem.sets == build_config_sets(kind, problem.b).sets:
+            return kind
+    raise ArityMismatch(
+        "sets are not the regular or singular configuration at this scale")
 
 
-def _project_to_yz(problem: StabbingProblem):
-    """Exact shadows of the four sets on the last two coordinates.
-
-    The shadow hull is the hull of projected vertices; each face of the
-    shadow is kept or excluded according to whether some preimage of a
-    relative-interior sample avoids all excluded faces upstairs (a
-    strict rational feasibility question over the fiber). Raises if the
-    shadow is not itself hull-minus-faces.
-    """
+def _project_to_yz(problem: StabbingProblem, kind: str):
+    """Shadows of the four sets of a configuration on the last two
+    coordinates, repeats dropped: the class of each code without its x
+    sign, over the hull of the projected vertices (see the module
+    docstring for why no LP is needed)."""
     shadows = []
-    for fset in problem.sets:
-        proj = [(v[1], v[2]) for v in fset.vertices]
-        hull = hull2d(proj)
-        functionals = [face_functional(fset, f) for f in fset.excluded_faces]
-
-        def fiber_included(sample):
-            return _in_fiber(fset, (1, 2), sample, functionals)
-
-        k = len(hull)
-        edges = [(i, (i + 1) % k) for i in range(k)] if k > 2 else []
-        excluded_edges = []
-        for i, j in edges:
-            mid = tuple((a + c) / 2 for a, c in zip(hull[i], hull[j]))
-            if not fiber_included(mid):
-                excluded_edges.append((i, j))
-        for idx, v in enumerate(hull):
-            on_excluded = any(idx in e for e in excluded_edges)
-            if fiber_included(v) == on_excluded:
-                raise UnsupportedShape(
-                    "shadow is not a hull minus whole faces")
-        if k > 2:
-            cen = tuple(sum(v[i] for v in hull) / k for i in range(2))
-            if not fiber_included(cen):
-                raise UnsupportedShape("shadow interior is not included")
-        shadows.append(FlaggedConvexSet(
-            tuple(hull), tuple(tuple(sorted(e)) for e in excluded_edges)))
-    unique = []
-    for s in shadows:
-        if s not in unique:
-            unique.append(s)
-    return tuple(unique)
+    for code, fset in zip(_CODES[kind], problem.sets):
+        shadow = _class_set(code[1:], hull2d([v[1:] for v in fset.vertices]))
+        if shadow not in shadows:
+            shadows.append(shadow)
+    return tuple(shadows)
 
 
 def plane_stab(problem: StabbingProblem) -> StabVerdict:
@@ -580,7 +550,8 @@ def plane_stab(problem: StabbingProblem) -> StabVerdict:
         raise ArityMismatch("plane_stab needs exactly four 3d sets")
     kind = _detect_kind(problem)
     cert = []
-    shadow_problem = StabbingProblem(2, _project_to_yz(problem), problem.b)
+    shadow_problem = StabbingProblem(2, _project_to_yz(problem, kind),
+                                     problem.b)
     flat = line_stab(shadow_problem)
     cases = flat.cases
     if flat.feasible:

@@ -12,6 +12,7 @@ from rectdual.embedding import (
     center_projection,
     classify_projection,
 )
+from rectdual.io import parse_partition
 from rectdual.solver import (
     SAT,
     TIMEOUT,
@@ -129,6 +130,19 @@ def test_pin_to_empty_is_unsat():
     assert res.status == UNSAT
 
 
+def test_pin_to_empty_outside_every_simplex_is_unsat():
+    # box 0 touches only box 1, so it is in no top simplex and no
+    # constraint sees its empty domain
+    p = parse_partition("2 5 7\n0 1 0 5\n1 4 0 5\n4 5 0 1\n4 5 1 2\n"
+                        "4 5 2 3\n4 5 3 4\n4 5 4 5\n")
+    assert all(0 not in ordered for _, ordered, _ in
+               build_dual(p).top_items())
+    for run in (solve, enumerate_all):
+        res = run(p, pins={0: []})
+        assert res.status == UNSAT
+        assert res.stats == {"nodes": 0, "propagations": 0}
+
+
 def test_node_limit_times_out():
     p = planar3_partition()
     res = solve(p, cfg=SolverConfig(node_limit=1))
@@ -142,17 +156,40 @@ def test_time_limit_times_out():
 
 
 def test_time_limit_stops_root_propagation(monkeypatch):
-    # a fake clock one second later at every reading: the deadline, fixed
-    # at 0 + 3, passes inside the root propagation, before any node
+    # a fake clock one second later at every reading: setup reads it once
+    # after build_dual and once per top simplex, so a deadline three
+    # readings past setup passes inside the root propagation, before any
+    # node
     p = planar3_partition()
     full = solve(p)
+    setup_readings = 1 + len(list(build_dual(p).top_items()))
     ticks = iter(range(10**6))
     monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
-    res = solve(p, cfg=SolverConfig(time_limit=3))
+    res = solve(p, cfg=SolverConfig(time_limit=setup_readings + 3))
     assert res.status == TIMEOUT
     assert res.projection is None
     assert res.stats["nodes"] == 0
     assert 0 < res.stats["propagations"] < full.stats["propagations"]
+
+
+def test_time_limit_stops_setup(monkeypatch):
+    # the deadline, fixed at 0 + 2, passes at the second top simplex of
+    # the constraint setup: reading 0 fixes it, reading 1 follows
+    # build_dual, readings 2 and 3 precede the first two top simplices
+    p = planar3_partition()
+    readings = []
+
+    def clock():
+        readings.append(len(readings))
+        return readings[-1]
+
+    monkeypatch.setattr(solver.time, "monotonic", clock)
+    for run in (solve, enumerate_all):
+        readings.clear()
+        res = run(p, cfg=SolverConfig(time_limit=2))
+        assert res.status == TIMEOUT
+        assert res.stats == {"nodes": 0, "propagations": 0}
+        assert readings == [0, 1, 2, 3]
 
 
 def test_solver_is_deterministic():

@@ -24,7 +24,7 @@ from rectdual.stabbing import (
     _project_to_yz,
 )
 
-from oracles import fraclp
+from oracles import fraclp, shadows as lp_shadows
 from oracles.stabchk import (
     in_planar,
     in_regular,
@@ -161,7 +161,7 @@ def test_formulas_match_direct_stabbing(kind):
 @pytest.mark.parametrize("kind", ["regular", "singular"])
 def test_yz_shadows(kind):
     b = F(3)
-    shadows = _project_to_yz(build_config_sets(kind, b))
+    shadows = _project_to_yz(build_config_sets(kind, b), kind)
     seg_low = FlaggedConvexSet(((-b, -b), (-1, -1)))
     seg_high = FlaggedConvexSet(((1, -1), (b, -b)))
     trap = FlaggedConvexSet(((-b, b), (-1, 1), (1, 1), (b, b)),
@@ -169,10 +169,27 @@ def test_yz_shadows(kind):
     assert shadows == (seg_low, seg_high, trap)
 
 
+@pytest.mark.parametrize("kind", ["regular", "singular"])
+def test_yz_shadows_match_lp_oracle(kind, monkeypatch):
+    # the face-code rule gives the shadows the fiber LPs gave, and solves
+    # no LP doing so
+    probs = {b: build_config_sets(kind, b)
+             for b in (F(3, 2), F(2), F(3), F(7, 2), F(9))}
+    want = {b: lp_shadows.project_to_yz(p) for b, p in probs.items()}
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(stabbing, "feasible_point", no_lp)
+    monkeypatch.setattr(stabbing, "strict_feasible", no_lp)
+    for b, p in probs.items():
+        assert _project_to_yz(p, kind) == want[b], f"b={b}"
+
+
 def test_shadow_problem_never_line_stabbed():
     for kind in ("regular", "singular"):
         for b in (F(2), F(3), F(9)):
-            shadows = _project_to_yz(build_config_sets(kind, b))
+            shadows = _project_to_yz(build_config_sets(kind, b), kind)
             v = line_stab(StabbingProblem(2, shadows, b))
             assert v.status == INFEASIBLE
 
