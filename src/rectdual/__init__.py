@@ -41,6 +41,7 @@ from .solver import (
     TIMEOUT,
     UNSAT,
     CertificateRejected,
+    DomainTooLarge,
     SolveResult,
     SolverConfig,
     Unsupported,

@@ -201,15 +201,11 @@ def coprime_base(k, lam):
     zs = (1,) + _first_primes(k)
     b = lam * prod(zs) + 1
     out = tuple(b + z - 1 for z in zs)
-    _check_coprime(out)
+    for i, s in enumerate(out):
+        for t in out[i + 1:]:
+            if gcd(s, t) != 1:
+                raise ConstructionFault(f"sides {s} and {t} share a factor")
     return out
-
-
-def _check_coprime(sides):
-    for i in range(len(sides)):
-        for j in range(i + 1, len(sides)):
-            if gcd(sides[i], sides[j]) != 1:
-                raise ConstructionFault(f"sides {sides[i]} and {sides[j]} share a factor")
 
 
 def represent_two_products(p1, p2, length):
@@ -386,7 +382,8 @@ def gen_cubical_config(d, beta) -> CubicalConfigReport:
     dimension d under aspect bound beta.
 
     Scans b = lam * (z_1 * ... * z_{D-1}) + 1 for lam = 1, 2, ... with
-    D = 2^d and z_i the first D-1 primes, then picks the largest cube
+    D = 2^d and z_i the first D-1 primes (the side sets
+    coprime_base(D - 1, lam)), then picks the largest cube
     side a with beta > (b + z_max - 1)/a and b/a >= d/(d-2) whose
     perturbed center matrix has a strictly negative determinant.  The
     report carries the centers, the pairwise-coprime filler side set
@@ -404,16 +401,13 @@ def gen_cubical_config(d, beta) -> CubicalConfigReport:
     critical = Fraction(d, d - 2)
     if beta <= critical:
         raise NoFeasibleAB(f"aspect bound {beta} does not exceed d/(d-2) = {critical}")
-    D = 2 ** d
-    zs = (1,) + _first_primes(D - 1)
-    modulus = prod(zs[1:])
-    zmax = zs[-1]
     if orientation(_seed_cube_corners(d)) != 1:
         raise ConstructionFault("the staircase seed is not positively oriented")
     for lam in range(1, 65):
-        b = lam * modulus + 1
+        side_set = coprime_base(2 ** d - 1, lam)
+        b = side_set[0]
         a_hi = b * (d - 2) // d                      # largest a with b/a >= d/(d-2)
-        a_lo = (b + zmax - 1) * beta.denominator // beta.numerator + 1
+        a_lo = side_set[-1] * beta.denominator // beta.numerator + 1
         tried = 0
         for a in range(a_hi, a_lo - 1, -1):
             tried += 1
@@ -422,8 +416,6 @@ def gen_cubical_config(d, beta) -> CubicalConfigReport:
             det = _bordered_det(_center_rows(d, a, b, delta=1))
             if det >= 0:
                 continue
-            side_set = tuple(b + z - 1 for z in zs)
-            _check_coprime(side_set)
             return CubicalConfigReport(
                 d=d, a=a, b=b,
                 centers=tuple(_center_rows(d, a, b, delta=1)),

@@ -116,8 +116,7 @@ def format_dual(dc: DualComplex) -> str:
 
 
 def format_rational(q) -> str:
-    q = Fraction(q)
-    return str(q)
+    return str(Fraction(q))
 
 
 def parse_rational(tok: str) -> Fraction:

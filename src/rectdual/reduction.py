@@ -18,11 +18,17 @@ vertices pinned to their back windows the square's vertex cannot be
 placed, with any arm on its head pixel it can.  All remaining cells are
 unit pixels; a pixel's vertex is pinned at its center by the model
 itself, which keeps every local law exact under composition.
+
+The gadget map is also the contact law: two gadget boxes may touch
+(their closed boxes meet) only if they are consecutive ring rectangles,
+consecutive boxes of a path, a path's stub and the ring rectangle it
+leaves through (or the next one, for a positive path), or two boxes of
+one clause core.  check_gadget_map enforces it on the finished partition.
 """
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 import json
 
 from .boxes import IntBox, pixel_fill
@@ -233,20 +239,22 @@ def gadget_map_from_json(text: str) -> GadgetMap:
 
 
 class _Canvas:
-    """Cell claims with tags, pairwise contact whitelist, rect registry."""
+    """Cell claims with tags, and the rectangle each tag has claimed."""
 
     def __init__(self, n):
         self.n = n
         self.occ = {}       # cell -> tag
         self.rects = {}     # tag -> (rect, heading or None)
-        self.allowed = set()  # frozenset({tag_a, tag_b}) contacts
 
-    def allow(self, a, b):
-        self.allowed.add(frozenset((a, b)))
+    def copy(self):
+        """A trial canvas: claims on it leave this one as it is."""
+        trial = _Canvas(self.n)
+        trial.occ, trial.rects = dict(self.occ), dict(self.rects)
+        return trial
 
-    def claim(self, rect, heading, tag, touch=()):
-        """Claim the rect's cells; contact with tags outside `touch`
-        (plus anything whitelisted later) raises."""
+    def claim(self, rect, heading, tag):
+        """Claim the rect's cells for tag, growing the tag's rectangle;
+        leaving the frame or overlapping another tag raises."""
         (x0, y0), (x1, y1) = rect
         if x0 < 0 or y0 < 0 or x1 > self.n or y1 > self.n:
             raise RoutingFailure(f"{tag}: rect {rect} leaves the frame")
@@ -265,24 +273,6 @@ class _Canvas:
                  max(old[1][1], rect[1][1]) - 1)), heading or h)
         else:
             self.rects[tag] = (rect, heading)
-        for t in touch:
-            self.allow(tag, t)
-
-    def release(self, cells):
-        for c in cells:
-            self.occ.pop(c, None)
-
-    def check_contacts(self):
-        """Every pair of touching claimed rectangles must be whitelisted."""
-        for (x, y), tag in self.occ.items():
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    other = self.occ.get((x + dx, y + dy))
-                    if other is not None and other != tag:
-                        if frozenset((tag, other)) not in self.allowed:
-                            raise RoutingFailure(
-                                f"unplanned contact {tag} / {other}"
-                                f" near {(x, y)}")
 
 
 def _clause_core(base):
@@ -310,8 +300,7 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
     (tail, head, heading) legs; the first starts at the block face and
     continues the open corridor rectangle."""
     T, finals = target
-    budget = [8000]
-    seen = set()
+    seen = set()  # (bend, heading) pairs tried; finite, as runs stay in region
 
     def clear(cells, mine, leg_idx, near_arm_from=None):
         for k, c in enumerate(cells):
@@ -336,9 +325,6 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
         return True
 
     def dfs(tail, h, bends, leg_idx, mine, legs):
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
         for hf in finals:
             if hf != h:
                 continue
@@ -369,8 +355,6 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
             if not clear([cell], mine, leg_idx):
                 break
             run.append(cell)
-            if m > 3 * _BLOCK:
-                break
             if m < _THIN and leg_idx > 0:
                 continue
             bend = _step(tail, h, m)
@@ -394,19 +378,12 @@ def _exit_zigzag(base, side, sign):
     """Stub and first turn of a lane.  Returns (stub rect, corr1 rect,
     corr1 heading, bend2 cell) in global cells."""
     spot = _STUB_SPOT[(side, sign)]
-    if side == "N":
-        stub = ((base[0] + spot, base[1] + 21),
-                (base[0] + spot + 1, base[1] + 21 + _THIN))
-    elif side == "S":
-        stub = ((base[0] + spot, base[1] + 12 - _THIN),
-                (base[0] + spot + 1, base[1] + 12))
-    elif side == "E":
-        stub = ((base[0] + 21, base[1] + spot),
-                (base[0] + 21 + _THIN, base[1] + spot + 1))
-    else:
-        stub = ((base[0] + 12 - _THIN, base[1] + spot),
-                (base[0] + 12, base[1] + spot + 1))
-    bend1 = _step(_head_cell(stub, side), side)
+    # the first cell outside the ring; the stub runs _THIN cells on
+    x, y = {"N": (spot, 21), "S": (spot, 11),
+            "E": (21, spot), "W": (11, spot)}[side]
+    first = (base[0] + x, base[1] + y)
+    stub = _span(first, _step(first, side, _THIN - 1))
+    bend1 = _step(first, side, _THIN)
     h1 = _CORR1_HEAD[(side, sign)]
     corr1 = _span(bend1, _step(bend1, h1, _THIN - 1))
     bend2 = _step(bend1, h1, _THIN)
@@ -434,14 +411,13 @@ def reduce(inst: Grid3SatInstance):
             g = ((base[0] + rect[0][0], base[1] + rect[0][1]),
                  (base[0] + rect[1][0], base[1] + rect[1][1]))
             tag = ("ring", v.id, i)
-            canvas.claim(g, h, tag, touch=[("ring", v.id, (i - 1) % 4)])
+            canvas.claim(g, h, tag)
             tags.append(tag)
         ring_tags[v.id] = tags
 
     # path chains: stub, first corridor turn, straight runs between turns
     chains = {}            # pid -> list of tags in flow order
     entries = {}           # cid -> list of (pid, face, heading)
-    open_legs = {}         # pid -> (tag, tail, heading)
     vmap = {v.id: v for v in inst.variables}
     cmap = {c.id: c for c in inst.clauses}
     for p in sorted(inst.paths, key=lambda p: p.id):
@@ -452,12 +428,8 @@ def reduce(inst: Grid3SatInstance):
         base = block(vmap[p.var].point)
         stub, corr1, h1, bend2 = _exit_zigzag(base, side, p.sign)
         stag, c1tag = ("chain", p.id, 0), ("chain", p.id, 1)
-        ring = ring_tags[p.var]
-        touch = [ring[_RING_INDEX[side]]]
-        if p.sign > 0:
-            touch.append(ring[(_RING_INDEX[side] + 1) % 4])
-        canvas.claim(stub, side, stag, touch=touch)
-        canvas.claim(corr1, h1, c1tag, touch=[stag])
+        canvas.claim(stub, side, stag)
+        canvas.claim(corr1, h1, c1tag)
         chain = [stag, c1tag]
         tail, h = bend2, side
         for i in range(1, len(dirs)):
@@ -473,7 +445,7 @@ def reduce(inst: Grid3SatInstance):
             leg = _span(tail, _step(bend, h, -1))
             if _length(leg, h) < _THIN:
                 raise RoutingFailure(f"path {p.id}: transit leg too short")
-            canvas.claim(leg, h, tag, touch=[chain[-1]])
+            canvas.claim(leg, h, tag)
             chain.append(tag)
             tail, h = bend, dirs[i]
         # open leg up to the clause block's face
@@ -486,10 +458,9 @@ def reduce(inst: Grid3SatInstance):
         face = tuple(face)
         tag = ("chain", p.id, len(chain))
         outside = _span(tail, _step(face, h, -1))
-        canvas.claim(outside, h, tag, touch=[chain[-1]])
+        canvas.claim(outside, h, tag)
         chain.append(tag)
         chains[p.id] = chain
-        open_legs[p.id] = (tag, tail, h)
         entries.setdefault(p.clause, []).append((p.id, face, h))
 
     # interior grid points free of terminals and path vertices may host
@@ -518,51 +489,34 @@ def reduce(inst: Grid3SatInstance):
         core = [(sq, None, sq_tag), (helper, "E", m_tag)] + \
                [(arms[k][0], arms[k][2], arm_tags[k]) for k in range(3)]
         for rect, h, tag in core:
-            others = [tg for _, _, tg in core if tg != tag]
-            canvas.claim(rect, h, tag, touch=others)
+            canvas.claim(rect, h, tag)
         perms = sorted(
             permutations(range(3)),
             key=lambda pm: (-sum(arms[pm[i]][1] == sides[ent[i][0]]
                                  for i in range(3)), pm))
         for pm in perms:
-            claimed = []
+            # route and claim on a trial canvas, kept only on success
+            trial = canvas.copy()
             routed = {}
             for i, (pid, face, h_in) in enumerate(ent):
                 arm_rect, out, arm_h, arm_tail = arms[pm[i]]
                 d_in = _VEC[_OPP[h_in]]
                 own = (c.point[0] + d_in[0], c.point[1] + d_in[1])
                 finals = _PERP[out]
-                open_tag = open_legs[pid][0]
-                legs = _route(canvas, blocks | {own}, h_in, face,
+                open_tag = chains[pid][-1]  # the leg up to the face
+                legs = _route(trial, blocks | {own}, h_in, face,
                               (arm_tail, finals), open_tag, arm_tags[pm[i]])
                 if not legs:
                     break
-                new_tags = []
-                for j, (lt, lh, lhead) in enumerate(legs):
-                    rect = _span(lt, lh)
-                    if j == 0:
-                        tag = open_tag
-                    else:
-                        tag = ("chain", pid, len(chains[pid]) + j - 1)
-                    before = set(_cells(rect)) - set(canvas.occ)
-                    old = canvas.rects.get(tag)
-                    prev = new_tags[-1] if new_tags else None
-                    touch = [prev] if prev else []
-                    if j == len(legs) - 1:
-                        touch.append(arm_tags[pm[i]])
-                    canvas.claim(rect, lhead, tag, touch=touch)
-                    claimed.append((tag, before, old))
-                    new_tags.append(tag)
-                routed[pid] = (new_tags[1:], arm_tags[pm[i]], pm[i])
+                # the first leg extends the open corridor rectangle
+                tags = [open_tag] + [("chain", pid, len(chains[pid]) + j)
+                                     for j in range(len(legs) - 1)]
+                for tag, (lt, lh, lhead) in zip(tags, legs):
+                    trial.claim(_span(lt, lh), lhead, tag)
+                routed[pid] = (tags[1:], arm_tags[pm[i]], pm[i])
             else:
-                break  # every entry reached its arm: keep this permutation
-            # roll this permutation's legs back before the next one
-            for tag, cells, old in reversed(claimed):
-                canvas.release(cells)
-                if old is None:
-                    canvas.rects.pop(tag, None)
-                else:
-                    canvas.rects[tag] = old
+                canvas = trial  # every entry reached its arm
+                break
         else:
             raise RoutingFailure(f"clause {c.id}: no reception layout found")
         for pid, (extra, arm_tag, k) in routed.items():
@@ -587,17 +541,8 @@ def reduce(inst: Grid3SatInstance):
                 tag_order.append(tag)
     ids = {tag: i for i, tag in enumerate(tag_order)}
 
-    boxes = []
-    for tag in tag_order:
-        rect, h = canvas.rects[tag]
-        boxes.append(IntBox(*rect))
-        L = _length(rect, h) if h else None
-        if h and min(boxes[-1].sides()) == 1 and L < _THIN:
-            raise RoutingFailure(f"{tag}: thin length {L} < {_THIN}")
-        if tag[0] == "arm" and L != _ARM:
-            raise RoutingFailure(f"{tag}: arm length {L} != {_ARM}")
-    p_out = pixel_fill(boxes, n)
-    canvas.check_contacts()
+    p_out = pixel_fill([IntBox(*canvas.rects[tag][0]) for tag in tag_order],
+                       n)
 
     variables = []
     for v in sorted(inst.variables, key=lambda v: v.id):
@@ -638,10 +583,37 @@ def _as_rect(box):
     return (tuple(box.lo), tuple(box.hi))
 
 
+def _planned_contacts(gmap: GadgetMap) -> dict:
+    """Box id -> the box ids the map plans it to touch (the module's
+    contact law); a path's arm is its last box."""
+    rings = {v.var: [c.box for c in v.cycle] for v in gmap.variables}
+    pairs = []
+    for ring in rings.values():
+        pairs += zip(ring, ring[1:] + ring[:1])
+    for pg in gmap.paths:
+        if pg.var not in rings:
+            raise ValueError(f"path {pg.path}: unknown variable {pg.var}")
+        pairs += zip(pg.boxes, pg.boxes[1:])
+        ring, k = rings[pg.var], _RING_INDEX[pg.headings[0]]
+        pairs.append((pg.boxes[0], ring[k]))
+        if pg.sign > 0:
+            pairs.append((pg.boxes[0], ring[(k + 1) % 4]))
+    for cg in gmap.clauses:
+        pairs += combinations((cg.square,) + cg.arms + cg.helpers, 2)
+    plan = {}
+    for a, b in pairs:
+        plan.setdefault(a, set()).add(b)
+        plan.setdefault(b, set()).add(a)
+    return plan
+
+
 def check_gadget_map(p, gmap: GadgetMap):
     """Geometric invariants: mapped ids exist, chains are L-joint chains
     of thin rectangles with the bulge pixel present, arms have the exact
-    fixed length."""
+    fixed length.  Then the contact law: every box but a unit pixel is
+    mapped, and two mapped boxes touch only if consecutive in a ring or a
+    path, a stub and its ring rectangle (or the next one, for a positive
+    path), or in one clause core."""
     nboxes = len(p.boxes)
 
     def rect_of(i):
@@ -662,6 +634,9 @@ def check_gadget_map(p, gmap: GadgetMap):
             if c.back2 != _off_point2(rect, c.heading, 2 * L - 1):
                 raise ValueError(f"variable {v.var}: bad back marker")
     for pg in gmap.paths:
+        if not pg.boxes or len(pg.headings) != len(pg.boxes) \
+                or not set(pg.headings) <= set(_VEC):
+            raise ValueError(f"path {pg.path}: not one side per box")
         rects = [rect_of(b) for b in pg.boxes]
         for rect, h in zip(rects, pg.headings):
             box = IntBox(*rect)
@@ -680,7 +655,7 @@ def check_gadget_map(p, gmap: GadgetMap):
                 raise ValueError(f"path {pg.path}: missing bulge pixel "
                                  f"at {bulge}")
     for cg in gmap.clauses:
-        sq = p.boxes[cg.square]
+        sq = IntBox(*rect_of(cg.square))
         if sq.sides() != (6, 6):
             raise ValueError(f"clause {cg.clause}: square is {sq.sides()}")
         for b, h in zip(cg.arms, cg.arm_headings):
@@ -692,6 +667,21 @@ def check_gadget_map(p, gmap: GadgetMap):
                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
                 raise ValueError(f"clause {cg.clause}: arm does not end "
                                  "at the square")
+
+    plan = _planned_contacts(gmap)
+    for i, b in enumerate(p.boxes):
+        if (b.hi[0] - b.lo[0] > 1 or b.hi[1] - b.lo[1] > 1) and i not in plan:
+            raise ValueError(f"box {i} is neither a pixel nor mapped")
+    # closed boxes meet exactly when a cell of one is among the eight
+    # neighbours of a cell of the other
+    for i in sorted(plan):
+        (x0, y0), (x1, y1) = rect_of(i)
+        for x in range(x0 - 1, x1 + 1):
+            for y in range(y0 - 1, y1 + 1):
+                j = p.owner_of((x, y))
+                if j != i and j in plan and j not in plan[i]:
+                    raise ValueError(f"boxes {min(i, j)} and {max(i, j)} "
+                                     "touch unplanned")
     return True
 
 

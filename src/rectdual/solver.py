@@ -12,8 +12,10 @@ may still exist.
 
 solve and enumerate_all share one routine, _drive: it builds the
 constraint problem, searches, stopping at the first solution unless
-every one is wanted, and re-checks each solution as a certificate. The
-search honours SolverConfig.node_limit between nodes.
+every one is wanted, and re-checks each solution as a certificate. A
+partition whose domains together would hold more than boxes._GRID_LIMIT
+points raises DomainTooLarge before any domain is listed. The search
+honours SolverConfig.node_limit between nodes.
 SolverConfig.time_limit fixes a deadline when solve or enumerate_all
 starts. It is checked once build_dual has returned, before each top
 simplex of the constraint setup, between nodes, before each revise of
@@ -27,8 +29,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
-from .boxes import Partition
+from .boxes import _GRID_LIMIT, Partition
 from .dual import DualComplex, build_dual, orientation
 from .embedding import Projection, classify_projection
 
@@ -39,6 +42,14 @@ class Unsupported(Exception):
 
 class CertificateRejected(Exception):
     """A solution the search found failed the certificate re-check."""
+
+
+class DomainTooLarge(Exception):
+    """The domains would hold more than boxes._GRID_LIMIT points."""
+
+    def __init__(self, points):
+        self.points = points
+        super().__init__(f"domains of {points} points exceed the limit")
 
 
 SAT = "sat"
@@ -250,6 +261,12 @@ def _drive(p, cfg, dc, pins, every):
 
     Returns (status, projections in sorted order, stats)."""
     cfg = cfg or SolverConfig()
+    # prod(2 l_i - 1) < 2^d prod(l_i): fewer than (2n)^d points in all
+    if (2 * p.n) ** p.dim > _GRID_LIMIT:
+        points = sum(prod(2 * (h - l) - 1 for l, h in zip(b.lo, b.hi))
+                     for b in p.boxes)
+        if points > _GRID_LIMIT:
+            raise DomainTooLarge(points)
     deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
     if dc is None:
         dc = build_dual(p)  # not interruptible: the deadline is read after it

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from rectdual.boxes import IntBox, pixel_fill
 from rectdual.dual import build_dual
 from rectdual.grid3sat import (
     brute_force_sat,
@@ -146,3 +147,111 @@ def test_brute_force_agrees(reduced):
     inst = reduced[0]
     sat = [a for a in assignments(inst) if evaluate(inst, a)]
     assert brute_force_sat(inst) == (sat[0] if sat else None)
+
+
+# ------------------------------------------------ check_gadget_map rejects
+
+
+def first(items, **changes):
+    """items with the fields of its first entry replaced."""
+    return (replace(items[0], **changes),) + items[1:]
+
+
+def ring0(g, **changes):
+    """g with the first ring rectangle of its first variable changed."""
+    v = g.variables[0]
+    return replace(g, variables=first(g.variables,
+                                      cycle=first(v.cycle, **changes)))
+
+
+def path0(g, **changes):
+    return replace(g, paths=first(g.paths, **changes))
+
+
+def clause0(g, **changes):
+    return replace(g, clauses=first(g.clauses, **changes))
+
+
+_OPP = {"E": "W", "W": "E", "N": "S", "S": "N"}
+_TURN = {"E": "N", "W": "N", "N": "E", "S": "E"}
+
+
+def bulge_merged(p, g):
+    """Path 0 leaves east and turns south, so its first bulge pixel is the
+    cell under the stub's head; merge it with the cell to its west.  The
+    gadget boxes keep their ids, since pixels come after them."""
+    stub = p.boxes[g.paths[0].boxes[0]]
+    assert g.paths[0].headings[:2] == ("E", "S")
+    x, y = stub.hi[0] - 1, stub.lo[1] - 1
+    gadgets = [b for b in p.boxes if b.volume() > 1]
+    return pixel_fill(gadgets + [IntBox((x - 1, y), (x + 1, y + 1))], p.n), g
+
+
+# one row per raise site of check_gadget_map: (how the reduced
+# all_positive map, or once its partition, is tampered, the message)
+REJECTS = [
+    pytest.param(lambda p, g: (p, ring0(g, box=len(p.boxes))),
+                 r"box id \d+ out of range", id="box-id-out-of-range"),
+    pytest.param(lambda p, g: (p, replace(g, variables=first(
+                     g.variables, cycle=g.variables[0].cycle[:3]))),
+                 "variable 0: ring is not four rects", id="ring-of-three"),
+    pytest.param(lambda p, g: (p, ring0(g, box=g.clauses[0].square)),
+                 "variable 0: ring rect not thin", id="ring-rect-thick"),
+    pytest.param(lambda p, g: (p, ring0(
+                     g, front2=g.variables[0].cycle[0].back2)),
+                 "variable 0: bad front marker", id="front-marker"),
+    pytest.param(lambda p, g: (p, ring0(
+                     g, back2=g.variables[0].cycle[0].front2)),
+                 "variable 0: bad back marker", id="back-marker"),
+    pytest.param(lambda p, g: (p, path0(g, headings=g.paths[0].headings[1:])),
+                 "path 0: not one side per box", id="heading-missing"),
+    pytest.param(lambda p, g: (p, path0(g, headings=g.paths[0].headings[:-1]
+                                        + ("up",))),
+                 "path 0: not one side per box", id="heading-not-a-side"),
+    pytest.param(lambda p, g: (p, path0(g, headings=(
+                     _TURN[g.paths[0].headings[0]],)
+                     + g.paths[0].headings[1:])),
+                 "path 0: rect not thin enough", id="stub-read-across"),
+    pytest.param(lambda p, g: (p, path0(
+                     g, boxes=g.paths[0].boxes[:1] + g.paths[0].boxes,
+                     headings=g.paths[0].headings[:1] + g.paths[0].headings)),
+                 "path 0: consecutive rects do not turn", id="no-turn"),
+    pytest.param(lambda p, g: (p, path0(g, headings=(
+                     g.paths[0].headings[0], _OPP[g.paths[0].headings[1]])
+                     + g.paths[0].headings[2:])),
+                 "path 0: rects not L-joined", id="not-l-joined"),
+    pytest.param(bulge_merged, r"path 0: missing bulge pixel at \(",
+                 id="bulge-not-a-pixel"),
+    pytest.param(lambda p, g: (p, clause0(
+                     g, square=g.variables[0].cycle[0].box)),
+                 r"clause 0: square is \(8, 1\)", id="square-not-6x6"),
+    pytest.param(lambda p, g: (p, clause0(g, arm_headings=(
+                     _TURN[g.clauses[0].arm_headings[0]],)
+                     + g.clauses[0].arm_headings[1:])),
+                 "clause 0: arm length off", id="arm-read-across"),
+    pytest.param(lambda p, g: (p, clause0(
+                     g, arms=g.paths[0].boxes[:1] + g.clauses[0].arms[1:],
+                     arm_headings=g.paths[0].headings[:1]
+                     + g.clauses[0].arm_headings[1:])),
+                 "clause 0: arm does not end at the square",
+                 id="arm-away-from-square"),
+    pytest.param(lambda p, g: (p, path0(g, var=len(g.variables))),
+                 "path 0: unknown variable 1", id="unknown-variable"),
+    # path 0 is positive: negated, its stub may no longer touch the next
+    # ring rectangle
+    pytest.param(lambda p, g: (p, path0(g, sign=-g.paths[0].sign)),
+                 "boxes 2 and 9 touch unplanned", id="sign-flipped"),
+    pytest.param(lambda p, g: (p, clause0(g, helpers=())),
+                 "box 8 is neither a pixel nor mapped", id="helper-dropped"),
+]
+
+
+@pytest.mark.parametrize("tamper, message", REJECTS)
+def test_check_gadget_map_rejects(reduced_of, tamper, message):
+    _, p, gmap, _ = reduced_of("all_positive")
+    assert gmap.paths[0].sign > 0
+    p, gmap = tamper(p, gmap)
+    loaded = gadget_map_from_json(gadget_map_to_json(gmap))
+    for m in (gmap, loaded):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            check_gadget_map(p, m)

@@ -18,6 +18,7 @@ from rectdual.solver import (
     TIMEOUT,
     UNSAT,
     CertificateRejected,
+    DomainTooLarge,
     SolverConfig,
     Unsupported,
     VerifyResult,
@@ -225,3 +226,33 @@ def test_solve_3d_smoke():
     assert res.status in (SAT, UNSAT)
     if res.status == SAT:
         assert verify_certificate(p, build_dual(p), res.projection)
+
+
+
+def refuse_listing(box):
+    raise AssertionError("box_domain called")
+
+
+@pytest.mark.parametrize("run", [solve, enumerate_all])
+def test_domain_guard_refuses_before_listing(monkeypatch, run):
+    # a 2x1 box under two pixels: 3 + 1 + 1 = 5 domain points, and the
+    # (2n)^d = 16 bound does not spare the count
+    p = validate_partition([IntBox((0, 0), (2, 1)), IntBox((0, 1), (1, 2)),
+                            IntBox((1, 1), (2, 2))], 2, 2)
+    monkeypatch.setattr(solver, "_GRID_LIMIT", 5)
+    assert run(p).status == SAT
+    monkeypatch.setattr(solver, "_GRID_LIMIT", 4)
+    monkeypatch.setattr(solver, "box_domain", refuse_listing)
+    with pytest.raises(DomainTooLarge) as info:
+        run(p)
+    assert info.value.points == 5
+
+
+def test_domain_guard_at_the_real_limit(monkeypatch):
+    # three boxes whose domains would hold 15,986,003 points
+    p = parse_partition("2 2000 3\n0 2000 0 1000\n0 1000 1000 2000\n"
+                        "1000 2000 1000 2000\n")
+    monkeypatch.setattr(solver, "box_domain", refuse_listing)
+    with pytest.raises(DomainTooLarge) as info:
+        solve(p)
+    assert info.value.points == 3999 * 1999 + 2 * 1999 * 1999
