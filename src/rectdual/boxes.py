@@ -145,7 +145,9 @@ class Partition:
     """A validated collection of boxes tiling (or partially tiling) [0,n]^d.
 
     Construct through validate_partition; the constructor itself does not
-    re-check the invariants. Treated as immutable after construction.
+    re-check the invariants. Treated as immutable after construction,
+    which is what makes the two caches sound: the owner grid (_owner)
+    and the dual complex (_dual, filled by dual.build_dual).
     """
 
     dim: int
@@ -153,6 +155,7 @@ class Partition:
     boxes: tuple
     partial: bool = False
     _owner: Optional[list] = field(default=None, repr=False, compare=False)
+    _dual: object = field(default=None, repr=False, compare=False, init=False)
 
     def cell_index(self, cell) -> int:
         """Index in the padded owner grid of the cell with lower corner in [-1,n]^d."""

@@ -19,6 +19,12 @@ witnesses a top-dimensional simplex; the first such chain is stored as
 its seed, together with its sign, the orientation of its pixel centers.
 A vertex inside a single box only witnesses that box, so its chains are
 skipped.
+
+The walk runs once per partition: build_dual caches its complex on the
+partition. The complex keeps the top simplices with their seeds and the
+lower simplices the walk saw; their downward closure (simplices, edges)
+is built on its first read, so solving and classifying, which read
+only the top simplices, never build it.
 """
 
 from __future__ import annotations
@@ -139,13 +145,25 @@ class SeedChain:
 
 
 class DualComplex:
-    """Simplices over box ids, downward closed; top simplices carry seeds."""
+    """Simplices over box ids, downward closed; top simplices carry seeds.
 
-    def __init__(self, partition, simplices, top):
+    simplices (and so edges) is the closure of the top and lower
+    simplices of the walk, built on its first read."""
+
+    def __init__(self, partition, top, lower):
         self.partition = partition
         self.dim = partition.dim
-        self.simplices = simplices          # k -> set of sorted id tuples
         self._top = top     # sorted ids -> (anchor, perm, ordered ids, sign)
+        self._lower = lower  # sorted ids of the lower simplices witnessed
+        self._simplices = None
+
+    @property
+    def simplices(self):
+        """k -> set of sorted id tuples, for k = 0..dim."""
+        if self._simplices is None:
+            self._simplices = _closure(self.dim, len(self.partition.boxes),
+                                       self._top, self._lower)
+        return self._simplices
 
     def edges(self):
         return self.simplices.get(1, ())
@@ -184,28 +202,35 @@ def seed_of(dc: DualComplex, simplex) -> SeedChain:
 
 
 def build_dual(p: Partition) -> DualComplex:
-    """Enumerate all monotone chains at all grid vertices.
+    """The dual complex of p, from all monotone chains at all grid vertices.
+
+    The walk runs once per partition: the complex is cached on p
+    (Partition._dual), which is sound because a partition is treated as
+    immutable, and every later call returns the same object.
 
     Raises SeedConflict if two chains witness the same top simplex with
     opposite orientations (cannot happen for valid partitions; the check
     guards the construction).
     """
-    d = p.dim
-    top, lower = _chains(p)
+    if p._dual is None:
+        top, lower = _chains(p)
+        p._dual = DualComplex(p, top, lower)
+    return p._dual
 
-    m = len(p.boxes)
+
+def _closure(d, m, top, lower):
+    """Downward closure of the top and lower simplices over m boxes."""
     simplices = {k: set() for k in range(d + 1)}
     simplices[d] = set(top.keys())
     for s in lower:
         simplices[len(s) - 1].add(s)
-    # downward closure
     for k in range(d, 1, -1):
         target = simplices[k - 1]
         for s in simplices[k]:
             for i in range(k + 1):
                 target.add(s[:i] + s[i + 1 :])
     simplices[0] = {(i,) for i in range(m)}
-    return DualComplex(p, simplices, top)
+    return simplices
 
 
 def _register_top(top, key, ordered, anchor, perm, sign):

@@ -85,7 +85,11 @@ def check_faithful(p: Partition, proj: Projection) -> None:
 
 
 def classify_projection(p: Partition, dc: DualComplex, proj: Projection) -> EmbeddingVerdict:
-    """Check faithfulness, then the orientation of every top simplex."""
+    """Check faithfulness, then the orientation of every top simplex.
+
+    Raises ValueError if dc is the dual complex of another partition."""
+    if dc.partition is not p and dc.partition != p:
+        raise ValueError("dual complex of another partition")
     check_faithful(p, proj)
     if not dc.has_top():
         return EmbeddingVerdict("unsupported")

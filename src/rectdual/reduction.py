@@ -115,6 +115,9 @@ _R0 = ((13, 13), (19, 19))
 _ARM_SEEDS = (((19, 19), "N"), ((12, 12), "S"), ((19, 15), "E"))
 _M_TAIL = (13, 12)  # helper grows east from here
 
+# a cell's status in _route
+_BLOCKED, _NEAR_OWN, _NEAR_ARM = -1, 1, 2
+
 
 def _step(cell, h, m=1):
     v = _VEC[h]
@@ -301,30 +304,51 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
     continues the open corridor rectangle."""
     T, finals = target
     seen = set()  # (bend, heading) pairs tried; finite, as runs stay in region
+    # the canvas does not change during the search, so a cell's status is
+    # read once: _BLOCKED (claimed, out of region, or next to a foreign
+    # tag), else the bits _NEAR_OWN and _NEAR_ARM
+    status = {}
+
+    def cell_status(c):
+        if c in canvas.occ or (c[0] // _BLOCK, c[1] // _BLOCK) not in region:
+            return _BLOCKED
+        bits = 0
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                t = canvas.occ.get((c[0] + dx, c[1] + dy))
+                if t is None:
+                    continue
+                if t == own_tag:
+                    bits |= _NEAR_OWN
+                elif t == arm_tag:
+                    bits |= _NEAR_ARM
+                else:
+                    return _BLOCKED
+        return bits
 
     def clear(cells, mine, leg_idx, near_arm_from=None):
         for k, c in enumerate(cells):
-            if c in canvas.occ or c in mine:
+            st = status.get(c)
+            if st is None:
+                st = status[c] = cell_status(c)
+            if st == _BLOCKED or (st & _NEAR_OWN and leg_idx) \
+                    or (st & _NEAR_ARM and (near_arm_from is None
+                                            or k < near_arm_from)):
                 return False
-            if (c[0] // _BLOCK, c[1] // _BLOCK) not in region:
+            if c in mine:
                 return False
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    nb = (c[0] + dx, c[1] + dy)
-                    t = canvas.occ.get(nb)
-                    if t is not None:
-                        if t == own_tag and leg_idx == 0:
-                            continue
-                        if t == arm_tag and near_arm_from is not None \
-                                and k >= near_arm_from:
-                            continue
-                        return False
-                    pm = mine.get(nb)
-                    if pm is not None and pm < leg_idx - 1:
-                        return False
+            # cells of the previous leg may touch; older legs may not
+            if leg_idx >= 2:
+                for dx in (-1, 0, 1):
+                    for dy in (-1, 0, 1):
+                        pm = mine.get((c[0] + dx, c[1] + dy))
+                        if pm is not None and pm < leg_idx - 1:
+                            return False
         return True
 
     def dfs(tail, h, bends, leg_idx, mine, legs):
+        """mine: cell -> leg index of the legs laid so far; the cells
+        this call adds are removed again before it returns."""
         for hf in finals:
             if hf != h:
                 continue
@@ -348,28 +372,29 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
             (T[0] - tail[0]) * _VEC[h2][0] + (T[1] - tail[1]) * _VEC[h2][1]
         ) <= 0)
         run = []
-        m = 0
-        while True:
-            m += 1
-            cell = _step(tail, h, m - 1)
-            if not clear([cell], mine, leg_idx):
-                break
-            run.append(cell)
-            if m < _THIN and leg_idx > 0:
-                continue
-            bend = _step(tail, h, m)
-            sub = dict(mine)
-            for c in run:
-                sub[c] = leg_idx
-            for h2 in perp:
-                if (bend, h2) in seen:
+        try:
+            m = 0
+            while True:
+                m += 1
+                cell = _step(tail, h, m - 1)
+                if not clear([cell], mine, leg_idx):
+                    return None
+                run.append(cell)
+                mine[cell] = leg_idx
+                if m < _THIN and leg_idx > 0:
                     continue
-                seen.add((bend, h2))
-                got = dfs(bend, h2, bends - 1, leg_idx + 1, sub,
-                          legs + [(tail, cell, h)])
-                if got:
-                    return got
-        return None
+                bend = _step(tail, h, m)
+                for h2 in perp:
+                    if (bend, h2) in seen:
+                        continue
+                    seen.add((bend, h2))
+                    got = dfs(bend, h2, bends - 1, leg_idx + 1, mine,
+                              legs + [(tail, cell, h)])
+                    if got:
+                        return got
+        finally:
+            for c in run:
+                del mine[c]
 
     return dfs(face, h_in, 4, 0, {}, [])
 
@@ -609,11 +634,12 @@ def _planned_contacts(gmap: GadgetMap) -> dict:
 
 def check_gadget_map(p, gmap: GadgetMap):
     """Geometric invariants: mapped ids exist, chains are L-joint chains
-    of thin rectangles with the bulge pixel present, arms have the exact
-    fixed length.  Then the contact law: every box but a unit pixel is
-    mapped, and two mapped boxes touch only if consecutive in a ring or a
-    path, a stub and its ring rectangle (or the next one, for a positive
-    path), or in one clause core."""
+    of thin rectangles with the bulge pixel present, a clause has three
+    arms, each with one side and one path, of the exact fixed length.
+    Then the contact law: every box but a unit pixel is mapped, and two
+    mapped boxes touch only if consecutive in a ring or a path, a stub
+    and its ring rectangle (or the next one, for a positive path), or in
+    one clause core."""
     nboxes = len(p.boxes)
 
     def rect_of(i):
@@ -655,6 +681,10 @@ def check_gadget_map(p, gmap: GadgetMap):
                 raise ValueError(f"path {pg.path}: missing bulge pixel "
                                  f"at {bulge}")
     for cg in gmap.clauses:
+        if not len(cg.arms) == len(cg.arm_headings) == len(cg.arm_paths) == 3 \
+                or not set(cg.arm_headings) <= set(_VEC):
+            raise ValueError(f"clause {cg.clause}: not three arms with one "
+                             "side and one path each")
         sq = IntBox(*rect_of(cg.square))
         if sq.sides() != (6, 6):
             raise ValueError(f"clause {cg.clause}: square is {sq.sides()}")

@@ -10,12 +10,14 @@ box. UNSAT is reported only on exhaustion, so it proves that no
 half-integral drawing exists; a drawing with finer rational coordinates
 may still exist.
 
-solve and enumerate_all share one routine, _drive: it builds the
-constraint problem, searches, stopping at the first solution unless
-every one is wanted, and re-checks each solution as a certificate. A
-partition whose domains together would hold more than boxes._GRID_LIMIT
-points raises DomainTooLarge before any domain is listed. The search
-honours SolverConfig.node_limit between nodes.
+solve and enumerate_all share one routine, _drive: it reads the dual
+complex from build_dual, which walks the grid once per partition, so
+repeated solves of one partition (under different pins, say) share it.
+It then builds the constraint problem, searches, stopping at the first
+solution unless every one is wanted, and re-checks each solution as a
+certificate. A partition whose domains together would hold more than
+boxes._GRID_LIMIT points raises DomainTooLarge before any domain is
+listed. The search honours SolverConfig.node_limit between nodes.
 SolverConfig.time_limit fixes a deadline when solve or enumerate_all
 starts. It is checked once build_dual has returned, before each top
 simplex of the constraint setup, between nodes, before each revise of
@@ -256,7 +258,7 @@ def _pick_var(csp: _Csp):
     return best[1] if best else None
 
 
-def _drive(p, cfg, dc, pins, every):
+def _drive(p, cfg, pins, every):
     """Search, then re-check every solution found as a certificate.
 
     Returns (status, projections in sorted order, stats)."""
@@ -268,8 +270,7 @@ def _drive(p, cfg, dc, pins, every):
         if points > _GRID_LIMIT:
             raise DomainTooLarge(points)
     deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
-    if dc is None:
-        dc = build_dual(p)  # not interruptible: the deadline is read after it
+    dc = build_dual(p)  # not interruptible: the deadline is read after it
     try:
         csp = _Csp(p, dc, pins=pins, deadline=deadline)
     except _Deadline:
@@ -289,20 +290,19 @@ def _drive(p, cfg, dc, pins, every):
                                  "propagations": csp.propagations}
 
 
-def solve(p: Partition, cfg: SolverConfig = None, dc: DualComplex = None,
-          pins=None) -> SolveResult:
+def solve(p: Partition, cfg: SolverConfig = None, pins=None) -> SolveResult:
     """Decide whether a faithful half-integral embedding exists.
 
     SAT certificates are re-verified against the full orientation check
     before being returned. pins optionally restricts the domain of given
     boxes to the supplied doubled points (used to probe gadgets).
     """
-    status, projections, stats = _drive(p, cfg, dc, pins, every=False)
+    status, projections, stats = _drive(p, cfg, pins, every=False)
     return SolveResult(status, projections[0] if projections else None, stats)
 
 
-def enumerate_all(p: Partition, cfg: SolverConfig = None, dc: DualComplex = None,
+def enumerate_all(p: Partition, cfg: SolverConfig = None,
                   pins=None) -> SolveResult:
     """Enumerate every faithful half-integral embedding (desk scale only)."""
-    status, projections, stats = _drive(p, cfg, dc, pins, every=True)
+    status, projections, stats = _drive(p, cfg, pins, every=True)
     return SolveResult(status, stats=stats, solutions=projections)

@@ -61,13 +61,12 @@ def test_planar3_balance_exactly_three():
 
 def test_planar3_is_solvable_with_fourteen_placements():
     p = gen_planar_3balanced()
-    dc = build_dual(p)
-    res = enumerate_all(p, dc=dc)
+    res = enumerate_all(p)
     assert res.status == SAT
     assert len(res.solutions) == 14
     # pinning both bars to hostile corners kills every placement
-    assert solve(p, dc=dc, pins={0: [(1, 1)], 2: [(7, 5)]}).status == UNSAT
-    sub = enumerate_all(p, dc=dc, pins={0: [(5, 1)]})
+    assert solve(p, pins={0: [(1, 1)], 2: [(7, 5)]}).status == UNSAT
+    sub = enumerate_all(p, pins={0: [(5, 1)]})
     assert len(sub.solutions) == 5
 
 

@@ -13,6 +13,8 @@ from rectdual.dual import (
     orientation,
     seed_of,
 )
+from rectdual.embedding import center_embeddable
+from rectdual.solver import enumerate_all, solve
 
 from oracles.partitions import enumerate_rectangulations, random_partition
 from oracles.voronoi import nerve_of_partition
@@ -165,3 +167,36 @@ def test_seed_conflict_never_fires_on_valid_partitions():
             build_dual(p)
         except SeedConflict as exc:  # pragma: no cover - would be a real bug
             pytest.fail(f"seed conflict on valid partition: {exc}")
+
+
+def test_build_dual_is_cached_on_the_partition(monkeypatch):
+    p = unit_grid(2, 3)
+    walks = []
+    real = dual._chains
+    monkeypatch.setattr(dual, "_chains", lambda q: walks.append(q) or real(q))
+    dc = build_dual(p)
+    assert build_dual(p) is dc
+    assert len(walks) == 1 and walks[0] is p
+    # an equal partition built on its own gets its own walk
+    q = validate_partition(p.boxes, 2, 3)
+    assert q == p and build_dual(q) is not dc
+    assert len(walks) == 2
+
+
+def test_closure_is_built_only_when_read(monkeypatch):
+    p = random_partition(2, 5, random.Random(2))
+
+    def refuse(*args):
+        raise AssertionError("downward closure built")
+    monkeypatch.setattr(dual, "_closure", refuse)
+    dc = build_dual(p)
+    assert dc.has_top()
+    center_embeddable(p, dc)
+    center_embeddable(p)
+    solve(p)
+    enumerate_all(p, pins={0: [p.boxes[0].center2()]})
+    monkeypatch.undo()
+    # first read builds the closure, later reads return the same dict
+    assert dc.simplices is dc.simplices
+    assert dc.simplices[2] == set(dc.top_simplices())
+    assert dc.edges() is dc.simplices[1]

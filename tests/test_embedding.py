@@ -78,6 +78,19 @@ def test_unit_grid_center_is_embedding():
     assert center_embeddable(p, dc)
 
 
+def test_classify_refuses_the_dual_of_another_partition():
+    p, q = unit_grid2(2), planar3_partition()
+    with pytest.raises(ValueError, match="dual complex of another partition"):
+        classify_projection(p, build_dual(q), center_projection(p))
+    with pytest.raises(ValueError, match="dual complex of another partition"):
+        center_embeddable(q, build_dual(p))
+    # an equal partition validated on its own shares the dual's meaning
+    twin = validate_partition(p.boxes, 2, 2)
+    assert twin is not p
+    assert classify_projection(twin, build_dual(p),
+                               center_projection(twin)).is_embedding
+
+
 def test_strip_partition_is_unsupported():
     p = validate_partition(
         [IntBox((i, 0), (i + 1, 4)) for i in range(4)], 2, 4)

@@ -11,8 +11,8 @@ import json
 
 import pytest
 
+from rectdual import dual
 from rectdual.boxes import IntBox, pixel_fill
-from rectdual.dual import build_dual
 from rectdual.grid3sat import (
     brute_force_sat,
     evaluate,
@@ -85,15 +85,15 @@ CASES = [
 
 @pytest.fixture(scope="module")
 def reduced_of():
-    """Instance name -> (instance, partition, gadget map, dual complex),
-    each instance reduced once per module."""
+    """Instance name -> (instance, partition, gadget map), each instance
+    reduced once per module."""
     cache = {}
 
     def get(name):
         if name not in cache:
             inst = parse_grid3sat(INSTANCES[name])
             p, gmap = reduce(inst)
-            cache[name] = inst, p, gmap, build_dual(p)
+            cache[name] = inst, p, gmap
         return cache[name]
     return get
 
@@ -109,7 +109,7 @@ def test_instance_round_trips(reduced):
 
 
 def test_gadget_map_checks_and_round_trips(reduced):
-    _, p, gmap, _ = reduced
+    _, p, gmap = reduced
     assert check_gadget_map(p, gmap)
     text = gadget_map_to_json(gmap)
     assert gadget_map_from_json(text) == gmap
@@ -120,10 +120,10 @@ def test_gadget_map_checks_and_round_trips(reduced):
 
 @pytest.mark.parametrize("name, assignment", CASES)
 def test_ring_pins_solve_iff_satisfied(reduced_of, name, assignment):
-    inst, p, gmap, dc = reduced_of(name)
+    inst, p, gmap = reduced_of(name)
     pins = {c.box: [c.front2 if assignment[v.var] else c.back2]
             for v in gmap.variables for c in v.cycle}
-    res = solve(p, SolverConfig(node_limit=2000), dc=dc, pins=pins)
+    res = solve(p, SolverConfig(node_limit=2000), pins=pins)
     assert res.status == (SAT if evaluate(inst, assignment) else UNSAT)
     if res.status == SAT:
         assert assignment_from_projection(res.projection, gmap) == assignment
@@ -131,7 +131,7 @@ def test_ring_pins_solve_iff_satisfied(reduced_of, name, assignment):
 
 @pytest.mark.parametrize("name, assignment", CASES)
 def test_projection_from_assignment_law(reduced_of, name, assignment):
-    inst, p, gmap, _ = reduced_of(name)
+    inst, p, gmap = reduced_of(name)
     if not evaluate(inst, assignment):
         rejected = [c.id for c in sorted(inst.clauses, key=lambda c: c.id)
                     if not evaluate(replace(inst, clauses=(c,)), assignment)]
@@ -141,6 +141,25 @@ def test_projection_from_assignment_law(reduced_of, name, assignment):
         return
     proj = projection_from_assignment(assignment, p, gmap)
     assert assignment_from_projection(proj, gmap) == assignment
+
+
+def test_one_walk_per_partition(monkeypatch):
+    """Pinned completion and a later solve of one reduced partition share
+    one dual complex, and neither builds its downward closure."""
+    p, gmap = reduce(parse_grid3sat(ALL_POSITIVE))
+    walks = []
+    real = dual._chains
+    monkeypatch.setattr(dual, "_chains", lambda q: walks.append(q) or real(q))
+
+    def refuse(*args):
+        raise AssertionError("downward closure built")
+    monkeypatch.setattr(dual, "_closure", refuse)
+    proj = projection_from_assignment({0: True}, p, gmap)
+    pins = {c.box: [c.front2] for v in gmap.variables for c in v.cycle}
+    res = solve(p, SolverConfig(node_limit=2000), pins=pins)
+    assert res.status == SAT
+    assert assignment_from_projection(proj, gmap) == {0: True}
+    assert len(walks) == 1 and walks[0] is p
 
 
 def test_brute_force_agrees(reduced):
@@ -235,6 +254,24 @@ REJECTS = [
                      + g.clauses[0].arm_headings[1:])),
                  "clause 0: arm does not end at the square",
                  id="arm-away-from-square"),
+    pytest.param(lambda p, g: (p, clause0(
+                     g, arm_headings=g.clauses[0].arm_headings[:2])),
+                 "clause 0: not three arms with one side and one path each",
+                 id="two-arm-headings"),
+    pytest.param(lambda p, g: (p, clause0(
+                     g, arm_headings=g.clauses[0].arm_headings[:2] + ("up",))),
+                 "clause 0: not three arms with one side and one path each",
+                 id="arm-heading-not-a-side"),
+    pytest.param(lambda p, g: (p, clause0(
+                     g, arm_paths=g.clauses[0].arm_paths[:2])),
+                 "clause 0: not three arms with one side and one path each",
+                 id="two-arm-paths"),
+    pytest.param(lambda p, g: (p, clause0(
+                     g, arms=g.clauses[0].arms[:2],
+                     arm_headings=g.clauses[0].arm_headings[:2],
+                     arm_paths=g.clauses[0].arm_paths[:2])),
+                 "clause 0: not three arms with one side and one path each",
+                 id="two-arms"),
     pytest.param(lambda p, g: (p, path0(g, var=len(g.variables))),
                  "path 0: unknown variable 1", id="unknown-variable"),
     # path 0 is positive: negated, its stub may no longer touch the next
@@ -248,7 +285,7 @@ REJECTS = [
 
 @pytest.mark.parametrize("tamper, message", REJECTS)
 def test_check_gadget_map_rejects(reduced_of, tamper, message):
-    _, p, gmap, _ = reduced_of("all_positive")
+    _, p, gmap = reduced_of("all_positive")
     assert gmap.paths[0].sign > 0
     p, gmap = tamper(p, gmap)
     loaded = gadget_map_from_json(gadget_map_to_json(gmap))

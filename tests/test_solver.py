@@ -103,7 +103,7 @@ def brute_force_planar3(p, dc):
 def test_planar3_enumeration_matches_brute_force():
     p = planar3_partition()
     dc = build_dual(p)
-    res = enumerate_all(p, dc=dc)
+    res = enumerate_all(p)
     assert res.status == SAT
     got = sorted(s.points2 for s in res.solutions)
     want = brute_force_planar3(p, dc)
@@ -209,7 +209,7 @@ def test_center_embedding_implies_sat():
         dc = build_dual(p)
         if not dc.has_top():
             continue
-        res = solve(p, dc=dc)
+        res = solve(p)
         assert res.status in (SAT, UNSAT)
         if center_embeddable(p, dc):
             assert res.status == SAT
