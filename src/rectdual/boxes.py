@@ -283,13 +283,15 @@ def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partitio
 
 
 def pixel_fill(boxes, n: int) -> Partition:
-    """Complete 2d boxes to a validated partition of [0,n]^2: every cell
-    no box covers becomes a unit pixel, appended in x-major order."""
+    """Complete boxes to a validated partition of [0,n]^d, d their
+    dimension (2 when there are none): every cell no box covers becomes a
+    unit pixel, appended in lexicographic order of its lower corner."""
     boxes = [b if isinstance(b, IntBox) else IntBox(*b) for b in boxes]
+    d = boxes[0].dim if boxes else 2
     covered = set(chain.from_iterable(b.cells() for b in boxes))
-    boxes += [IntBox((x, y), (x + 1, y + 1))
-              for x in range(n) for y in range(n) if (x, y) not in covered]
-    return validate_partition(boxes, 2, n)
+    boxes += [IntBox(c, tuple(x + 1 for x in c))
+              for c in product(range(n), repeat=d) if c not in covered]
+    return validate_partition(boxes, d, n)
 
 
 def is_generic(p: Partition):

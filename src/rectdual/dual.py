@@ -29,6 +29,7 @@ only the top simplices, never build it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -148,20 +149,29 @@ class DualComplex:
     """Simplices over box ids, downward closed; top simplices carry seeds.
 
     simplices (and so edges) is the closure of the top and lower
-    simplices of the walk, built on its first read."""
+    simplices of the walk, built on its first read. The complex holds its
+    partition weakly: the partition caches the complex, and a strong
+    reference back would make a cycle that only the cyclic collector
+    frees."""
 
     def __init__(self, partition, top, lower):
-        self.partition = partition
+        self._partition = weakref.ref(partition)
         self.dim = partition.dim
+        self._boxes = len(partition.boxes)
         self._top = top     # sorted ids -> (anchor, perm, ordered ids, sign)
         self._lower = lower  # sorted ids of the lower simplices witnessed
         self._simplices = None
 
     @property
+    def partition(self):
+        """The partition of this complex, or None once it is freed."""
+        return self._partition()
+
+    @property
     def simplices(self):
         """k -> set of sorted id tuples, for k = 0..dim."""
         if self._simplices is None:
-            self._simplices = _closure(self.dim, len(self.partition.boxes),
+            self._simplices = _closure(self.dim, self._boxes,
                                        self._top, self._lower)
         return self._simplices
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 import json
 
-from .boxes import IntBox, pixel_fill
+from .boxes import _GRID_LIMIT, GridTooLarge, IntBox, pixel_fill
 from .embedding import Projection
 from .grid3sat import Grid3SatInstance
 from .solver import SAT, solve
@@ -420,8 +420,13 @@ def reduce(inst: Grid3SatInstance):
 
     Returns (partition, gadget map).  The gadgets have the module's one
     geometry (blocks of side 32, thin rectangles at least 4 long, clause
-    arms exactly 4), whose output is solver-faithful."""
+    arms exactly 4), whose output is solver-faithful.  Raises
+    boxes.GridTooLarge before routing anything when the canvas of
+    (32(n + 1))^2 cells exceeds the cell limit, since every free cell
+    becomes a pixel box."""
     n = _BLOCK * (inst.n + 1)
+    if n * n > _GRID_LIMIT:
+        raise GridTooLarge(n * n)
     canvas = _Canvas(n)
 
     def block(pt):

@@ -10,6 +10,18 @@ box. UNSAT is reported only on exhaustion, so it proves that no
 half-integral drawing exists; a drawing with finer rational coordinates
 may still exist.
 
+A unit box has one half-integral point, its center, which is also the
+center of the seed-chain pixel inside it. A top simplex of unit boxes
+only therefore holds its seed sign by construction (dual.seed_of checks
+this identity), and the setup drops it without an orientation call; a
+pin on a unit box keeps its center or empties its domain, a root
+failure. The setup still reads every top simplex and lists every
+domain, but the search itself works on the boxes with a choice: the
+branching box is picked among the boxes still undecided after the
+setup, scanned in ascending id order, and a domain is the tuple
+box_domain returns or a filtered copy of it, rebound but never changed
+in place.
+
 solve and enumerate_all share one routine, _drive: it reads the dual
 complex from build_dual, which walks the grid once per partition, so
 repeated solves of one partition (under different pins, say) share it.
@@ -109,45 +121,53 @@ class _Csp:
             raise Unsupported("no top-dimensional simplex")
         self.deadline = deadline  # time.monotonic() value, or None
         self._check_deadline()  # the first reading after build_dual
-        domains = [list(box_domain(b)) for b in p.boxes]
+        domains = [box_domain(b) for b in p.boxes]
+        # a unit box, and only a unit box, has a one-point domain
+        self.unit = bytes(len(dom) == 1 for dom in domains)
         if pins:
             for bid, allowed in pins.items():
                 allowed = set(tuple(v) for v in allowed)
-                domains[bid] = [v for v in domains[bid] if v in allowed]
+                domains[bid] = tuple(v for v in domains[bid] if v in allowed)
         self.domains = domains
         self.propagations = 0
         # constraints: (ordered box ids, required sign)
         self.constraints = []
         self.watching = {}  # box id -> constraint indices
+        self.free = []  # boxes undecided after setup, ascending
         # a box in no top simplex is seen by no constraint, so an empty
         # domain (from a pin) must fail here
         self.root_failed = not all(domains)
         if not self.root_failed:
             self._setup()
+            self.free = [i for i, dom in enumerate(domains) if len(dom) > 1]
 
     def _setup(self):
         dyn = []
         deadline = self.deadline
+        doms, unit = self.domains, self.unit
         for key, ordered, want in self.dc.top_items():
             if deadline is not None and time.monotonic() > deadline:
                 raise _Deadline
-            free = [i for i in ordered if len(self.domains[i]) > 1]
+            if all(map(unit.__getitem__, ordered)):
+                # unit boxes sit at their pixel centers, which orient as
+                # the seed chain does (dual.seed_of checks this)
+                continue
+            free = [i for i in ordered if len(doms[i]) > 1]
             if not free:
-                pts = [self.domains[i][0] for i in ordered]
-                if orientation(pts) != want:
+                if orientation([doms[i][0] for i in ordered]) != want:
                     self.root_failed = True
                     return
             elif len(free) == 1:
                 # filter the single undecided box once
                 var = free[0]
                 pos = ordered.index(var)
-                fixed = [self.domains[i][0] for i in ordered]
+                fixed = [doms[i][0] for i in ordered]
                 keep = []
-                for v in self.domains[var]:
+                for v in doms[var]:
                     fixed[pos] = v
                     if orientation(fixed) == want:
                         keep.append(v)
-                self.domains[var] = keep
+                doms[var] = tuple(keep)
                 if not keep:
                     self.root_failed = True
                     return
@@ -166,26 +186,23 @@ class _Csp:
         """Drop values of var without support in constraint ci."""
         ordered, want = self.constraints[ci]
         self.propagations += 1
+        doms = self.domains
+        dom = doms[var]
+        # var's slot holds one value at a time; the others keep their order
         pos = ordered.index(var)
-        others = [self.domains[i] for i in ordered if i != var]
+        scope = [doms[i] for i in ordered]
         keep = []
         deadline = self.deadline
-        for v in self.domains[var]:
+        for v in dom:
             if deadline is not None and time.monotonic() > deadline:
                 raise _Deadline
-            pts = [None] * len(ordered)
-            pts[pos] = v
-            for combo in product(*others):
-                k = 0
-                for idx in range(len(ordered)):
-                    if idx != pos:
-                        pts[idx] = combo[k]
-                        k += 1
+            scope[pos] = (v,)
+            for pts in product(*scope):
                 if orientation(pts) == want:
                     keep.append(v)
                     break
-        if len(keep) != len(self.domains[var]):
-            self.domains[var] = keep
+        if len(keep) != len(dom):
+            doms[var] = tuple(keep)
             return True
         return False
 
@@ -250,9 +267,11 @@ def _search(csp: _Csp, cfg: SolverConfig, sols: list, every: bool):
 
 
 def _pick_var(csp: _Csp):
+    """The first box, by id, of smallest domain among the undecided."""
+    doms = csp.domains
     best = None
-    for i, dom in enumerate(csp.domains):
-        k = len(dom)
+    for i in csp.free:
+        k = len(doms[i])
         if k > 1 and (best is None or k < best[0]):
             best = (k, i)
     return best[1] if best else None

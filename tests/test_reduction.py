@@ -6,13 +6,15 @@ satisfies the instance, and a solution reads back as that assignment.
 """
 
 from dataclasses import replace
+import gc
 from itertools import product
 import json
+import weakref
 
 import pytest
 
-from rectdual import dual
-from rectdual.boxes import IntBox, pixel_fill
+from rectdual import dual, reduction
+from rectdual.boxes import GridTooLarge, IntBox, pixel_fill
 from rectdual.grid3sat import (
     brute_force_sat,
     evaluate,
@@ -160,6 +162,46 @@ def test_one_walk_per_partition(monkeypatch):
     assert res.status == SAT
     assert assignment_from_projection(proj, gmap) == {0: True}
     assert len(walks) == 1 and walks[0] is p
+
+
+def test_unit_simplices_orient_as_their_seeds(reduced_of):
+    _, p, _ = reduced_of("all_positive")
+    units = 0
+    for _, ordered, want in dual.build_dual(p).top_items():
+        if all(p.boxes[i].is_pixel() for i in ordered):
+            units += 1
+            assert dual.orientation([p.boxes[i].center2()
+                                     for i in ordered]) == want
+    assert units == 16350
+
+
+def test_a_dropped_partition_is_freed_at_once():
+    # the partition caches its dual, which must not hold it in return
+    p, gmap = reduce(parse_grid3sat(ALL_POSITIVE))
+    projection_from_assignment({0: True}, p, gmap)
+    assert p._dual is not None
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_reduce_refuses_a_canvas_over_the_cell_limit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("routed")
+    monkeypatch.setattr(reduction, "_route", refuse)
+    monkeypatch.setattr(reduction, "pixel_fill", refuse)
+    # on a grid of 98 the canvas has (32 * 99)^2 > 10^7 cells
+    big = parse_grid3sat(ALL_POSITIVE.replace("2 1 1 3", "98 1 1 3", 1))
+    with pytest.raises(GridTooLarge) as info:
+        reduce(big)
+    assert info.value.cells == (32 * 99) ** 2
+    # on a grid of 97, (32 * 98)^2 cells are within the limit
+    with pytest.raises(AssertionError, match="routed"):
+        reduce(parse_grid3sat(ALL_POSITIVE.replace("2 1 1 3", "97 1 1 3", 1)))
 
 
 def test_brute_force_agrees(reduced):

@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 
 from rectdual import solver
-from rectdual.boxes import IntBox, validate_partition
-from rectdual.dual import build_dual
+from rectdual.boxes import IntBox, pixel_fill, validate_partition
+from rectdual.counterexamples import gen_planar_lcycle
+from rectdual.dual import build_dual, orientation
 from rectdual.embedding import (
     Projection,
     center_embeddable,
@@ -125,6 +126,25 @@ def test_pins_restrict_enumeration():
     assert len(res.solutions) == 5  # 0 * anything stays below the threshold
 
 
+@pytest.mark.parametrize("make", [planar3_partition, gen_planar_lcycle])
+def test_pins_on_a_pixel(make):
+    # a unit box's only half-integral point is its center: a pin elsewhere
+    # empties its domain, a pin on it changes nothing
+    p = make()
+    pixels = [i for i, b in enumerate(p.boxes) if b.is_pixel()]
+    for run in (solve, enumerate_all):
+        free = run(p)
+        for i in (pixels[0], pixels[-1]):
+            x, y = p.boxes[i].center2()
+            off = run(p, pins={i: [(x + 1, y), (x, y - 2)]})
+            assert off.status == UNSAT
+            assert off.stats == {"nodes": 0, "propagations": 0}
+            on = run(p, pins={i: [(x, y)]})
+            assert (on.status, on.stats) == (free.status, free.stats)
+            assert on.projection == free.projection
+            assert on.solutions == free.solutions
+
+
 def test_pin_to_empty_is_unsat():
     p = planar3_partition()
     res = solve(p, pins={0: []})
@@ -215,6 +235,44 @@ def test_center_embedding_implies_sat():
             assert res.status == SAT
             seen_sat += 1
     assert seen_sat >= 5
+
+
+def seeded_pixel_fill(d, n, seed):
+    """Up to eight random boxes of sides 1 to 3 that do not overlap,
+    completed by unit pixels."""
+    rng = random.Random(seed)
+    boxes, covered = [], set()
+    for _ in range(8):
+        lo = [rng.randrange(n) for _ in range(d)]
+        box = IntBox(lo, [min(n, a + rng.randint(1, 3)) for a in lo])
+        cells = set(box.cells())
+        if not cells & covered:
+            boxes.append(box)
+            covered |= cells
+    return pixel_fill(boxes, n)
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 5)])
+@pytest.mark.parametrize("seed", range(3))
+def test_unit_simplices_orient_as_their_seeds(d, n, seed):
+    # the identity behind skipping them in the constraint setup
+    p = seeded_pixel_fill(d, n, seed)
+    assert p.dim == d
+    units = [(ordered, want) for _, ordered, want in build_dual(p).top_items()
+             if all(p.boxes[i].is_pixel() for i in ordered)]
+    assert units
+    for ordered, want in units:
+        assert orientation([p.boxes[i].center2() for i in ordered]) == want
+
+
+def test_unit_simplices_cost_no_orientation_call(monkeypatch):
+    p = unit_grid2(3)
+    calls = []
+    monkeypatch.setattr(solver, "orientation",
+                        lambda pts: calls.append(pts) or orientation(pts))
+    res = solve(p)
+    assert res.status == SAT and res.projection == center_projection(p)
+    assert calls == []
 
 
 def test_solve_3d_smoke():
