@@ -161,6 +161,8 @@ class DualComplex:
         self._top = top     # sorted ids -> (anchor, perm, ordered ids, sign)
         self._lower = lower  # sorted ids of the lower simplices witnessed
         self._simplices = None
+        # the solver's unpinned constraint setup, built by the first solve
+        self.solver_root = None
 
     @property
     def partition(self):

@@ -115,8 +115,9 @@ _R0 = ((13, 13), (19, 19))
 _ARM_SEEDS = (((19, 19), "N"), ((12, 12), "S"), ((19, 15), "E"))
 _M_TAIL = (13, 12)  # helper grows east from here
 
-# a cell's status in _route
+# a cell's status in _route, read from its 3x3 neighbourhood
 _BLOCKED, _NEAR_OWN, _NEAR_ARM = -1, 1, 2
+_HALO = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
 def _step(cell, h, m=1):
@@ -313,17 +314,16 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
         if c in canvas.occ or (c[0] // _BLOCK, c[1] // _BLOCK) not in region:
             return _BLOCKED
         bits = 0
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                t = canvas.occ.get((c[0] + dx, c[1] + dy))
-                if t is None:
-                    continue
-                if t == own_tag:
-                    bits |= _NEAR_OWN
-                elif t == arm_tag:
-                    bits |= _NEAR_ARM
-                else:
-                    return _BLOCKED
+        for dx, dy in _HALO:
+            t = canvas.occ.get((c[0] + dx, c[1] + dy))
+            if t is None:
+                continue
+            if t == own_tag:
+                bits |= _NEAR_OWN
+            elif t == arm_tag:
+                bits |= _NEAR_ARM
+            else:
+                return _BLOCKED
         return bits
 
     def clear(cells, mine, leg_idx, near_arm_from=None):
@@ -339,11 +339,10 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
                 return False
             # cells of the previous leg may touch; older legs may not
             if leg_idx >= 2:
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        pm = mine.get((c[0] + dx, c[1] + dy))
-                        if pm is not None and pm < leg_idx - 1:
-                            return False
+                for dx, dy in _HALO:
+                    pm = mine.get((c[0] + dx, c[1] + dy))
+                    if pm is not None and pm < leg_idx - 1:
+                        return False
         return True
 
     def dfs(tail, h, bends, leg_idx, mine, legs):
@@ -371,19 +370,36 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
         perp = sorted(_PERP[h], key=lambda h2: (
             (T[0] - tail[0]) * _VEC[h2][0] + (T[1] - tail[1]) * _VEC[h2][1]
         ) <= 0)
+        # the run grows one cell at a time under clear's rule for a
+        # single cell, inlined: no arm nearby, its own lane nearby only on
+        # the first leg, and no leg older than the previous one nearby
+        vx, vy = _VEC[h]
+        forbid = _NEAR_OWN | _NEAR_ARM if leg_idx else _NEAR_ARM
+        older = leg_idx - 1
+        x, y = tail
         run = []
         try:
             m = 0
             while True:
                 m += 1
-                cell = _step(tail, h, m - 1)
-                if not clear([cell], mine, leg_idx):
+                cell = (x, y)
+                st = status.get(cell)
+                if st is None:
+                    st = status[cell] = cell_status(cell)
+                if st == _BLOCKED or st & forbid or cell in mine:
                     return None
+                if leg_idx >= 2:
+                    for dx, dy in _HALO:
+                        pm = mine.get((x + dx, y + dy))
+                        if pm is not None and pm < older:
+                            return None
                 run.append(cell)
                 mine[cell] = leg_idx
+                x += vx
+                y += vy
                 if m < _THIN and leg_idx > 0:
                     continue
-                bend = _step(tail, h, m)
+                bend = (x, y)
                 for h2 in perp:
                     if (bend, h2) in seen:
                         continue

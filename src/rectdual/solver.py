@@ -13,29 +13,37 @@ may still exist.
 A unit box has one half-integral point, its center, which is also the
 center of the seed-chain pixel inside it. A top simplex of unit boxes
 only therefore holds its seed sign by construction (dual.seed_of checks
-this identity), and the setup drops it without an orientation call; a
-pin on a unit box keeps its center or empties its domain, a root
-failure. The setup still reads every top simplex and lists every
-domain, but the search itself works on the boxes with a choice: the
-branching box is picked among the boxes still undecided after the
-setup, scanned in ascending id order, and a domain is the tuple
-box_domain returns or a filtered copy of it, rebound but never changed
-in place.
+this identity), and the setup drops it without an orientation call. The
+setup lists every domain, filters the one undecided box of each simplex
+that has one, and keeps the other simplices as the constraints of the
+search. It runs once per partition, unpinned, the first time a solve
+reaches it; its result, the constraint root, is kept on the partition's
+dual complex and shared by every later solve and enumeration. A solve
+copies the root's domain list and intersects the pinned domains; a pin
+that empties a domain (on a unit box, one off its center) is a root
+failure. Pins only shrink domains and the filter tests each value on
+its own, so the propagated domains, the branching and the node counts
+are those of a setup run under the pins; a pinned solve may count more
+propagations, since the constraints its pins decide stay in the search.
+The branching box is picked among the boxes undecided in the root,
+scanned in ascending id order, and a domain is the tuple box_domain
+returns or a filtered copy of it, rebound but never changed in place.
 
 solve and enumerate_all share one routine, _drive: it reads the dual
-complex from build_dual, which walks the grid once per partition, so
-repeated solves of one partition (under different pins, say) share it.
-It then builds the constraint problem, searches, stopping at the first
-solution unless every one is wanted, and re-checks each solution as a
-certificate. A partition whose domains together would hold more than
-boxes._GRID_LIMIT points raises DomainTooLarge before any domain is
-listed. The search honours SolverConfig.node_limit between nodes.
-SolverConfig.time_limit fixes a deadline when solve or enumerate_all
-starts. It is checked once build_dual has returned, before each top
-simplex of the constraint setup, between nodes, before each revise of
-the arc-consistency loop and once per domain value inside it; build_dual
-itself cannot be interrupted. Either limit ends the run with TIMEOUT and
-the nodes and propagations counted so far.
+complex from build_dual, which walks the grid once per partition, and
+the constraint root. It then searches, stopping at the first solution
+unless every one is wanted, and re-checks each solution as a
+certificate against every top simplex. A partition whose domains
+together would hold more than boxes._GRID_LIMIT points raises
+DomainTooLarge before any domain is listed. The search honours
+SolverConfig.node_limit between nodes. SolverConfig.time_limit fixes a
+deadline when solve or enumerate_all starts. It is checked once
+build_dual has returned, before each top simplex while the constraint
+root is built, between nodes, before each revise of the arc-consistency
+loop and once per domain value inside it; build_dual itself cannot be
+interrupted, and a deadline that passes while the root is built leaves
+no root behind. Either limit ends the run with TIMEOUT and the nodes and
+propagations counted so far.
 """
 
 from __future__ import annotations
@@ -114,38 +122,27 @@ def box_domain(box) -> tuple:
     return tuple(product(*ranges))
 
 
-class _Csp:
-    def __init__(self, p: Partition, dc: DualComplex, pins=None, deadline=None):
-        self.dc = dc
-        if not dc.has_top():
-            raise Unsupported("no top-dimensional simplex")
-        self.deadline = deadline  # time.monotonic() value, or None
-        self._check_deadline()  # the first reading after build_dual
-        domains = [box_domain(b) for b in p.boxes]
-        # a unit box, and only a unit box, has a one-point domain
-        self.unit = bytes(len(dom) == 1 for dom in domains)
-        if pins:
-            for bid, allowed in pins.items():
-                allowed = set(tuple(v) for v in allowed)
-                domains[bid] = tuple(v for v in domains[bid] if v in allowed)
-        self.domains = domains
-        self.propagations = 0
-        # constraints: (ordered box ids, required sign)
-        self.constraints = []
-        self.watching = {}  # box id -> constraint indices
-        self.free = []  # boxes undecided after setup, ascending
-        # a box in no top simplex is seen by no constraint, so an empty
-        # domain (from a pin) must fail here
-        self.root_failed = not all(domains)
-        if not self.root_failed:
-            self._setup()
-            self.free = [i for i, dom in enumerate(domains) if len(dom) > 1]
+class _Root:
+    """The unpinned constraint setup of one partition.
 
-    def _setup(self):
+    domains: box_domain's tuples, the undecided box of each simplex with
+    one already filtered; constraints: (ordered box ids, required sign)
+    of the simplices with two or more undecided boxes; watching: box id
+    -> constraint indices; free: the undecided boxes, ascending. Built
+    by the first solve of the partition and kept on its dual complex;
+    solves read it and never change it."""
+
+    def __init__(self, p: Partition, dc: DualComplex, deadline):
+        doms = [box_domain(b) for b in p.boxes]
+        # a unit box, and only a unit box, has a one-point domain
+        unit = bytes(len(dom) == 1 for dom in doms)
+        self.domains = doms
+        self.constraints = []
+        self.watching = {}
+        self.free = []
+        self.failed = False
         dyn = []
-        deadline = self.deadline
-        doms, unit = self.domains, self.unit
-        for key, ordered, want in self.dc.top_items():
+        for key, ordered, want in dc.top_items():
             if deadline is not None and time.monotonic() > deadline:
                 raise _Deadline
             if all(map(unit.__getitem__, ordered)):
@@ -155,7 +152,7 @@ class _Csp:
             free = [i for i in ordered if len(doms[i]) > 1]
             if not free:
                 if orientation([doms[i][0] for i in ordered]) != want:
-                    self.root_failed = True
+                    self.failed = True
                     return
             elif len(free) == 1:
                 # filter the single undecided box once
@@ -169,7 +166,7 @@ class _Csp:
                         keep.append(v)
                 doms[var] = tuple(keep)
                 if not keep:
-                    self.root_failed = True
+                    self.failed = True
                     return
             else:
                 dyn.append((ordered, want))
@@ -177,6 +174,35 @@ class _Csp:
         for ci, (ordered, _) in enumerate(dyn):
             for i in ordered:
                 self.watching.setdefault(i, []).append(ci)
+        self.free = [i for i, dom in enumerate(doms) if len(dom) > 1]
+
+
+class _Csp:
+    def __init__(self, p: Partition, dc: DualComplex, pins=None, deadline=None):
+        if not dc.has_top():
+            raise Unsupported("no top-dimensional simplex")
+        self.deadline = deadline  # time.monotonic() value, or None
+        self._check_deadline()  # the first reading after build_dual
+        root = dc.solver_root
+        if root is None:
+            # a deadline passing inside the build leaves nothing cached
+            root = dc.solver_root = _Root(p, dc, deadline)
+        self.constraints = root.constraints
+        self.watching = root.watching
+        self.free = root.free
+        # pins only shrink domains, and the root's filter tests each value
+        # on its own, so pinning after the filter equals filtering after
+        # the pins
+        domains = list(root.domains)
+        if pins:
+            for bid, allowed in pins.items():
+                allowed = set(tuple(v) for v in allowed)
+                domains[bid] = tuple(v for v in domains[bid] if v in allowed)
+        self.domains = domains
+        self.propagations = 0
+        # a box in no top simplex is seen by no constraint, so an empty
+        # domain (from a pin) must fail here
+        self.root_failed = root.failed or not all(domains)
 
     def _check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:

@@ -7,6 +7,7 @@ satisfies the instance, and a solution reads back as that assignment.
 
 from dataclasses import replace
 import gc
+import hashlib
 from itertools import product
 import json
 import weakref
@@ -21,6 +22,7 @@ from rectdual.grid3sat import (
     format_grid3sat,
     parse_grid3sat,
 )
+from rectdual.io import format_partition
 from rectdual.reduction import (
     UnsatisfiedClause,
     assignment_from_projection,
@@ -30,7 +32,7 @@ from rectdual.reduction import (
     projection_from_assignment,
     reduce,
 )
-from rectdual.solver import SAT, UNSAT, SolverConfig, solve
+from rectdual.solver import SAT, UNSAT, SolverConfig, enumerate_all, solve
 
 # one variable at (0,1) wired to one clause at (2,1) by three disjoint
 # paths: through (1,1), around the top, around the bottom
@@ -145,6 +147,46 @@ def test_projection_from_assignment_law(reduced_of, name, assignment):
     assert assignment_from_projection(proj, gmap) == assignment
 
 
+@pytest.mark.parametrize("name, assignment", CASES)
+def test_a_cached_root_answers_as_a_fresh_one(reduced_of, name, assignment):
+    # the root is built unpinned by whichever solve comes first, so pins
+    # of another assignment, or none, must not change this one's answer
+    _, p, gmap = reduced_of(name)
+    solve(p, SolverConfig(node_limit=1))
+    assert dual.build_dual(p).solver_root is not None
+    pins = {c.box: [c.front2 if assignment[v.var] else c.back2]
+            for v in gmap.variables for c in v.cycle}
+    # a copy of the partition carries no dual, and so no root: the pinned
+    # solve builds it, and the enumeration reads what that solve built
+    copy = replace(p)
+    for run, limit in ((solve, 2000), (enumerate_all, 30)):
+        fresh = run(copy, SolverConfig(node_limit=limit), pins=pins)
+        got = run(p, SolverConfig(node_limit=limit), pins=pins)
+        assert (got.status, got.stats) == (fresh.status, fresh.stats)
+        assert got.projection == fresh.projection
+        assert got.solutions == fresh.solutions
+
+
+# sha256 of format_partition + gadget_map_to_json for each instance: the
+# router and the gadget geometry must reproduce reduce's output byte for
+# byte
+REDUCED_SHA256 = {
+    "all_positive":
+        "95fd1c4c94927f8ef6907a324e22ba7c382e3223492d6cee84574f1759cfdaa4",
+    "bottom_negated":
+        "f565a25ae686e3d5378f1856221c6eb5fc05f3cd328a18b761592d18de2131ee",
+    "two_var_two_clause":
+        "fcdc00866e1386c71f1b8956c6589945cc257695eaed8b1b98778b5382c88943",
+}
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_reduce_output_is_unchanged(reduced_of, name):
+    _, p, gmap = reduced_of(name)
+    text = format_partition(p) + gadget_map_to_json(gmap)
+    assert hashlib.sha256(text.encode()).hexdigest() == REDUCED_SHA256[name]
+
+
 def test_one_walk_per_partition(monkeypatch):
     """Pinned completion and a later solve of one reduced partition share
     one dual complex, and neither builds its downward closure."""
@@ -179,7 +221,8 @@ def test_a_dropped_partition_is_freed_at_once():
     # the partition caches its dual, which must not hold it in return
     p, gmap = reduce(parse_grid3sat(ALL_POSITIVE))
     projection_from_assignment({0: True}, p, gmap)
-    assert p._dual is not None
+    assert solve(p).status == SAT
+    assert p._dual is not None and p._dual.solver_root is not None
     ref = weakref.ref(p)
     gc.disable()
     try:

@@ -177,12 +177,12 @@ def test_time_limit_times_out():
 
 
 def test_time_limit_stops_root_propagation(monkeypatch):
-    # a fake clock one second later at every reading: setup reads it once
-    # after build_dual and once per top simplex, so a deadline three
-    # readings past setup passes inside the root propagation, before any
-    # node
+    # a fake clock one second later at every reading: the first solve of a
+    # partition reads it once after build_dual and once per top simplex
+    # while it builds the constraint root, so a deadline three readings
+    # past that passes inside the root propagation, before any node
+    full = solve(planar3_partition())
     p = planar3_partition()
-    full = solve(p)
     setup_readings = 1 + len(list(build_dual(p).top_items()))
     ticks = iter(range(10**6))
     monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
@@ -193,10 +193,26 @@ def test_time_limit_stops_root_propagation(monkeypatch):
     assert 0 < res.stats["propagations"] < full.stats["propagations"]
 
 
+def test_time_limit_stops_root_propagation_on_a_cached_root(monkeypatch):
+    # a later solve finds the root built: it reads the clock once after
+    # build_dual and then propagates, so a deadline three readings past
+    # that one passes inside the root propagation, before any node
+    p = planar3_partition()
+    full = solve(p)
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
+    res = solve(p, cfg=SolverConfig(time_limit=1 + 3))
+    assert res.status == TIMEOUT
+    assert res.projection is None
+    assert res.stats["nodes"] == 0
+    assert 0 < res.stats["propagations"] < full.stats["propagations"]
+
+
 def test_time_limit_stops_setup(monkeypatch):
     # the deadline, fixed at 0 + 2, passes at the second top simplex of
     # the constraint setup: reading 0 fixes it, reading 1 follows
-    # build_dual, readings 2 and 3 precede the first two top simplices
+    # build_dual, readings 2 and 3 precede the first two top simplices;
+    # the stopped solve caches no root, so enumerate_all reads it alike
     p = planar3_partition()
     readings = []
 
@@ -211,6 +227,81 @@ def test_time_limit_stops_setup(monkeypatch):
         assert res.status == TIMEOUT
         assert res.stats == {"nodes": 0, "propagations": 0}
         assert readings == [0, 1, 2, 3]
+
+
+def test_a_deadline_in_the_root_build_caches_nothing(monkeypatch):
+    p = planar3_partition()
+    fresh = solve(planar3_partition())
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
+    # reading 0 fixes the deadline at 2; it passes at the second top simplex
+    assert solve(p, cfg=SolverConfig(time_limit=2)).status == TIMEOUT
+    assert build_dual(p).solver_root is None
+    monkeypatch.undo()
+    again = solve(p)
+    assert (again.status, again.stats) == (fresh.status, fresh.stats)
+    assert again.projection == fresh.projection
+
+
+def test_a_later_solve_reuses_the_root(monkeypatch):
+    # neither domain listing nor the root's filter runs again: count the
+    # calls made before each solve's first propagation
+    p = planar3_partition()
+    calls, before = [], []
+    real_domain, real_orient = solver.box_domain, solver.orientation
+    real_propagate = solver._Csp.propagate
+    monkeypatch.setattr(solver, "box_domain", lambda box: (
+        calls.append("box_domain") or real_domain(box)))
+    monkeypatch.setattr(solver, "orientation", lambda pts: (
+        calls.append("orientation") or real_orient(pts)))
+    monkeypatch.setattr(solver._Csp, "propagate", lambda csp, seeds=None: (
+        before.append(len(calls)) or real_propagate(csp, seeds)))
+    assert solve(p).status == SAT
+    assert {"box_domain", "orientation"} <= set(calls[:before[0]])
+    for run, pins in [(solve, None), (solve, {0: [(5, 1)]}),
+                      (enumerate_all, None)]:
+        calls.clear()
+        before.clear()
+        assert run(p, pins=pins).status == SAT
+        assert before[0] == 0
+
+
+def pixel_pins(p):
+    """Pins of the first and the last pixel, on and off their centers."""
+    pixels = [i for i, b in enumerate(p.boxes) if b.is_pixel()]
+    pins = []
+    for i in (pixels[0], pixels[-1]):
+        x, y = p.boxes[i].center2()
+        pins += [{i: [(x, y)]}, {i: [(x + 1, y), (x, y - 2)]}]
+    return pins
+
+
+@pytest.mark.parametrize("make, pin_sets", [
+    (planar3_partition, [{0: [(1, 1)], 2: [(7, 5)]}, {0: [(5, 1)]}, {0: []}]),
+    (gen_planar_lcycle, [])], ids=["planar3", "lcycle"])
+def test_a_cached_root_answers_as_a_fresh_one(make, pin_sets):
+    cached = make()
+    for run in (solve, enumerate_all):
+        for pins in [None] + pin_sets + pixel_pins(cached):
+            fresh = run(make(), pins=pins)
+            got = run(cached, pins=pins)
+            assert build_dual(cached).solver_root is not None
+            assert (got.status, got.stats) == (fresh.status, fresh.stats)
+            assert got.projection == fresh.projection
+            assert got.solutions == fresh.solutions
+
+
+def test_pinned_runs_leave_the_root_as_it_was():
+    p = planar3_partition()
+    solve(p)
+    root = build_dual(p).solver_root
+    kept = (list(root.domains), list(root.constraints), list(root.free),
+            {i: list(c) for i, c in root.watching.items()})
+    for run in (solve, enumerate_all):
+        assert run(p, pins={0: [(5, 1)]}).status == SAT
+    assert build_dual(p).solver_root is root
+    assert kept == (root.domains, root.constraints, root.free,
+                    root.watching)
 
 
 def test_solver_is_deterministic():
