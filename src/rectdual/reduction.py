@@ -16,8 +16,10 @@ the downstream free.  A clause becomes a 6x6 square with three thin
 arms whose placement was found by exhaustive search: with all three arm
 vertices pinned to their back windows the square's vertex cannot be
 placed, with any arm on its head pixel it can.  All remaining cells are
-unit pixels; a pixel's vertex is pinned at its center by the model
-itself, which keeps every local law exact under composition.
+unit pixels; a pixel's vertex is pinned at its center by the
+half-integral model itself, which keeps every local law exact under
+composition in that model.  These laws are half-integral: a drawing with
+finer rational coordinates may break them.
 
 The gadget map is also the contact law: two gadget boxes may touch
 (their closed boxes meet) only if they are consecutive ring rectangles,
@@ -116,7 +118,7 @@ _ARM_SEEDS = (((19, 19), "N"), ((12, 12), "S"), ((19, 15), "E"))
 _M_TAIL = (13, 12)  # helper grows east from here
 
 # a cell's status in _route, read from its 3x3 neighbourhood
-_BLOCKED, _NEAR_OWN, _NEAR_ARM = -1, 1, 2
+_BLOCKED, _FREE, _NEAR_ARM = 0, 1, 2
 _HALO = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
@@ -206,6 +208,10 @@ class ClauseGadget:
 
 @dataclass(frozen=True)
 class GadgetMap:
+    """Where reduce put each gadget: box ids of the variable rings, the
+    path chains and the clause cores.  Its laws (front or back ring
+    halves, the joint law along a path, the clause law) are those of
+    half-integral drawings, the ones the solver searches."""
     scale: int
     variables: tuple
     paths: tuple
@@ -302,52 +308,41 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
     region: the block coordinates the legs may use.  target: (arm tail
     cell, allowed final headings).  Returns a list of
     (tail, head, heading) legs; the first starts at the block face and
-    continues the open corridor rectangle."""
+    continues the open corridor rectangle.  The legs keep off every
+    foreign tag and off the arm until the last leg's final two cells;
+    the legs of one lane may lie next to each other, and whether they
+    touch where the contact law forbids it is checked on the finished
+    partition by check_gadget_map."""
     T, finals = target
     seen = set()  # (bend, heading) pairs tried; finite, as runs stay in region
     # the canvas does not change during the search, so a cell's status is
     # read once: _BLOCKED (claimed, out of region, or next to a foreign
-    # tag), else the bits _NEAR_OWN and _NEAR_ARM
+    # tag), _NEAR_ARM (next to the arm) or _FREE
     status = {}
+    mine = set()  # the cells of the legs laid so far
 
     def cell_status(c):
         if c in canvas.occ or (c[0] // _BLOCK, c[1] // _BLOCK) not in region:
             return _BLOCKED
-        bits = 0
+        st = _FREE
         for dx, dy in _HALO:
             t = canvas.occ.get((c[0] + dx, c[1] + dy))
-            if t is None:
+            if t is None or t == own_tag:
                 continue
-            if t == own_tag:
-                bits |= _NEAR_OWN
-            elif t == arm_tag:
-                bits |= _NEAR_ARM
-            else:
+            if t != arm_tag:
                 return _BLOCKED
-        return bits
+            st = _NEAR_ARM
+        return st
 
-    def clear(cells, mine, leg_idx, near_arm_from=None):
-        for k, c in enumerate(cells):
-            st = status.get(c)
-            if st is None:
-                st = status[c] = cell_status(c)
-            if st == _BLOCKED or (st & _NEAR_OWN and leg_idx) \
-                    or (st & _NEAR_ARM and (near_arm_from is None
-                                            or k < near_arm_from)):
-                return False
-            if c in mine:
-                return False
-            # cells of the previous leg may touch; older legs may not
-            if leg_idx >= 2:
-                for dx, dy in _HALO:
-                    pm = mine.get((c[0] + dx, c[1] + dy))
-                    if pm is not None and pm < leg_idx - 1:
-                        return False
-        return True
+    def ok(c, arm_ok=False):
+        st = status.get(c)
+        if st is None:
+            st = status[c] = cell_status(c)
+        return c not in mine and (st == _FREE or st == _NEAR_ARM and arm_ok)
 
-    def dfs(tail, h, bends, leg_idx, mine, legs):
-        """mine: cell -> leg index of the legs laid so far; the cells
-        this call adds are removed again before it returns."""
+    def dfs(tail, h, bends, first, legs):
+        """The cells this call adds to mine are removed again before it
+        returns."""
         for hf in finals:
             if hf != h:
                 continue
@@ -359,10 +354,10 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
             if d < 0:
                 continue
             m = d + 1
-            if m < _THIN and leg_idx > 0:
+            if m < _THIN and not first:
                 continue
-            cells = [_step(tail, h, i) for i in range(m)]
-            if clear(cells, mine, leg_idx, near_arm_from=m - 2):
+            # only the final two cells may lie next to the arm
+            if all(ok(_step(tail, h, i), i >= m - 2) for i in range(m)):
                 return legs + [(tail, head, h)]
         if bends == 0:
             return None
@@ -370,12 +365,9 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
         perp = sorted(_PERP[h], key=lambda h2: (
             (T[0] - tail[0]) * _VEC[h2][0] + (T[1] - tail[1]) * _VEC[h2][1]
         ) <= 0)
-        # the run grows one cell at a time under clear's rule for a
-        # single cell, inlined: no arm nearby, its own lane nearby only on
-        # the first leg, and no leg older than the previous one nearby
+        # the run grows one cell at a time, none of them next to the arm:
+        # ok(cell), inlined on the router's hot path
         vx, vy = _VEC[h]
-        forbid = _NEAR_OWN | _NEAR_ARM if leg_idx else _NEAR_ARM
-        older = leg_idx - 1
         x, y = tail
         run = []
         try:
@@ -386,33 +378,27 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
                 st = status.get(cell)
                 if st is None:
                     st = status[cell] = cell_status(cell)
-                if st == _BLOCKED or st & forbid or cell in mine:
+                if st != _FREE or cell in mine:
                     return None
-                if leg_idx >= 2:
-                    for dx, dy in _HALO:
-                        pm = mine.get((x + dx, y + dy))
-                        if pm is not None and pm < older:
-                            return None
                 run.append(cell)
-                mine[cell] = leg_idx
+                mine.add(cell)
                 x += vx
                 y += vy
-                if m < _THIN and leg_idx > 0:
+                if m < _THIN and not first:
                     continue
                 bend = (x, y)
                 for h2 in perp:
                     if (bend, h2) in seen:
                         continue
                     seen.add((bend, h2))
-                    got = dfs(bend, h2, bends - 1, leg_idx + 1, mine,
+                    got = dfs(bend, h2, bends - 1, False,
                               legs + [(tail, cell, h)])
                     if got:
                         return got
         finally:
-            for c in run:
-                del mine[c]
+            mine.difference_update(run)
 
-    return dfs(face, h_in, 4, 0, {}, [])
+    return dfs(face, h_in, 4, True, [])
 
 
 def _exit_zigzag(base, side, sign):
@@ -436,7 +422,8 @@ def reduce(inst: Grid3SatInstance):
 
     Returns (partition, gadget map).  The gadgets have the module's one
     geometry (blocks of side 32, thin rectangles at least 4 long, clause
-    arms exactly 4), whose output is solver-faithful.  Raises
+    arms exactly 4), whose laws hold for half-integral drawings, the
+    ones the solver searches.  Raises
     boxes.GridTooLarge before routing anything when the canvas of
     (32(n + 1))^2 cells exceeds the cell limit, since every free cell
     becomes a pixel box."""

@@ -11,23 +11,30 @@ half-integral drawing exists; a drawing with finer rational coordinates
 may still exist.
 
 A unit box has one half-integral point, its center, which is also the
-center of the seed-chain pixel inside it. A top simplex of unit boxes
-only therefore holds its seed sign by construction (dual.seed_of checks
-this identity), and the setup drops it without an orientation call. The
-setup lists every domain, filters the one undecided box of each simplex
-that has one, and keeps the other simplices as the constraints of the
-search. It runs once per partition, unpinned, the first time a solve
-reaches it; its result, the constraint root, is kept on the partition's
-dual complex and shared by every later solve and enumeration. A solve
-copies the root's domain list and intersects the pinned domains; a pin
-that empties a domain (on a unit box, one off its center) is a root
-failure. Pins only shrink domains and the filter tests each value on
-its own, so the propagated domains, the branching and the node counts
-are those of a setup run under the pins; a pinned solve may count more
-propagations, since the constraints its pins decide stay in the search.
-The branching box is picked among the boxes undecided in the root,
-scanned in ascending id order, and a domain is the tuple box_domain
-returns or a filtered copy of it, rebound but never changed in place.
+center of the seed-chain pixel inside it. One-box lemma: a top simplex
+with at most one box larger than a pixel keeps its seed sign wherever
+that box's point lies inside the box. Let its seed chain be the pixels
+u_0, ..., u_d at grid vertex w with axis order pi, and let B_i, the box
+holding u_i, be the only box that may be larger. The other d pixel
+centers lie on one hyperplane: x_pi(1) = w_pi(1) + 1/2 when i = 0,
+x_pi(d) = w_pi(d) - 1/2 when i = d, and x_pi(i) - w_pi(i) =
+x_pi(i+1) - w_pi(i+1) otherwise. B_i holds neither chain neighbour of
+u_i, u_i - e_pi(i) and u_i + e_pi(i+1), so its interior lies on the
+open side of that hyperplane where u_i's center lies (x_pi(1) < w_pi(1),
+x_pi(d) > w_pi(d), or x_pi(i) > w_pi(i) and x_pi(i+1) < w_pi(i+1)), and
+the orientation, affine in B_i's point, keeps its sign. A simplex of
+unit boxes only is the case where B_i is a pixel too (dual.seed_of
+checks it). The setup lists every domain and keeps the top simplices with two
+or more boxes larger than a pixel as the constraints of the search; it
+makes no orientation call. It runs once per partition, unpinned, the
+first time a solve reaches it; its result, the constraint root, is kept
+on the partition's dual complex and shared by every later solve and
+enumeration. A solve copies the root's domain list and intersects the
+pinned domains; a pin that empties a domain (on a unit box, one off its
+center) is a root failure. The branching box is picked among the boxes
+larger than a pixel, scanned in ascending id order, and a domain is the
+tuple box_domain returns or a filtered copy of it, rebound but never
+changed in place.
 
 solve and enumerate_all share one routine, _drive: it reads the dual
 complex from build_dual, which walks the grid once per partition, and
@@ -125,53 +132,28 @@ def box_domain(box) -> tuple:
 class _Root:
     """The unpinned constraint setup of one partition.
 
-    domains: box_domain's tuples, the undecided box of each simplex with
-    one already filtered; constraints: (ordered box ids, required sign)
-    of the simplices with two or more undecided boxes; watching: box id
-    -> constraint indices; free: the undecided boxes, ascending. Built
-    by the first solve of the partition and kept on its dual complex;
-    solves read it and never change it."""
+    domains: box_domain's tuples; constraints: (ordered box ids, required
+    sign) of the top simplices with two or more boxes larger than a
+    pixel; watching: box id -> constraint indices; free: the boxes larger
+    than a pixel, ascending. Built by the first solve of the partition
+    and kept on its dual complex; solves read it and never change it."""
 
     def __init__(self, p: Partition, dc: DualComplex, deadline):
         doms = [box_domain(b) for b in p.boxes]
         # a unit box, and only a unit box, has a one-point domain
-        unit = bytes(len(dom) == 1 for dom in doms)
-        self.domains = doms
-        self.constraints = []
-        self.watching = {}
-        self.free = []
-        self.failed = False
-        dyn = []
-        for key, ordered, want in dc.top_items():
+        big = bytes(len(dom) > 1 for dom in doms)
+        constraints = []
+        for _, ordered, want in dc.top_items():
             if deadline is not None and time.monotonic() > deadline:
                 raise _Deadline
-            if all(map(unit.__getitem__, ordered)):
-                # unit boxes sit at their pixel centers, which orient as
-                # the seed chain does (dual.seed_of checks this)
-                continue
-            free = [i for i in ordered if len(doms[i]) > 1]
-            if not free:
-                if orientation([doms[i][0] for i in ordered]) != want:
-                    self.failed = True
-                    return
-            elif len(free) == 1:
-                # filter the single undecided box once
-                var = free[0]
-                pos = ordered.index(var)
-                fixed = [doms[i][0] for i in ordered]
-                keep = []
-                for v in doms[var]:
-                    fixed[pos] = v
-                    if orientation(fixed) == want:
-                        keep.append(v)
-                doms[var] = tuple(keep)
-                if not keep:
-                    self.failed = True
-                    return
-            else:
-                dyn.append((ordered, want))
-        self.constraints = dyn
-        for ci, (ordered, _) in enumerate(dyn):
+            # with at most one box larger than a pixel the simplex keeps
+            # its seed sign wherever that box's point lies (one-box lemma)
+            if sum(map(big.__getitem__, ordered)) > 1:
+                constraints.append((ordered, want))
+        self.domains = doms
+        self.constraints = constraints
+        self.watching = {}
+        for ci, (ordered, _) in enumerate(constraints):
             for i in ordered:
                 self.watching.setdefault(i, []).append(ci)
         self.free = [i for i, dom in enumerate(doms) if len(dom) > 1]
@@ -190,9 +172,6 @@ class _Csp:
         self.constraints = root.constraints
         self.watching = root.watching
         self.free = root.free
-        # pins only shrink domains, and the root's filter tests each value
-        # on its own, so pinning after the filter equals filtering after
-        # the pins
         domains = list(root.domains)
         if pins:
             for bid, allowed in pins.items():
@@ -202,7 +181,7 @@ class _Csp:
         self.propagations = 0
         # a box in no top simplex is seen by no constraint, so an empty
         # domain (from a pin) must fail here
-        self.root_failed = root.failed or not all(domains)
+        self.root_failed = not all(domains)
 
     def _check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:

@@ -10,6 +10,7 @@ import gc
 import hashlib
 from itertools import product
 import json
+import random
 import weakref
 
 import pytest
@@ -24,7 +25,11 @@ from rectdual.grid3sat import (
 )
 from rectdual.io import format_partition
 from rectdual.reduction import (
+    CycleRect,
+    GadgetMap,
+    PathGadget,
     UnsatisfiedClause,
+    VariableGadget,
     assignment_from_projection,
     check_gadget_map,
     gadget_map_from_json,
@@ -33,6 +38,8 @@ from rectdual.reduction import (
     reduce,
 )
 from rectdual.solver import SAT, UNSAT, SolverConfig, enumerate_all, solve
+
+from oracles.instances import random_grid3sat
 
 # one variable at (0,1) wired to one clause at (2,1) by three disjoint
 # paths: through (1,1), around the top, around the bottom
@@ -68,6 +75,35 @@ INSTANCES = {
     "bottom_negated": BOTTOM_NEGATED,
     "two_var_two_clause": TWO_VAR_TWO_CLAUSE,
 }
+# x, y and z at (5,5), (1,5) and (9,5) feed (x|y|y) at (3,7), (x|~y|~y)
+# at (3,3), (~x|z|z) at (7,7) and (~x|~z|~z) at (7,3): unsatisfiable
+UNSAT3 = """\
+10 3 4 12
+V 0 5 5
+V 1 1 5
+V 2 9 5
+C 0 3 7 0 4 5
+C 1 3 3 1 6 7
+C 2 7 7 2 8 9
+C 3 7 3 3 10 11
+P 0 0 0 + 3 5 6 5 7 4 7
+P 1 0 1 + 3 4 5 4 4 4 3
+P 2 0 2 - 3 6 5 6 6 6 7
+P 3 0 3 - 3 5 4 6 4 6 3
+P 4 1 0 + 3 1 6 1 7 2 7
+P 5 1 0 + 3 2 5 2 6 3 6
+P 6 1 1 - 3 1 4 1 3 2 3
+P 7 1 1 - 7 0 5 0 4 0 3 0 2 1 2 2 2 3 2
+P 8 2 2 + 3 9 6 9 7 8 7
+P 9 2 2 + 3 8 5 8 6 7 6
+P 10 2 3 - 3 9 4 9 3 8 3
+P 11 2 3 - 7 10 5 10 4 10 3 10 2 9 2 8 2 7 2
+"""
+# path 11 made positive: the last clause becomes (~x|~z|z), and the
+# instance holds exactly when x and z are true
+SAT3 = UNSAT3.replace("P 11 2 3 -", "P 11 2 3 +")
+# reduced like INSTANCES, but with no pinned solve per assignment
+LARGE = {"unsat3": UNSAT3, "sat3": SAT3}
 
 
 def assignments(inst):
@@ -95,7 +131,7 @@ def reduced_of():
 
     def get(name):
         if name not in cache:
-            inst = parse_grid3sat(INSTANCES[name])
+            inst = parse_grid3sat({**INSTANCES, **LARGE}[name])
             p, gmap = reduce(inst)
             cache[name] = inst, p, gmap
         return cache[name]
@@ -177,14 +213,59 @@ REDUCED_SHA256 = {
         "f565a25ae686e3d5378f1856221c6eb5fc05f3cd328a18b761592d18de2131ee",
     "two_var_two_clause":
         "fcdc00866e1386c71f1b8956c6589945cc257695eaed8b1b98778b5382c88943",
+    "unsat3":
+        "418f00e33a4a9ec93c16ec99a45eb188847e5ff906f1577bc79f475aad2e94e7",
+    "sat3":
+        "8420c046bf734fa18f6572fbb5b86220d5c193d4db9e18fddfe5f0e84f6e546b",
 }
 
 
-@pytest.mark.parametrize("name", list(INSTANCES))
+@pytest.mark.parametrize("name", list(REDUCED_SHA256))
 def test_reduce_output_is_unchanged(reduced_of, name):
     _, p, gmap = reduced_of(name)
     text = format_partition(p) + gadget_map_to_json(gmap)
     assert hashlib.sha256(text.encode()).hexdigest() == REDUCED_SHA256[name]
+
+
+# sha256 over the first 16 instances random_grid3sat draws from
+# random.Random(0): format_grid3sat of each, then its reduce output as
+# above.  Their reception searches try legs next to their own lane and
+# next to its older legs, which the router does not refuse; the contact
+# law is checked once, by check_gadget_map at the end of reduce
+GENERATED_SHA256 = \
+    "143de22368dc804238d36f8b638034caa41f784817a05cc2d6b3d65e3fd03b0a"
+
+
+def test_reduce_output_is_unchanged_on_generated_instances():
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for _ in range(16):
+        inst = random_grid3sat(rng)
+        p, gmap = reduce(inst)
+        digest.update(format_grid3sat(inst).encode())
+        digest.update((format_partition(p) + gadget_map_to_json(gmap))
+                      .encode())
+    assert digest.hexdigest() == GENERATED_SHA256
+
+
+def test_unsat3_has_no_completion(reduced_of):
+    # a free solve is left out: smallest-domain branching does not decide
+    # unsat3 within minutes
+    inst, p, gmap = reduced_of("unsat3")
+    assert brute_force_sat(inst) is None
+    for a in assignments(inst):
+        with pytest.raises(UnsatisfiedClause):
+            projection_from_assignment(a, p, gmap)
+
+
+@pytest.mark.parametrize("y", [False, True])
+def test_sat3_completes_and_reads_back(reduced_of, y):
+    inst, p, gmap = reduced_of("sat3")
+    assert [a for a in assignments(inst) if evaluate(inst, a)] == [
+        {0: True, 1: False, 2: True}, {0: True, 1: True, 2: True}]
+    a = {0: True, 1: y, 2: True}
+    proj = projection_from_assignment(a, p, gmap)
+    assert assignment_from_projection(proj, gmap) == a
 
 
 def test_one_walk_per_partition(monkeypatch):
@@ -376,4 +457,39 @@ def test_check_gadget_map_rejects(reduced_of, tamper, message):
     loaded = gadget_map_from_json(gadget_map_to_json(gmap))
     for m in (gmap, loaded):
         with pytest.raises(ValueError, match=f"^{message}"):
+            check_gadget_map(p, m)
+
+
+def looped_path(last_leg):
+    """A ring and one path drawn by hand on an 18 x 18 grid: a stub
+    heading E from the ring's E rectangle, then legs heading N, W and S,
+    the S leg running last_leg cells down from y = 13.  Boxes 0-3 are
+    the ring, 4-7 the path."""
+    ring = [(((1, 9), (9, 10)), "E"), (((9, 2), (10, 10)), "S"),
+            (((2, 1), (10, 2)), "W"), (((1, 1), (2, 9)), "N")]
+    path = [(((10, 8), (16, 9)), "E"), (((16, 8), (17, 13)), "N"),
+            (((12, 13), (17, 14)), "W"),
+            (((11, 14 - last_leg), (12, 14)), "S")]
+    p = pixel_fill([IntBox(*rect) for rect, _ in ring + path], 18)
+    cycle = []
+    for i, (rect, h) in enumerate(ring):
+        L = max(b - a for a, b in zip(*rect))
+        cycle.append(CycleRect(i, h, reduction._off_point2(rect, h, 1),
+                               reduction._off_point2(rect, h, 2 * L - 1)))
+    gmap = GadgetMap(32, (VariableGadget(0, (0, 0), tuple(cycle)),),
+                     (PathGadget(0, 0, 0, 1, (4, 5, 6, 7),
+                                 tuple(h for _, h in path)),), ())
+    return p, gmap
+
+
+def test_check_gadget_map_rejects_a_path_that_touches_itself():
+    # the S leg's head at (11, 9) sits on the stub's cell (11, 8); four
+    # cells long, it ends at (11, 10) and keeps clear of the stub
+    p, gmap = looped_path(4)
+    assert check_gadget_map(p, gmap)
+    p, gmap = looped_path(5)
+    loaded = gadget_map_from_json(gadget_map_to_json(gmap))
+    for m in (gmap, loaded):
+        with pytest.raises(ValueError,
+                           match="^boxes 4 and 7 touch unplanned"):
             check_gadget_map(p, m)

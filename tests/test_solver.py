@@ -244,8 +244,9 @@ def test_a_deadline_in_the_root_build_caches_nothing(monkeypatch):
 
 
 def test_a_later_solve_reuses_the_root(monkeypatch):
-    # neither domain listing nor the root's filter runs again: count the
-    # calls made before each solve's first propagation
+    # domain listing does not run again, and the root build makes no
+    # orientation call: count the calls made before each solve's first
+    # propagation
     p = planar3_partition()
     calls, before = [], []
     real_domain, real_orient = solver.box_domain, solver.orientation
@@ -257,7 +258,8 @@ def test_a_later_solve_reuses_the_root(monkeypatch):
     monkeypatch.setattr(solver._Csp, "propagate", lambda csp, seeds=None: (
         before.append(len(calls)) or real_propagate(csp, seeds)))
     assert solve(p).status == SAT
-    assert {"box_domain", "orientation"} <= set(calls[:before[0]])
+    assert "box_domain" in calls[:before[0]]
+    assert "orientation" not in calls[:before[0]]
     for run, pins in [(solve, None), (solve, {0: [(5, 1)]}),
                       (enumerate_all, None)]:
         calls.clear()
@@ -343,17 +345,44 @@ def seeded_pixel_fill(d, n, seed):
     return pixel_fill(boxes, n)
 
 
-@pytest.mark.parametrize("d, n", [(2, 8), (3, 5)])
-@pytest.mark.parametrize("seed", range(3))
-def test_unit_simplices_orient_as_their_seeds(d, n, seed):
-    # the identity behind skipping them in the constraint setup
-    p = seeded_pixel_fill(d, n, seed)
+def seeded_guillotine(d, n, seed):
+    return random_partition(d, n, random.Random(seed))
+
+
+# pixel fills keep the ids seed-d-n; the guillotine seeds are ones whose
+# partitions have both kinds of simplex the test reads
+ONE_BOX_CASES = [
+    pytest.param(seeded_pixel_fill, d, n, seed, id=f"{seed}-{d}-{n}")
+    for d, n in [(2, 8), (3, 5), (4, 3)] for seed in range(3)
+] + [
+    pytest.param(seeded_guillotine, d, n, seed,
+                 id=f"guillotine-{seed}-{d}-{n}")
+    for d, n, seeds in [(2, 8, (0, 6)), (3, 5, (0, 6)), (4, 3, (0, 2))]
+    for seed in seeds
+]
+
+
+@pytest.mark.parametrize("make, d, n, seed", ONE_BOX_CASES)
+def test_unit_simplices_orient_as_their_seeds(make, d, n, seed):
+    # the one-box lemma behind the constraint setup: a top simplex with at
+    # most one box larger than a pixel keeps its seed sign at the pixel
+    # centers and at every half-integral point inside that box
+    p = make(d, n, seed)
     assert p.dim == d
-    units = [(ordered, want) for _, ordered, want in build_dual(p).top_items()
-             if all(p.boxes[i].is_pixel() for i in ordered)]
-    assert units
-    for ordered, want in units:
-        assert orientation([p.boxes[i].center2() for i in ordered]) == want
+    units, one_box = 0, 0
+    for _, ordered, want in build_dual(p).top_items():
+        pts = [p.boxes[i].center2() for i in ordered]
+        big = [k for k, i in enumerate(ordered) if not p.boxes[i].is_pixel()]
+        if not big:
+            units += 1
+            assert orientation(pts) == want
+        elif len(big) == 1:
+            one_box += 1
+            k = big[0]
+            for v in box_domain(p.boxes[ordered[k]]):
+                pts[k] = v
+                assert orientation(pts) == want
+    assert units and one_box
 
 
 def test_unit_simplices_cost_no_orientation_call(monkeypatch):
