@@ -90,10 +90,6 @@ class IntBox:
         # doubled coordinates of the center; always integral
         return tuple(a + b for a, b in zip(self.lo, self.hi))
 
-    def aspect_ratio(self) -> Fraction:
-        s = self.sides()
-        return Fraction(max(s), min(s))
-
     def is_pixel(self) -> bool:
         return all(b - a == 1 for a, b in zip(self.lo, self.hi))
 
@@ -101,15 +97,11 @@ class IntBox:
         """All unit cells covered by the box, as lower-corner tuples."""
         return product(*(range(a, b) for a, b in zip(self.lo, self.hi)))
 
-    def contains_point2(self, p2: Sequence[int], strict=False) -> bool:
-        """Membership of a doubled-coordinate point."""
+    def contains_point2(self, p2: Sequence[int]) -> bool:
+        """Whether a doubled-coordinate point lies strictly inside."""
         for a, b, x in zip(self.lo, self.hi, p2):
-            if strict:
-                if not (2 * a < x < 2 * b):
-                    return False
-            else:
-                if not (2 * a <= x <= 2 * b):
-                    return False
+            if not 2 * a < x < 2 * b:
+                return False
         return True
 
     def __str__(self):
@@ -125,9 +117,6 @@ class Pixel:
     @property
     def center2(self) -> tuple:
         return tuple(2 * x + 1 for x in self.cell)
-
-    def box(self) -> IntBox:
-        return IntBox(self.cell, tuple(x + 1 for x in self.cell))
 
 
 @dataclass(frozen=True)
@@ -229,14 +218,6 @@ def _interiors_overlap(a: IntBox, b: IntBox) -> bool:
         if al >= bh or bl >= ah:
             return False
     return True
-
-
-def check_disjoint_all_pairs(boxes) -> None:
-    # quadratic, kept as the oracle for the sweep
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if _interiors_overlap(boxes[i], boxes[j]):
-                raise Overlap(boxes[i], boxes[j])
 
 
 def _check_disjoint_sweep(boxes) -> None:

@@ -29,7 +29,6 @@ only the top simplices, never build it.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -149,13 +148,9 @@ class DualComplex:
     """Simplices over box ids, downward closed; top simplices carry seeds.
 
     simplices (and so edges) is the closure of the top and lower
-    simplices of the walk, built on its first read. The complex holds its
-    partition weakly: the partition caches the complex, and a strong
-    reference back would make a cycle that only the cyclic collector
-    frees."""
+    simplices of the walk, built on its first read."""
 
     def __init__(self, partition, top, lower):
-        self._partition = weakref.ref(partition)
         self.dim = partition.dim
         self._boxes = len(partition.boxes)
         self._top = top     # sorted ids -> (anchor, perm, ordered ids, sign)
@@ -163,11 +158,6 @@ class DualComplex:
         self._simplices = None
         # the solver's unpinned constraint setup, built by the first solve
         self.solver_root = None
-
-    @property
-    def partition(self):
-        """The partition of this complex, or None once it is freed."""
-        return self._partition()
 
     @property
     def simplices(self):

@@ -80,15 +80,16 @@ def check_faithful(p: Partition, proj: Projection) -> None:
     if len(proj.points2) != len(p.boxes):
         raise ValueError("projection has wrong number of vertices")
     for i, box in enumerate(p.boxes):
-        if not box.contains_point2(proj.points2[i], strict=True):
+        if not box.contains_point2(proj.points2[i]):
             raise NotFaithful(i)
 
 
 def classify_projection(p: Partition, dc: DualComplex, proj: Projection) -> EmbeddingVerdict:
     """Check faithfulness, then the orientation of every top simplex.
 
-    Raises ValueError if dc is the dual complex of another partition."""
-    if dc.partition is not p and dc.partition != p:
+    dc must be build_dual(p), the one complex cached on p; any other
+    complex, even that of an equal partition, raises ValueError."""
+    if dc is not p._dual:  # build_dual(p) is p._dual once it has run
         raise ValueError("dual complex of another partition")
     check_faithful(p, proj)
     if not dc.has_top():

@@ -83,10 +83,6 @@ class Path:
     sign: int      # +1 or -1
     points: tuple  # interior route, variable side first
 
-    @property
-    def literal(self):
-        return (self.var, self.sign)
-
 
 @dataclass(frozen=True)
 class Grid3SatInstance:

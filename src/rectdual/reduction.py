@@ -26,6 +26,8 @@ The gadget map is also the contact law: two gadget boxes may touch
 consecutive boxes of a path, a path's stub and the ring rectangle it
 leaves through (or the next one, for a positive path), or two boxes of
 one clause core.  check_gadget_map enforces it on the finished partition.
+The router keeps a lane's reception legs off every foreign tag, and only
+check_gadget_map keeps a lane off its own arm.
 """
 
 import dataclasses
@@ -117,8 +119,7 @@ _R0 = ((13, 13), (19, 19))
 _ARM_SEEDS = (((19, 19), "N"), ((12, 12), "S"), ((19, 15), "E"))
 _M_TAIL = (13, 12)  # helper grows east from here
 
-# a cell's status in _route, read from its 3x3 neighbourhood
-_BLOCKED, _FREE, _NEAR_ARM = 0, 1, 2
+# a cell's 3x3 neighbourhood, read by _route
 _HALO = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
@@ -309,36 +310,31 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
     cell, allowed final headings).  Returns a list of
     (tail, head, heading) legs; the first starts at the block face and
     continues the open corridor rectangle.  The legs keep off every
-    foreign tag and off the arm until the last leg's final two cells;
-    the legs of one lane may lie next to each other, and whether they
-    touch where the contact law forbids it is checked on the finished
-    partition by check_gadget_map."""
+    foreign tag, that is every tag but the corridor rectangle they
+    continue and the arm they reach, and they may lie next to both.
+    Whether they touch where the contact law forbids it, their own arm
+    included, is checked on the finished partition by check_gadget_map."""
     T, finals = target
     seen = set()  # (bend, heading) pairs tried; finite, as runs stay in region
-    # the canvas does not change during the search, so a cell's status is
-    # read once: _BLOCKED (claimed, out of region, or next to a foreign
-    # tag), _NEAR_ARM (next to the arm) or _FREE
-    status = {}
+    # the canvas does not change during the search, so whether a cell is
+    # free (unclaimed, in region, next to no foreign tag) is read once
+    free = {}
     mine = set()  # the cells of the legs laid so far
 
-    def cell_status(c):
+    def is_free(c):
         if c in canvas.occ or (c[0] // _BLOCK, c[1] // _BLOCK) not in region:
-            return _BLOCKED
-        st = _FREE
+            return False
         for dx, dy in _HALO:
             t = canvas.occ.get((c[0] + dx, c[1] + dy))
-            if t is None or t == own_tag:
-                continue
-            if t != arm_tag:
-                return _BLOCKED
-            st = _NEAR_ARM
-        return st
+            if t is not None and t != own_tag and t != arm_tag:
+                return False
+        return True
 
-    def ok(c, arm_ok=False):
-        st = status.get(c)
-        if st is None:
-            st = status[c] = cell_status(c)
-        return c not in mine and (st == _FREE or st == _NEAR_ARM and arm_ok)
+    def ok(c):
+        f = free.get(c)
+        if f is None:
+            f = free[c] = is_free(c)
+        return f and c not in mine
 
     def dfs(tail, h, bends, first, legs):
         """The cells this call adds to mine are removed again before it
@@ -356,8 +352,7 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
             m = d + 1
             if m < _THIN and not first:
                 continue
-            # only the final two cells may lie next to the arm
-            if all(ok(_step(tail, h, i), i >= m - 2) for i in range(m)):
+            if all(ok(_step(tail, h, i)) for i in range(m)):
                 return legs + [(tail, head, h)]
         if bends == 0:
             return None
@@ -365,8 +360,8 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
         perp = sorted(_PERP[h], key=lambda h2: (
             (T[0] - tail[0]) * _VEC[h2][0] + (T[1] - tail[1]) * _VEC[h2][1]
         ) <= 0)
-        # the run grows one cell at a time, none of them next to the arm:
-        # ok(cell), inlined on the router's hot path
+        # the run grows one cell at a time: ok(cell), inlined on the
+        # router's hot path
         vx, vy = _VEC[h]
         x, y = tail
         run = []
@@ -375,10 +370,10 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
             while True:
                 m += 1
                 cell = (x, y)
-                st = status.get(cell)
-                if st is None:
-                    st = status[cell] = cell_status(cell)
-                if st != _FREE or cell in mine:
+                f = free.get(cell)
+                if f is None:
+                    f = free[cell] = is_free(cell)
+                if not f or cell in mine:
                     return None
                 run.append(cell)
                 mine.add(cell)

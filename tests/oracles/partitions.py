@@ -3,12 +3,13 @@
 enumerate_rectangulations lists every way to tile an n x n (or n^d) grid
 with boxes, by always covering the first uncovered cell with all boxes
 having it as their lowest corner. random_partition produces seeded
-guillotine-style partitions.
+guillotine-style partitions, random_pixel_fill seeded boxes of side 1 or
+2 amid unit pixels.
 """
 
 import random
 
-from rectdual.boxes import IntBox, validate_partition
+from rectdual.boxes import IntBox, pixel_fill, validate_partition
 
 
 def enumerate_rectangulations(d, n):
@@ -90,3 +91,18 @@ def random_partition(d, n, rng: random.Random, stop=0.3):
 
     split([0] * d, [n] * d)
     return validate_partition(boxes, d, n)
+
+
+def random_pixel_fill(n, rng: random.Random):
+    """Seeded partition of [0,n]^2: boxes with sides of 1 or 2 cells at
+    random corners, each kept unless it covers a cell of an earlier one,
+    and a unit pixel on every cell left over."""
+    boxes, covered = [], set()
+    for _ in range(rng.randrange(1, n * n // 2)):
+        lo = (rng.randrange(n), rng.randrange(n))
+        box = IntBox(lo, tuple(min(n, a + rng.randint(1, 2)) for a in lo))
+        cells = set(box.cells())
+        if not cells & covered:
+            boxes.append(box)
+            covered |= cells
+    return pixel_fill(boxes, n)

@@ -1,0 +1,57 @@
+"""The center-drawing theorems on generated partitions.
+
+Box centers draw the dual complex of a 2:1-balanced 2^d-tree
+(Edelsbrunner & Kerber, DCG 2012), and of every planar partition whose
+balance is below 3, the least b at which line_stab is feasible.  A
+partition for which center_embeddable says otherwise is a finding: the
+assertion message carries it in the partition text format.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rectdual.boxes import partition_balance
+from rectdual.dual import build_dual
+from rectdual.embedding import center_embeddable
+from rectdual.io import format_partition
+
+from oracles.partitions import random_partition, random_pixel_fill
+from oracles.trees import balanced_tree
+
+# (d, depth, most leaves asked for): about 10 ms a tree at d = 3 and
+# 40 ms at d = 4
+TREES = {2: (5, 120), 3: (3, 60), 4: (2, 40)}
+
+
+@pytest.mark.parametrize("d", sorted(TREES))
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_centers_draw_balanced_trees(d, seed):
+    depth, most = TREES[d]
+    rng = random.Random(seed)
+    p = balanced_tree(d, depth, rng.randint(2, most), rng)
+    assert center_embeddable(p).kind == "embedding", format_partition(p)
+
+
+def _planar_below_three():
+    """Seeded guillotine and pixel-filled partitions of the plane with
+    a top simplex and balance below 3."""
+    candidates = [random_partition(2, n, random.Random(seed), stop=0.1)
+                  for n in (4, 6, 8) for seed in range(60)]
+    candidates += [random_pixel_fill(n, random.Random(seed))
+                   for n in (3, 4, 5, 6) for seed in range(10)]
+    for p in candidates:
+        dc = build_dual(p)
+        if dc.has_top() and partition_balance(p, dc).value < 3:
+            yield p
+
+
+def test_centers_draw_planar_partitions_below_balance_three():
+    count = 0
+    for p in _planar_below_three():
+        assert center_embeddable(p).kind == "embedding", format_partition(p)
+        count += 1
+    assert count >= 20

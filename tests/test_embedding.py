@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -84,11 +85,21 @@ def test_classify_refuses_the_dual_of_another_partition():
         classify_projection(p, build_dual(q), center_projection(p))
     with pytest.raises(ValueError, match="dual complex of another partition"):
         center_embeddable(q, build_dual(p))
-    # an equal partition validated on its own shares the dual's meaning
+    # an equal partition validated on its own has a complex of its own,
+    # refused whether or not that partition is still alive
     twin = validate_partition(p.boxes, 2, 2)
     assert twin is not p
-    assert classify_projection(twin, build_dual(p),
-                               center_projection(twin)).is_embedding
+    with pytest.raises(ValueError, match="dual complex of another partition"):
+        classify_projection(twin, build_dual(p), center_projection(twin))
+    dc = build_dual(twin)
+    with pytest.raises(ValueError, match="dual complex of another partition"):
+        classify_projection(p, dc, center_projection(p))
+    del twin
+    gc.collect()
+    with pytest.raises(ValueError, match="dual complex of another partition"):
+        classify_projection(p, dc, center_projection(p))
+    assert classify_projection(p, build_dual(p),
+                               center_projection(p)).is_embedding
 
 
 def test_strip_partition_is_unsupported():

@@ -12,7 +12,6 @@ from rectdual.boxes import (
     GridTooLarge,
     IntBox,
     Overlap,
-    check_disjoint_all_pairs,
     is_generic,
     validate_partition,
 )
@@ -21,6 +20,7 @@ from rectdual.dual import build_dual, seed_of
 from rectdual.io import parse_partition
 
 from oracles.chains import dual_of
+from oracles.disjoint import check_disjoint_all_pairs
 from oracles.partitions import random_partition
 
 

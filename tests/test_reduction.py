@@ -229,9 +229,10 @@ def test_reduce_output_is_unchanged(reduced_of, name):
 
 # sha256 over the first 16 instances random_grid3sat draws from
 # random.Random(0): format_grid3sat of each, then its reduce output as
-# above.  Their reception searches try legs next to their own lane and
-# next to its older legs, which the router does not refuse; the contact
-# law is checked once, by check_gadget_map at the end of reduce
+# above.  Their reception searches try legs next to their own lane, next
+# to its older legs and next to its arm, which the router does not
+# refuse; the contact law is checked once, by check_gadget_map at the end
+# of reduce
 GENERATED_SHA256 = \
     "143de22368dc804238d36f8b638034caa41f784817a05cc2d6b3d65e3fd03b0a"
 
