@@ -169,17 +169,21 @@ class Partition:
         """Iterate over (w, around) for every grid vertex w of [0,n]^d in
         lexicographic order; around[s] is the owner of the cell
         w - 1 + bits(s), bit k of s standing for axis k (-1 outside)."""
-        d, n = self.dim, self.n
-        grid = self.owner_grid()
-        strides = _strides(d, n)
-        # cell w - 1 + bits(s) has padded index sum(w[k] * strides[k]) + shift[s]
-        shift = [sum(st for k, st in enumerate(strides) if s >> k & 1)
-                 for s in range(1 << d)]
-        rows = map(sum, product(*(range(0, (n + 1) * st, st)
-                                  for st in strides[:-1])))
-        around = chain.from_iterable(
-            zip(*(grid[r + s:r + s + n + 1] for s in shift)) for r in rows)
-        return zip(product(range(n + 1), repeat=d), around)
+        return grid_vertex_owners(self.dim, self.n, self.owner_grid())
+
+
+def grid_vertex_owners(d, n, grid):
+    """Partition.vertex_owners, read from the padded owner grid of a
+    partition of [0,n]^d."""
+    strides = _strides(d, n)
+    # cell w - 1 + bits(s) has padded index sum(w[k] * strides[k]) + shift[s]
+    shift = [sum(st for k, st in enumerate(strides) if s >> k & 1)
+             for s in range(1 << d)]
+    rows = map(sum, product(*(range(0, (n + 1) * st, st)
+                              for st in strides[:-1])))
+    around = chain.from_iterable(
+        zip(*(grid[r + s:r + s + n + 1] for s in shift)) for r in rows)
+    return zip(product(range(n + 1), repeat=d), around)
 
 
 def _strides(d, n):

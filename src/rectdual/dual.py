@@ -10,21 +10,25 @@ all of them. Every simplex therefore arises from a chain
     u_0, u_0 + e_{pi(1)}, u_0 + e_{pi(1)} + e_{pi(2)}, ...
 
 anchored at a grid vertex w (u_0 is the all-below cell) for some axis
-permutation pi. build_dual makes one walk over the grid vertices in
-lexicographic order, reading the owners of the 2^d cells around each
-vertex from the partition's padded owner grid, and follows the d! chains
-there in permutations order; cells outside the cube read -1 and drop out
-of the chain. A chain whose d+1 cells lie in d+1 distinct boxes
-witnesses a top-dimensional simplex; the first such chain is stored as
-its seed, together with its sign, the orientation of its pixel centers.
-A vertex inside a single box only witnesses that box, so its chains are
-skipped.
+permutation pi. A walk reads the grid vertices in lexicographic order,
+with the owners of the 2^d cells around each vertex from the partition's
+padded owner grid, and follows the d! chains there in permutations
+order; cells outside the cube read -1 and drop out of the chain. A chain
+whose d+1 cells lie in d+1 distinct boxes witnesses a top-dimensional
+simplex; the first such chain is stored as its seed, together with its
+sign, the orientation of its pixel centers.
 
-The walk runs once per partition: build_dual caches its complex on the
-partition. The complex keeps the top simplices with their seeds and the
-lower simplices the walk saw; their downward closure (simplices, edges)
-is built on its first read, so solving and classifying, which read
-only the top simplices, never build it.
+A chain never comes back to a box it has left (boxes are convex and the
+chain is monotone), so the boxes it visits are distinct owners around
+its vertex. A vertex with at most d distinct owners therefore witnesses
+no top simplex, and a vertex inside a single box only that box.
+
+build_dual runs the top walk, once per partition (the complex is cached
+on the partition): it follows the chains only at vertices with more than
+d owners and keeps the top simplices with their seeds, which is all that
+solving and classifying read. The lower simplices are found by the lower
+walk, over every vertex with two or more owners, on the first read of
+simplices (or edges), which builds the downward closure.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from operator import itemgetter
 
-from .boxes import Partition, Pixel
+from .boxes import Partition, Pixel, grid_vertex_owners
 
 
 class SeedConflict(Exception):
@@ -147,14 +152,18 @@ class SeedChain:
 class DualComplex:
     """Simplices over box ids, downward closed; top simplices carry seeds.
 
-    simplices (and so edges) is the closure of the top and lower
-    simplices of the walk, built on its first read."""
+    The top simplices come from build_dual's top walk. simplices (and so
+    edges) is the closure of the top simplices and the lower ones, which
+    the lower walk finds on its first read. For that walk the complex
+    keeps the partition's n and owner grid (the partition's own list, not
+    a copy), never the partition itself."""
 
-    def __init__(self, partition, top, lower):
+    def __init__(self, partition, top):
         self.dim = partition.dim
         self._boxes = len(partition.boxes)
         self._top = top     # sorted ids -> (anchor, perm, ordered ids, sign)
-        self._lower = lower  # sorted ids of the lower simplices witnessed
+        self._n = partition.n
+        self._grid = partition.owner_grid()
         self._simplices = None
         # the solver's unpinned constraint setup, built by the first solve
         self.solver_root = None
@@ -163,8 +172,8 @@ class DualComplex:
     def simplices(self):
         """k -> set of sorted id tuples, for k = 0..dim."""
         if self._simplices is None:
-            self._simplices = _closure(self.dim, self._boxes,
-                                       self._top, self._lower)
+            lower = _lower_chains(self.dim, self._n, self._grid)
+            self._simplices = _closure(self.dim, self._boxes, self._top, lower)
         return self._simplices
 
     def edges(self):
@@ -204,9 +213,11 @@ def seed_of(dc: DualComplex, simplex) -> SeedChain:
 
 
 def build_dual(p: Partition) -> DualComplex:
-    """The dual complex of p, from all monotone chains at all grid vertices.
+    """The dual complex of p, with its top simplices from the monotone
+    chains at the grid vertices that have more than d distinct owners;
+    its lower simplices are found on the first read of simplices.
 
-    The walk runs once per partition: the complex is cached on p
+    The top walk runs once per partition: the complex is cached on p
     (Partition._dual), which is sound because a partition is treated as
     immutable, and every later call returns the same object.
 
@@ -215,13 +226,13 @@ def build_dual(p: Partition) -> DualComplex:
     guards the construction).
     """
     if p._dual is None:
-        top, lower = _chains(p)
-        p._dual = DualComplex(p, top, lower)
+        p._dual = DualComplex(p, _chains(p))
     return p._dual
 
 
 def _closure(d, m, top, lower):
-    """Downward closure of the top and lower simplices over m boxes."""
+    """Downward closure of the top and lower simplices over m boxes; every
+    box is a 0-simplex."""
     simplices = {k: set() for k in range(d + 1)}
     simplices[d] = set(top.keys())
     for s in lower:
@@ -245,35 +256,51 @@ def _register_top(top, key, ordered, anchor, perm, sign):
         raise SeedConflict(f"simplex {key} seen with both orientations")
 
 
-def _chains(p: Partition):
-    """Top simplices with their seeds, and the lower simplices, that the
-    monotone chains at all grid vertices witness."""
-    d = p.dim
-    top = {}
-    lower = set()
-    # per axis order: the cell shifts visited along the chain, as bitmasks
-    chains = []
+def _walk(d, n, grid, fewest):
+    """Yield (w, perm, sign, owners, k) for each chain at each grid vertex
+    w with k >= fewest distinct owners (ids >= 0) in the 2^d cells around
+    it: owners are the owners of the chain's d+1 cells in chain order (-1
+    outside the boxes), and sign is the parity of perm."""
+    cells = 1 << d
+    # per axis order: a getter of the cells visited along the chain, whose
+    # shifts from the all-below cell are bitmasks
+    table = []
     for perm in permutations(range(d)):
         masks, acc = [0], 0
         for axis in perm:
             acc |= 1 << axis
             masks.append(acc)
-        chains.append((perm, masks, _perm_parity(perm)))
-    cells = 1 << d
-    for w, around in p.vertex_owners():
-        first = around[0]
-        if around.count(first) == cells:
-            if first >= 0:
-                lower.add((first,))
+        table.append((perm, itemgetter(*masks), _perm_parity(perm)))
+    for w, around in grid_vertex_owners(d, n, grid):
+        if around.count(around[0]) == cells:
             continue
-        for perm, masks, sign in chains:
-            dd = []
-            for msk in masks:
-                v = around[msk]
-                if v >= 0 and (not dd or v != dd[-1]):
-                    dd.append(v)
-            if len(dd) == d + 1:
-                _register_top(top, tuple(sorted(dd)), tuple(dd), w, perm, sign)
-            elif dd:
-                lower.add(tuple(sorted(dd)))
-    return top, lower
+        k = len(set(around)) - (-1 in around)
+        if k < fewest:
+            continue
+        for perm, chain, sign in table:
+            yield w, perm, sign, chain(around), k
+
+
+def _chains(p: Partition):
+    """Top simplices with their seeds, from the chains at the grid
+    vertices with more than d distinct owners around them."""
+    d = p.dim
+    cells = 1 << d
+    top = {}
+    for w, perm, sign, owners, k in _walk(d, p.n, p.owner_grid(), d + 1):
+        # with 2^d distinct boxes around w, every chain visits d + 1
+        if k == cells or -1 not in owners and len(set(owners)) > d:
+            _register_top(top, tuple(sorted(owners)), owners, w, perm, sign)
+    return top
+
+
+def _lower_chains(d, n, grid):
+    """Sorted ids of the simplices of 2..d boxes that the chains at the
+    grid vertices with two or more owners around them visit."""
+    lower = set()
+    for _, _, _, owners, _ in _walk(d, n, grid, 2):
+        boxes = set(owners)
+        boxes.discard(-1)
+        if 1 < len(boxes) <= d:
+            lower.add(tuple(sorted(boxes)))
+    return lower

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boxes import Partition
-from .dual import DualComplex, build_dual, orientation
+from .dual import DimensionMismatch, DualComplex, build_dual, orientation
 
 
 class NotFaithful(ValueError):
@@ -77,8 +77,12 @@ def center_projection(p: Partition) -> Projection:
 
 
 def check_faithful(p: Partition, proj: Projection) -> None:
+    """Raise unless proj has one point of p.dim coordinates per box, each
+    strictly inside its box (NotFaithful names the first that is not)."""
     if len(proj.points2) != len(p.boxes):
         raise ValueError("projection has wrong number of vertices")
+    if proj.points2 and set(map(len, proj.points2)) != {p.dim}:
+        raise DimensionMismatch(f"projection points need {p.dim} coordinates")
     for i, box in enumerate(p.boxes):
         if not box.contains_point2(proj.points2[i]):
             raise NotFaithful(i)

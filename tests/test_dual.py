@@ -185,9 +185,13 @@ def test_build_dual_is_cached_on_the_partition(monkeypatch):
 
 def test_closure_is_built_only_when_read(monkeypatch):
     p = random_partition(2, 5, random.Random(2))
+    walks = []
+    real = dual._chains
+    monkeypatch.setattr(dual, "_chains", lambda q: walks.append(q) or real(q))
 
     def refuse(*args):
-        raise AssertionError("downward closure built")
+        raise AssertionError("lower simplices or downward closure built")
+    monkeypatch.setattr(dual, "_lower_chains", refuse)
     monkeypatch.setattr(dual, "_closure", refuse)
     dc = build_dual(p)
     assert dc.has_top()
@@ -195,6 +199,7 @@ def test_closure_is_built_only_when_read(monkeypatch):
     center_embeddable(p)
     solve(p)
     enumerate_all(p, pins={0: [p.boxes[0].center2()]})
+    assert len(walks) == 1 and walks[0] is p
     monkeypatch.undo()
     # first read builds the closure, later reads return the same dict
     assert dc.simplices is dc.simplices

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rectdual.boxes import IntBox, validate_partition
-from rectdual.dual import build_dual
+from rectdual.dual import DimensionMismatch, build_dual
 from rectdual.embedding import (
     NotFaithful,
     NotHalfIntegral,
@@ -15,6 +15,7 @@ from rectdual.embedding import (
     check_faithful,
     classify_projection,
 )
+from rectdual.solver import verify_certificate
 
 from oracles.injectivity import projection_injective
 from oracles.partitions import random_partition
@@ -67,6 +68,23 @@ def test_not_faithful_outside_box():
     pts[0] = (3, 3)
     with pytest.raises(NotFaithful):
         check_faithful(p, Projection(tuple(pts)))
+
+
+@pytest.mark.parametrize("point", [(11,), (11, 11, 0)])
+def test_a_point_with_the_wrong_coordinate_count_is_refused(point):
+    # box 3 lies in no top simplex, so only the faithfulness check reads it
+    boxes = [IntBox((0, 0), (2, 4)), IntBox((2, 0), (4, 2)),
+             IntBox((2, 2), (4, 4)), IntBox((5, 5), (6, 6))]
+    p = validate_partition(boxes, 2, 6, partial=True)
+    dc = build_dual(p)
+    pts = center_projection(p).points2
+    assert classify_projection(p, dc, Projection(pts)).is_embedding
+    proj = Projection(pts[:3] + (point,))
+    with pytest.raises(DimensionMismatch):
+        check_faithful(p, proj)
+    with pytest.raises(DimensionMismatch):
+        classify_projection(p, dc, proj)
+    assert not verify_certificate(p, dc, proj)
 
 
 def test_unit_grid_center_is_embedding():
@@ -136,10 +154,11 @@ def test_embedding_implies_injective():
     rng = random.Random(31)
     checked = 0
     for _ in range(30):
+        # redraw the undivided square and others with no top simplex
         p = random_partition(2, 4, rng)
+        while not build_dual(p).has_top():
+            p = random_partition(2, 4, rng)
         dc = build_dual(p)
-        if not dc.top_simplices():
-            continue
         proj = center_projection(p)
         verdict = classify_projection(p, dc, proj)
         if verdict.is_embedding:

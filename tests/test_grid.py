@@ -28,10 +28,26 @@ def _guillotine(d, n, seed):
     return lambda: random_partition(d, n, random.Random(seed), stop=0.2)
 
 
+def _with_gaps(d, n, seed):
+    # every third box of a guillotine dropped leaves gaps inside the cube
+    def build():
+        boxes = random_partition(d, n, random.Random(seed), stop=0.2).boxes
+        return validate_partition(boxes[::3] + boxes[2::3], d, n, partial=True)
+    return build
+
+
 PARTITIONS = {
     **{f"guillotine{d}d#{seed}": _guillotine(d, n, seed)
        for d, n, seeds in ((2, 8, 4), (3, 5, 3), (4, 3, 2))
        for seed in range(seeds)},
+    **{f"gaps{d}d#{seed}": _with_gaps(d, n, seed)
+       for d, n, seed in ((2, 8, 0), (2, 8, 2), (3, 5, 0), (4, 3, 0))},
+    "gaps_and_a_lone_box": lambda: validate_partition(
+        [IntBox((0, 0), (2, 4)), IntBox((2, 0), (4, 2)),
+         IntBox((2, 2), (4, 4)), IntBox((5, 5), (6, 6))], 2, 6, partial=True),
+    "strip4": lambda: validate_partition(
+        [IntBox((i, 0), (i + 1, 4)) for i in range(4)], 2, 4),
+    "one_box": lambda: validate_partition([IntBox((0, 0), (3, 3))], 2, 3),
     "lcycle": gen_planar_lcycle,
     "layered4": lambda: gen_3d_layered(4),
 }

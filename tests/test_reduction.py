@@ -271,14 +271,16 @@ def test_sat3_completes_and_reads_back(reduced_of, y):
 
 def test_one_walk_per_partition(monkeypatch):
     """Pinned completion and a later solve of one reduced partition share
-    one dual complex, and neither builds its downward closure."""
+    one dual complex, and neither finds its lower simplices or builds its
+    downward closure."""
     p, gmap = reduce(parse_grid3sat(ALL_POSITIVE))
     walks = []
     real = dual._chains
     monkeypatch.setattr(dual, "_chains", lambda q: walks.append(q) or real(q))
 
     def refuse(*args):
-        raise AssertionError("downward closure built")
+        raise AssertionError("lower simplices or downward closure built")
+    monkeypatch.setattr(dual, "_lower_chains", refuse)
     monkeypatch.setattr(dual, "_closure", refuse)
     proj = projection_from_assignment({0: True}, p, gmap)
     pins = {c.box: [c.front2] for v in gmap.variables for c in v.cycle}

@@ -318,10 +318,11 @@ def test_center_embedding_implies_sat():
     rng = random.Random(41)
     seen_sat = 0
     for _ in range(25):
+        # redraw the undivided square and others with no top simplex
         p = random_partition(2, 4, rng)
+        while not build_dual(p).has_top():
+            p = random_partition(2, 4, rng)
         dc = build_dual(p)
-        if not dc.has_top():
-            continue
         res = solve(p)
         assert res.status in (SAT, UNSAT)
         if center_embeddable(p, dc):
