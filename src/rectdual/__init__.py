@@ -8,11 +8,9 @@ from .boxes import (
     OutOfBounds,
     Overlap,
     Partition,
-    Pixel,
     ValidationError,
     balance_of_set,
     is_generic,
-    partition_balance,
     validate_partition,
 )
 from .dual import (
@@ -24,6 +22,7 @@ from .dual import (
     SeedMisoriented,
     build_dual,
     orientation,
+    partition_balance,
     seed_of,
 )
 from .embedding import (
@@ -44,6 +43,7 @@ from .solver import (
     DomainTooLarge,
     SolveResult,
     SolverConfig,
+    UnknownBox,
     Unsupported,
     box_domain,
     enumerate_all,

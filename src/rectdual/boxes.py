@@ -8,9 +8,10 @@ A partition of [0,n]^d owns one flat grid of box ids over the unit cells
 of [-1,n+1]^d: the cube's cells hold their box (-1 where a partial
 partition leaves a gap) and a border one cell wide holds -1 on every
 side, so the 2^d cells around any grid vertex of the cube can be read
-without bounds checks. Validation fills this grid when it has at most
-_GRID_LIMIT cells; larger partitions are checked by a sweep, and asking
-them for the grid raises GridTooLarge before anything is allocated.
+without bounds checks. Validation fills this grid, which is also how it
+finds overlaps, so every validated partition has one; a partition whose
+grid would exceed _GRID_LIMIT cells is refused with GridTooLarge before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 
 class ValidationError(Exception):
@@ -109,17 +110,6 @@ class IntBox:
 
 
 @dataclass(frozen=True)
-class Pixel:
-    """A unit box given by its lower corner; the center is kept doubled."""
-
-    cell: tuple
-
-    @property
-    def center2(self) -> tuple:
-        return tuple(2 * x + 1 for x in self.cell)
-
-
-@dataclass(frozen=True)
 class BalanceReport:
     value: Fraction
     witness: tuple  # boxes achieving (longest side, shortest side)
@@ -133,17 +123,17 @@ class BalanceReport:
 class Partition:
     """A validated collection of boxes tiling (or partially tiling) [0,n]^d.
 
-    Construct through validate_partition; the constructor itself does not
-    re-check the invariants. Treated as immutable after construction,
-    which is what makes the two caches sound: the owner grid (_owner)
-    and the dual complex (_dual, filled by dual.build_dual).
+    Construct through validate_partition, which fills the owner grid
+    (_owner); the constructor itself does not re-check the invariants.
+    Treated as immutable after construction, which is what makes the
+    cached dual complex (_dual, filled by dual.build_dual) sound.
     """
 
     dim: int
     n: int
     boxes: tuple
-    partial: bool = False
-    _owner: Optional[list] = field(default=None, repr=False, compare=False)
+    partial: bool
+    _owner: list = field(repr=False, compare=False)
     _dual: object = field(default=None, repr=False, compare=False, init=False)
 
     def cell_index(self, cell) -> int:
@@ -154,9 +144,7 @@ class Partition:
         return idx
 
     def owner_grid(self) -> list:
-        """Flat, padded cell -> box id map (-1 for uncovered cells); cached."""
-        if self._owner is None:
-            self._owner = _claim_cells(self.boxes, self.dim, self.n)
+        """Flat, padded cell -> box id map (-1 for uncovered cells)."""
         return self._owner
 
     def owner_of(self, cell) -> int:
@@ -217,36 +205,13 @@ def _claim_cells(boxes, d, n) -> list:
     return grid
 
 
-def _interiors_overlap(a: IntBox, b: IntBox) -> bool:
-    for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi):
-        if al >= bh or bl >= ah:
-            return False
-    return True
-
-
-def _check_disjoint_sweep(boxes) -> None:
-    """Sweep over the first axis; compare only boxes whose first-axis
-    intervals overlap. Near-linear on partitions whose boxes are mostly
-    short in the sweep direction."""
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i].lo[0])
-    active = []  # indices, pruned lazily
-    for i in order:
-        box = boxes[i]
-        lo0 = box.lo[0]
-        active = [j for j in active if boxes[j].hi[0] > lo0]
-        for j in active:
-            if _interiors_overlap(box, boxes[j]):
-                raise Overlap(boxes[j], box)
-        active.append(i)
-
-
 def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partition:
     """Validate containment, interior disjointness and (unless partial)
-    exact coverage of [0,n]^d. Raises OutOfBounds, Overlap or CoverageGap.
+    exact coverage of [0,n]^d, filling the owner grid. Raises OutOfBounds,
+    GridTooLarge (before the grid is allocated), Overlap or CoverageGap.
 
-    Disjointness is checked by filling the owner grid, or by a sweep when
-    the grid would exceed _GRID_LIMIT. An overfull partition covers some
-    cell twice, so either check rejects it."""
+    Disjointness is checked while the owner grid is filled; an overfull
+    partition covers some cell twice, so that check rejects it."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     boxes = tuple(b if isinstance(b, IntBox) else IntBox(*b) for b in boxes)
@@ -257,11 +222,7 @@ def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partitio
         if any(a < 0 for a in box.lo) or any(b > n for b in box.hi):
             raise OutOfBounds(box)
         total += box.volume()
-    try:
-        owner = _claim_cells(boxes, d, n)
-    except GridTooLarge:
-        owner = None
-        _check_disjoint_sweep(boxes)
+    owner = _claim_cells(boxes, d, n)
     if not partial and total != n ** d:
         raise CoverageGap(n ** d - total)
     return Partition(d, n, boxes, partial, owner)
@@ -309,22 +270,3 @@ def balance_of_set(boxes) -> BalanceReport:
             best_min = (mn, box)
     value = Fraction(best_max[0], best_min[0])
     return BalanceReport(value, (best_max[1], best_min[1]))
-
-
-def partition_balance(p: Partition, dc) -> BalanceReport:
-    """Maximum balance over all edges of the dual complex.
-
-    The maximum over edges equals the maximum over arbitrary simplices,
-    since every simplex's longest and shortest sides appear on one of its
-    edges."""
-    best = BalanceReport(Fraction(1), (p.boxes[0], p.boxes[0]))
-    for i, j in dc.edges():
-        rep = balance_of_set((p.boxes[i], p.boxes[j]))
-        if rep.value > best.value:
-            best = rep
-    # single-box partitions still have aspect ratio to account for
-    for box in p.boxes:
-        rep = balance_of_set((box,))
-        if rep.value > best.value:
-            best = rep
-    return best

@@ -134,7 +134,8 @@ def gen_3d_layered(beta) -> Partition:
     """64-box partition of a cube with balance below beta, yet with four
     box centers coplanar.
 
-    Picks the smallest b >= 3 with (b+2)/(b-2) < beta, then builds four
+    Picks the smallest b >= 3 with (b+2)/(b-2) < beta, which is
+    b = max(3, floor(2(beta+1)/(beta-1)) + 1), then builds four
     b-cubes cornered at the origin, each stretched by one voxel layer on
     two opposite faces so that all four centers land on the plane y = z.
     The surrounding region splits into eight blocks, each cut into eight
@@ -143,13 +144,15 @@ def gen_3d_layered(beta) -> Partition:
     lands in [b-2, b+2], so the balance stays below beta, but the
     coplanar centers kill the center projection in any dimension of
     wiggle room: the degenerate 3-simplex has orientation 0.
+
+    The cube has side 4b, so validation raises GridTooLarge from b = 54,
+    that is for every beta <= 55/51.
     """
     beta = Fraction(beta)
     if beta <= 1:
         raise BetaTooSmall(f"no layered construction for aspect bound {beta} <= 1")
-    b = 3
-    while Fraction(b + 2, b - 2) >= beta:
-        b += 1
+    # (b+2)/(b-2) < beta  <=>  b > 2(beta+1)/(beta-1), for b > 2
+    b = max(3, 2 * (beta + 1) // (beta - 1) + 1)
     m = 2 * b
     # block low corner, high corner, interior split point
     blocks = (

@@ -39,7 +39,8 @@ from itertools import permutations
 from math import lcm
 from operator import itemgetter
 
-from .boxes import Partition, Pixel, grid_vertex_owners
+from .boxes import (BalanceReport, IntBox, Partition, balance_of_set,
+                    grid_vertex_owners)
 
 
 class SeedConflict(Exception):
@@ -143,7 +144,7 @@ class SeedChain:
     """Seed of a top simplex: its boxes and pixels in chain order."""
 
     boxes: tuple      # box ids, order of first visit along the chain
-    pixels: tuple     # one Pixel per box, same order
+    pixels: tuple     # one unit IntBox per box, same order
     anchor: tuple     # grid vertex the chain starts below
     perm: tuple       # axis visit order (0-based)
     sign: int         # orientation of the pixel centers, +1 or -1
@@ -204,8 +205,8 @@ def seed_of(dc: DualComplex, simplex) -> SeedChain:
     for axis in perm:
         cell[axis] += 1
         cells.append(tuple(cell))
-    pixels = tuple(Pixel(c) for c in cells)
-    sign = orientation([px.center2 for px in pixels])
+    pixels = tuple(IntBox(c, tuple(x + 1 for x in c)) for c in cells)
+    sign = orientation([px.center2() for px in pixels])
     if sign != want:
         raise SeedMisoriented(
             f"seed of {ordered} has orientation {sign}, axis order {perm}")
@@ -228,6 +229,25 @@ def build_dual(p: Partition) -> DualComplex:
     if p._dual is None:
         p._dual = DualComplex(p, _chains(p))
     return p._dual
+
+
+def partition_balance(p: Partition) -> BalanceReport:
+    """Maximum balance over all edges of the dual complex of p.
+
+    The maximum over edges equals the maximum over arbitrary simplices,
+    since every simplex's longest and shortest sides appear on one of its
+    edges."""
+    best = BalanceReport(Fraction(1), (p.boxes[0], p.boxes[0]))
+    for i, j in build_dual(p).edges():
+        rep = balance_of_set((p.boxes[i], p.boxes[j]))
+        if rep.value > best.value:
+            best = rep
+    # single-box partitions still have aspect ratio to account for
+    for box in p.boxes:
+        rep = balance_of_set((box,))
+        if rep.value > best.value:
+            best = rep
+    return best
 
 
 def _closure(d, m, top, lower):

@@ -88,14 +88,11 @@ def check_faithful(p: Partition, proj: Projection) -> None:
             raise NotFaithful(i)
 
 
-def classify_projection(p: Partition, dc: DualComplex, proj: Projection) -> EmbeddingVerdict:
-    """Check faithfulness, then the orientation of every top simplex.
-
-    dc must be build_dual(p), the one complex cached on p; any other
-    complex, even that of an equal partition, raises ValueError."""
-    if dc is not p._dual:  # build_dual(p) is p._dual once it has run
-        raise ValueError("dual complex of another partition")
+def classify_projection(p: Partition, proj: Projection) -> EmbeddingVerdict:
+    """Check faithfulness, then the orientation of every top simplex of
+    build_dual(p), the dual complex cached on p."""
     check_faithful(p, proj)
+    dc = build_dual(p)
     if not dc.has_top():
         return EmbeddingVerdict("unsupported")
     violations = []
@@ -110,6 +107,10 @@ def classify_projection(p: Partition, dc: DualComplex, proj: Projection) -> Embe
 
 
 def center_embeddable(p: Partition, dc: DualComplex = None) -> EmbeddingVerdict:
-    if dc is None:
-        dc = build_dual(p)
-    return classify_projection(p, dc, center_projection(p))
+    """Classify the center projection of p.
+
+    dc may only be build_dual(p) itself; any other complex, even that of
+    an equal partition, raises ValueError."""
+    if dc is not None and dc is not build_dual(p):
+        raise ValueError("dual complex of another partition")
+    return classify_projection(p, center_projection(p))

@@ -13,14 +13,9 @@ the same box order as the partition they accompany.
 Dual dumps list one simplex per line as "k v_0 ... v_k"; top simplices
 additionally carry their seed chain after a '|': the anchor vertex and
 the axis order as a comma-separated 1-based list.
-
-Rational numbers everywhere serialize as "p/q" with q > 0 and
-gcd(p, q) = 1, plain "p" when the value is integral.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .boxes import IntBox, Partition, validate_partition
 from .dual import DualComplex
@@ -113,15 +108,3 @@ def format_dual(dc: DualComplex) -> str:
                 line += " | " + " ".join(str(w) for w in anchor) + " " + permtok
             out.append(line)
     return "\n".join(out) + "\n"
-
-
-def format_rational(q) -> str:
-    return str(Fraction(q))
-
-
-def parse_rational(tok: str) -> Fraction:
-    tok = tok.strip()
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(0, f"bad rational {tok!r}")

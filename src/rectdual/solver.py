@@ -40,9 +40,10 @@ solve and enumerate_all share one routine, _drive: it reads the dual
 complex from build_dual, which walks the grid once per partition, and
 the constraint root. It then searches, stopping at the first solution
 unless every one is wanted, and re-checks each solution as a
-certificate against every top simplex. A partition whose domains
+certificate against every top simplex. A pin on an id that is not a
+box of the partition raises UnknownBox, and a partition whose domains
 together would hold more than boxes._GRID_LIMIT points raises
-DomainTooLarge before any domain is listed. The search honours
+DomainTooLarge, both before any domain is listed. The search honours
 SolverConfig.node_limit between nodes. SolverConfig.time_limit fixes a
 deadline when solve or enumerate_all starts. It is checked once
 build_dual has returned, before each top simplex while the constraint
@@ -61,7 +62,7 @@ from itertools import product
 from math import prod
 
 from .boxes import _GRID_LIMIT, Partition
-from .dual import DualComplex, build_dual, orientation
+from .dual import build_dual, orientation
 from .embedding import Projection, classify_projection
 
 
@@ -79,6 +80,14 @@ class DomainTooLarge(Exception):
     def __init__(self, points):
         self.points = points
         super().__init__(f"domains of {points} points exceed the limit")
+
+
+class UnknownBox(ValueError):
+    """A pin names a box id the partition does not have."""
+
+    def __init__(self, bid, boxes):
+        self.bid = bid
+        super().__init__(f"pin on box {bid!r}; box ids run from 0 to {boxes - 1}")
 
 
 SAT = "sat"
@@ -113,9 +122,9 @@ class VerifyResult:
         return self.ok
 
 
-def verify_certificate(p: Partition, dc: DualComplex, proj: Projection) -> VerifyResult:
+def verify_certificate(p: Partition, proj: Projection) -> VerifyResult:
     try:
-        verdict = classify_projection(p, dc, proj)
+        verdict = classify_projection(p, proj)
     except ValueError as e:
         return VerifyResult(False, str(e))
     if verdict.kind != "embedding":
@@ -138,12 +147,12 @@ class _Root:
     than a pixel, ascending. Built by the first solve of the partition
     and kept on its dual complex; solves read it and never change it."""
 
-    def __init__(self, p: Partition, dc: DualComplex, deadline):
+    def __init__(self, p: Partition, deadline):
         doms = [box_domain(b) for b in p.boxes]
         # a unit box, and only a unit box, has a one-point domain
         big = bytes(len(dom) > 1 for dom in doms)
         constraints = []
-        for _, ordered, want in dc.top_items():
+        for _, ordered, want in build_dual(p).top_items():
             if deadline is not None and time.monotonic() > deadline:
                 raise _Deadline
             # with at most one box larger than a pixel the simplex keeps
@@ -160,7 +169,8 @@ class _Root:
 
 
 class _Csp:
-    def __init__(self, p: Partition, dc: DualComplex, pins=None, deadline=None):
+    def __init__(self, p: Partition, pins=None, deadline=None):
+        dc = build_dual(p)  # not interruptible: the deadline is read after it
         if not dc.has_top():
             raise Unsupported("no top-dimensional simplex")
         self.deadline = deadline  # time.monotonic() value, or None
@@ -168,7 +178,7 @@ class _Csp:
         root = dc.solver_root
         if root is None:
             # a deadline passing inside the build leaves nothing cached
-            root = dc.solver_root = _Root(p, dc, deadline)
+            root = dc.solver_root = _Root(p, deadline)
         self.constraints = root.constraints
         self.watching = root.watching
         self.free = root.free
@@ -287,6 +297,9 @@ def _drive(p, cfg, pins, every):
 
     Returns (status, projections in sorted order, stats)."""
     cfg = cfg or SolverConfig()
+    for bid in pins or ():
+        if bid not in range(len(p.boxes)):
+            raise UnknownBox(bid, len(p.boxes))
     # prod(2 l_i - 1) < 2^d prod(l_i): fewer than (2n)^d points in all
     if (2 * p.n) ** p.dim > _GRID_LIMIT:
         points = sum(prod(2 * (h - l) - 1 for l, h in zip(b.lo, b.hi))
@@ -294,9 +307,8 @@ def _drive(p, cfg, pins, every):
         if points > _GRID_LIMIT:
             raise DomainTooLarge(points)
     deadline = time.monotonic() + cfg.time_limit if cfg.time_limit else None
-    dc = build_dual(p)  # not interruptible: the deadline is read after it
     try:
-        csp = _Csp(p, dc, pins=pins, deadline=deadline)
+        csp = _Csp(p, pins=pins, deadline=deadline)
     except _Deadline:
         return TIMEOUT, [], {"nodes": 0, "propagations": 0}
     sols = []
@@ -306,7 +318,7 @@ def _drive(p, cfg, pins, every):
         status, nodes = _search(csp, cfg, sols, every)
     projections = [Projection(sol) for sol in sorted(sols)]
     for proj in projections:
-        check = verify_certificate(p, dc, proj)
+        check = verify_certificate(p, proj)
         if not check.ok:
             raise CertificateRejected(
                 f"certificate failed verification: {check.reason}")

@@ -1,5 +1,6 @@
-"""Quadratic interior-disjointness check, the oracle for the first-axis
-sweep in boxes._check_disjoint_sweep."""
+"""Quadratic interior-disjointness check, the oracle for the overlap
+check that boxes.validate_partition makes while it fills the owner
+grid."""
 
 from itertools import combinations
 

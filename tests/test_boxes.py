@@ -11,13 +11,10 @@ from rectdual.boxes import (
     Overlap,
     balance_of_set,
     is_generic,
-    partition_balance,
     validate_partition,
-    _check_disjoint_sweep,
 )
-from rectdual.dual import build_dual
+from rectdual.dual import partition_balance
 
-from oracles.disjoint import check_disjoint_all_pairs
 from oracles.partitions import random_partition
 
 
@@ -75,29 +72,6 @@ def test_validate_errors():
                            2, 2, partial=True)
 
 
-def test_sweep_agrees_with_all_pairs():
-    rng = random.Random(7)
-    for _ in range(200):
-        d = rng.choice((2, 3))
-        n = rng.randrange(2, 7)
-        boxes = []
-        for _ in range(rng.randrange(2, 8)):
-            lo = tuple(rng.randrange(0, n) for _ in range(d))
-            hi = tuple(l + rng.randrange(1, n - l + 1) for l in lo)
-            boxes.append(IntBox(lo, hi))
-        try:
-            check_disjoint_all_pairs(boxes)
-            ok_pairs = True
-        except Overlap:
-            ok_pairs = False
-        try:
-            _check_disjoint_sweep(boxes)
-            ok_sweep = True
-        except Overlap:
-            ok_sweep = False
-        assert ok_pairs == ok_sweep
-
-
 def test_is_generic():
     # four pixels meeting at one point exceed d+1 = 3 boxes
     p = validate_partition(pixels([(0, 0), (0, 1), (1, 0), (1, 1)]), 2, 2)
@@ -133,14 +107,13 @@ def test_partition_balance_uses_dual_edges():
         [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3),
          (3, 0), (3, 1), (3, 2), (3, 3)])
     p = validate_partition(boxes, 2, 4)
-    dc = build_dual(p)
-    rep = partition_balance(p, dc)
+    rep = partition_balance(p)
     assert rep.value == 4
 
 
 def test_partition_balance_unit_grid_is_one():
     p = validate_partition(pixels([(0, 0), (0, 1), (1, 0), (1, 1)]), 2, 2)
-    assert partition_balance(p, build_dual(p)).value == 1
+    assert partition_balance(p).value == 1
 
 
 def test_random_partitions_validate():

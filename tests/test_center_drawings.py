@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectdual.boxes import partition_balance
-from rectdual.dual import build_dual
+from rectdual.dual import build_dual, partition_balance
 from rectdual.embedding import center_embeddable
 from rectdual.io import format_partition
 
@@ -45,7 +44,7 @@ def _planar_below_three():
                    for n in (3, 4, 5, 6) for seed in range(10)]
     for p in candidates:
         dc = build_dual(p)
-        if dc.has_top() and partition_balance(p, dc).value < 3:
+        if dc.has_top() and partition_balance(p).value < 3:
             yield p
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -5,7 +6,7 @@ from math import gcd, prod
 import pytest
 
 from rectdual import counterexamples
-from rectdual.boxes import IntBox, partition_balance
+from rectdual.boxes import GridTooLarge, IntBox
 from rectdual.counterexamples import (
     BetaTooSmall,
     ConstructionFault,
@@ -23,7 +24,7 @@ from rectdual.counterexamples import (
     square_fill,
     verify_det_formula,
 )
-from rectdual.dual import build_dual, orientation
+from rectdual.dual import build_dual, orientation, partition_balance
 from rectdual.embedding import center_embeddable
 from rectdual.solver import SAT, UNSAT, enumerate_all, solve
 
@@ -53,7 +54,7 @@ def test_lcycle_without_sink_is_sat():
 def test_planar3_balance_exactly_three():
     p = gen_planar_3balanced()
     dc = build_dual(p)
-    assert partition_balance(p, dc).value == Fraction(3)
+    assert partition_balance(p).value == Fraction(3)
     verdict = center_embeddable(p, dc)
     assert verdict.kind == "not_embedding"
     assert any(v.simplex == (0, 1, 2) and v.actual == 0 for v in verdict.violations)
@@ -73,7 +74,7 @@ def test_planar3_is_solvable_with_fourteen_placements():
 def test_beta4_flips_the_triangle():
     p = gen_planar_beta4()
     dc = build_dual(p)
-    assert partition_balance(p, dc).value == Fraction(4)
+    assert partition_balance(p).value == Fraction(4)
     verdict = center_embeddable(p, dc)
     assert verdict.kind == "not_embedding"
     assert any(v.simplex == (0, 1, 2) and v.expected == -1 and v.actual == 1
@@ -92,11 +93,21 @@ def test_layered_partition(beta, b):
     assert sides == {b - 1, b, b + 2}
     assert all(b - 2 <= s <= b + 2 for s in sides)
     dc = build_dual(p)
-    assert partition_balance(p, dc).value <= beta
+    assert partition_balance(p).value <= beta
     verdict = center_embeddable(p, dc)
     assert verdict.kind == "not_embedding"
     # four coplanar centers: some simplex degenerates outright
     assert any(v.actual == 0 for v in verdict.violations)
+
+
+@pytest.mark.parametrize("beta", [1 + Fraction(1, 10 ** 9), Fraction(55, 51)])
+def test_layered_refuses_a_cube_past_the_grid_limit(beta):
+    # b = 54 at 55/51 and about 4 * 10^9 at 1 + 10^-9; validation refuses
+    # the owner grid before allocating it
+    start = time.monotonic()
+    with pytest.raises(GridTooLarge):
+        gen_3d_layered(beta)
+    assert time.monotonic() - start < 1
 
 
 @pytest.mark.parametrize("beta", [1, Fraction(1, 2), Fraction(99, 100)])

@@ -66,7 +66,7 @@ def test_dual_2x2_seed_anchor():
     s = seed_of(dc, (0, 2, 3))
     assert s.anchor == (1, 1)
     assert s.perm == (0, 1)
-    assert [px.cell for px in s.pixels] == [(0, 0), (1, 0), (1, 1)]
+    assert [px.lo for px in s.pixels] == [(0, 0), (1, 0), (1, 1)]
 
 
 def test_seed_of_rejects_misoriented_seed(monkeypatch):

@@ -76,21 +76,20 @@ def test_a_point_with_the_wrong_coordinate_count_is_refused(point):
     boxes = [IntBox((0, 0), (2, 4)), IntBox((2, 0), (4, 2)),
              IntBox((2, 2), (4, 4)), IntBox((5, 5), (6, 6))]
     p = validate_partition(boxes, 2, 6, partial=True)
-    dc = build_dual(p)
     pts = center_projection(p).points2
-    assert classify_projection(p, dc, Projection(pts)).is_embedding
+    assert classify_projection(p, Projection(pts)).is_embedding
     proj = Projection(pts[:3] + (point,))
     with pytest.raises(DimensionMismatch):
         check_faithful(p, proj)
     with pytest.raises(DimensionMismatch):
-        classify_projection(p, dc, proj)
-    assert not verify_certificate(p, dc, proj)
+        classify_projection(p, proj)
+    assert not verify_certificate(p, proj)
 
 
 def test_unit_grid_center_is_embedding():
     p = unit_grid2(2)
     dc = build_dual(p)
-    verdict = classify_projection(p, dc, center_projection(p))
+    verdict = classify_projection(p, center_projection(p))
     assert verdict.kind == "embedding"
     assert verdict.is_embedding
     assert not verdict.violations
@@ -100,31 +99,27 @@ def test_unit_grid_center_is_embedding():
 def test_classify_refuses_the_dual_of_another_partition():
     p, q = unit_grid2(2), planar3_partition()
     with pytest.raises(ValueError, match="dual complex of another partition"):
-        classify_projection(p, build_dual(q), center_projection(p))
-    with pytest.raises(ValueError, match="dual complex of another partition"):
         center_embeddable(q, build_dual(p))
     # an equal partition validated on its own has a complex of its own,
     # refused whether or not that partition is still alive
     twin = validate_partition(p.boxes, 2, 2)
     assert twin is not p
     with pytest.raises(ValueError, match="dual complex of another partition"):
-        classify_projection(twin, build_dual(p), center_projection(twin))
+        center_embeddable(twin, build_dual(p))
     dc = build_dual(twin)
     with pytest.raises(ValueError, match="dual complex of another partition"):
-        classify_projection(p, dc, center_projection(p))
+        center_embeddable(p, dc)
     del twin
     gc.collect()
     with pytest.raises(ValueError, match="dual complex of another partition"):
-        classify_projection(p, dc, center_projection(p))
-    assert classify_projection(p, build_dual(p),
-                               center_projection(p)).is_embedding
+        center_embeddable(p, dc)
+    assert center_embeddable(p, build_dual(p)).is_embedding
 
 
 def test_strip_partition_is_unsupported():
     p = validate_partition(
         [IntBox((i, 0), (i + 1, 4)) for i in range(4)], 2, 4)
-    dc = build_dual(p)
-    verdict = classify_projection(p, dc, center_projection(p))
+    verdict = classify_projection(p, center_projection(p))
     assert verdict.kind == "unsupported"
     assert not verdict.is_embedding
 
@@ -132,7 +127,7 @@ def test_strip_partition_is_unsupported():
 def test_planar3_center_fails_with_one_flat_triangle():
     p = planar3_partition()
     dc = build_dual(p)
-    verdict = classify_projection(p, dc, center_projection(p))
+    verdict = classify_projection(p, center_projection(p))
     assert verdict.kind == "not_embedding"
     assert len(verdict.violations) == 1
     v = verdict.violations[0]
@@ -160,7 +155,7 @@ def test_embedding_implies_injective():
             p = random_partition(2, 4, rng)
         dc = build_dual(p)
         proj = center_projection(p)
-        verdict = classify_projection(p, dc, proj)
+        verdict = classify_projection(p, proj)
         if verdict.is_embedding:
             assert projection_injective(dc, proj)
             checked += 1

@@ -10,15 +10,11 @@ from rectdual.io import (
     format_dual,
     format_partition,
     format_projection,
-    format_rational,
     parse_partition,
     parse_projection,
-    parse_rational,
 )
 
 from oracles.partitions import random_partition
-
-from fractions import Fraction
 
 
 def unit_grid2(n):
@@ -92,14 +88,3 @@ def test_dual_dump_2x2():
     assert "1 1 2" not in lines
     tops = [l for l in lines if l.startswith("2 ")]
     assert tops == ["2 0 1 3 | 1 1 2,1", "2 0 2 3 | 1 1 1,2"]
-
-
-def test_rational_format():
-    assert format_rational(Fraction(3, 2)) == "3/2"
-    assert format_rational(2) == "2"
-    assert parse_rational("7/3") == Fraction(7, 3)
-    assert parse_rational(" 5 ") == 5
-    with pytest.raises(ParseError):
-        parse_rational("x")
-    with pytest.raises(ParseError):
-        parse_rational("1/0")

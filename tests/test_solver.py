@@ -21,6 +21,7 @@ from rectdual.solver import (
     CertificateRejected,
     DomainTooLarge,
     SolverConfig,
+    UnknownBox,
     Unsupported,
     VerifyResult,
     box_domain,
@@ -76,18 +77,18 @@ def test_planar3_sat():
     p = planar3_partition()
     res = solve(p)
     assert res.status == SAT
-    assert verify_certificate(p, build_dual(p), res.projection)
+    assert verify_certificate(p, res.projection)
 
 
 @pytest.mark.parametrize("run", [solve, enumerate_all])
 def test_rejected_certificate_raises(monkeypatch, run):
     monkeypatch.setattr(solver, "verify_certificate",
-                        lambda p, dc, proj: VerifyResult(False, "forced"))
+                        lambda p, proj: VerifyResult(False, "forced"))
     with pytest.raises(CertificateRejected, match="forced"):
         run(planar3_partition())
 
 
-def brute_force_planar3(p, dc):
+def brute_force_planar3(p):
     """Try every faithful half-integral placement of the two free boxes."""
     base = list(center_projection(p).points2)
     sols = []
@@ -95,7 +96,7 @@ def brute_force_planar3(p, dc):
         pts = list(base)
         pts[0] = (x0, 1)
         pts[2] = (7, y2)
-        verdict = classify_projection(p, dc, Projection(tuple(pts)))
+        verdict = classify_projection(p, Projection(tuple(pts)))
         if verdict.is_embedding:
             sols.append(tuple(pts))
     return sorted(sols)
@@ -103,11 +104,10 @@ def brute_force_planar3(p, dc):
 
 def test_planar3_enumeration_matches_brute_force():
     p = planar3_partition()
-    dc = build_dual(p)
     res = enumerate_all(p)
     assert res.status == SAT
     got = sorted(s.points2 for s in res.solutions)
-    want = brute_force_planar3(p, dc)
+    want = brute_force_planar3(p)
     assert len(want) == 14
     assert got == want
 
@@ -124,6 +124,18 @@ def test_pins_restrict_enumeration():
     res = enumerate_all(p, pins={0: [(5, 1)]})
     assert res.status == SAT
     assert len(res.solutions) == 5  # 0 * anything stays below the threshold
+
+
+@pytest.mark.parametrize("bid", [-12, 12])
+@pytest.mark.parametrize("run", [solve, enumerate_all])
+def test_a_pin_on_no_box_is_refused(monkeypatch, run, bid):
+    # -12 would index box 0 of the 12 and restrict it silently
+    def refuse(box):
+        raise AssertionError("a domain was listed")
+    monkeypatch.setattr(solver, "box_domain", refuse)
+    with pytest.raises(UnknownBox) as info:
+        run(planar3_partition(), pins={0: [(5, 1)], bid: [(1, 1)]})
+    assert isinstance(info.value, ValueError) and info.value.bid == bid
 
 
 @pytest.mark.parametrize("make", [planar3_partition, gen_planar_lcycle])
@@ -404,7 +416,7 @@ def test_solve_3d_smoke():
     res = solve(p)
     assert res.status in (SAT, UNSAT)
     if res.status == SAT:
-        assert verify_certificate(p, build_dual(p), res.projection)
+        assert verify_certificate(p, res.projection)
 
 
 
