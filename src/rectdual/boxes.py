@@ -11,7 +11,10 @@ side, so the 2^d cells around any grid vertex of the cube can be read
 without bounds checks. Validation fills this grid, which is also how it
 finds overlaps, so every validated partition has one; a partition whose
 grid would exceed _GRID_LIMIT cells is refused with GridTooLarge before
-anything is allocated.
+anything is allocated. pixel_fill fills the grid by validating the given
+boxes as a partial partition and then writing a unit pixel into each cell
+still left at -1, so its coverage holds by construction and GridTooLarge
+comes before any pixel is built.
 """
 
 from __future__ import annotations
@@ -123,8 +126,9 @@ class BalanceReport:
 class Partition:
     """A validated collection of boxes tiling (or partially tiling) [0,n]^d.
 
-    Construct through validate_partition, which fills the owner grid
-    (_owner); the constructor itself does not re-check the invariants.
+    Construct through validate_partition or pixel_fill, which fill the
+    owner grid (_owner); the constructor itself does not re-check the
+    invariants.
     Treated as immutable after construction, which is what makes the
     cached dual complex (_dual, filled by dual.build_dual) sound.
     """
@@ -231,13 +235,24 @@ def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partitio
 def pixel_fill(boxes, n: int) -> Partition:
     """Complete boxes to a validated partition of [0,n]^d, d their
     dimension (2 when there are none): every cell no box covers becomes a
-    unit pixel, appended in lexicographic order of its lower corner."""
+    unit pixel, appended in lexicographic order of its lower corner.
+
+    The given boxes are validated as a partial partition, which claims
+    their cells in the owner grid (and raises GridTooLarge before any
+    pixel is built); each cell the grid still holds -1 for then gets its
+    pixel's id, so coverage holds by construction."""
     boxes = [b if isinstance(b, IntBox) else IntBox(*b) for b in boxes]
     d = boxes[0].dim if boxes else 2
-    covered = set(chain.from_iterable(b.cells() for b in boxes))
-    boxes += [IntBox(c, tuple(x + 1 for x in c))
-              for c in product(range(n), repeat=d) if c not in covered]
-    return validate_partition(boxes, d, n)
+    grid = validate_partition(boxes, d, n, partial=True).owner_grid()
+    # padded index of each cell of the cube, in lexicographic cell order
+    rows = map(sum, product(*(range(st, (n + 1) * st, st)
+                              for st in _strides(d, n)[:-1])))
+    index = chain.from_iterable(range(r + 1, r + n + 1) for r in rows)
+    for cell, i in zip(product(range(n), repeat=d), index):
+        if grid[i] == -1:
+            grid[i] = len(boxes)
+            boxes.append(IntBox(cell, tuple(x + 1 for x in cell)))
+    return Partition(d, n, tuple(boxes), False, grid)
 
 
 def is_generic(p: Partition):

@@ -3,11 +3,15 @@
 enumerate_rectangulations lists every way to tile an n x n (or n^d) grid
 with boxes, by always covering the first uncovered cell with all boxes
 having it as their lowest corner. random_partition produces seeded
-guillotine-style partitions, random_pixel_fill seeded boxes of side 1 or
-2 amid unit pixels.
+guillotine-style partitions, random_disjoint_boxes a few seeded boxes
+that do not overlap, random_pixel_fill seeded boxes of side 1 or 2 amid
+unit pixels. pixel_fill_by_validation is the reference for
+boxes.pixel_fill: it lists the uncovered cells from a set of covered ones
+and validates the completed list as a whole.
 """
 
 import random
+from itertools import chain, product
 
 from rectdual.boxes import IntBox, pixel_fill, validate_partition
 
@@ -93,6 +97,20 @@ def random_partition(d, n, rng: random.Random, stop=0.3):
     return validate_partition(boxes, d, n)
 
 
+def random_disjoint_boxes(d, n, rng: random.Random):
+    """Up to eight seeded boxes of sides 1 to 3 in [0,n]^d, each kept
+    unless it covers a cell of an earlier one."""
+    boxes, covered = [], set()
+    for _ in range(8):
+        lo = [rng.randrange(n) for _ in range(d)]
+        box = IntBox(lo, [min(n, a + rng.randint(1, 3)) for a in lo])
+        cells = set(box.cells())
+        if not cells & covered:
+            boxes.append(box)
+            covered |= cells
+    return boxes
+
+
 def random_pixel_fill(n, rng: random.Random):
     """Seeded partition of [0,n]^2: boxes with sides of 1 or 2 cells at
     random corners, each kept unless it covers a cell of an earlier one,
@@ -106,3 +124,15 @@ def random_pixel_fill(n, rng: random.Random):
             boxes.append(box)
             covered |= cells
     return pixel_fill(boxes, n)
+
+
+def pixel_fill_by_validation(boxes, n):
+    """boxes.pixel_fill by a covered set and one validation of all boxes,
+    the given ones first, then a unit pixel on every uncovered cell in
+    lexicographic order."""
+    boxes = [b if isinstance(b, IntBox) else IntBox(*b) for b in boxes]
+    d = boxes[0].dim if boxes else 2
+    covered = set(chain.from_iterable(b.cells() for b in boxes))
+    boxes += [IntBox(c, tuple(x + 1 for x in c))
+              for c in product(range(n), repeat=d) if c not in covered]
+    return validate_partition(boxes, d, n)

@@ -3,19 +3,26 @@ from fractions import Fraction
 
 import pytest
 
+from rectdual import boxes as boxes_mod
 from rectdual.boxes import (
     BalanceReport,
     CoverageGap,
+    GridTooLarge,
     IntBox,
     OutOfBounds,
     Overlap,
     balance_of_set,
     is_generic,
+    pixel_fill,
     validate_partition,
 )
 from rectdual.dual import partition_balance
 
-from oracles.partitions import random_partition
+from oracles.partitions import (
+    pixel_fill_by_validation,
+    random_disjoint_boxes,
+    random_partition,
+)
 
 
 def pixels(cells):
@@ -122,3 +129,56 @@ def test_random_partitions_validate():
         p = random_partition(2, 5, rng)
         total = sum(b.volume() for b in p.boxes)
         assert total == 25
+
+
+# ---------------------------------------------------------------- pixel_fill
+
+
+PIXEL_FILL_CASES = [
+    pytest.param(random_disjoint_boxes(d, n, random.Random(seed)), n,
+                 id=f"{seed}-{d}-{n}")
+    for d, n in [(2, 7), (3, 4), (4, 3)] for seed in range(5)
+] + [
+    pytest.param([], 3, id="no-boxes"),
+    pytest.param([IntBox((0, 0), (1, 3)), IntBox((1, 0), (3, 2)),
+                  IntBox((1, 2), (3, 3))], 3, id="full-tiling"),
+]
+
+
+@pytest.mark.parametrize("boxes, n", PIXEL_FILL_CASES)
+def test_pixel_fill_matches_validation(boxes, n):
+    got = pixel_fill(boxes, n)
+    want = pixel_fill_by_validation(boxes, n)
+    assert got.boxes == want.boxes
+    assert got.owner_grid() == want.owner_grid()
+    assert (got.dim, got.n, got.partial) == (want.dim, want.n, False)
+
+
+def test_pixel_fill_refuses_before_building_pixels(monkeypatch):
+    given = [IntBox((0, 0), (1, 1))]
+    built = []
+    post_init = IntBox.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(boxes_mod, "_GRID_LIMIT", 100)
+    monkeypatch.setattr(IntBox, "__post_init__", counting)
+    with pytest.raises(GridTooLarge) as info:
+        pixel_fill(given, 20)
+    assert info.value.cells == 22 * 22
+    assert built == []
+
+
+def test_pixel_fill_errors():
+    a, b = IntBox((0, 0), (2, 2)), IntBox((1, 1), (3, 3))
+    with pytest.raises(Overlap) as info:
+        pixel_fill([a, b], 4)
+    assert (info.value.box_a, info.value.box_b) == (a, b)
+    with pytest.raises(OutOfBounds) as info:
+        pixel_fill([IntBox((2, 0), (5, 1))], 4)
+    assert info.value.box == IntBox((2, 0), (5, 1))
+    with pytest.raises(ValueError) as info:
+        pixel_fill([IntBox((0, 0), (1, 1)), IntBox((1, 1, 1), (2, 2, 2))], 4)
+    assert type(info.value) is ValueError

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -26,6 +27,7 @@ from rectdual.counterexamples import (
 )
 from rectdual.dual import build_dual, orientation, partition_balance
 from rectdual.embedding import center_embeddable
+from rectdual.io import format_partition
 from rectdual.solver import SAT, UNSAT, enumerate_all, solve
 
 from oracles.numbers import brute_fill_threshold, brute_represent
@@ -79,6 +81,33 @@ def test_beta4_flips_the_triangle():
     assert verdict.kind == "not_embedding"
     assert any(v.simplex == (0, 1, 2) and v.expected == -1 and v.actual == 1
                for v in verdict.violations)
+
+
+# sha256 of format_partition for each planar generator: all four complete
+# their gadget rectangles with boxes.pixel_fill, whose box order and ids
+# must not change
+PLANAR_SHA256 = {
+    "lcycle":
+        "8ee2b4be850428985fecb53bdc25e4c83db735a65f1b5006d7ea475bfe4c8fdd",
+    "lcycle_drop_sink":
+        "1bac2e2969ddf76f12f749acb04b76349afaeb3ecf78d2a9d94d6ff70bf06515",
+    "3balanced":
+        "6da9497d68c03d966342a8c429d1e9bf758f97e20060a7bbb1846d1eb6fff4dc",
+    "beta4":
+        "7cacc81ecb6d77b512631888812efb031c2f1cf65f0b86e0f589ad19c85eab8d",
+}
+PLANAR_GENERATORS = {
+    "lcycle": gen_planar_lcycle,
+    "lcycle_drop_sink": lambda: gen_planar_lcycle(drop_sink=True),
+    "3balanced": gen_planar_3balanced,
+    "beta4": gen_planar_beta4,
+}
+
+
+@pytest.mark.parametrize("name", list(PLANAR_SHA256))
+def test_planar_generator_output_is_unchanged(name):
+    text = format_partition(PLANAR_GENERATORS[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANAR_SHA256[name]
 
 
 # ---------------------------------------------------------------- layered 3d

@@ -30,7 +30,7 @@ from rectdual.solver import (
     verify_certificate,
 )
 
-from oracles.partitions import random_partition
+from oracles.partitions import random_disjoint_boxes, random_partition
 
 
 def unit_grid2(n):
@@ -344,18 +344,7 @@ def test_center_embedding_implies_sat():
 
 
 def seeded_pixel_fill(d, n, seed):
-    """Up to eight random boxes of sides 1 to 3 that do not overlap,
-    completed by unit pixels."""
-    rng = random.Random(seed)
-    boxes, covered = [], set()
-    for _ in range(8):
-        lo = [rng.randrange(n) for _ in range(d)]
-        box = IntBox(lo, [min(n, a + rng.randint(1, 3)) for a in lo])
-        cells = set(box.cells())
-        if not cells & covered:
-            boxes.append(box)
-            covered |= cells
-    return pixel_fill(boxes, n)
+    return pixel_fill(random_disjoint_boxes(d, n, random.Random(seed)), n)
 
 
 def seeded_guillotine(d, n, seed):
