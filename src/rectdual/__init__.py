@@ -3,6 +3,7 @@
 from .boxes import (
     BalanceReport,
     CoverageGap,
+    Genericity,
     GridTooLarge,
     IntBox,
     OutOfBounds,

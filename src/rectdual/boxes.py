@@ -14,7 +14,9 @@ grid would exceed _GRID_LIMIT cells is refused with GridTooLarge before
 anything is allocated. pixel_fill fills the grid by validating the given
 boxes as a partial partition and then writing a unit pixel into each cell
 still left at -1, so its coverage holds by construction and GridTooLarge
-comes before any pixel is built.
+comes before any pixel is built. Its pixels are checked once, by
+construction: their corners are int tuples one apart, so they skip the
+IntBox constructor and its re-checks (_pixel).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
-from typing import Iterator, Sequence
+from operator import add, mul
+from typing import Iterator, NamedTuple, Sequence
 
 
 class ValidationError(Exception):
@@ -92,7 +95,7 @@ class IntBox:
 
     def center2(self) -> tuple:
         # doubled coordinates of the center; always integral
-        return tuple(a + b for a, b in zip(self.lo, self.hi))
+        return tuple(map(add, self.lo, self.hi))
 
     def is_pixel(self) -> bool:
         return all(b - a == 1 for a, b in zip(self.lo, self.hi))
@@ -110,6 +113,17 @@ class IntBox:
 
     def __str__(self):
         return "x".join(f"[{a},{b}]" for a, b in zip(self.lo, self.hi))
+
+
+def _pixel(lo, hi) -> IntBox:
+    """The unit box [lo, hi], for int tuples with hi = lo + 1, built
+    without IntBox's re-checks. lo is set before hi, in field order, as
+    the constructor does, so the box keeps CPython's key-sharing instance
+    dict and costs no more memory than one the constructor builds."""
+    px = object.__new__(IntBox)
+    object.__setattr__(px, "lo", lo)
+    object.__setattr__(px, "hi", hi)
+    return px
 
 
 @dataclass(frozen=True)
@@ -130,7 +144,9 @@ class Partition:
     owner grid (_owner); the constructor itself does not re-check the
     invariants.
     Treated as immutable after construction, which is what makes the
-    cached dual complex (_dual, filled by dual.build_dual) sound.
+    cached dual complex (_dual, filled by dual.build_dual) and solver root
+    (_solver_root, the unpinned constraint setup the first solve builds)
+    sound.
     """
 
     dim: int
@@ -139,6 +155,8 @@ class Partition:
     partial: bool
     _owner: list = field(repr=False, compare=False)
     _dual: object = field(default=None, repr=False, compare=False, init=False)
+    _solver_root: object = field(default=None, repr=False, compare=False,
+                                 init=False)
 
     def cell_index(self, cell) -> int:
         """Index in the padded owner grid of the cell with lower corner in [-1,n]^d."""
@@ -164,18 +182,27 @@ class Partition:
         return grid_vertex_owners(self.dim, self.n, self.owner_grid())
 
 
-def grid_vertex_owners(d, n, grid):
+def grid_vertex_owners(d, n, grid, vertices=None):
     """Partition.vertex_owners, read from the padded owner grid of a
-    partition of [0,n]^d."""
+    partition of [0,n]^d; given a sequence of grid vertices of [0,n]^d,
+    the same pairs for those vertices only, in their order."""
     strides = _strides(d, n)
     # cell w - 1 + bits(s) has padded index sum(w[k] * strides[k]) + shift[s]
     shift = [sum(st for k, st in enumerate(strides) if s >> k & 1)
              for s in range(1 << d)]
+    if vertices is not None:
+        return _owners_at(grid, strides, shift, vertices)
     rows = map(sum, product(*(range(0, (n + 1) * st, st)
                               for st in strides[:-1])))
     around = chain.from_iterable(
         zip(*(grid[r + s:r + s + n + 1] for s in shift)) for r in rows)
     return zip(product(range(n + 1), repeat=d), around)
+
+
+def _owners_at(grid, strides, shift, vertices):
+    for w in vertices:
+        r = sum(map(mul, w, strides))
+        yield w, tuple([grid[r + s] for s in shift])
 
 
 def _strides(d, n):
@@ -240,7 +267,9 @@ def pixel_fill(boxes, n: int) -> Partition:
     The given boxes are validated as a partial partition, which claims
     their cells in the owner grid (and raises GridTooLarge before any
     pixel is built); each cell the grid still holds -1 for then gets its
-    pixel's id, so coverage holds by construction."""
+    pixel's id, so coverage holds by construction. The pixels' corners
+    are int tuples one apart by construction, so they are built by
+    _pixel, without the checks of the IntBox constructor."""
     boxes = [b if isinstance(b, IntBox) else IntBox(*b) for b in boxes]
     d = boxes[0].dim if boxes else 2
     grid = validate_partition(boxes, d, n, partial=True).owner_grid()
@@ -248,25 +277,39 @@ def pixel_fill(boxes, n: int) -> Partition:
     rows = map(sum, product(*(range(st, (n + 1) * st, st)
                               for st in _strides(d, n)[:-1])))
     index = chain.from_iterable(range(r + 1, r + n + 1) for r in rows)
-    for cell, i in zip(product(range(n), repeat=d), index):
+    # lower and upper corners of each cell, in the same lexicographic order
+    corners = zip(product(range(n), repeat=d),
+                  product(range(1, n + 1), repeat=d))
+    for (lo, hi), i in zip(corners, index):
         if grid[i] == -1:
             grid[i] = len(boxes)
-            boxes.append(IntBox(cell, tuple(x + 1 for x in cell)))
+            boxes.append(_pixel(lo, hi))
     return Partition(d, n, tuple(boxes), False, grid)
 
 
-def is_generic(p: Partition):
-    """True iff no point lies in more than d+1 closed boxes.
+class Genericity(NamedTuple):
+    """is_generic's answer: it unpacks as (flag, witness) and is true
+    exactly when flag is."""
 
-    Returns (flag, witness) where witness is a violating grid point or None.
-    Only grid vertices can witness a violation since boxes have integral
-    corners."""
+    flag: bool
+    witness: tuple = None
+
+    def __bool__(self):
+        return self.flag
+
+
+def is_generic(p: Partition) -> Genericity:
+    """Whether no point lies in more than d+1 closed boxes.
+
+    Returns Genericity(flag, witness), where witness is a violating grid
+    point or None; its truth value is flag. Only grid vertices can
+    witness a violation since boxes have integral corners."""
     for vert, around in p.vertex_owners():
         owners = set(around)
         owners.discard(-1)
         if len(owners) > p.dim + 1:
-            return False, vert
-    return True, None
+            return Genericity(False, vert)
+    return Genericity(True)
 
 
 def balance_of_set(boxes) -> BalanceReport:

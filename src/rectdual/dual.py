@@ -26,9 +26,13 @@ no top simplex, and a vertex inside a single box only that box.
 build_dual runs the top walk, once per partition (the complex is cached
 on the partition): it follows the chains only at vertices with more than
 d owners and keeps the top simplices with their seeds, which is all that
-solving and classifying read. The lower simplices are found by the lower
-walk, over every vertex with two or more owners, on the first read of
-simplices (or edges), which builds the downward closure.
+classifying and a solution's re-check read. The lower simplices are
+found by the lower walk, over every vertex with two or more owners, on
+the first read of simplices (or edges), which builds the downward
+closure. The solver's constraint root runs the same top walk over a
+given list of vertices instead (_seeds): walked in lexicographic order,
+a list that holds every chain of some top simplices gives them the seeds
+and the order of the full walk.
 """
 
 from __future__ import annotations
@@ -166,8 +170,6 @@ class DualComplex:
         self._n = partition.n
         self._grid = partition.owner_grid()
         self._simplices = None
-        # the solver's unpinned constraint setup, built by the first solve
-        self.solver_root = None
 
     @property
     def simplices(self):
@@ -276,11 +278,12 @@ def _register_top(top, key, ordered, anchor, perm, sign):
         raise SeedConflict(f"simplex {key} seen with both orientations")
 
 
-def _walk(d, n, grid, fewest):
+def _walk(d, n, grid, fewest, vertices=None):
     """Yield (w, perm, sign, owners, k) for each chain at each grid vertex
-    w with k >= fewest distinct owners (ids >= 0) in the 2^d cells around
-    it: owners are the owners of the chain's d+1 cells in chain order (-1
-    outside the boxes), and sign is the parity of perm."""
+    w (of the cube, or of the given sequence) with k >= fewest distinct
+    owners (ids >= 0) in the 2^d cells around it: owners are the owners
+    of the chain's d+1 cells in chain order (-1 outside the boxes), and
+    sign is the parity of perm."""
     cells = 1 << d
     # per axis order: a getter of the cells visited along the chain, whose
     # shifts from the all-below cell are bitmasks
@@ -291,7 +294,7 @@ def _walk(d, n, grid, fewest):
             acc |= 1 << axis
             masks.append(acc)
         table.append((perm, itemgetter(*masks), _perm_parity(perm)))
-    for w, around in grid_vertex_owners(d, n, grid):
+    for w, around in grid_vertex_owners(d, n, grid, vertices):
         if around.count(around[0]) == cells:
             continue
         k = len(set(around)) - (-1 in around)
@@ -303,11 +306,21 @@ def _walk(d, n, grid, fewest):
 
 def _chains(p: Partition):
     """Top simplices with their seeds, from the chains at the grid
-    vertices with more than d distinct owners around them."""
+    vertices with more than d distinct owners around them: the full walk,
+    which build_dual runs."""
+    return _seeds(p)
+
+
+def _seeds(p: Partition, vertices=None):
+    """_chains, or, given grid vertices in lexicographic order, the top
+    simplices that chains at those vertices witness. Where the vertices
+    hold every chain of a simplex, its seed and its place in the order
+    are those of the full walk."""
     d = p.dim
     cells = 1 << d
     top = {}
-    for w, perm, sign, owners, k in _walk(d, p.n, p.owner_grid(), d + 1):
+    for w, perm, sign, owners, k in _walk(d, p.n, p.owner_grid(), d + 1,
+                                          vertices):
         # with 2^d distinct boxes around w, every chain visits d + 1
         if k == cells or -1 not in owners and len(set(owners)) > d:
             _register_top(top, tuple(sorted(owners)), owners, w, perm, sign)

@@ -5,10 +5,10 @@ inside it, prod(2 l_i - 1) many for side lengths l_i. Every top simplex of
 the dual complex is a constraint requiring the seed's orientation sign,
 read from dual.orientation. The solver runs generalized arc consistency
 over the constraints whose scope still has undecided boxes, and branches
-by bisecting the lexicographically sorted domain of a smallest undecided
-box. UNSAT is reported only on exhaustion, so it proves that no
-half-integral drawing exists; a drawing with finer rational coordinates
-may still exist.
+by bisecting the lexicographically sorted domain of an undecided box
+chosen by dom/wdeg (below). UNSAT is reported only on exhaustion, so it
+proves that no half-integral drawing exists; a drawing with finer
+rational coordinates may still exist.
 
 A unit box has one half-integral point, its center, which is also the
 center of the seed-chain pixel inside it. One-box lemma: a top simplex
@@ -24,34 +24,58 @@ open side of that hyperplane where u_i's center lies (x_pi(1) < w_pi(1),
 x_pi(d) > w_pi(d), or x_pi(i) > w_pi(i) and x_pi(i+1) < w_pi(i+1)), and
 the orientation, affine in B_i's point, keeps its sign. A simplex of
 unit boxes only is the case where B_i is a pixel too (dual.seed_of
-checks it). The setup lists every domain and keeps the top simplices with two
-or more boxes larger than a pixel as the constraints of the search; it
-makes no orientation call. It runs once per partition, unpinned, the
-first time a solve reaches it; its result, the constraint root, is kept
-on the partition's dual complex and shared by every later solve and
-enumeration. A solve copies the root's domain list and intersects the
-pinned domains; a pin that empties a domain (on a unit box, one off its
-center) is a root failure. The branching box is picked among the boxes
-larger than a pixel, scanned in ascending id order, and a domain is the
-tuple box_domain returns or a filtered copy of it, rebound but never
-changed in place.
+checks it).
 
-solve and enumerate_all share one routine, _drive: it reads the dual
-complex from build_dual, which walks the grid once per partition, and
-the constraint root. It then searches, stopping at the first solution
-unless every one is wanted, and re-checks each solution as a
-certificate against every top simplex. A pin on an id that is not a
-box of the partition raises UnknownBox, and a partition whose domains
-together would hold more than boxes._GRID_LIMIT points raises
-DomainTooLarge, both before any domain is listed. The search honours
-SolverConfig.node_limit between nodes. SolverConfig.time_limit fixes a
-deadline when solve or enumerate_all starts. It is checked once
-build_dual has returned, before each top simplex while the constraint
-root is built, between nodes, before each revise of the arc-consistency
-loop and once per domain value inside it; build_dual itself cannot be
-interrupted, and a deadline that passes while the root is built leaves
-no root behind. Either limit ends the run with TIMEOUT and the nodes and
-propagations counted so far.
+The constraints of the search are therefore the top simplices with two
+or more boxes larger than a pixel, and the setup, the constraint root,
+finds them without the walk over the whole grid. Every chain of such a
+simplex lies at a grid vertex in the closure of both larger boxes, whose
+interiors are disjoint, so the vertex lies on the boundary of a box
+larger than a pixel. The root walks only those boundary vertices, in
+lexicographic order (dual._seeds), so each constraint keeps the seed,
+ordered ids, sign and place in the order that the full walk gives it;
+it makes no orientation call. Domains are listed only for the boxes
+larger than a pixel and for the pixels that some constraint names;
+every other box's point is its center, filled into each solution. On a
+reduced grid-3SAT partition, where almost every box is a pixel, the
+root and every search node then cost what the gadget boxes cost, not
+what the pixels do.
+
+The root is built once per partition, unpinned, the first time a solve
+reaches it, and kept on the partition (Partition._solver_root) for every
+later solve and enumeration. A solve copies the root's domains and
+intersects the pinned ones; a pin that empties a domain, or a pin on an
+unlisted pixel that leaves out its center, is a root failure. A domain
+is the tuple box_domain returns or a filtered copy of it, rebound but
+never changed in place. If the root has no constraint, the partition
+may still have no top simplex at all, and only then is build_dual read,
+to raise Unsupported.
+
+Branching is dom/wdeg (Boussemart, Hemery, Lecoutre & Sais, "Boosting
+systematic search by weighting constraints", ECAI 2004). Each
+constraint has a weight that starts at 1 and rises by one each time its
+revise wipes out a domain; the weights belong to one solve. wdeg of a
+box is the sum of the weights of its constraints that still have
+another undecided box. The branching box is the undecided box larger
+than a pixel that minimizes |dom| / wdeg, compared by cross-multiplying,
+with ties broken by the lower id; a box of wdeg 0 comes last.
+
+solve and enumerate_all share one routine, _drive: it reads the
+constraint root, searches, stopping at the first solution unless every
+one is wanted, and re-checks each solution as a certificate with
+classify_projection against every top simplex of build_dual(p). Only a
+solution runs that walk over the whole grid, so an UNSAT or TIMEOUT
+answer never does, unless the root has no constraint. A pin on an id
+that is not a box of the partition raises UnknownBox, and a partition
+whose domains together would hold more than boxes._GRID_LIMIT points
+raises DomainTooLarge, both before any domain is listed. The search
+honours SolverConfig.node_limit between nodes. SolverConfig.time_limit
+fixes a deadline when solve or enumerate_all starts. It is read once per
+vertex the root walks, between nodes, before each revise of the
+arc-consistency loop and once per domain value inside it; build_dual,
+when it runs, cannot be interrupted, and a deadline that passes while
+the root is built leaves no root behind. Either limit ends the run with
+TIMEOUT and the nodes and propagations counted so far.
 """
 
 from __future__ import annotations
@@ -62,7 +86,7 @@ from itertools import product
 from math import prod
 
 from .boxes import _GRID_LIMIT, Partition
-from .dual import build_dual, orientation
+from .dual import _seeds, build_dual, orientation
 from .embedding import Projection, classify_projection
 
 
@@ -138,60 +162,106 @@ def box_domain(box) -> tuple:
     return tuple(product(*ranges))
 
 
+def _boundary_vertices(boxes) -> list:
+    """The grid vertices on the boundary of the boxes, lex sorted."""
+    found = set()
+    for box in boxes:
+        ranges = [range(a, b + 1) for a, b in zip(box.lo, box.hi)]
+        for k, full in enumerate(list(ranges)):
+            for face in (box.lo[k], box.hi[k]):
+                ranges[k] = (face,)
+                found.update(product(*ranges))
+            ranges[k] = full
+    return sorted(found)
+
+
+def _reading(deadline, vertices):
+    """The vertices, with the deadline read before each."""
+    for w in vertices:
+        if time.monotonic() > deadline:
+            raise _Deadline
+        yield w
+
+
 class _Root:
     """The unpinned constraint setup of one partition.
 
-    domains: box_domain's tuples; constraints: (ordered box ids, required
-    sign) of the top simplices with two or more boxes larger than a
-    pixel; watching: box id -> constraint indices; free: the boxes larger
-    than a pixel, ascending. Built by the first solve of the partition
-    and kept on its dual complex; solves read it and never change it."""
+    constraints: (ordered box ids, required sign) of the top simplices
+    with two or more boxes larger than a pixel, in the order of the full
+    walk; domains: box id -> box_domain's tuple, for the boxes larger
+    than a pixel and the pixels some constraint names, ascending;
+    watching: box id -> constraint indices; free: the boxes larger than
+    a pixel, ascending. Built by the first solve of the partition and
+    kept on it; solves read it and change only centers, once."""
 
     def __init__(self, p: Partition, deadline):
-        doms = [box_domain(b) for b in p.boxes]
-        # a unit box, and only a unit box, has a one-point domain
-        big = bytes(len(dom) > 1 for dom in doms)
-        constraints = []
-        for _, ordered, want in build_dual(p).top_items():
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Deadline
-            # with at most one box larger than a pixel the simplex keeps
-            # its seed sign wherever that box's point lies (one-box lemma)
-            if sum(map(big.__getitem__, ordered)) > 1:
-                constraints.append((ordered, want))
-        self.domains = doms
+        d = p.dim
+        # every side is at least 1, so they sum to d exactly for a pixel
+        free = [i for i, b in enumerate(p.boxes) if sum(b.hi) - sum(b.lo) > d]
+        big = bytearray(len(p.boxes))
+        for i in free:
+            big[i] = 1
+        vertices = _boundary_vertices(p.boxes[i] for i in free)
+        if deadline is not None:
+            vertices = _reading(deadline, vertices)
+        # with at most one box larger than a pixel the simplex keeps its
+        # seed sign wherever that box's point lies (one-box lemma)
+        constraints = [(ordered, want) for _, _, ordered, want
+                       in _seeds(p, vertices).values()
+                       if sum(map(big.__getitem__, ordered)) > 1]
+        listed = set(free).union(*(ordered for ordered, _ in constraints))
+        self.domains = {i: box_domain(p.boxes[i]) for i in sorted(listed)}
         self.constraints = constraints
         self.watching = {}
         for ci, (ordered, _) in enumerate(constraints):
             for i in ordered:
                 self.watching.setdefault(i, []).append(ci)
-        self.free = [i for i, dom in enumerate(doms) if len(dom) > 1]
+        self.free = free
+        self.centers = None  # every box's center, listed at the first solution
+
+    def points(self, p: Partition, sol) -> tuple:
+        """Every box's point: sol's (box id -> point) for the listed boxes,
+        the center for the others. The centers are listed once per
+        partition, by the first solve that finds a solution."""
+        if self.centers is None:
+            self.centers = [b.center2() for b in p.boxes]
+        pts = list(self.centers)
+        for i, v in sol.items():
+            pts[i] = v
+        return tuple(pts)
 
 
 class _Csp:
     def __init__(self, p: Partition, pins=None, deadline=None):
-        dc = build_dual(p)  # not interruptible: the deadline is read after it
-        if not dc.has_top():
-            raise Unsupported("no top-dimensional simplex")
         self.deadline = deadline  # time.monotonic() value, or None
-        self._check_deadline()  # the first reading after build_dual
-        root = dc.solver_root
+        root = p._solver_root
         if root is None:
             # a deadline passing inside the build leaves nothing cached
-            root = dc.solver_root = _Root(p, deadline)
+            root = p._solver_root = _Root(p, deadline)
+        # any constraint is a top simplex; without one, ask the full walk
+        if not root.constraints and not build_dual(p).has_top():
+            raise Unsupported("no top-dimensional simplex")
+        self.root = root
         self.constraints = root.constraints
         self.watching = root.watching
         self.free = root.free
-        domains = list(root.domains)
+        self.weights = [1] * len(root.constraints)  # dom/wdeg, this solve's
+        domains = dict(root.domains)
+        pixel_failed = False
         if pins:
             for bid, allowed in pins.items():
                 allowed = set(tuple(v) for v in allowed)
-                domains[bid] = tuple(v for v in domains[bid] if v in allowed)
+                if bid in domains:
+                    domains[bid] = tuple(v for v in domains[bid]
+                                         if v in allowed)
+                elif p.boxes[bid].center2() not in allowed:
+                    # an unlisted box is a pixel, whose point is its center
+                    pixel_failed = True
         self.domains = domains
         self.propagations = 0
-        # a box in no top simplex is seen by no constraint, so an empty
-        # domain (from a pin) must fail here
-        self.root_failed = not all(domains)
+        # a box in no constraint is seen by none, so an empty domain (from
+        # a pin) must fail here
+        self.root_failed = pixel_failed or not all(domains.values())
 
     def _check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -235,6 +305,7 @@ class _Csp:
             self._check_deadline()
             if self.revise(ci, var):
                 if not self.domains[var]:
+                    self.weights[ci] += 1
                     return False
                 for cj in self.watching.get(var, ()):
                     for u in self.constraints[cj][0]:
@@ -245,14 +316,15 @@ class _Csp:
 
 
 def _search(csp: _Csp, cfg: SolverConfig, sols: list, every: bool):
-    """Bisection search; appends each solution to sols, stopping at the
-    first unless every is set. Returns (status, nodes)."""
+    """Bisection search; appends each solution (listed box id -> point) to
+    sols, stopping at the first unless every is set. Returns (status,
+    nodes)."""
     nodes = 0
     try:
         if not csp.propagate():
             return UNSAT, nodes
         # domains are rebound, never changed in place, so shallow copies do
-        stack = [list(csp.domains)]
+        stack = [dict(csp.domains)]
         while stack:
             nodes += 1
             if cfg.node_limit and nodes > cfg.node_limit:
@@ -261,7 +333,7 @@ def _search(csp: _Csp, cfg: SolverConfig, sols: list, every: bool):
             csp.domains = stack.pop()
             var = _pick_var(csp)
             if var is None:
-                sols.append(tuple(dom[0] for dom in csp.domains))
+                sols.append({i: dom[0] for i, dom in csp.domains.items()})
                 if not every:
                     return SAT, nodes
                 continue
@@ -270,7 +342,7 @@ def _search(csp: _Csp, cfg: SolverConfig, sols: list, every: bool):
             lo_half, hi_half = dom[:mid], dom[mid:]
             base = csp.domains  # second branch must not see the first one's pruning
             for half in (hi_half, lo_half):  # explore the low half first
-                saved = list(base)
+                saved = dict(base)
                 saved[var] = half
                 csp.domains = saved
                 if csp.propagate(csp.watching.get(var, ())):
@@ -282,14 +354,22 @@ def _search(csp: _Csp, cfg: SolverConfig, sols: list, every: bool):
 
 
 def _pick_var(csp: _Csp):
-    """The first box, by id, of smallest domain among the undecided."""
-    doms = csp.domains
-    best = None
+    """The undecided box of least |dom| / wdeg, the first by id on ties;
+    boxes of wdeg 0 come last. None once every box is decided."""
+    doms, constraints, weights = csp.domains, csp.constraints, csp.weights
+    best = None  # (|dom|, wdeg, box)
     for i in csp.free:
         k = len(doms[i])
-        if k > 1 and (best is None or k < best[0]):
-            best = (k, i)
-    return best[1] if best else None
+        if k < 2:
+            continue
+        w = 0
+        for ci in csp.watching.get(i, ()):
+            if any(u != i and len(doms[u]) > 1 for u in constraints[ci][0]):
+                w += weights[ci]
+        # k / w < bk / bw, with w = 0 standing for an infinite ratio
+        if best is None or w and (not best[1] or k * best[1] < best[0] * w):
+            best = (k, w, i)
+    return best[2] if best else None
 
 
 def _drive(p, cfg, pins, every):
@@ -316,7 +396,8 @@ def _drive(p, cfg, pins, every):
         status, nodes = UNSAT, 0
     else:
         status, nodes = _search(csp, cfg, sols, every)
-    projections = [Projection(sol) for sol in sorted(sols)]
+    points = sorted(csp.root.points(p, sol) for sol in sols)
+    projections = [Projection(pts) for pts in points]
     for proj in projections:
         check = verify_certificate(p, proj)
         if not check.ok:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,12 +85,16 @@ def test_is_generic():
     p = validate_partition(pixels([(0, 0), (0, 1), (1, 0), (1, 1)]), 2, 2)
     flag, witness = is_generic(p)
     assert not flag and witness == (1, 1)
+    # the answer's truth value is its flag, not that of a nonempty pair
+    assert bool(is_generic(p)) is False
+    assert not is_generic(p)
     # a guillotine split never stacks more than 3 boxes at a point
     p2 = validate_partition(
         [IntBox((0, 0), (1, 2)), IntBox((1, 0), (2, 1)), IntBox((1, 1), (2, 2))],
         2, 2)
     flag, witness = is_generic(p2)
     assert flag and witness is None
+    assert bool(is_generic(p2)) is True
 
 
 def test_balance_of_set():
@@ -157,7 +162,7 @@ def test_pixel_fill_matches_validation(boxes, n):
 def test_pixel_fill_refuses_before_building_pixels(monkeypatch):
     given = [IntBox((0, 0), (1, 1))]
     built = []
-    post_init = IntBox.__post_init__
+    post_init, pixel = IntBox.__post_init__, boxes_mod._pixel
 
     def counting(self):
         built.append(self)
@@ -165,10 +170,33 @@ def test_pixel_fill_refuses_before_building_pixels(monkeypatch):
 
     monkeypatch.setattr(boxes_mod, "_GRID_LIMIT", 100)
     monkeypatch.setattr(IntBox, "__post_init__", counting)
+    # pixels skip the constructor, so count the path that builds them too
+    monkeypatch.setattr(boxes_mod, "_pixel",
+                        lambda lo, hi: built.append(lo) or pixel(lo, hi))
     with pytest.raises(GridTooLarge) as info:
         pixel_fill(given, 20)
     assert info.value.cells == 22 * 22
     assert built == []
+    # with the limit lifted the same fill builds its 399 pixels there
+    monkeypatch.setattr(boxes_mod, "_GRID_LIMIT", 10 ** 7)
+    assert len(pixel_fill(given, 20).boxes) == 400
+    assert len(built) == 399
+
+
+@pytest.mark.parametrize("boxes, n", PIXEL_FILL_CASES)
+def test_pixel_fill_pixels_are_constructed_boxes(boxes, n):
+    # the pixels skip the constructor, yet compare, hash and print like
+    # constructed ones, and keep a key-sharing dict of the same size
+    p = pixel_fill(boxes, n)
+    made = p.boxes[len(boxes):]
+    assert all(b.is_pixel() for b in made)
+    for px in made:
+        box = IntBox(list(px.lo), [x + 1 for x in px.lo])
+        assert px == box and hash(px) == hash(box) and str(px) == str(box)
+        assert type(px.lo) is type(px.hi) is tuple
+        assert all(type(x) is int for x in px.lo + px.hi)
+        assert list(vars(px)) == ["lo", "hi"]
+        assert sys.getsizeof(vars(px)) == sys.getsizeof(vars(box))
 
 
 def test_pixel_fill_errors():

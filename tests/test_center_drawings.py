@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectdual.boxes import IntBox, is_generic, validate_partition
 from rectdual.dual import build_dual, partition_balance
-from rectdual.embedding import center_embeddable
+from rectdual.embedding import Violation, center_embeddable
 from rectdual.io import format_partition
+from rectdual.solver import SAT, solve
 
 from oracles.partitions import random_partition, random_pixel_fill
 from oracles.trees import balanced_tree
@@ -54,3 +56,20 @@ def test_centers_draw_planar_partitions_below_balance_three():
         assert center_embeddable(p).kind == "embedding", format_partition(p)
         count += 1
     assert count >= 20
+
+
+def test_the_planar_bound_three_is_reached():
+    # one of the four 6-box partitions among the 246 center failures of
+    # the 4 x 4 rectangulations (enumerate_rectangulations(2, 4), about
+    # 10 s, so the sweep itself is not run here): its balance is exactly
+    # 3, four boxes meet at (1, 3), and the centers of boxes 0, 3 and 4
+    # fall on one line; a half-integral drawing still exists
+    p = validate_partition([IntBox(lo, hi) for lo, hi in [
+        ((0, 0), (1, 3)), ((0, 3), (1, 4)), ((1, 0), (2, 2)),
+        ((1, 2), (2, 3)), ((1, 3), (4, 4)), ((2, 0), (4, 3))]], 2, 4)
+    assert partition_balance(p).value == 3
+    assert is_generic(p) == (False, (1, 3)) and not is_generic(p)
+    v = center_embeddable(p)
+    assert v.kind == "not_embedding"
+    assert v.violations == (Violation((0, 3, 4), expected=1, actual=0),)
+    assert solve(p).status == SAT

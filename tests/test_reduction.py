@@ -10,6 +10,7 @@ import gc
 import hashlib
 from itertools import product
 import json
+from pathlib import Path
 import random
 import weakref
 
@@ -40,6 +41,7 @@ from rectdual.reduction import (
 from rectdual.solver import SAT, UNSAT, SolverConfig, enumerate_all, solve
 
 from oracles.instances import random_grid3sat
+from oracles.roots import check_root
 
 # one variable at (0,1) wired to one clause at (2,1) by three disjoint
 # paths: through (1,1), around the top, around the bottom
@@ -189,7 +191,7 @@ def test_a_cached_root_answers_as_a_fresh_one(reduced_of, name, assignment):
     # of another assignment, or none, must not change this one's answer
     _, p, gmap = reduced_of(name)
     solve(p, SolverConfig(node_limit=1))
-    assert dual.build_dual(p).solver_root is not None
+    assert p._solver_root is not None
     pins = {c.box: [c.front2 if assignment[v.var] else c.back2]
             for v in gmap.variables for c in v.cycle}
     # a copy of the partition carries no dual, and so no root: the pinned
@@ -250,8 +252,9 @@ def test_reduce_output_is_unchanged_on_generated_instances():
 
 
 def test_unsat3_has_no_completion(reduced_of):
-    # a free solve is left out: smallest-domain branching does not decide
-    # unsat3 within minutes
+    # the free solve is test_free_solve_of_unsat3_is_unsat: dom/wdeg
+    # branching decides it in 76 nodes, where smallest-domain branching
+    # did not within minutes
     inst, p, gmap = reduced_of("unsat3")
     assert brute_force_sat(inst) is None
     for a in assignments(inst):
@@ -267,6 +270,43 @@ def test_sat3_completes_and_reads_back(reduced_of, y):
     a = {0: True, 1: y, 2: True}
     proj = projection_from_assignment(a, p, gmap)
     assert assignment_from_projection(proj, gmap) == a
+
+
+def refuse_full_walk(p):
+    raise AssertionError("full top walk")
+
+
+def test_free_solve_of_unsat3_is_unsat(reduced_of, monkeypatch):
+    # the reduction law on a free solve of an unsatisfiable formula; the
+    # root walks only the gadget boxes' boundaries, and with no solution
+    # to re-check the top walk over the whole grid never runs
+    _, p, _ = reduced_of("unsat3")
+    monkeypatch.setattr(dual, "_chains", refuse_full_walk)
+    res = solve(replace(p), SolverConfig(node_limit=2000))
+    assert res.status == UNSAT
+    assert res.stats == {"nodes": 76, "propagations": 18776}
+
+
+def test_free_solve_of_sat3_reads_back_a_satisfying_assignment(reduced_of):
+    inst, p, gmap = reduced_of("sat3")
+    res = solve(p, SolverConfig(node_limit=2000))
+    assert res.status == SAT
+    assert res.stats["nodes"] == 82
+    a = assignment_from_projection(res.projection, gmap)
+    assert evaluate(inst, a)
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+@pytest.mark.parametrize("name", list(REDUCED_SHA256) + sorted(
+    path.stem for path in FIXTURES.glob("*.g3s")))
+def test_root_is_the_full_walk_filtered(reduced_of, name):
+    if name in REDUCED_SHA256:
+        p = reduced_of(name)[1]
+    else:
+        p, _ = reduce(parse_grid3sat((FIXTURES / f"{name}.g3s").read_text()))
+    assert check_root(replace(p)) > 0
 
 
 def test_one_walk_per_partition(monkeypatch):
@@ -306,7 +346,7 @@ def test_a_dropped_partition_is_freed_at_once():
     p, gmap = reduce(parse_grid3sat(ALL_POSITIVE))
     projection_from_assignment({0: True}, p, gmap)
     assert solve(p).status == SAT
-    assert p._dual is not None and p._dual.solver_root is not None
+    assert p._dual is not None and p._solver_root is not None
     ref = weakref.ref(p)
     gc.disable()
     try:

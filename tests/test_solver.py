@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from rectdual import solver
+from rectdual import dual, solver
 from rectdual.boxes import IntBox, pixel_fill, validate_partition
 from rectdual.counterexamples import gen_planar_lcycle
 from rectdual.dual import build_dual, orientation
@@ -30,7 +30,12 @@ from rectdual.solver import (
     verify_certificate,
 )
 
-from oracles.partitions import random_disjoint_boxes, random_partition
+from oracles.partitions import (
+    random_disjoint_boxes,
+    random_partition,
+    random_pixel_fill,
+)
+from oracles.roots import check_root
 
 
 def unit_grid2(n):
@@ -188,14 +193,20 @@ def test_time_limit_times_out():
     assert res.status == TIMEOUT
 
 
+def walked_vertices(p):
+    """The grid vertices the constraint root walks: those on the boundary
+    of a box larger than a pixel."""
+    return solver._boundary_vertices(b for b in p.boxes if not b.is_pixel())
+
+
 def test_time_limit_stops_root_propagation(monkeypatch):
     # a fake clock one second later at every reading: the first solve of a
-    # partition reads it once after build_dual and once per top simplex
-    # while it builds the constraint root, so a deadline three readings
-    # past that passes inside the root propagation, before any node
+    # partition reads it once per vertex the constraint root walks, so a
+    # deadline three readings past that passes inside the root
+    # propagation, before any node
     full = solve(planar3_partition())
     p = planar3_partition()
-    setup_readings = 1 + len(list(build_dual(p).top_items()))
+    setup_readings = len(walked_vertices(p))
     ticks = iter(range(10**6))
     monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
     res = solve(p, cfg=SolverConfig(time_limit=setup_readings + 3))
@@ -206,14 +217,14 @@ def test_time_limit_stops_root_propagation(monkeypatch):
 
 
 def test_time_limit_stops_root_propagation_on_a_cached_root(monkeypatch):
-    # a later solve finds the root built: it reads the clock once after
-    # build_dual and then propagates, so a deadline three readings past
-    # that one passes inside the root propagation, before any node
+    # a later solve finds the root built: it reads the clock first in the
+    # root propagation, so a deadline three readings past the one that
+    # fixes it passes there, before any node
     p = planar3_partition()
     full = solve(p)
     ticks = iter(range(10**6))
     monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
-    res = solve(p, cfg=SolverConfig(time_limit=1 + 3))
+    res = solve(p, cfg=SolverConfig(time_limit=3))
     assert res.status == TIMEOUT
     assert res.projection is None
     assert res.stats["nodes"] == 0
@@ -221,11 +232,12 @@ def test_time_limit_stops_root_propagation_on_a_cached_root(monkeypatch):
 
 
 def test_time_limit_stops_setup(monkeypatch):
-    # the deadline, fixed at 0 + 2, passes at the second top simplex of
-    # the constraint setup: reading 0 fixes it, reading 1 follows
-    # build_dual, readings 2 and 3 precede the first two top simplices;
-    # the stopped solve caches no root, so enumerate_all reads it alike
+    # the deadline, fixed at 0 + 2, passes at the third vertex the
+    # constraint root walks: reading 0 fixes it, readings 1, 2 and 3
+    # precede the first three vertices; the stopped solve caches no root,
+    # so enumerate_all reads it alike
     p = planar3_partition()
+    assert len(walked_vertices(p)) > 3
     readings = []
 
     def clock():
@@ -246,9 +258,9 @@ def test_a_deadline_in_the_root_build_caches_nothing(monkeypatch):
     fresh = solve(planar3_partition())
     ticks = iter(range(10**6))
     monkeypatch.setattr(solver.time, "monotonic", lambda: next(ticks))
-    # reading 0 fixes the deadline at 2; it passes at the second top simplex
+    # reading 0 fixes the deadline at 2; it passes at the third walked vertex
     assert solve(p, cfg=SolverConfig(time_limit=2)).status == TIMEOUT
-    assert build_dual(p).solver_root is None
+    assert p._solver_root is None
     monkeypatch.undo()
     again = solve(p)
     assert (again.status, again.stats) == (fresh.status, fresh.stats)
@@ -299,7 +311,7 @@ def test_a_cached_root_answers_as_a_fresh_one(make, pin_sets):
         for pins in [None] + pin_sets + pixel_pins(cached):
             fresh = run(make(), pins=pins)
             got = run(cached, pins=pins)
-            assert build_dual(cached).solver_root is not None
+            assert cached._solver_root is not None
             assert (got.status, got.stats) == (fresh.status, fresh.stats)
             assert got.projection == fresh.projection
             assert got.solutions == fresh.solutions
@@ -308,12 +320,12 @@ def test_a_cached_root_answers_as_a_fresh_one(make, pin_sets):
 def test_pinned_runs_leave_the_root_as_it_was():
     p = planar3_partition()
     solve(p)
-    root = build_dual(p).solver_root
-    kept = (list(root.domains), list(root.constraints), list(root.free),
+    root = p._solver_root
+    kept = (dict(root.domains), list(root.constraints), list(root.free),
             {i: list(c) for i, c in root.watching.items()})
     for run in (solve, enumerate_all):
         assert run(p, pins={0: [(5, 1)]}).status == SAT
-    assert build_dual(p).solver_root is root
+    assert p._solver_root is root
     assert kept == (root.domains, root.constraints, root.free,
                     root.watching)
 
@@ -395,6 +407,44 @@ def test_unit_simplices_cost_no_orientation_call(monkeypatch):
     res = solve(p)
     assert res.status == SAT and res.projection == center_projection(p)
     assert calls == []
+
+
+# 30 pixel fills in each of d = 2, 3, 4, 30 planar random_pixel_fills,
+# and 30 guillotines in each of d = 2, 3
+ROOT_CASES = [
+    pytest.param(seeded_pixel_fill, (d, n), range(30), id=f"fill-{d}-{n}")
+    for d, n in [(2, 8), (3, 5), (4, 3)]
+] + [
+    pytest.param(lambda n, seed: random_pixel_fill(n, random.Random(seed)),
+                 (6,), range(30), id="random_pixel_fill-6"),
+] + [
+    pytest.param(seeded_guillotine, (d, n), range(30),
+                 id=f"guillotine-{d}-{n}")
+    for d, n in [(2, 8), (3, 5)]
+]
+
+
+@pytest.mark.parametrize("make, args, seeds", ROOT_CASES)
+def test_root_is_the_full_walk_filtered(make, args, seeds):
+    # the root walks only the boundary vertices of the boxes larger than
+    # a pixel, yet keeps what the full walk keeps under the one-box lemma
+    constraints = [check_root(make(*args, seed)) for seed in seeds]
+    assert sum(map(bool, constraints)) >= 10
+
+
+@pytest.mark.parametrize("run", [solve, enumerate_all])
+def test_an_unsat_solve_walks_no_whole_grid(monkeypatch, run):
+    # lcycle is UNSAT in one node: with no solution to re-check, the top
+    # walk over every grid vertex never runs; its SAT twin runs it for the
+    # re-check
+    def refuse(p):
+        raise AssertionError("full top walk")
+    monkeypatch.setattr(dual, "_chains", refuse)
+    res = run(gen_planar_lcycle())
+    assert res.status == UNSAT
+    assert res.stats == {"nodes": 1, "propagations": 110}
+    with pytest.raises(AssertionError, match="full top walk"):
+        run(gen_planar_lcycle(drop_sink=True))
 
 
 def test_solve_3d_smoke():
