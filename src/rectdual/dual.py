@@ -33,6 +33,14 @@ closure. The solver's constraint root runs the same top walk over a
 given list of vertices instead (_seeds): walked in lexicographic order,
 a list that holds every chain of some top simplices gives them the seeds
 and the order of the full walk.
+
+orientation is the one exact kernel: it checks its points, then
+dispatches to the closed forms _orient2 (d = 2) and _orient3 (d = 3),
+or to Bareiss elimination (_det) in any other dimension. The loops that
+orient many simplices bind the fixed-arity kernel once instead of
+calling orientation per simplex: DualComplex.misoriented, which
+classifying a projection runs over every top simplex, and the solver's
+revise, through _kernel.
 """
 
 from __future__ import annotations
@@ -98,31 +106,42 @@ def _det(rows):
     return det if den == 1 else Fraction(det, den ** n)
 
 
+def _orient2(a, b, c) -> int:
+    """Orientation sign of three points in the plane."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (v > 0) - (v < 0)
+
+
+def _orient3(a, b, c, d) -> int:
+    """Orientation sign of four points in space."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = a, b, c, d
+    bx, by, bz = bx - ax, by - ay, bz - az
+    cx, cy, cz = cx - ax, cy - ay, cz - az
+    dx, dy, dz = dx - ax, dy - ay, dz - az
+    v = (bx * (cy * dz - cz * dy) - by * (cx * dz - cz * dx)
+         + bz * (cx * dy - cy * dx))
+    return (v > 0) - (v < 0)
+
+
 def orientation(points) -> int:
     """Orientation sign of d+1 points in R^d.
 
     points is a sequence of d+1 points, each a sequence of d int or
     Fraction coordinates. The sign is that of the determinant of the
-    (d+1)x(d+1) matrix whose rows are (1, p_i): by closed forms on the
-    points for d <= 3, by Bareiss elimination (_det) of the difference
-    rows p_i - p_0 above. Invariant under scaling all coordinates by a
-    positive factor, so doubled half-integral coordinates can be passed
-    directly.
+    (d+1)x(d+1) matrix whose rows are (1, p_i): by the closed forms
+    _orient2 and _orient3 for d = 2, 3, by Bareiss elimination (_det) of
+    the difference rows p_i - p_0 otherwise. Invariant under scaling all
+    coordinates by a positive factor, so doubled half-integral
+    coordinates can be passed directly. Hot loops bind the fixed-arity
+    kernel once instead of calling this per simplex (module docstring).
     """
     n = len(points)
     try:
         if n == 3:
-            (ax, ay), (bx, by), (cx, cy) = points
-            v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            return (v > 0) - (v < 0)
+            return _orient2(*points)
         if n == 4:
-            (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = points
-            bx, by, bz = bx - ax, by - ay, bz - az
-            cx, cy, cz = cx - ax, cy - ay, cz - az
-            dx, dy, dz = dx - ax, dy - ay, dz - az
-            v = (bx * (cy * dz - cz * dy) - by * (cx * dz - cz * dx)
-                 + bz * (cx * dy - cy * dx))
-            return (v > 0) - (v < 0)
+            return _orient3(*points)
     except ValueError:
         raise DimensionMismatch(
             f"need {n} points of dimension {n - 1}") from None
@@ -132,6 +151,17 @@ def orientation(points) -> int:
     p0 = points[0]
     v = _det([[x - y for x, y in zip(p, p0)] for p in points[1:]])
     return (v > 0) - (v < 0)
+
+
+def _kernel(n):
+    """The orientation sign of n points of dimension n - 1, as a function
+    of the n points: _orient2 or _orient3, else orientation. The points
+    are not checked."""
+    if n == 3:
+        return _orient2
+    if n == 4:
+        return _orient3
+    return lambda *points: orientation(points)
 
 
 def _perm_parity(perm) -> int:
@@ -192,6 +222,31 @@ class DualComplex:
         """Yield (simplex, ordered box ids, seed orientation sign)."""
         for key, (anchor, perm, ordered, sign) in self._top.items():
             yield key, ordered, sign
+
+    def misoriented(self, pts):
+        """(simplex, seed sign, sign) of every top simplex whose points
+        pts[i] (by box id) do not orient as its seed, in walk order. Every
+        top simplex is evaluated, by one kernel bound for the dimension;
+        pts must hold points of dimension dim."""
+        found = []
+        if self.dim == 2:
+            orient = _orient2
+            for key, (_, _, (a, b, c), want) in self._top.items():
+                got = orient(pts[a], pts[b], pts[c])
+                if got != want:
+                    found.append((key, want, got))
+        elif self.dim == 3:
+            orient = _orient3
+            for key, (_, _, (a, b, c, d), want) in self._top.items():
+                got = orient(pts[a], pts[b], pts[c], pts[d])
+                if got != want:
+                    found.append((key, want, got))
+        else:
+            for key, (_, _, ordered, want) in self._top.items():
+                got = orientation([pts[i] for i in ordered])
+                if got != want:
+                    found.append((key, want, got))
+        return found
 
     def seed_raw(self, simplex):
         key = tuple(sorted(simplex))

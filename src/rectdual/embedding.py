@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boxes import Partition
-from .dual import DimensionMismatch, DualComplex, build_dual, orientation
+from .dual import DimensionMismatch, DualComplex, build_dual
 
 
 class NotFaithful(ValueError):
@@ -77,15 +77,21 @@ def center_projection(p: Partition) -> Projection:
 
 
 def check_faithful(p: Partition, proj: Projection) -> None:
-    """Raise unless proj has one point of p.dim coordinates per box, each
-    strictly inside its box (NotFaithful names the first that is not)."""
-    if len(proj.points2) != len(p.boxes):
+    """Raise unless proj has one point of p.dim int coordinates per box,
+    each strictly inside its box (NotHalfIntegral names the first box
+    whose point has a coordinate that is not an int, NotFaithful the
+    first whose point lies outside)."""
+    points = proj.points2
+    if len(points) != len(p.boxes):
         raise ValueError("projection has wrong number of vertices")
-    if proj.points2 and set(map(len, proj.points2)) != {p.dim}:
+    if points and set(map(len, points)) != {p.dim}:
         raise DimensionMismatch(f"projection points need {p.dim} coordinates")
-    for i, box in enumerate(p.boxes):
-        if not box.contains_point2(proj.points2[i]):
-            raise NotFaithful(i)
+    for i, (box, pt) in enumerate(zip(p.boxes, points)):
+        for a, b, x in zip(box.lo, box.hi, pt):
+            if type(x) is not int:
+                raise NotHalfIntegral(i)
+            if not 2 * a < x < 2 * b:
+                raise NotFaithful(i)
 
 
 def classify_projection(p: Partition, proj: Projection) -> EmbeddingVerdict:
@@ -95,14 +101,9 @@ def classify_projection(p: Partition, proj: Projection) -> EmbeddingVerdict:
     dc = build_dual(p)
     if not dc.has_top():
         return EmbeddingVerdict("unsupported")
-    violations = []
-    pts = proj.points2
-    for key, ordered, want in dc.top_items():
-        got = orientation([pts[i] for i in ordered])
-        if got != want:
-            violations.append(Violation(key, want, got))
+    violations = tuple(Violation(*v) for v in dc.misoriented(proj.points2))
     if violations:
-        return EmbeddingVerdict("not_embedding", tuple(violations))
+        return EmbeddingVerdict("not_embedding", violations)
     return EmbeddingVerdict("embedding")
 
 

@@ -2,13 +2,13 @@
 
 Each box contributes a finite domain: the half-integral points strictly
 inside it, prod(2 l_i - 1) many for side lengths l_i. Every top simplex of
-the dual complex is a constraint requiring the seed's orientation sign,
-read from dual.orientation. The solver runs generalized arc consistency
-over the constraints whose scope still has undecided boxes, and branches
-by bisecting the lexicographically sorted domain of an undecided box
-chosen by dom/wdeg (below). UNSAT is reported only on exhaustion, so it
-proves that no half-integral drawing exists; a drawing with finer
-rational coordinates may still exist.
+the dual complex is a constraint requiring the seed's orientation sign.
+The solver runs generalized arc consistency over the constraints whose
+scope still has undecided boxes, and branches by bisecting the
+lexicographically sorted domain of an undecided box chosen by dom/wdeg
+(below). UNSAT is reported only on exhaustion, so it proves that no
+half-integral drawing exists; a drawing with finer rational coordinates
+may still exist.
 
 A unit box has one half-integral point, its center, which is also the
 center of the seed-chain pixel inside it. One-box lemma: a top simplex
@@ -29,17 +29,18 @@ checks it).
 The constraints of the search are therefore the top simplices with two
 or more boxes larger than a pixel, and the setup, the constraint root,
 finds them without the walk over the whole grid. Every chain of such a
-simplex lies at a grid vertex in the closure of both larger boxes, whose
-interiors are disjoint, so the vertex lies on the boundary of a box
-larger than a pixel. The root walks only those boundary vertices, in
-lexicographic order (dual._seeds), so each constraint keeps the seed,
-ordered ids, sign and place in the order that the full walk gives it;
-it makes no orientation call. Domains are listed only for the boxes
-larger than a pixel and for the pixels that some constraint names;
-every other box's point is its center, filled into each solution. On a
-reduced grid-3SAT partition, where almost every box is a pixel, the
-root and every search node then cost what the gadget boxes cost, not
-what the pixels do.
+simplex lies at a grid vertex w in the closure of both larger boxes.
+Their interiors are disjoint, so some axis k separates them, hi_k of one
+<= lo_k of the other, and w_k, bounded by both, equals that lo_k: w lies
+on a lower face of a box larger than a pixel. The root walks only those
+lower-face vertices, in lexicographic order (dual._seeds), so each
+constraint keeps the seed, ordered ids, sign and place in the order that
+the full walk gives it; it makes no orientation call. Domains are listed
+only for the boxes larger than a pixel and for the pixels that some
+constraint names; every other box's point is its center, filled into
+each solution. On a reduced grid-3SAT partition, where almost every box
+is a pixel, the root and every search node then cost what the gadget
+boxes cost, not what the pixels do.
 
 The root is built once per partition, unpinned, the first time a solve
 reaches it, and kept on the partition (Partition._solver_root) for every
@@ -60,13 +61,20 @@ another undecided box. The branching box is the undecided box larger
 than a pixel that minimizes |dom| / wdeg, compared by cross-multiplying,
 with ties broken by the lower id; a box of wdeg 0 comes last.
 
+revise, the inner loop of the search, tests each value of a box
+against the product of the other domains of one constraint, in product
+order, and keeps it at the first tuple with the required sign. It binds
+the orientation kernel for the constraint's arity once per call
+(dual._kernel: the closed form for d = 2, 3), not once per tuple.
+
 solve and enumerate_all share one routine, _drive: it reads the
 constraint root, searches, stopping at the first solution unless every
 one is wanted, and re-checks each solution as a certificate with
 classify_projection against every top simplex of build_dual(p). Only a
 solution runs that walk over the whole grid, so an UNSAT or TIMEOUT
 answer never does, unless the root has no constraint. A pin on an id
-that is not a box of the partition raises UnknownBox, and a partition
+that is not a box of the partition raises UnknownBox, a pinned value
+that is not a point of d ints raises DimensionMismatch, and a partition
 whose domains together would hold more than boxes._GRID_LIMIT points
 raises DomainTooLarge, both before any domain is listed. The search
 honours SolverConfig.node_limit between nodes. SolverConfig.time_limit
@@ -82,11 +90,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, starmap
 from math import prod
 
 from .boxes import _GRID_LIMIT, Partition
-from .dual import _seeds, build_dual, orientation
+from .dual import DimensionMismatch, _kernel, _seeds, build_dual
 from .embedding import Projection, classify_projection
 
 
@@ -163,14 +171,13 @@ def box_domain(box) -> tuple:
 
 
 def _boundary_vertices(boxes) -> list:
-    """The grid vertices on the boundary of the boxes, lex sorted."""
+    """The grid vertices on the lower faces of the boxes, lex sorted."""
     found = set()
     for box in boxes:
         ranges = [range(a, b + 1) for a, b in zip(box.lo, box.hi)]
         for k, full in enumerate(list(ranges)):
-            for face in (box.lo[k], box.hi[k]):
-                ranges[k] = (face,)
-                found.update(product(*ranges))
+            ranges[k] = (box.lo[k],)
+            found.update(product(*ranges))
             ranges[k] = full
     return sorted(found)
 
@@ -188,10 +195,11 @@ class _Root:
 
     constraints: (ordered box ids, required sign) of the top simplices
     with two or more boxes larger than a pixel, in the order of the full
-    walk; domains: box id -> box_domain's tuple, for the boxes larger
-    than a pixel and the pixels some constraint names, ascending;
-    watching: box id -> constraint indices; free: the boxes larger than
-    a pixel, ascending. Built by the first solve of the partition and
+    walk, found at the vertices of the lower faces of those boxes;
+    domains: box id -> box_domain's tuple, for the boxes larger than a
+    pixel and the pixels some constraint names, ascending; watching: box
+    id -> constraint indices; free: the boxes larger than a pixel,
+    ascending. Built by the first solve of the partition and
     kept on it; solves read it and change only centers, once."""
 
     def __init__(self, p: Partition, deadline):
@@ -233,6 +241,7 @@ class _Root:
 
 class _Csp:
     def __init__(self, p: Partition, pins=None, deadline=None):
+        # pins: box id -> set of points, as _pin_sets returns them
         self.deadline = deadline  # time.monotonic() value, or None
         root = p._solver_root
         if root is None:
@@ -250,7 +259,6 @@ class _Csp:
         pixel_failed = False
         if pins:
             for bid, allowed in pins.items():
-                allowed = set(tuple(v) for v in allowed)
                 if bid in domains:
                     domains[bid] = tuple(v for v in domains[bid]
                                          if v in allowed)
@@ -276,16 +284,16 @@ class _Csp:
         # var's slot holds one value at a time; the others keep their order
         pos = ordered.index(var)
         scope = [doms[i] for i in ordered]
+        orient = _kernel(len(ordered))
         keep = []
         deadline = self.deadline
         for v in dom:
             if deadline is not None and time.monotonic() > deadline:
                 raise _Deadline
             scope[pos] = (v,)
-            for pts in product(*scope):
-                if orientation(pts) == want:
-                    keep.append(v)
-                    break
+            # stops at the first supporting tuple, in product order
+            if want in starmap(orient, product(*scope)):
+                keep.append(v)
         if len(keep) != len(dom):
             doms[var] = tuple(keep)
             return True
@@ -372,14 +380,35 @@ def _pick_var(csp: _Csp):
     return best[2] if best else None
 
 
+def _pin_sets(p, pins) -> dict:
+    """pins as box id -> set of doubled points, checked: UnknownBox for an
+    id that names no box, DimensionMismatch for a value that is not a
+    point of p.dim ints."""
+    sets = {}
+    for bid, allowed in (pins or {}).items():
+        if bid not in range(len(p.boxes)):
+            raise UnknownBox(bid, len(p.boxes))
+        points = set()
+        for v in allowed:
+            try:
+                v = tuple(v)
+            except TypeError:
+                raise DimensionMismatch(
+                    f"pin on box {bid}: {v!r} is not a point") from None
+            if len(v) != p.dim or any(type(x) is not int for x in v):
+                raise DimensionMismatch(
+                    f"pin on box {bid}: {v!r} is not {p.dim} ints")
+            points.add(v)
+        sets[bid] = points
+    return sets
+
+
 def _drive(p, cfg, pins, every):
     """Search, then re-check every solution found as a certificate.
 
     Returns (status, projections in sorted order, stats)."""
     cfg = cfg or SolverConfig()
-    for bid in pins or ():
-        if bid not in range(len(p.boxes)):
-            raise UnknownBox(bid, len(p.boxes))
+    pins = _pin_sets(p, pins)
     # prod(2 l_i - 1) < 2^d prod(l_i): fewer than (2n)^d points in all
     if (2 * p.n) ** p.dim > _GRID_LIMIT:
         points = sum(prod(2 * (h - l) - 1 for l, h in zip(b.lo, b.hi))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectdual import dual
 from rectdual.boxes import IntBox, validate_partition
@@ -16,6 +18,7 @@ from rectdual.dual import (
 from rectdual.embedding import center_embeddable
 from rectdual.solver import enumerate_all, solve
 
+from oracles.determinant import orientation_sign
 from oracles.partitions import enumerate_rectangulations, random_partition
 from oracles.voronoi import nerve_of_partition
 
@@ -43,6 +46,51 @@ def test_orientation_scale_invariant():
         s = orientation(pts)
         scaled = [tuple(7 * x for x in p) for p in pts]
         assert orientation(scaled) == s
+
+
+@st.composite
+def _point_sets(draw):
+    """d+1 points in R^d, d = 2, 3, 4, of int or Fraction coordinates;
+    degenerate sets repeat a point or put the last one on the affine hull
+    of the others."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    ints = st.integers(-9, 9)
+    fractions = st.fractions(-9, 9, max_denominator=6)
+    coord = draw(st.sampled_from((ints, fractions, ints | fractions)))
+    pts = [tuple(draw(coord) for _ in range(d)) for _ in range(d + 1)]
+    kind = draw(st.sampled_from(("free", "repeat", "affine")))
+    if kind == "repeat":
+        pts[-1] = pts[draw(st.integers(0, d - 1))]
+    elif kind == "affine":
+        weights = [draw(st.integers(-3, 3)) for _ in range(d - 1)]
+        weights.append(1 - sum(weights))
+        pts[-1] = tuple(sum(w * p[k] for w, p in zip(weights, pts))
+                        for k in range(d))
+    return kind, pts
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_point_sets())
+def test_orientation_agrees_with_the_leibniz_expansion(case):
+    kind, pts = case
+    want = orientation_sign(pts)
+    assert kind == "free" or want == 0
+    got = orientation(pts)
+    assert type(got) is int and got == want
+    assert orientation([list(p) for p in pts]) == want
+    assert dual._kernel(len(pts))(*pts) == want
+
+
+@pytest.mark.parametrize("points", [
+    ((0, 0), (1, 0), (0, 1, 0)),
+    ((0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 1)),
+    ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1)),
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+    ((0,),),
+])
+def test_orientation_refuses_points_of_the_wrong_dimension(points):
+    with pytest.raises(DimensionMismatch):
+        orientation(points)
 
 
 def test_dual_2x2_grid_exact():

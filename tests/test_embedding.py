@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rectdual import dual
 from rectdual.boxes import IntBox, validate_partition
 from rectdual.dual import DimensionMismatch, build_dual
 from rectdual.embedding import (
@@ -17,6 +18,8 @@ from rectdual.embedding import (
 )
 from rectdual.solver import verify_certificate
 
+from oracles.chains import _perm_parity as chain_parity, dual_of
+from oracles.determinant import orientation_sign
 from oracles.injectivity import projection_injective
 from oracles.partitions import random_partition
 
@@ -169,3 +172,72 @@ def test_violation_implies_not_injective_or_degenerate():
     dc = build_dual(p)
     proj = center_projection(p)
     assert not projection_injective(dc, proj)  # flat triangle is degenerate
+
+
+def _random_projection(p, rng):
+    """A point strictly inside every box: its center or, for half the
+    boxes, a random doubled point, which lands on many flat simplices."""
+    pts = []
+    for box in p.boxes:
+        if rng.random() < 0.5:
+            pts.append(box.center2())
+        else:
+            pts.append(tuple(rng.randrange(2 * a + 1, 2 * b)
+                             for a, b in zip(box.lo, box.hi)))
+    return Projection(tuple(pts))
+
+
+@pytest.mark.parametrize("d, n, count", [(2, 8, 40), (3, 4, 40), (4, 3, 20)])
+def test_violations_match_a_recomputation_by_the_oracles(d, n, count):
+    # every top simplex of the frozen enumerator, in its order, with the
+    # seed sign its axis order gives and the sign of the Leibniz expansion
+    rng = random.Random(17 + d)
+    kinds, flat = set(), 0
+    for _ in range(count):
+        p = random_partition(d, n, rng, stop=0.1)
+        top, _ = dual_of(p)
+        if not top:
+            continue
+        proj = _random_projection(p, rng)
+        want = []
+        for key, (_, perm, ordered) in top.items():
+            sign = chain_parity(perm)
+            got = orientation_sign([proj.points2[i] for i in ordered])
+            if got != sign:
+                want.append((key, sign, got))
+        verdict = classify_projection(p, proj)
+        assert [(v.simplex, v.expected, v.actual)
+                for v in verdict.violations] == want
+        assert verdict.kind == ("not_embedding" if want else "embedding")
+        kinds.add(verdict.kind)
+        flat += sum(got == 0 for _, _, got in want)
+    assert kinds == {"embedding", "not_embedding"} and flat
+
+
+def three_box_partition():
+    return validate_partition([IntBox((0, 0), (2, 1)), IntBox((0, 1), (1, 2)),
+                               IntBox((1, 1), (2, 2))], 2, 2)
+
+
+@pytest.mark.parametrize("points", [
+    ((2.0000000001, 1.0), (1, 3), (3, 3)),
+    ((2, 1), (1, 3), (Fraction(5, 2), 3)),
+    ((2, 1), (1, 3), (3, 3.0)),
+])
+def test_a_coordinate_that_is_not_an_int_is_refused(monkeypatch, points):
+    # refused before any orientation; the float point lies inside box 0 and
+    # used to be classified in floating point
+    p = three_box_partition()
+    assert classify_projection(p, center_projection(p)).is_embedding
+    bad = next(i for i, pt in enumerate(points)
+               if any(type(x) is not int for x in pt))
+
+    def refuse(*pts):
+        raise AssertionError("an orientation was computed")
+    monkeypatch.setattr(dual, "_orient2", refuse)
+    proj = Projection(points)
+    for check in (check_faithful, classify_projection):
+        with pytest.raises(NotHalfIntegral) as info:
+            check(p, proj)
+        assert info.value.vertex == bad
+    assert not verify_certificate(p, proj)

@@ -6,7 +6,7 @@ import pytest
 from rectdual import dual, solver
 from rectdual.boxes import IntBox, pixel_fill, validate_partition
 from rectdual.counterexamples import gen_planar_lcycle
-from rectdual.dual import build_dual, orientation
+from rectdual.dual import DimensionMismatch, build_dual, orientation
 from rectdual.embedding import (
     Projection,
     center_embeddable,
@@ -143,6 +143,24 @@ def test_a_pin_on_no_box_is_refused(monkeypatch, run, bid):
     assert isinstance(info.value, ValueError) and info.value.bid == bid
 
 
+@pytest.mark.parametrize("value", [(2, 1, 7), (2,), 5, (2.0, 1), "21",
+                                   (2, None)])
+@pytest.mark.parametrize("run", [solve, enumerate_all])
+def test_a_pin_that_is_not_a_point_is_refused(monkeypatch, run, value):
+    # (2, 1, 7) used to empty the domain (UNSAT, 0 nodes) and 5 to raise
+    # a bare TypeError; a value that is not two ints is now refused
+    # before any domain is listed
+    p = validate_partition([IntBox((0, 0), (2, 1)), IntBox((0, 1), (1, 2)),
+                            IntBox((1, 1), (2, 2))], 2, 2)
+
+    def refuse(box):
+        raise AssertionError("a domain was listed")
+    monkeypatch.setattr(solver, "box_domain", refuse)
+    with pytest.raises(DimensionMismatch):
+        run(p, pins={0: [(2, 1), value]})
+    assert p._solver_root is None
+
+
 @pytest.mark.parametrize("make", [planar3_partition, gen_planar_lcycle])
 def test_pins_on_a_pixel(make):
     # a unit box's only half-integral point is its center: a pin elsewhere
@@ -273,12 +291,12 @@ def test_a_later_solve_reuses_the_root(monkeypatch):
     # propagation
     p = planar3_partition()
     calls, before = [], []
-    real_domain, real_orient = solver.box_domain, solver.orientation
+    real_domain, real_kernel = solver.box_domain, solver._kernel
     real_propagate = solver._Csp.propagate
     monkeypatch.setattr(solver, "box_domain", lambda box: (
         calls.append("box_domain") or real_domain(box)))
-    monkeypatch.setattr(solver, "orientation", lambda pts: (
-        calls.append("orientation") or real_orient(pts)))
+    monkeypatch.setattr(solver, "_kernel", lambda n: lambda *pts: (
+        calls.append("orientation") or real_kernel(n)(*pts)))
     monkeypatch.setattr(solver._Csp, "propagate", lambda csp, seeds=None: (
         before.append(len(calls)) or real_propagate(csp, seeds)))
     assert solve(p).status == SAT
@@ -402,8 +420,9 @@ def test_unit_simplices_orient_as_their_seeds(make, d, n, seed):
 def test_unit_simplices_cost_no_orientation_call(monkeypatch):
     p = unit_grid2(3)
     calls = []
-    monkeypatch.setattr(solver, "orientation",
-                        lambda pts: calls.append(pts) or orientation(pts))
+    real_kernel = solver._kernel
+    monkeypatch.setattr(solver, "_kernel", lambda n: lambda *pts: (
+        calls.append(pts) or real_kernel(n)(*pts)))
     res = solve(p)
     assert res.status == SAT and res.projection == center_projection(p)
     assert calls == []
