@@ -17,6 +17,7 @@ from .boxes import (
 from .dual import (
     DimensionMismatch,
     DualComplex,
+    InexactCoordinate,
     NotTopSimplex,
     SeedChain,
     SeedConflict,
@@ -49,7 +50,6 @@ from .solver import (
     box_domain,
     enumerate_all,
     solve,
-    verify_certificate,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from operator import add, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 
 class ValidationError(Exception):
@@ -104,13 +104,6 @@ class IntBox:
         """All unit cells covered by the box, as lower-corner tuples."""
         return product(*(range(a, b) for a, b in zip(self.lo, self.hi)))
 
-    def contains_point2(self, p2: Sequence[int]) -> bool:
-        """Whether a doubled-coordinate point lies strictly inside."""
-        for a, b, x in zip(self.lo, self.hi, p2):
-            if not 2 * a < x < 2 * b:
-                return False
-        return True
-
     def __str__(self):
         return "x".join(f"[{a},{b}]" for a, b in zip(self.lo, self.hi))
 
@@ -175,17 +168,13 @@ class Partition:
                 return -1
         return self.owner_grid()[self.cell_index(cell)]
 
-    def vertex_owners(self):
-        """Iterate over (w, around) for every grid vertex w of [0,n]^d in
-        lexicographic order; around[s] is the owner of the cell
-        w - 1 + bits(s), bit k of s standing for axis k (-1 outside)."""
-        return grid_vertex_owners(self.dim, self.n, self.owner_grid())
-
 
 def grid_vertex_owners(d, n, grid, vertices=None):
-    """Partition.vertex_owners, read from the padded owner grid of a
-    partition of [0,n]^d; given a sequence of grid vertices of [0,n]^d,
-    the same pairs for those vertices only, in their order."""
+    """(w, around) for every grid vertex w of [0,n]^d in lexicographic
+    order, read from the padded owner grid of a partition of [0,n]^d;
+    around[s] is the owner of the cell w - 1 + bits(s), bit k of s
+    standing for axis k (-1 outside). Given a sequence of grid vertices
+    of [0,n]^d, the same pairs for those vertices only, in their order."""
     strides = _strides(d, n)
     # cell w - 1 + bits(s) has padded index sum(w[k] * strides[k]) + shift[s]
     shift = [sum(st for k, st in enumerate(strides) if s >> k & 1)
@@ -304,7 +293,7 @@ def is_generic(p: Partition) -> Genericity:
     Returns Genericity(flag, witness), where witness is a violating grid
     point or None; its truth value is flag. Only grid vertices can
     witness a violation since boxes have integral corners."""
-    for vert, around in p.vertex_owners():
+    for vert, around in grid_vertex_owners(p.dim, p.n, p.owner_grid()):
         owners = set(around)
         owners.discard(-1)
         if len(owners) > p.dim + 1:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .boxes import _GRID_LIMIT, IntBox, Partition, pixel_fill, validate_partition
+from .boxes import (_GRID_LIMIT, GridTooLarge, IntBox, Partition, pixel_fill,
+                    validate_partition)
 from .dual import _det, orientation
 
 __all__ = [
@@ -298,7 +299,9 @@ def square_fill(box: IntBox, sides) -> Partition:
     Non-cube boxes come back as a partial partition of the bounding
     cube; coverage of the requested box itself is exact either way.
     Raises NotRepresentable if the height has no two-product
-    representation, then TooSmall if some side is below fill_threshold.
+    representation, then TooSmall if some side is below fill_threshold,
+    then GridTooLarge if the owner grid of the bounding cube would exceed
+    its limit, before any square is built.
     """
     d = box.dim
     sides = tuple(sides)
@@ -318,6 +321,9 @@ def square_fill(box: IntBox, sides) -> Partition:
     threshold = fill_threshold(sides)
     if min(ext) < threshold:
         raise TooSmall(min(ext), threshold)
+    cells = (max(ext) + 2) ** d
+    if cells > _GRID_LIMIT:
+        raise GridTooLarge(cells)
     squares = [IntBox(lo, tuple(c + s for c in lo)) for lo, s in _tile(ext, sides)]
     if sum(sq.volume() for sq in squares) != box.volume():
         raise ConstructionFault(f"squares do not fill {box}")

@@ -34,13 +34,13 @@ given list of vertices instead (_seeds): walked in lexicographic order,
 a list that holds every chain of some top simplices gives them the seeds
 and the order of the full walk.
 
-orientation is the one exact kernel: it checks its points, then
-dispatches to the closed forms _orient2 (d = 2) and _orient3 (d = 3),
-or to Bareiss elimination (_det) in any other dimension. The loops that
-orient many simplices bind the fixed-arity kernel once instead of
-calling orientation per simplex: DualComplex.misoriented, which
-classifying a projection runs over every top simplex, and the solver's
-revise, through _kernel.
+_kernel(n) is the one dispatcher of the orientation sign of n points:
+the closed forms _orient2 (d = 2) and _orient3 (d = 3), else Bareiss
+elimination (_orient_det), none of which checks its points. orientation
+checks its points once, then calls _kernel's choice. The loops that
+orient many simplices bind the unchecked kernel once instead:
+DualComplex.misoriented, on points check_faithful has checked, and the
+solver's revise.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ class NotTopSimplex(Exception):
 
 class DimensionMismatch(ValueError):
     """Point count does not match the ambient dimension."""
+
+
+class InexactCoordinate(TypeError):
+    """An orientation coordinate is neither an int nor a Fraction."""
 
 
 class SeedMisoriented(Exception):
@@ -124,30 +128,9 @@ def _orient3(a, b, c, d) -> int:
     return (v > 0) - (v < 0)
 
 
-def orientation(points) -> int:
-    """Orientation sign of d+1 points in R^d.
-
-    points is a sequence of d+1 points, each a sequence of d int or
-    Fraction coordinates. The sign is that of the determinant of the
-    (d+1)x(d+1) matrix whose rows are (1, p_i): by the closed forms
-    _orient2 and _orient3 for d = 2, 3, by Bareiss elimination (_det) of
-    the difference rows p_i - p_0 otherwise. Invariant under scaling all
-    coordinates by a positive factor, so doubled half-integral
-    coordinates can be passed directly. Hot loops bind the fixed-arity
-    kernel once instead of calling this per simplex (module docstring).
-    """
-    n = len(points)
-    try:
-        if n == 3:
-            return _orient2(*points)
-        if n == 4:
-            return _orient3(*points)
-    except ValueError:
-        raise DimensionMismatch(
-            f"need {n} points of dimension {n - 1}") from None
-    d = n - 1
-    if d < 1 or any(len(p) != d for p in points):
-        raise DimensionMismatch(f"need d+1 points of dimension d, got {n}")
+def _orient_det(*points) -> int:
+    """Orientation sign of d+1 points in R^d, any d >= 1: the sign of the
+    Bareiss determinant (_det) of the difference rows p_i - p_0."""
     p0 = points[0]
     v = _det([[x - y for x, y in zip(p, p0)] for p in points[1:]])
     return (v > 0) - (v < 0)
@@ -155,13 +138,33 @@ def orientation(points) -> int:
 
 def _kernel(n):
     """The orientation sign of n points of dimension n - 1, as a function
-    of the n points: _orient2 or _orient3, else orientation. The points
-    are not checked."""
+    of the n points: _orient2, _orient3, else _orient_det. The points are
+    not checked."""
     if n == 3:
         return _orient2
     if n == 4:
         return _orient3
-    return lambda *points: orientation(points)
+    return _orient_det
+
+
+def orientation(points) -> int:
+    """Orientation sign of d+1 points in R^d: the sign of the determinant
+    of the (d+1)x(d+1) matrix whose rows are (1, p_i).
+
+    points is a sequence of d+1 points, each a sequence of d int or
+    Fraction coordinates; DimensionMismatch refuses any other count and
+    InexactCoordinate any other coordinate, in every dimension. Invariant
+    under scaling all coordinates by a positive factor, so doubled
+    half-integral coordinates can be passed directly.
+    """
+    n = len(points)
+    if n < 2 or any(len(p) != n - 1 for p in points):
+        raise DimensionMismatch(f"need d+1 points of dimension d, got {n}")
+    for p in points:
+        for x in p:
+            if type(x) is not int and type(x) is not Fraction:
+                raise InexactCoordinate(f"{x!r} is not an int or a Fraction")
+    return _kernel(n)(*points)
 
 
 def _perm_parity(perm) -> int:
@@ -218,11 +221,6 @@ class DualComplex:
     def has_top(self) -> bool:
         return bool(self._top)
 
-    def top_items(self):
-        """Yield (simplex, ordered box ids, seed orientation sign)."""
-        for key, (anchor, perm, ordered, sign) in self._top.items():
-            yield key, ordered, sign
-
     def misoriented(self, pts):
         """(simplex, seed sign, sign) of every top simplex whose points
         pts[i] (by box id) do not orient as its seed, in walk order. Every
@@ -242,8 +240,9 @@ class DualComplex:
                 if got != want:
                     found.append((key, want, got))
         else:
+            orient = _orient_det
             for key, (_, _, ordered, want) in self._top.items():
-                got = orientation([pts[i] for i in ordered])
+                got = orient(*[pts[i] for i in ordered])
                 if got != want:
                     found.append((key, want, got))
         return found
@@ -293,7 +292,10 @@ def partition_balance(p: Partition) -> BalanceReport:
 
     The maximum over edges equals the maximum over arbitrary simplices,
     since every simplex's longest and shortest sides appear on one of its
-    edges."""
+    edges. Raises ValueError, as balance_of_set does, for a partition
+    with no boxes."""
+    if not p.boxes:
+        raise ValueError("balance of an empty set of boxes")
     best = BalanceReport(Fraction(1), (p.boxes[0], p.boxes[0]))
     for i, j in build_dual(p).edges():
         rep = balance_of_set((p.boxes[i], p.boxes[j]))

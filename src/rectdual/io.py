@@ -57,7 +57,7 @@ def format_partition(p: Partition) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_partition(text: str, partial: bool = False) -> Partition:
+def parse_partition(text: str) -> Partition:
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(0, "empty partition file")
@@ -74,7 +74,7 @@ def parse_partition(text: str, partial: bool = False) -> Partition:
             boxes.append(IntBox(lo, hi))
         except ValueError as e:
             raise ParseError(no, str(e))
-    return validate_partition(boxes, d, n, partial=partial)
+    return validate_partition(boxes, d, n)
 
 
 def format_projection(proj: Projection) -> str:

@@ -23,8 +23,8 @@ u_i, u_i - e_pi(i) and u_i + e_pi(i+1), so its interior lies on the
 open side of that hyperplane where u_i's center lies (x_pi(1) < w_pi(1),
 x_pi(d) > w_pi(d), or x_pi(i) > w_pi(i) and x_pi(i+1) < w_pi(i+1)), and
 the orientation, affine in B_i's point, keeps its sign. A simplex of
-unit boxes only is the case where B_i is a pixel too (dual.seed_of
-checks it).
+unit boxes only is the case where B_i is a pixel too
+(test_unit_simplices_orient_as_their_seeds checks both cases).
 
 The constraints of the search are therefore the top simplices with two
 or more boxes larger than a pixel, and the setup, the constraint root,
@@ -72,11 +72,13 @@ constraint root, searches, stopping at the first solution unless every
 one is wanted, and re-checks each solution as a certificate with
 classify_projection against every top simplex of build_dual(p). Only a
 solution runs that walk over the whole grid, so an UNSAT or TIMEOUT
-answer never does, unless the root has no constraint. A pin on an id
-that is not a box of the partition raises UnknownBox, a pinned value
-that is not a point of d ints raises DimensionMismatch, and a partition
-whose domains together would hold more than boxes._GRID_LIMIT points
-raises DomainTooLarge, both before any domain is listed. The search
+answer never does, unless the root has no constraint. A solution the
+re-check refuses raises CertificateRejected, with the re-check's
+ValueError or classification as the reason. A pin on an id that is not
+an int naming a box raises UnknownBox, a pinned value that is not a
+point of d ints raises DimensionMismatch, and a partition whose domains
+together would hold more than boxes._GRID_LIMIT points raises
+DomainTooLarge, both before any domain is listed. The search
 honours SolverConfig.node_limit between nodes. SolverConfig.time_limit
 fixes a deadline when solve or enumerate_all starts. It is read once per
 vertex the root walks, between nodes, before each revise of the
@@ -143,25 +145,6 @@ class SolveResult:
     projection: Projection = None
     stats: dict = field(default_factory=dict)
     solutions: list = None
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_certificate(p: Partition, proj: Projection) -> VerifyResult:
-    try:
-        verdict = classify_projection(p, proj)
-    except ValueError as e:
-        return VerifyResult(False, str(e))
-    if verdict.kind != "embedding":
-        return VerifyResult(False, f"classification: {verdict.kind}")
-    return VerifyResult(True)
 
 
 def box_domain(box) -> tuple:
@@ -382,11 +365,11 @@ def _pick_var(csp: _Csp):
 
 def _pin_sets(p, pins) -> dict:
     """pins as box id -> set of doubled points, checked: UnknownBox for an
-    id that names no box, DimensionMismatch for a value that is not a
-    point of p.dim ints."""
+    id that is not an int naming a box, DimensionMismatch for a value that
+    is not a point of p.dim ints."""
     sets = {}
     for bid, allowed in (pins or {}).items():
-        if bid not in range(len(p.boxes)):
+        if type(bid) is not int or bid not in range(len(p.boxes)):
             raise UnknownBox(bid, len(p.boxes))
         points = set()
         for v in allowed:
@@ -428,10 +411,14 @@ def _drive(p, cfg, pins, every):
     points = sorted(csp.root.points(p, sol) for sol in sols)
     projections = [Projection(pts) for pts in points]
     for proj in projections:
-        check = verify_certificate(p, proj)
-        if not check.ok:
+        try:
+            kind = classify_projection(p, proj).kind
+        except ValueError as e:
             raise CertificateRejected(
-                f"certificate failed verification: {check.reason}")
+                f"certificate failed verification: {e}") from e
+        if kind != "embedding":
+            raise CertificateRejected(
+                f"certificate failed verification: classification: {kind}")
     return status, projections, {"nodes": nodes,
                                  "propagations": csp.propagations}
 

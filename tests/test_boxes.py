@@ -38,8 +38,6 @@ def test_box_basics():
     assert balance_of_set((b,)).value == 3
     assert not b.is_pixel()
     assert sorted(b.cells()) == [(0, 0), (1, 0), (2, 0)]
-    assert b.contains_point2((3, 1))
-    assert not b.contains_point2((0, 0))
 
 
 def test_box_rejects_bad_corners():
@@ -121,6 +119,13 @@ def test_partition_balance_uses_dual_edges():
     p = validate_partition(boxes, 2, 4)
     rep = partition_balance(p)
     assert rep.value == 4
+
+
+def test_partition_balance_of_no_boxes_is_refused():
+    # as balance_of_set refuses the empty set, not with an IndexError
+    p = validate_partition([], 2, 3, partial=True)
+    with pytest.raises(ValueError, match="empty set"):
+        partition_balance(p)
 
 
 def test_partition_balance_unit_grid_is_one():

@@ -275,6 +275,21 @@ def test_square_fill_error_order():
     assert exc.value.side == 100 and exc.value.threshold == 182
 
 
+def test_square_fill_refuses_a_huge_grid_before_tiling(monkeypatch):
+    # the 4000-square used to be tiled (44 s, 1.5 GB) before validation
+    # refused its grid; the other checks still come first
+    def refuse(ext, sides):
+        raise AssertionError("_tile ran")
+    monkeypatch.setattr(counterexamples, "_tile", refuse)
+    with pytest.raises(GridTooLarge) as exc:
+        square_fill(IntBox((0, 0), (4000, 4000)), (2, 3, 5, 7))
+    assert exc.value.cells == 4002 ** 2
+    with pytest.raises(NotRepresentable):
+        square_fill(IntBox((0, 0), (4000, 169)), (2, 3, 5, 7))
+    with pytest.raises(TooSmall):
+        square_fill(IntBox((0, 0), (100, 4000)), (2, 3, 5, 7))
+
+
 def test_square_fill_input_validation():
     box = IntBox((0, 0), (210, 210))
     with pytest.raises(ValueError):

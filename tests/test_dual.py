@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from rectdual import dual
 from rectdual.boxes import IntBox, validate_partition
 from rectdual.dual import (
     DimensionMismatch,
+    InexactCoordinate,
     NotTopSimplex,
     SeedConflict,
     SeedMisoriented,
@@ -30,11 +32,17 @@ def unit_grid(d, n):
     return validate_partition(boxes, d, n)
 
 
+# floats whose float orientation is 0; their exact sign is +1
+NEAR_COLLINEAR = ((0.0, 0.0), (2834747.652200631, 283474.7652200631),
+                  (8504242.956601892, 850424.2956601892))
+
+
 def test_orientation_small():
     assert orientation(((0, 0), (2, 0), (0, 2))) == 1
     assert orientation(((0, 0), (0, 2), (2, 0))) == -1
     assert orientation(((0, 0), (1, 1), (2, 2))) == 0
     assert orientation(((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))) == 1
+    assert orientation([tuple(map(Fraction, p)) for p in NEAR_COLLINEAR]) == 1
     with pytest.raises(DimensionMismatch):
         orientation(((0, 0), (1, 0)))
 
@@ -90,6 +98,20 @@ def test_orientation_agrees_with_the_leibniz_expansion(case):
 ])
 def test_orientation_refuses_points_of_the_wrong_dimension(points):
     with pytest.raises(DimensionMismatch):
+        orientation(points)
+
+
+@pytest.mark.parametrize("points", [
+    NEAR_COLLINEAR,
+    ((0, 0), (1, 0), (0, 1.0)),
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0.5)),
+    ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1.0)),
+    ((0, 0), (1, 0), (0, "1")),
+])
+def test_orientation_refuses_a_coordinate_that_is_not_exact(points):
+    # floats were oriented in floating point for d = 2, 3 (NEAR_COLLINEAR
+    # came out 0) and raised a bare AttributeError for d >= 4
+    with pytest.raises(InexactCoordinate):
         orientation(points)
 
 

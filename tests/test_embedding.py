@@ -16,7 +16,6 @@ from rectdual.embedding import (
     check_faithful,
     classify_projection,
 )
-from rectdual.solver import verify_certificate
 
 from oracles.chains import _perm_parity as chain_parity, dual_of
 from oracles.determinant import orientation_sign
@@ -73,6 +72,16 @@ def test_not_faithful_outside_box():
         check_faithful(p, Projection(tuple(pts)))
 
 
+def test_faithful_means_strictly_inside():
+    # box [0,3]x[0,1] in doubled coordinates: (3, 1) is its center; its
+    # corners and points on its sides are not inside
+    p = validate_partition([IntBox((0, 0), (3, 1))], 2, 3, partial=True)
+    check_faithful(p, Projection(((3, 1),)))
+    for pt in [(0, 0), (6, 2), (0, 1), (6, 1), (3, 0), (3, 2), (7, 1)]:
+        with pytest.raises(NotFaithful):
+            check_faithful(p, Projection((pt,)))
+
+
 @pytest.mark.parametrize("point", [(11,), (11, 11, 0)])
 def test_a_point_with_the_wrong_coordinate_count_is_refused(point):
     # box 3 lies in no top simplex, so only the faithfulness check reads it
@@ -86,7 +95,6 @@ def test_a_point_with_the_wrong_coordinate_count_is_refused(point):
         check_faithful(p, proj)
     with pytest.raises(DimensionMismatch):
         classify_projection(p, proj)
-    assert not verify_certificate(p, proj)
 
 
 def test_unit_grid_center_is_embedding():
@@ -240,4 +248,3 @@ def test_a_coordinate_that_is_not_an_int_is_refused(monkeypatch, points):
         with pytest.raises(NotHalfIntegral) as info:
             check(p, proj)
         assert info.value.vertex == bad
-    assert not verify_certificate(p, proj)

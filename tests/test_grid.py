@@ -12,6 +12,7 @@ from rectdual.boxes import (
     GridTooLarge,
     IntBox,
     Overlap,
+    grid_vertex_owners,
     validate_partition,
 )
 from rectdual.counterexamples import gen_3d_layered, gen_planar_lcycle
@@ -107,7 +108,7 @@ def test_owner_grid_matches_brute_force(case):
     # every cell of the padded grid, the -1 border included
     for cell in product(range(-1, n + 1), repeat=d):
         assert grid[p.cell_index(cell)] == _brute_owner(boxes, cell)
-    walk = list(p.vertex_owners())
+    walk = list(grid_vertex_owners(d, n, grid))
     assert [w for w, _ in walk] == list(product(range(n + 1), repeat=d))
     for w, around in walk:
         assert list(around) == [

@@ -62,7 +62,7 @@ def test_partition_parse_errors():
 def test_partition_parse_validates():
     bad = "2 2 2\n0 2 0 2\n1 2 1 2\n"
     with pytest.raises(Overlap):
-        parse_partition(bad, partial=True)
+        parse_partition(bad)
 
 
 def test_projection_round_trip():

@@ -333,7 +333,8 @@ def test_one_walk_per_partition(monkeypatch):
 def test_unit_simplices_orient_as_their_seeds(reduced_of):
     _, p, _ = reduced_of("all_positive")
     units = 0
-    for _, ordered, want in dual.build_dual(p).top_items():
+    dc = dual.build_dual(p)
+    for _, _, ordered, want in map(dc.seed_raw, dc.top_simplices()):
         if all(p.boxes[i].is_pixel() for i in ordered):
             units += 1
             assert dual.orientation([p.boxes[i].center2()

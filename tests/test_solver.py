@@ -8,6 +8,7 @@ from rectdual.boxes import IntBox, pixel_fill, validate_partition
 from rectdual.counterexamples import gen_planar_lcycle
 from rectdual.dual import DimensionMismatch, build_dual, orientation
 from rectdual.embedding import (
+    EmbeddingVerdict,
     Projection,
     center_embeddable,
     center_projection,
@@ -23,11 +24,9 @@ from rectdual.solver import (
     SolverConfig,
     UnknownBox,
     Unsupported,
-    VerifyResult,
     box_domain,
     enumerate_all,
     solve,
-    verify_certificate,
 )
 
 from oracles.partitions import (
@@ -82,15 +81,27 @@ def test_planar3_sat():
     p = planar3_partition()
     res = solve(p)
     assert res.status == SAT
-    assert verify_certificate(p, res.projection)
+    assert classify_projection(p, res.projection).is_embedding
+
+
+def _classified_as(kind):
+    return lambda p, proj: EmbeddingVerdict(kind)
+
+
+def _refused(p, proj):
+    raise ValueError("forced")
 
 
 @pytest.mark.parametrize("run", [solve, enumerate_all])
 def test_rejected_certificate_raises(monkeypatch, run):
-    monkeypatch.setattr(solver, "verify_certificate",
-                        lambda p, proj: VerifyResult(False, "forced"))
-    with pytest.raises(CertificateRejected, match="forced"):
-        run(planar3_partition())
+    # the re-check's ValueError, or any verdict but an embedding, rejects
+    for recheck, reason in [
+            (_classified_as("not_embedding"), "classification: not_embedding"),
+            (_classified_as("unsupported"), "classification: unsupported"),
+            (_refused, "verification: forced")]:
+        monkeypatch.setattr(solver, "classify_projection", recheck)
+        with pytest.raises(CertificateRejected, match=reason):
+            run(planar3_partition())
 
 
 def brute_force_planar3(p):
@@ -131,16 +142,18 @@ def test_pins_restrict_enumeration():
     assert len(res.solutions) == 5  # 0 * anything stays below the threshold
 
 
-@pytest.mark.parametrize("bid", [-12, 12])
+@pytest.mark.parametrize("bid", [-12, 12, 0.0, 5.0, "0", None])
 @pytest.mark.parametrize("run", [solve, enumerate_all])
 def test_a_pin_on_no_box_is_refused(monkeypatch, run, bid):
-    # -12 would index box 0 of the 12 and restrict it silently
+    # -12 would index box 0 of the 12 and restrict it silently, 0.0 was
+    # taken as box 0, and 5.0 raised a bare TypeError; an id that is not
+    # an int naming a box is refused before any domain is listed
     def refuse(box):
         raise AssertionError("a domain was listed")
     monkeypatch.setattr(solver, "box_domain", refuse)
     with pytest.raises(UnknownBox) as info:
-        run(planar3_partition(), pins={0: [(5, 1)], bid: [(1, 1)]})
-    assert isinstance(info.value, ValueError) and info.value.bid == bid
+        run(planar3_partition(), pins={bid: [(1, 1)], 2: [(7, 5)]})
+    assert isinstance(info.value, ValueError) and info.value.bid is bid
 
 
 @pytest.mark.parametrize("value", [(2, 1, 7), (2,), 5, (2.0, 1), "21",
@@ -191,8 +204,7 @@ def test_pin_to_empty_outside_every_simplex_is_unsat():
     # constraint sees its empty domain
     p = parse_partition("2 5 7\n0 1 0 5\n1 4 0 5\n4 5 0 1\n4 5 1 2\n"
                         "4 5 2 3\n4 5 3 4\n4 5 4 5\n")
-    assert all(0 not in ordered for _, ordered, _ in
-               build_dual(p).top_items())
+    assert all(0 not in simplex for simplex in build_dual(p).top_simplices())
     for run in (solve, enumerate_all):
         res = run(p, pins={0: []})
         assert res.status == UNSAT
@@ -402,7 +414,8 @@ def test_unit_simplices_orient_as_their_seeds(make, d, n, seed):
     p = make(d, n, seed)
     assert p.dim == d
     units, one_box = 0, 0
-    for _, ordered, want in build_dual(p).top_items():
+    dc = build_dual(p)
+    for _, _, ordered, want in map(dc.seed_raw, dc.top_simplices()):
         pts = [p.boxes[i].center2() for i in ordered]
         big = [k for k, i in enumerate(ordered) if not p.boxes[i].is_pixel()]
         if not big:
@@ -474,7 +487,7 @@ def test_solve_3d_smoke():
     res = solve(p)
     assert res.status in (SAT, UNSAT)
     if res.status == SAT:
-        assert verify_certificate(p, res.projection)
+        assert classify_projection(p, res.projection).is_embedding
 
 
 
