@@ -198,15 +198,21 @@ def _strides(d, n):
     return [(n + 2) ** (d - 1 - k) for k in range(d)]
 
 
+def _check_grid(d, n) -> int:
+    """Cell count of the padded owner grid of [0,n]^d; raises GridTooLarge
+    if it exceeds _GRID_LIMIT."""
+    cells = (n + 2) ** d
+    if cells > _GRID_LIMIT:
+        raise GridTooLarge(cells)
+    return cells
+
+
 def _claim_cells(boxes, d, n) -> list:
     """Padded owner grid of the boxes, which lie inside [0,n]^d.
 
     Raises GridTooLarge before allocating, and Overlap at the first cell
     (in box order, then lexicographic cell order) claimed twice."""
-    cells = (n + 2) ** d
-    if cells > _GRID_LIMIT:
-        raise GridTooLarge(cells)
-    grid = [-1] * cells
+    grid = [-1] * _check_grid(d, n)
     strides = _strides(d, n)
     for bid, box in enumerate(boxes):
         # the box's cells as runs along the last axis

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .boxes import (_GRID_LIMIT, GridTooLarge, IntBox, Partition, pixel_fill,
+from .boxes import (_GRID_LIMIT, IntBox, Partition, _check_grid, pixel_fill,
                     validate_partition)
 from .dual import _det, orientation
 
@@ -321,9 +321,7 @@ def square_fill(box: IntBox, sides) -> Partition:
     threshold = fill_threshold(sides)
     if min(ext) < threshold:
         raise TooSmall(min(ext), threshold)
-    cells = (max(ext) + 2) ** d
-    if cells > _GRID_LIMIT:
-        raise GridTooLarge(cells)
+    _check_grid(d, max(ext))
     squares = [IntBox(lo, tuple(c + s for c in lo)) for lo, s in _tile(ext, sides)]
     if sum(sq.volume() for sq in squares) != box.volume():
         raise ConstructionFault(f"squares do not fill {box}")

@@ -295,7 +295,7 @@ def partition_balance(p: Partition) -> BalanceReport:
     edges. Raises ValueError, as balance_of_set does, for a partition
     with no boxes."""
     if not p.boxes:
-        raise ValueError("balance of an empty set of boxes")
+        return balance_of_set(p.boxes)  # raises its ValueError
     best = BalanceReport(Fraction(1), (p.boxes[0], p.boxes[0]))
     for i, j in build_dual(p).edges():
         rep = balance_of_set((p.boxes[i], p.boxes[j]))

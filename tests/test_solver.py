@@ -152,7 +152,7 @@ def test_a_pin_on_no_box_is_refused(monkeypatch, run, bid):
         raise AssertionError("a domain was listed")
     monkeypatch.setattr(solver, "box_domain", refuse)
     with pytest.raises(UnknownBox) as info:
-        run(planar3_partition(), pins={bid: [(1, 1)], 2: [(7, 5)]})
+        run(planar3_partition(), pins={2: [(7, 5)], bid: [(1, 1)]})
     assert isinstance(info.value, ValueError) and info.value.bid is bid
 
 
