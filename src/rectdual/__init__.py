@@ -19,13 +19,10 @@ from .dual import (
     DualComplex,
     InexactCoordinate,
     NotTopSimplex,
-    SeedChain,
     SeedConflict,
-    SeedMisoriented,
     build_dual,
     orientation,
     partition_balance,
-    seed_of,
 )
 from .embedding import (
     EmbeddingVerdict,

@@ -17,6 +17,11 @@ still left at -1, so its coverage holds by construction and GridTooLarge
 comes before any pixel is built. Its pixels are checked once, by
 construction: their corners are int tuples one apart, so they skip the
 IntBox constructor and its re-checks (_pixel).
+
+IntBox.is_pixel is the one pixel test. The owner grid is read and
+written in runs along the last axis; _run_starts gives the padded index
+where each run of a block of cells starts, for validation, pixel_fill
+and the vertex walk alike.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ class IntBox:
         if len(lo) != len(hi):
             raise ValueError("corner dimensions differ")
         for a, b in zip(lo, hi):
-            if not isinstance(a, int) or not isinstance(b, int):
+            if type(a) is not int or type(b) is not int:
                 raise ValueError("box corners must be integral")
             if a >= b:
                 raise ValueError(f"empty interior: {lo} {hi}")
@@ -98,7 +103,8 @@ class IntBox:
         return tuple(map(add, self.lo, self.hi))
 
     def is_pixel(self) -> bool:
-        return all(b - a == 1 for a, b in zip(self.lo, self.hi))
+        # every side is at least 1, so they sum to d exactly for a pixel
+        return sum(self.hi) - sum(self.lo) == len(self.lo)
 
     def cells(self) -> Iterator[tuple]:
         """All unit cells covered by the box, as lower-corner tuples."""
@@ -181,8 +187,7 @@ def grid_vertex_owners(d, n, grid, vertices=None):
              for s in range(1 << d)]
     if vertices is not None:
         return _owners_at(grid, strides, shift, vertices)
-    rows = map(sum, product(*(range(0, (n + 1) * st, st)
-                              for st in strides[:-1])))
+    rows = _run_starts(strides, (-1,) * d, (n,) * d)
     around = chain.from_iterable(
         zip(*(grid[r + s:r + s + n + 1] for s in shift)) for r in rows)
     return zip(product(range(n + 1), repeat=d), around)
@@ -196,6 +201,15 @@ def _owners_at(grid, strides, shift, vertices):
 
 def _strides(d, n):
     return [(n + 2) ** (d - 1 - k) for k in range(d)]
+
+
+def _run_starts(strides, lo, hi):
+    """Padded index of the first cell of each run along the last axis of
+    the cells [lo, hi) of an owner grid with these strides, in
+    lexicographic order; lo may hold -1, for the border."""
+    return map(sum, product(*(range((a + 1) * st, (b + 1) * st, st)
+                              for a, b, st in zip(lo, hi, strides[:-1])),
+                            (lo[-1] + 1,)))
 
 
 def _check_grid(d, n) -> int:
@@ -215,15 +229,10 @@ def _claim_cells(boxes, d, n) -> list:
     grid = [-1] * _check_grid(d, n)
     strides = _strides(d, n)
     for bid, box in enumerate(boxes):
-        # the box's cells as runs along the last axis
-        first = box.lo[-1] + 1
         run = box.hi[-1] - box.lo[-1]
         free = [-1] * run
         claim = [bid] * run
-        for row in map(sum, product(*(range((a + 1) * st, (b + 1) * st, st)
-                                      for a, b, st in zip(box.lo, box.hi,
-                                                          strides[:-1])))):
-            start = row + first
+        for start in _run_starts(strides, box.lo, box.hi):
             if grid[start:start + run] != free:
                 prev = next(o for o in grid[start:start + run] if o != -1)
                 raise Overlap(boxes[prev], box)
@@ -269,9 +278,8 @@ def pixel_fill(boxes, n: int) -> Partition:
     d = boxes[0].dim if boxes else 2
     grid = validate_partition(boxes, d, n, partial=True).owner_grid()
     # padded index of each cell of the cube, in lexicographic cell order
-    rows = map(sum, product(*(range(st, (n + 1) * st, st)
-                              for st in _strides(d, n)[:-1])))
-    index = chain.from_iterable(range(r + 1, r + n + 1) for r in rows)
+    runs = _run_starts(_strides(d, n), (0,) * d, (n,) * d)
+    index = chain.from_iterable(range(r, r + n) for r in runs)
     # lower and upper corners of each cell, in the same lexicographic order
     corners = zip(product(range(n), repeat=d),
                   product(range(1, n + 1), repeat=d))

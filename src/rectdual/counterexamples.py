@@ -23,6 +23,7 @@ __all__ = [
     "NoFeasibleAB",
     "TooSmall",
     "NotRepresentable",
+    "ScanTooLarge",
     "CubicalConfigReport",
     "gen_planar_lcycle",
     "gen_planar_3balanced",
@@ -54,6 +55,14 @@ class TooSmall(ValueError):
         super().__init__(f"box side {side} is below the fillable threshold {threshold}")
         self.side = side
         self.threshold = threshold
+
+
+class ScanTooLarge(ValueError):
+    def __init__(self, sides, iterations):
+        super().__init__(f"{sides} sides need {iterations} bipartitions, "
+                         f"over the limit of {_GRID_LIMIT}")
+        self.sides = sides
+        self.iterations = iterations
 
 
 class NotRepresentable(ValueError):
@@ -236,12 +245,18 @@ def fill_threshold(sides) -> int:
     Equals 1 plus the largest two-product Frobenius number p1*p2-p1-p2
     over bipartitions of the set; folding an unused side into either
     part only raises that number, so bipartitions dominate all disjoint
-    pairs."""
+    pairs.
+
+    The scan visits the 2^(k-1) - 1 bipartitions of k sides; ScanTooLarge
+    refuses a scan of more than _GRID_LIMIT before it starts."""
     sides = tuple(sides)
     if len(sides) < 2:
         raise ValueError("need at least two sides")
+    scan = 2 ** (len(sides) - 1) - 1
+    if scan > _GRID_LIMIT:
+        raise ScanTooLarge(len(sides), scan)
     best = 0
-    for mask in range(1, 2 ** (len(sides) - 1)):
+    for mask in range(1, scan + 1):
         p1 = prod(s for i, s in enumerate(sides) if mask >> i & 1)
         p2 = prod(s for i, s in enumerate(sides) if not mask >> i & 1)
         best = max(best, p1 * p2 - p1 - p2)
@@ -299,8 +314,9 @@ def square_fill(box: IntBox, sides) -> Partition:
     Non-cube boxes come back as a partial partition of the bounding
     cube; coverage of the requested box itself is exact either way.
     Raises NotRepresentable if the height has no two-product
-    representation, then TooSmall if some side is below fill_threshold,
-    then GridTooLarge if the owner grid of the bounding cube would exceed
+    representation, then ScanTooLarge if fill_threshold's scan is too
+    large, then TooSmall if some side is below fill_threshold, then
+    GridTooLarge if the owner grid of the bounding cube would exceed
     its limit, before any square is built.
     """
     d = box.dim
@@ -399,8 +415,9 @@ def gen_cubical_config(d, beta) -> CubicalConfigReport:
     Nothing is materialized: the smallest admissible b for d = 3 is
     already 510511, putting the full partition's cell count far beyond
     any sensible limit; the report's materializable field says whether
-    its (4b)^d cells would fit.  Practical only for d <= 4; the
-    threshold scan enumerates 2^(D-1) bipartitions.
+    its (4b)^d cells would fit.  The threshold scan enumerates
+    2^(D-1) - 1 bipartitions, so for d >= 5 fill_threshold raises
+    ScanTooLarge.
     """
     if d < 3:
         raise ValueError("needs d >= 3")

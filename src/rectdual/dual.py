@@ -15,8 +15,10 @@ with the owners of the 2^d cells around each vertex from the partition's
 padded owner grid, and follows the d! chains there in permutations
 order; cells outside the cube read -1 and drop out of the chain. A chain
 whose d+1 cells lie in d+1 distinct boxes witnesses a top-dimensional
-simplex; the first such chain is stored as its seed, together with its
-sign, the orientation of its pixel centers.
+simplex; the first such chain is stored as its seed. A seed is the
+walk's tuple (w, pi, ordered ids, sign), the ids in chain order and sign
+the orientation of the chain's pixel centers, which is the parity of pi;
+DualComplex.seed_raw reads it.
 
 A chain never comes back to a box it has left (boxes are convex and the
 chain is monotone), so the boxes it visits are distinct owners around
@@ -45,13 +47,12 @@ solver's revise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
 from operator import itemgetter
 
-from .boxes import (BalanceReport, IntBox, Partition, balance_of_set,
+from .boxes import (BalanceReport, Partition, balance_of_set,
                     grid_vertex_owners)
 
 
@@ -69,10 +70,6 @@ class DimensionMismatch(ValueError):
 
 class InexactCoordinate(TypeError):
     """An orientation coordinate is neither an int nor a Fraction."""
-
-
-class SeedMisoriented(Exception):
-    """A seed chain's pixel centers lack the orientation of its axis order."""
 
 
 def _det(rows):
@@ -176,17 +173,6 @@ def _perm_parity(perm) -> int:
     return -1 if inv & 1 else 1
 
 
-@dataclass(frozen=True)
-class SeedChain:
-    """Seed of a top simplex: its boxes and pixels in chain order."""
-
-    boxes: tuple      # box ids, order of first visit along the chain
-    pixels: tuple     # one unit IntBox per box, same order
-    anchor: tuple     # grid vertex the chain starts below
-    perm: tuple       # axis visit order (0-based)
-    sign: int         # orientation of the pixel centers, +1 or -1
-
-
 class DualComplex:
     """Simplices over box ids, downward closed; top simplices carry seeds.
 
@@ -248,25 +234,12 @@ class DualComplex:
         return found
 
     def seed_raw(self, simplex):
+        """The seed (anchor, perm, ordered ids, sign) of a top simplex,
+        given as any ordering of its box ids; NotTopSimplex otherwise."""
         key = tuple(sorted(simplex))
         if key not in self._top:
             raise NotTopSimplex(f"{key} has no seed")
         return self._top[key]
-
-
-def seed_of(dc: DualComplex, simplex) -> SeedChain:
-    anchor, perm, ordered, want = dc.seed_raw(simplex)
-    cell = list(x - 1 for x in anchor)
-    cells = [tuple(cell)]
-    for axis in perm:
-        cell[axis] += 1
-        cells.append(tuple(cell))
-    pixels = tuple(IntBox(c, tuple(x + 1 for x in c)) for c in cells)
-    sign = orientation([px.center2() for px in pixels])
-    if sign != want:
-        raise SeedMisoriented(
-            f"seed of {ordered} has orientation {sign}, axis order {perm}")
-    return SeedChain(ordered, pixels, anchor, perm, sign)
 
 
 def build_dual(p: Partition) -> DualComplex:

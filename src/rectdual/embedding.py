@@ -9,7 +9,6 @@ count as preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .boxes import Partition
 from .dual import DimensionMismatch, DualComplex, build_dual
@@ -35,20 +34,6 @@ class Projection:
 
     def __post_init__(self):
         object.__setattr__(self, "points2", tuple(tuple(p) for p in self.points2))
-
-    @classmethod
-    def from_rationals(cls, points):
-        """Accept exact rational points; reject non-half-integral ones."""
-        doubled = []
-        for i, pt in enumerate(points):
-            row = []
-            for x in pt:
-                v = Fraction(x) * 2
-                if v.denominator != 1:
-                    raise NotHalfIntegral(i)
-                row.append(int(v))
-            doubled.append(tuple(row))
-        return cls(tuple(doubled))
 
 
 @dataclass(frozen=True)

@@ -611,6 +611,11 @@ def _as_rect(box):
     return (tuple(box.lo), tuple(box.hi))
 
 
+def _thin(box, h) -> bool:
+    """Whether the box is one cell wide and at least _THIN long along h."""
+    return min(box.sides()) == 1 and _length(_as_rect(box), h) >= _THIN
+
+
 def _planned_contacts(gmap: GadgetMap) -> dict:
     """Box id -> the box ids the map plans it to touch (the module's
     contact law); a path's arm is its last box."""
@@ -645,32 +650,33 @@ def check_gadget_map(p, gmap: GadgetMap):
     one clause core."""
     nboxes = len(p.boxes)
 
-    def rect_of(i):
+    def box_of(i):
         if not 0 <= i < nboxes:
             raise ValueError(f"box id {i} out of range")
-        return _as_rect(p.boxes[i])
+        return p.boxes[i]
 
     for v in gmap.variables:
         if len(v.cycle) != 4:
             raise ValueError(f"variable {v.var}: ring is not four rects")
         for c in v.cycle:
-            rect = rect_of(c.box)
-            L = _length(rect, c.heading)
-            if min(p.boxes[c.box].sides()) != 1 or L < _THIN:
+            box = box_of(c.box)
+            if not _thin(box, c.heading):
                 raise ValueError(f"variable {v.var}: ring rect not thin")
+            rect = _as_rect(box)
             if c.front2 != _off_point2(rect, c.heading, 1):
                 raise ValueError(f"variable {v.var}: bad front marker")
+            L = _length(rect, c.heading)
             if c.back2 != _off_point2(rect, c.heading, 2 * L - 1):
                 raise ValueError(f"variable {v.var}: bad back marker")
     for pg in gmap.paths:
         if not pg.boxes or len(pg.headings) != len(pg.boxes) \
                 or not set(pg.headings) <= set(_VEC):
             raise ValueError(f"path {pg.path}: not one side per box")
-        rects = [rect_of(b) for b in pg.boxes]
-        for rect, h in zip(rects, pg.headings):
-            box = IntBox(*rect)
-            if min(box.sides()) != 1 or _length(rect, h) < _THIN:
+        boxes = [box_of(b) for b in pg.boxes]
+        for box, h in zip(boxes, pg.headings):
+            if not _thin(box, h):
                 raise ValueError(f"path {pg.path}: rect not thin enough")
+        rects = [_as_rect(box) for box in boxes]
         for (ra, ha), (rb, hb) in zip(zip(rects, pg.headings),
                                       zip(rects[1:], pg.headings[1:])):
             if hb in (ha, _OPP[ha]):
@@ -680,7 +686,7 @@ def check_gadget_map(p, gmap: GadgetMap):
                 raise ValueError(f"path {pg.path}: rects not L-joined")
             bulge = _step(_head_cell(ra, ha), hb)
             owner = p.owner_of(bulge)
-            if owner < 0 or p.boxes[owner].volume() != 1:
+            if owner < 0 or not p.boxes[owner].is_pixel():
                 raise ValueError(f"path {pg.path}: missing bulge pixel "
                                  f"at {bulge}")
     for cg in gmap.clauses:
@@ -688,11 +694,11 @@ def check_gadget_map(p, gmap: GadgetMap):
                 or not set(cg.arm_headings) <= set(_VEC):
             raise ValueError(f"clause {cg.clause}: not three arms with one "
                              "side and one path each")
-        sq = IntBox(*rect_of(cg.square))
+        sq = box_of(cg.square)
         if sq.sides() != (6, 6):
             raise ValueError(f"clause {cg.clause}: square is {sq.sides()}")
         for b, h in zip(cg.arms, cg.arm_headings):
-            rect = rect_of(b)
+            rect = _as_rect(box_of(b))
             if _length(rect, h) != _ARM:
                 raise ValueError(f"clause {cg.clause}: arm length off")
             hx, hy = _head_cell(rect, h)
@@ -703,12 +709,12 @@ def check_gadget_map(p, gmap: GadgetMap):
 
     plan = _planned_contacts(gmap)
     for i, b in enumerate(p.boxes):
-        if (b.hi[0] - b.lo[0] > 1 or b.hi[1] - b.lo[1] > 1) and i not in plan:
+        if not b.is_pixel() and i not in plan:
             raise ValueError(f"box {i} is neither a pixel nor mapped")
     # closed boxes meet exactly when a cell of one is among the eight
     # neighbours of a cell of the other
     for i in sorted(plan):
-        (x0, y0), (x1, y1) = rect_of(i)
+        (x0, y0), (x1, y1) = _as_rect(box_of(i))
         for x in range(x0 - 1, x1 + 1):
             for y in range(y0 - 1, y1 + 1):
                 j = p.owner_of((x, y))

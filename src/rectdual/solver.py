@@ -186,9 +186,7 @@ class _Root:
     kept on it; solves read it and change only centers, once."""
 
     def __init__(self, p: Partition, deadline):
-        d = p.dim
-        # every side is at least 1, so they sum to d exactly for a pixel
-        free = [i for i, b in enumerate(p.boxes) if sum(b.hi) - sum(b.lo) > d]
+        free = [i for i, b in enumerate(p.boxes) if not b.is_pixel()]
         big = bytearray(len(p.boxes))
         for i in free:
             big[i] = 1

@@ -47,6 +47,12 @@ def test_box_rejects_bad_corners():
         IntBox((0,), (1, 2))
     with pytest.raises(ValueError):
         IntBox((0.5, 0), (1, 1))
+    # a bool is an int subclass: [False,True]x[0,1] passed as a partition
+    # of [0,1]^2 and was written as "False True 0 1", which no parser reads
+    with pytest.raises(ValueError):
+        IntBox((False, 0), (True, 1))
+    with pytest.raises(ValueError):
+        IntBox((0, 0), (1, True))
 
 
 def test_validate_unit_grid():

@@ -13,6 +13,7 @@ from rectdual.counterexamples import (
     ConstructionFault,
     NoFeasibleAB,
     NotRepresentable,
+    ScanTooLarge,
     TooSmall,
     coprime_base,
     fill_threshold,
@@ -229,6 +230,35 @@ def test_fill_threshold_needs_two_sides():
     for sides in ((), (5,)):
         with pytest.raises(ValueError):
             fill_threshold(sides)
+
+
+def test_fill_threshold_refuses_a_scan_over_the_limit(monkeypatch):
+    # k sides have 2^(k-1) - 1 bipartitions: 7 for four, 15 for five
+    monkeypatch.setattr(counterexamples, "_GRID_LIMIT", 7)
+    assert fill_threshold((2, 3, 5, 7)) == 182
+    with pytest.raises(ScanTooLarge) as info:
+        fill_threshold((2, 3, 5, 7, 11))
+    assert (info.value.sides, info.value.iterations) == (5, 15)
+    assert isinstance(info.value, ValueError)
+
+
+def test_cubical_config_in_5d_is_refused_before_the_scan(monkeypatch):
+    # 32 sides: the 2^31 - 1 bipartitions used to be scanned, for hours
+    calls = []
+
+    def counted(factors):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise AssertionError("the bipartition scan started")
+        return prod(factors)
+    monkeypatch.setattr(counterexamples, "prod", counted)
+    with pytest.raises(ScanTooLarge) as info:
+        gen_cubical_config(5, 3)
+    assert info.value.sides == 32
+    monkeypatch.undo()
+    rep = gen_cubical_config(4, 3)
+    assert len(rep.side_set) == 16
+    assert rep.L0_bound == fill_threshold(rep.side_set)
 
 
 # ---------------------------------------------------------------- square filling

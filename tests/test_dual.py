@@ -12,10 +12,8 @@ from rectdual.dual import (
     InexactCoordinate,
     NotTopSimplex,
     SeedConflict,
-    SeedMisoriented,
     build_dual,
     orientation,
-    seed_of,
 )
 from rectdual.embedding import center_embeddable
 from rectdual.solver import enumerate_all, solve
@@ -124,8 +122,8 @@ def test_dual_2x2_grid_exact():
     assert (1, 2) not in dc.simplices[1]
     assert dc.simplices[2] == {(0, 2, 3), (0, 1, 3)}
     # staircase chains fix the seed signs
-    assert seed_of(dc, (0, 2, 3)).sign == 1
-    assert seed_of(dc, (0, 1, 3)).sign == -1
+    assert dc.seed_raw((0, 2, 3))[3] == 1
+    assert dc.seed_raw((0, 1, 3))[3] == -1
     with pytest.raises(NotTopSimplex):
         dc.seed_raw((0, 1, 2))
 
@@ -133,17 +131,12 @@ def test_dual_2x2_grid_exact():
 def test_dual_2x2_seed_anchor():
     p = unit_grid(2, 2)
     dc = build_dual(p)
-    s = seed_of(dc, (0, 2, 3))
-    assert s.anchor == (1, 1)
-    assert s.perm == (0, 1)
-    assert [px.lo for px in s.pixels] == [(0, 0), (1, 0), (1, 1)]
-
-
-def test_seed_of_rejects_misoriented_seed(monkeypatch):
-    dc = build_dual(unit_grid(2, 2))
-    monkeypatch.setattr(dual, "orientation", lambda pts: -orientation(pts))
-    with pytest.raises(SeedMisoriented):
-        seed_of(dc, (0, 2, 3))
+    anchor, perm, ordered, sign = dc.seed_raw((3, 2, 0))
+    assert anchor == (1, 1)
+    assert perm == (0, 1)
+    # the pixels (0,0), (1,0), (1,1), in chain order
+    assert ordered == (0, 2, 3)
+    assert sign == 1
 
 
 def test_dual_1xn_strip_has_no_triangles():
@@ -162,8 +155,8 @@ def test_dual_3d_unit_cube_pair():
     dc = build_dual(p)
     # only the central vertex sees four distinct boxes along a chain
     assert dc.simplices[3] == {(0, 1, 3, 4), (0, 2, 3, 4)}
-    assert seed_of(dc, (0, 1, 3, 4)).sign == -1  # chain order x, z, y
-    assert seed_of(dc, (0, 2, 3, 4)).sign == 1   # chain order z, x, y
+    assert dc.seed_raw((0, 1, 3, 4))[3] == -1  # chain order x, z, y
+    assert dc.seed_raw((0, 2, 3, 4))[3] == 1   # chain order z, x, y
 
 
 def test_dual_2x2x2_grid_tetra_count():
@@ -171,7 +164,7 @@ def test_dual_2x2x2_grid_tetra_count():
     dc = build_dual(p)
     # all 6 axis orders give distinct chains through the center vertex
     assert len(dc.simplices[3]) == 6
-    signs = sorted(seed_of(dc, k).sign for k in dc.simplices[3])
+    signs = sorted(dc.seed_raw(k)[3] for k in dc.simplices[3])
     assert signs == [-1, -1, -1, 1, 1, 1]
 
 

@@ -41,14 +41,6 @@ def planar3_partition():
     return validate_partition(boxes, 2, 4)
 
 
-def test_projection_from_rationals():
-    proj = Projection.from_rationals([(Fraction(1, 2), 1), (Fraction(3, 2), 2)])
-    assert proj.points2 == ((1, 2), (3, 4))
-    with pytest.raises(NotHalfIntegral) as exc:
-        Projection.from_rationals([(Fraction(1, 3), 0)])
-    assert exc.value.vertex == 0
-
-
 def test_center_projection_is_faithful():
     p = unit_grid2(3)
     proj = center_projection(p)

@@ -16,10 +16,11 @@ from rectdual.boxes import (
     validate_partition,
 )
 from rectdual.counterexamples import gen_3d_layered, gen_planar_lcycle
-from rectdual.dual import build_dual, seed_of
+from rectdual.dual import build_dual
 from rectdual.io import parse_partition
 
 from oracles.chains import dual_of
+from oracles.determinant import orientation_sign
 from oracles.disjoint import check_disjoint_all_pairs
 from oracles.partitions import random_partition
 
@@ -66,8 +67,14 @@ def test_chains_match_frozen_enumerator(label):
     # same keys, seeds and insertion order
     assert [(k, v[:3]) for k, v in dc._top.items()] == list(top.items())
     assert dc.simplices == simplices
-    for key in dc._top:
-        assert seed_of(dc, key).sign == dc._top[key][3]
+    # each stored sign is the orientation of its chain's pixel centers
+    for anchor, perm, _, sign in dc._top.values():
+        cell = [x - 1 for x in anchor]
+        centers = [tuple(2 * c + 1 for c in cell)]
+        for axis in perm:
+            cell[axis] += 1
+            centers.append(tuple(2 * c + 1 for c in cell))
+        assert orientation_sign(centers) == sign
 
 
 def _brute_owner(boxes, cell):
