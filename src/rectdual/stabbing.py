@@ -6,8 +6,10 @@ open. The feasibility question "is there a hyperplane meeting every set
 of a family" is decided exactly over the rationals: the hyperplane
 coefficients are normalized by case analysis on the leading coefficient,
 the meeting condition for each set is expanded into a disjunction of
-sign conditions on the values at its vertices, and every combined sign
-case becomes a linear feasibility problem. Strict inequalities are
+sign conditions on the values at its vertices, and the combined sign
+cases are scanned depth first, one set at a time, as linear feasibility
+problems: an infeasible prefix (the conditions of the first sets)
+refutes every case that extends it with one LP. Strict inequalities are
 settled by margin maximization, so verdicts carry no epsilon.
 
 Three set families are built in: the two three-dimensional
@@ -39,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .dual import orientation
 from .ratlp import EQ, LE, OPTIMAL, feasible_point, strict_feasible
@@ -107,6 +110,10 @@ class FlaggedConvexSet:
 
     def __post_init__(self):
         verts = tuple(_frac_point(v) for v in self.vertices)
+        if not verts:
+            raise ValueError("a flagged set needs at least one vertex")
+        if len({len(v) for v in verts}) != 1:
+            raise ValueError("vertices differ in length")
         object.__setattr__(self, "vertices", verts)
         faces = tuple(tuple(sorted(f)) for f in self.excluded_faces)
         for f in faces:
@@ -143,6 +150,8 @@ def contains_point(fset: FlaggedConvexSet, pt) -> bool:
     The point is a convex combination w of the vertices.  Every excluded
     face a.x = c, given by its functional (a, c), becomes the strict row
     sum_j (a.v_j - c) w_j < 0: the point lies off the face."""
+    if len(pt) != fset.dim:
+        raise ArityMismatch(f"point needs {fset.dim} coordinates")
     verts = fset.vertices
     m = len(verts)
     eq = [([1] * m, 1)]
@@ -178,6 +187,8 @@ def stab_point(fset: FlaggedConvexSet, coeffs):
     case: the zero vertices span the touching face; its centroid avoids
     every excluded face not containing the whole touch.
     """
+    if len(coeffs) != fset.dim + 1:
+        raise ArityMismatch(f"hyperplane needs {fset.dim + 1} coefficients")
     verts = fset.vertices
     vals = [_eval(coeffs, v) for v in verts]
     if min(vals) > 0 or max(vals) < 0:
@@ -425,23 +436,49 @@ def _set_conditions(fset: FlaggedConvexSet, steep: bool):
 
 
 def _first_feasible(prefix, dim, per_set_conditions, certificate, label):
-    """Deterministic scan of the product of per-set sign cases."""
-    count = 0
-    found = None
-    for combo in product(*per_set_conditions):
-        count += 1
-        if found is not None:
-            continue
-        cond = tuple(atom for c in combo for atom in c)
-        if _atoms_conflict(prefix, cond):
-            certificate.append((f"{label}#{count}", "sign atoms conflict"))
-            continue
-        witness, reason = _solve_case(prefix, dim, cond)
-        if witness is not None:
-            found = witness
-        else:
-            certificate.append((f"{label}#{count}", reason))
-    return found, count
+    """Depth-first scan of the product of per-set sign cases, in the
+    order of the flat product (last set fastest).
+
+    Each node adds one set's atoms to its parent's and is checked by the
+    atom filter and an LP. An infeasible node refutes every case under it
+    at once, since more rows never make an infeasible system feasible;
+    each such case still gets its own certificate entry, in scan order,
+    naming the refuting sets. The first feasible leaf is the flat scan's
+    first feasible case, solved as the same system.
+    """
+    sizes = [len(c) for c in per_set_conditions]
+    last = len(sizes) - 1
+    refuted = 0
+
+    def refute(depth, reason):
+        nonlocal refuted
+        if depth < last:
+            sets = f"sets 0-{depth}" if depth else "set 0"
+            reason = f"{sets} infeasible: {reason}"
+        for _ in range(prod(sizes[depth + 1:])):
+            refuted += 1
+            certificate.append((f"{label}#{refuted}", reason))
+
+    def scan(depth, atoms):
+        for cond in per_set_conditions[depth]:
+            node = atoms + cond
+            if _atoms_conflict(prefix, node):
+                witness, reason = None, "sign atoms conflict"
+            else:
+                witness, reason = _solve_case(prefix, dim, node)
+            if witness is None:
+                refute(depth, reason)
+            elif depth == last:
+                return witness
+            else:
+                witness = scan(depth + 1, node)
+                if witness is not None:
+                    return witness
+        return None
+
+    if not sizes:  # the empty family: one case with no atoms
+        return _solve_case(prefix, dim, ())[0], 1
+    return scan(0, ()), prod(sizes)
 
 
 def _verify_witness(sets, coeffs):
@@ -465,6 +502,12 @@ def line_stab(problem: StabbingProblem) -> StabVerdict:
     each set contributes a disjunction of linear sign conditions; the
     first feasible combined case (fixed enumeration order) supplies the
     witness, which is re-verified geometrically.
+
+    An infeasible verdict's certificate has one (case, reason) entry per
+    combined case, in order. A case refuted on its own reads "sign atoms
+    conflict" or "max margin m <= 0"; a case refuted through an
+    infeasible prefix names it, as in "sets 0-2 infeasible: max margin
+    -3 <= 0", and the margin is the prefix's, not the case's.
     """
     if problem.dim != 2:
         raise ArityMismatch("line_stab needs a 2d problem")
@@ -544,7 +587,10 @@ def plane_stab(problem: StabbingProblem) -> StabVerdict:
     Phase one settles planes with zero first coefficient by projecting
     the sets onto the last two coordinates and stabbing the shadows with
     a line. Phase two normalizes the first coefficient to one and scans
-    the sign cases of the per-set product formulas.
+    the sign cases of the per-set product formulas, refuting the cases
+    under an infeasible prefix of sets at once. Certificate entries read
+    as in line_stab; those of phase one carry an "x-coefficient 0: "
+    label prefix.
     """
     if problem.dim != 3 or len(problem.sets) != 4:
         raise ArityMismatch("plane_stab needs exactly four 3d sets")

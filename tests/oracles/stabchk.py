@@ -3,12 +3,16 @@
 Decision logic here is deliberately separate from the package: meeting a
 fixed hyperplane is decided by a feasibility LP over convex-combination
 weights, and membership in the concrete set families is hand-coded from
-their closed-form descriptions.
+their closed-form descriptions. flat_first_feasible is the reference for
+stabbing._first_feasible: it solves every combined sign case on its own,
+with the package's atom filter and case LP.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from oracles.fraclp import EQ, LE, OPTIMAL, feasible_point, strict_feasible
+from rectdual.stabbing import _atoms_conflict, _solve_case
 
 
 def _functional(vertices, face):
@@ -85,3 +89,24 @@ def in_planar(i, b, pt):
     if i == 1:
         return -h <= x <= -q and q <= y <= h
     return q <= x <= h and -h < y <= h
+
+
+def flat_first_feasible(prefix, dim, per_set_conditions, certificate, label):
+    """Flat scan of the product of per-set sign cases, last set fastest:
+    one atom check and one LP per case, every case counted."""
+    count = 0
+    found = None
+    for combo in product(*per_set_conditions):
+        count += 1
+        if found is not None:
+            continue
+        cond = tuple(atom for c in combo for atom in c)
+        if _atoms_conflict(prefix, cond):
+            certificate.append((f"{label}#{count}", "sign atoms conflict"))
+            continue
+        witness, reason = _solve_case(prefix, dim, cond)
+        if witness is not None:
+            found = witness
+        else:
+            certificate.append((f"{label}#{count}", reason))
+    return found, count

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -26,6 +28,7 @@ from rectdual.stabbing import (
 
 from oracles import fraclp, shadows as lp_shadows
 from oracles.stabchk import (
+    flat_first_feasible,
     in_planar,
     in_regular,
     in_singular,
@@ -105,6 +108,28 @@ def test_contains_point_flagged_trapezoid():
     assert not contains_point(trap, (0, 2, -1))    # off the carrier plane
     assert contains_point(trap, (F(1, 2), 1, -1))  # open lower edge
     assert not contains_point(trap, (1, 1, -1))    # excluded corner
+
+
+def test_flagged_set_rejects_malformed_vertices():
+    with pytest.raises(ValueError):
+        FlaggedConvexSet(())
+    with pytest.raises(ValueError):
+        FlaggedConvexSet(((0, 0), (1, 1, 1)))
+
+
+def test_point_and_hyperplane_arity_checked():
+    square = FlaggedConvexSet(((0, 0), (1, 0), (1, 1), (0, 1)))
+    with pytest.raises(ArityMismatch):
+        contains_point(square, (1,))
+    with pytest.raises(ArityMismatch):
+        contains_point(square, (1, 1, 1))
+    for coeffs in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ArityMismatch):
+            stab_point(square, coeffs)
+        with pytest.raises(ArityMismatch):
+            meets_hyperplane(square, coeffs)
+    assert contains_point(square, (1, 1))
+    assert stab_point(square, (1, 1, -1)) is not None
 
 
 # --- fixed-plane evaluation vs LP oracle ---------------------------------
@@ -274,6 +299,84 @@ def test_verdicts_match_fraction_oracle(monkeypatch):
     assert got == stab_all()
     assert [v.status for v in got] == [INFEASIBLE, FEASIBLE, INFEASIBLE,
                                        INFEASIBLE, FEASIBLE]
+
+
+# --- the pruned sign-case scan against the flat scan -------------------------
+
+SCAN_GRID = [F(11, 10), F(2), F(29, 10), F(3), F(31, 10), F(7, 2), F(5), F(13)]
+PRUNED = stabbing._first_feasible
+
+
+def _stab(kind, b):
+    if kind == "planar":
+        return line_stab(build_planar_sets(b))
+    return plane_stab(build_config_sets(kind, b))
+
+
+def _logged_scan(monkeypatch, scan):
+    """Route every sign-case scan through scan, logging its result and the
+    case labels it refuted."""
+    log = []
+
+    def logged(prefix, dim, conds, certificate, label):
+        start = len(certificate)
+        found, count = scan(prefix, dim, conds, certificate, label)
+        log.append((found, count, [lbl for lbl, _ in certificate[start:]]))
+        return found, count
+
+    monkeypatch.setattr(stabbing, "_first_feasible", logged)
+    return log
+
+
+@pytest.mark.parametrize("kind", ["regular", "singular", "planar"])
+def test_pruned_scan_matches_flat_scan(kind, monkeypatch):
+    for b in SCAN_GRID:
+        pruned_log = _logged_scan(monkeypatch, PRUNED)
+        pruned = _stab(kind, b)
+        flat_log = _logged_scan(monkeypatch, flat_first_feasible)
+        flat = _stab(kind, b)
+        assert (pruned.status, pruned.witness, pruned.witness_points,
+                pruned.cases, len(pruned.certificate)) == \
+            (flat.status, flat.witness, flat.witness_points,
+             flat.cases, len(flat.certificate)), f"b={b}"
+        assert [r[:2] for r in pruned_log] == [r[:2] for r in flat_log]
+        for (_, _, got), (_, _, want) in zip(pruned_log, flat_log):
+            assert set(got) <= set(want), f"b={b}"
+
+
+@pytest.mark.parametrize("kind,b", [("regular", F(3)), ("singular", F(5))])
+def test_prefix_reasons_hold(kind, b):
+    # each certificate entry's reason holds for the sets it names: that
+    # prefix of the case is infeasible under the Fraction simplex, with
+    # the margin the entry quotes
+    conds = [[atoms for p, q, strict in row
+              for atoms in stabbing._product_split(p, q, strict)]
+             for row in stabbing._lemma_rows(kind, b)]
+    cert = []
+    found, count = PRUNED((1,), 3, conds, cert, "unit")
+    assert found is None and len(cert) == count
+    prefixed = 0
+    for (lbl, why), combo in zip(cert, product(*conds)):
+        m = re.fullmatch(r"(?:sets? 0(?:-(\d))? infeasible: )?(.*)", why)
+        sets = len(conds)
+        if why != m.group(2):
+            prefixed += 1
+            sets = int(m.group(1) or 0) + 1
+        cond = tuple(a for c in combo[:sets] for a in c)
+        eq, weak, strict = stabbing._rows_for_case((1,), cond)
+        ok, _, margin = fraclp.strict_feasible(3, eq, weak, strict)
+        assert not ok, lbl
+        if m.group(2).startswith("max margin"):
+            assert m.group(2) == f"max margin {margin} <= 0", lbl
+    assert prefixed > 0
+
+
+def test_line_stab_empty_family():
+    # the product of no sign cases is one empty case, met by any line
+    v = line_stab(StabbingProblem(2, (), 3))
+    assert v.status == FEASIBLE
+    assert v.witness == (1, 0, 0) and v.witness_points == ()
+    assert v.cases == 1 and v.certificate == ()
 
 
 # --- line_stab on the planar family ---------------------------------------
