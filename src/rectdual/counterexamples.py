@@ -1,74 +1,36 @@
-"""Counterexample generators and the coprime square-filling machinery.
+"""Counterexample generators: small pixel-filled partitions with known
+center-drawing or embedding behaviour.
 
-The planar generators return small pixel-filled partitions with known
-embedding behaviour: a balance-3 partition whose center projection is
-degenerate, a balance-4 variant that flips an orientation outright, and
-a six-rectangle construction with no faithful half-integral embedding
-(finer rational embeddings exist).  The 3d generators scale from a
-concrete 64-box layered partition up to certificate-only cubical
-configurations whose boxes are far too large to materialize.
+The planar generators give a balance-3 partition whose center projection
+is degenerate, a balance-4 variant that flips an orientation outright,
+and a six-rectangle construction with no faithful half-integral
+embedding (finer rational embeddings exist). In 3d, gen_3d_layered
+builds a 64-box partition of small balance with four coplanar centers.
+gen_cubical_config builds, in any d >= 3, a staircase of d+1 cubes whose
+balance lies between d/(d-2) and the requested bound and whose center
+drawing misorients their top simplex. The bound holds for those d+1
+cubes only: the pixels that fill the rest of the cube bring the global
+balance to the staircase's larger side.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from itertools import count
 
-from .boxes import (_GRID_LIMIT, IntBox, Partition, _check_grid, pixel_fill,
-                    validate_partition)
-from .dual import _det, orientation
+from .boxes import IntBox, Partition, _check_grid, pixel_fill, validate_partition
+from .dual import orientation
 
 __all__ = [
     "BetaTooSmall",
-    "ConstructionFault",
-    "NoFeasibleAB",
-    "TooSmall",
-    "NotRepresentable",
-    "ScanTooLarge",
-    "CubicalConfigReport",
     "gen_planar_lcycle",
     "gen_planar_3balanced",
     "gen_planar_beta4",
     "gen_3d_layered",
     "gen_cubical_config",
-    "verify_det_formula",
-    "coprime_base",
-    "represent_two_products",
-    "fill_threshold",
-    "square_fill",
 ]
 
 
 class BetaTooSmall(ValueError):
     """Requested aspect bound admits no construction."""
-
-
-class ConstructionFault(Exception):
-    """A generator's output broke an invariant its construction guarantees."""
-
-
-class NoFeasibleAB(Exception):
-    """No (a, b) pair satisfies the inequality chain within the search bound."""
-
-
-class TooSmall(ValueError):
-    def __init__(self, side, threshold):
-        super().__init__(f"box side {side} is below the fillable threshold {threshold}")
-        self.side = side
-        self.threshold = threshold
-
-
-class ScanTooLarge(ValueError):
-    def __init__(self, sides, iterations):
-        super().__init__(f"{sides} sides need {iterations} bipartitions, "
-                         f"over the limit of {_GRID_LIMIT}")
-        self.sides = sides
-        self.iterations = iterations
-
-
-class NotRepresentable(ValueError):
-    def __init__(self, length):
-        super().__init__(f"{length} is not a nonnegative combination of the block heights")
-        self.length = length
 
 
 # ---------------------------------------------------------------------------
@@ -191,261 +153,54 @@ def gen_3d_layered(beta) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# number theory for the filling machinery
+# cubical staircase
 
 
-def _first_primes(k):
-    out = []
-    cand = 2
-    while len(out) < k:
-        if all(cand % p for p in out):
-            out.append(cand)
-        cand += 1
-    return tuple(out)
-
-
-def coprime_base(k, lam):
-    """Side lengths b + z_i - 1 for z_0 = 1 and z_1..z_k the first k primes,
-    with b = lam * z_1 * ... * z_k + 1.  Pairwise coprime by construction:
-    any common divisor of b + z_i - 1 and b + z_j - 1 divides z_j - z_i,
-    and b is congruent to 1 modulo every prime up to z_k."""
-    if k < 1 or lam < 1:
-        raise ValueError("need k >= 1 and lam >= 1")
-    zs = (1,) + _first_primes(k)
-    b = lam * prod(zs) + 1
-    out = tuple(b + z - 1 for z in zs)
-    for i, s in enumerate(out):
-        for t in out[i + 1:]:
-            if gcd(s, t) != 1:
-                raise ConstructionFault(f"sides {s} and {t} share a factor")
-    return out
-
-
-def represent_two_products(p1, p2, length):
-    """Nonnegative (lam1, lam2) with lam1*p1 + lam2*p2 = length, or None.
-
-    Deterministic: lam2 is minimal.  p1 and p2 must be coprime positive."""
-    if p1 < 1 or p2 < 1 or gcd(p1, p2) != 1:
-        raise ValueError("block heights must be positive and coprime")
-    if length < 0:
-        return None
-    if p1 == 1:
-        return (length, 0)
-    lam2 = length * pow(p2, -1, p1) % p1
-    rest = length - lam2 * p2
-    if rest < 0:
-        return None
-    return (rest // p1, lam2)
-
-
-def fill_threshold(sides) -> int:
-    """Smallest L such that every length >= L is representable by every
-    disjoint-subset-product pair of the side set.
-
-    Equals 1 plus the largest two-product Frobenius number p1*p2-p1-p2
-    over bipartitions of the set; folding an unused side into either
-    part only raises that number, so bipartitions dominate all disjoint
-    pairs.
-
-    The scan visits the 2^(k-1) - 1 bipartitions of k sides; ScanTooLarge
-    refuses a scan of more than _GRID_LIMIT before it starts."""
-    sides = tuple(sides)
-    if len(sides) < 2:
-        raise ValueError("need at least two sides")
-    scan = 2 ** (len(sides) - 1) - 1
-    if scan > _GRID_LIMIT:
-        raise ScanTooLarge(len(sides), scan)
-    best = 0
-    for mask in range(1, scan + 1):
-        p1 = prod(s for i, s in enumerate(sides) if mask >> i & 1)
-        p2 = prod(s for i, s in enumerate(sides) if not mask >> i & 1)
-        best = max(best, p1 * p2 - p1 - p2)
-    return best + 1
-
-
-def _represent(p1, p2, length):
-    # square_fill checked the threshold, so every extent is representable
-    lam = represent_two_products(p1, p2, length)
-    if lam is None:
-        raise ConstructionFault(f"{length} is not representable by {p1} and {p2}")
-    return lam
-
-
-def _tile(ext, sides):
-    # exact cover of a d-dimensional extent by squares with the given
-    # sorted coprime sides; yields (low corner, side) pairs
-    if len(ext) == 1:
-        lam = _represent(sides[0], sides[1], ext[0])
-        out, x = [], 0
-        for s, count in zip(sides, lam):
-            for _ in range(count):
-                out.append(((x,), s))
-                x += s
-        return out
-    half = len(sides) // 2
-    groups = (sides[:half], sides[half:])
-    heights = (prod(groups[0]), prod(groups[1]))
-    lam = _represent(heights[0], heights[1], ext[-1])
-    layers = (_tile(ext[:-1], groups[0]), _tile(ext[:-1], groups[1]))
-    out, z = [], 0
-    for which in (0, 1):
-        p = heights[which]
-        for _ in range(lam[which]):
-            for lo, s in layers[which]:
-                # a side-s square column stacks p // s copies exactly
-                for j in range(p // s):
-                    out.append((lo + (z + j * s,), s))
-            z += p
-    return out
-
-
-def square_fill(box: IntBox, sides) -> Partition:
-    """Tile a box exactly by squares whose sides come from a sorted,
-    pairwise-coprime set of 2^d lengths.
-
-    Recursive construction: the (d-1)-projection is tiled once with the
-    first half of the sides and once with the second half; those two
-    slabs have heights p1 and p2 (the half products) and are stacked
-    lam1 + lam2 times with lam1*p1 + lam2*p2 = box height.  First-half
-    slabs are placed first, which pins a square of the smallest side at
-    the box's low corner whenever lam1 > 0.
-
-    The output is translated so the box's low corner sits at the origin.
-    Non-cube boxes come back as a partial partition of the bounding
-    cube; coverage of the requested box itself is exact either way.
-    Raises NotRepresentable if the height has no two-product
-    representation, then ScanTooLarge if fill_threshold's scan is too
-    large, then TooSmall if some side is below fill_threshold, then
-    GridTooLarge if the owner grid of the bounding cube would exceed
-    its limit, before any square is built.
-    """
-    d = box.dim
-    sides = tuple(sides)
-    if len(sides) != 2 ** d:
-        raise ValueError(f"need {2 ** d} side lengths for a {d}-dimensional box")
-    if any(s < 1 for s in sides) or list(sides) != sorted(sides):
-        raise ValueError("sides must be positive and sorted")
-    for i in range(len(sides)):
-        for j in range(i + 1, len(sides)):
-            if gcd(sides[i], sides[j]) != 1:
-                raise ValueError(f"sides {sides[i]} and {sides[j]} share a factor")
-    ext = box.sides()
-    half = len(sides) // 2
-    rep = represent_two_products(prod(sides[:half]), prod(sides[half:]), ext[-1])
-    if rep is None:
-        raise NotRepresentable(ext[-1])
-    threshold = fill_threshold(sides)
-    if min(ext) < threshold:
-        raise TooSmall(min(ext), threshold)
-    _check_grid(d, max(ext))
-    squares = [IntBox(lo, tuple(c + s for c in lo)) for lo, s in _tile(ext, sides)]
-    if sum(sq.volume() for sq in squares) != box.volume():
-        raise ConstructionFault(f"squares do not fill {box}")
-    return validate_partition(squares, d, max(ext), partial=len(set(ext)) > 1)
-
-
-# ---------------------------------------------------------------------------
-# cubical configurations (certificate scale)
-
-
-@dataclass(frozen=True)
-class CubicalConfigReport:
-    """Certificate for a d-dimensional cubical configuration: d+1 cube
-    centers with a strictly negative orientation determinant against a
-    positive seed, plus the coprime side set and filling threshold that
-    a full materialization would use."""
-    d: int
-    a: int
-    b: int
-    centers: tuple      # d+1 rows, Fraction coordinates
-    det_sign: int
-    side_set: tuple
-    L0_bound: int
-    materializable: bool
-
-
-def _center_rows(d, a, b, delta):
-    rows = [tuple(Fraction(-a, 2) for _ in range(d))]
-    for i in range(1, d + 1):
-        row = [Fraction(-b, 2) + delta] * (i - 1)
-        row.append(Fraction(b, 2))
-        row.extend([Fraction(-b, 2)] * (d - i))
-        rows.append(tuple(row))
-    return rows
-
-
-def _bordered_det(rows):
-    return _det([[1, *r] for r in rows])
-
-
-def verify_det_formula(d, a, b):
-    """Exact orientation determinant of the unperturbed center matrix
-    against its closed form b^(d-1) * (d*a - (d-2)*b) / 2.
-
-    Returns (exact, closed_form, equal)."""
-    if d < 3:
-        raise ValueError("needs d >= 3")
-    exact = Fraction(_bordered_det(_center_rows(d, a, b, delta=0)))
-    closed = Fraction(b) ** (d - 1) * (d * a - (d - 2) * b) / 2
-    return exact, closed, exact == closed
-
-
-def _seed_cube_corners(d):
-    # doubled staircase corners of the centered unit cube
-    pts = [(-1,) * d]
+def _staircase(d, a, b):
+    # the corner cube [-a,0]^d, then cube i = 1..d with [-b+1,1] on the
+    # axes before i, [0,b] on axis i and [-b,0] on the axes after it, all
+    # translated by b+1; they meet at the vertex (b+1,...,b+1)
+    t = b + 1
+    cubes = [IntBox((t - a,) * d, (t,) * d)]
     for i in range(d):
-        nxt = list(pts[-1])
-        nxt[i] = 1
-        pts.append(tuple(nxt))
-    return pts
+        k = d - 1 - i
+        cubes.append(IntBox((t - b + 1,) * i + (t,) + (t - b,) * k,
+                            (t + 1,) * i + (t + b,) + (t,) * k))
+    return cubes
 
 
-def gen_cubical_config(d, beta) -> CubicalConfigReport:
-    """Find the smallest-b cubical configuration certificate for
-    dimension d under aspect bound beta.
+def gen_cubical_config(d, beta) -> Partition:
+    """Pixel-filled cubical staircase of [0, 2b+2]^d whose center drawing
+    misorients the top simplex of its d+1 cubes.
 
-    Scans b = lam * (z_1 * ... * z_{D-1}) + 1 for lam = 1, 2, ... with
-    D = 2^d and z_i the first D-1 primes (the side sets
-    coprime_base(D - 1, lam)), then picks the largest cube
-    side a with beta > (b + z_max - 1)/a and b/a >= d/(d-2) whose
-    perturbed center matrix has a strictly negative determinant.  The
-    report carries the centers, the pairwise-coprime filler side set
-    b + z_i - 1, and the filling threshold those sides would need.
+    Boxes 0..d are the staircase: the corner cube of side a, then d cubes
+    of side b, cube i shifted by one unit toward the positive side on
+    the axes before its own, so a = boxes[0] side and b = boxes[1] side.
+    With those shifts removed, the orientation of the d+1 centers is
+    b^(d-1)(d*a - (d-2)*b)/2, negative exactly for b/a > d/(d-2); the
+    shifts pull it back toward positive, so not every such ratio flips.
 
-    Nothing is materialized: the smallest admissible b for d = 3 is
-    already 510511, putting the full partition's cell count far beyond
-    any sensible limit; the report's materializable field says whether
-    its (4b)^d cells would fit.  The threshold scan enumerates
-    2^(D-1) - 1 bipartitions, so for d >= 5 fill_threshold raises
-    ScanTooLarge.
+    Scans b = 2, 3, ... and, for each, a in increasing order over
+    d/(d-2) < b/a < beta; returns the first staircase whose doubled
+    centers orient as -1 against the seed's +1. The balance bound holds
+    for the d+1 staircase cubes only: the pixels bring the partition's
+    global balance to b.
+
+    Raises ValueError for d < 3 and BetaTooSmall for beta <= d/(d-2).
+    Each b is refused with GridTooLarge before anything is built once
+    the owner grid of [0, 2b+2]^d would exceed its limit, so a beta too
+    close to d/(d-2) ends the scan there.
     """
     if d < 3:
         raise ValueError("needs d >= 3")
     beta = Fraction(beta)
     critical = Fraction(d, d - 2)
     if beta <= critical:
-        raise NoFeasibleAB(f"aspect bound {beta} does not exceed d/(d-2) = {critical}")
-    if orientation(_seed_cube_corners(d)) != 1:
-        raise ConstructionFault("the staircase seed is not positively oriented")
-    for lam in range(1, 65):
-        side_set = coprime_base(2 ** d - 1, lam)
-        b = side_set[0]
-        a_hi = b * (d - 2) // d                      # largest a with b/a >= d/(d-2)
-        a_lo = side_set[-1] * beta.denominator // beta.numerator + 1
-        tried = 0
-        for a in range(a_hi, a_lo - 1, -1):
-            tried += 1
-            if tried > 256:
-                break  # no sign flip this close to the boundary; grow b instead
-            det = _bordered_det(_center_rows(d, a, b, delta=1))
-            if det >= 0:
-                continue
-            return CubicalConfigReport(
-                d=d, a=a, b=b,
-                centers=tuple(_center_rows(d, a, b, delta=1)),
-                det_sign=-1,
-                side_set=side_set,
-                L0_bound=fill_threshold(side_set),
-                materializable=(4 * b) ** d <= _GRID_LIMIT,
-            )
-    raise NoFeasibleAB(f"no (a, b) found for d={d}, beta={beta} within the search bound")
+        raise BetaTooSmall(f"aspect bound {beta} does not exceed d/(d-2) = {critical}")
+    for b in count(2):
+        _check_grid(d, 2 * b + 2)
+        # b/beta < a < b/critical
+        for a in range(b // beta + 1, -(-b * (d - 2) // d)):
+            cubes = _staircase(d, a, b)
+            if orientation([c.center2() for c in cubes]) == -1:
+                return pixel_fill(cubes, 2 * b + 2)

@@ -63,6 +63,8 @@ def parse_partition(text: str) -> Partition:
         raise ParseError(0, "empty partition file")
     no, head = lines[0]
     d, n, m = _ints(no, head, expect=3)
+    if d < 1 or n < 1 or m < 0:
+        raise ParseError(no, f"header needs d >= 1, n >= 1 and m >= 0, got {d} {n} {m}")
     if len(lines) - 1 != m:
         raise ParseError(no, f"header says {m} boxes, file has {len(lines) - 1}")
     boxes = []

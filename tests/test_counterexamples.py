@@ -1,37 +1,26 @@
 import hashlib
 import time
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, prod
 
 import pytest
 
 from rectdual import counterexamples
-from rectdual.boxes import GridTooLarge, IntBox
+from rectdual.boxes import GridTooLarge, IntBox, balance_of_set, validate_partition
 from rectdual.counterexamples import (
     BetaTooSmall,
-    ConstructionFault,
-    NoFeasibleAB,
-    NotRepresentable,
-    ScanTooLarge,
-    TooSmall,
-    coprime_base,
-    fill_threshold,
     gen_3d_layered,
     gen_cubical_config,
     gen_planar_3balanced,
     gen_planar_beta4,
     gen_planar_lcycle,
-    represent_two_products,
-    square_fill,
-    verify_det_formula,
 )
 from rectdual.dual import build_dual, orientation, partition_balance
 from rectdual.embedding import center_embeddable
 from rectdual.io import format_partition
 from rectdual.solver import SAT, UNSAT, enumerate_all, solve
 
-from oracles.numbers import brute_fill_threshold, brute_represent
+from oracles.chains import _perm_parity as chain_parity, dual_of
+from oracles.determinant import leibniz_det, orientation_sign
 
 
 # ---------------------------------------------------------------- planar
@@ -149,252 +138,111 @@ def test_layered_rejects_tiny_beta(beta):
 # ---------------------------------------------------------------- determinant
 
 
+def closed_form(d, a, b):
+    return Fraction(b) ** (d - 1) * (d * a - (d - 2) * b) / 2
+
+
+def unperturbed_det(d, a, b):
+    # the staircase centers with the unit shifts removed: the corner cube
+    # [-a,0]^d, then cube i with [0,b] on axis i and [-b,0] elsewhere
+    rows = [(1,) + (Fraction(-a, 2),) * d]
+    for i in range(d):
+        rows.append((1,) + (Fraction(-b, 2),) * i + (Fraction(b, 2),)
+                    + (Fraction(-b, 2),) * (d - 1 - i))
+    return leibniz_det(rows)
+
+
 def test_det_formula_examples():
-    assert verify_det_formula(3, 1, 3) == (0, 0, True)
-    assert verify_det_formula(3, 1, 1) == (1, 1, True)
-    assert verify_det_formula(4, 1, 3) == (-27, -27, True)
+    for d, a, b, want in ((3, 1, 3, 0), (3, 1, 1, 1), (4, 1, 3, -27)):
+        assert unperturbed_det(d, a, b) == closed_form(d, a, b) == want
 
 
 def test_det_formula_exhaustive():
-    for d in range(3, 11):
+    # the Leibniz oracle sums (d+1)! terms, so d stops at 5
+    for d in range(3, 6):
         for a in range(1, 6):
             for b in range(1, 6):
-                exact, closed, equal = verify_det_formula(d, a, b)
-                assert equal, (d, a, b, exact, closed)
+                assert unperturbed_det(d, a, b) == closed_form(d, a, b), (d, a, b)
 
 
 def test_det_formula_vanishes_on_the_critical_ratio():
     # b/a = d/(d-2) zeroes the closed form
     for d, a, b in ((3, 1, 3), (4, 1, 2), (4, 2, 4), (6, 2, 3)):
-        exact, closed, equal = verify_det_formula(d, a, b)
-        assert equal and exact == 0
+        assert unperturbed_det(d, a, b) == closed_form(d, a, b) == 0
 
 
-# ---------------------------------------------------------------- coprime sides
+def test_the_shifts_never_flip_the_critical_ratio():
+    # at b/a = d/(d-2) the unit shifts leave the centers positively oriented
+    for d in (3, 4, 5):
+        for a in range(1, 60):
+            if a * d % (d - 2) == 0:
+                cubes = counterexamples._staircase(d, a, a * d // (d - 2))
+                assert orientation([c.center2() for c in cubes]) == 1
 
 
-def test_coprime_base_examples():
-    assert coprime_base(2, 1) == (7, 8, 9)
-    assert coprime_base(3, 1) == (31, 32, 33, 35)
-    assert coprime_base(1, 2) == (5, 6)
+# ---------------------------------------------------------------- cubical staircase
 
 
-def test_coprime_base_exhaustive_gcd():
-    for k in range(1, 8):
-        for lam in range(1, 4):
-            out = coprime_base(k, lam)
-            assert len(out) == k + 1
-            for x, y in combinations(out, 2):
-                assert gcd(x, y) == 1
+def seed_sign_by_oracle(p, d):
+    # the frozen enumerator on the 2^d cells around the vertex where the
+    # staircase meets, which hold only boxes 0..d; the sign of its seed
+    # chain, for the ids taken in sorted order
+    t = p.boxes[0].hi[0]
+    window = validate_partition(
+        [IntBox(tuple(max(x, t - 1) - t + 1 for x in box.lo),
+                tuple(min(x, t + 1) - t + 1 for x in box.hi))
+         for box in p.boxes[:d + 1]], d, 2)
+    top, _ = dual_of(window)
+    assert list(top) == [tuple(range(d + 1))]
+    _, perm, ordered = top[tuple(range(d + 1))]
+    return chain_parity(perm) * chain_parity(ordered)
 
 
-def test_coprime_base_rejects_bad_input():
-    with pytest.raises(ValueError):
-        coprime_base(0, 1)
-    with pytest.raises(ValueError):
-        coprime_base(2, 0)
+@pytest.mark.parametrize("d, beta", [(3, Fraction(5)), (3, Fraction(7, 2)),
+                                     (4, Fraction(5))],
+                         ids=["d3-beta5", "d3-beta7_2", "d4-beta5"])
+def test_cubical_staircase_flips_through_the_pipeline(d, beta):
+    p = gen_cubical_config(d, beta)
+    a, b = p.boxes[0].sides()[0], p.boxes[1].sides()[0]
+    assert p.dim == d and p.n == 2 * b + 2
+    assert [box.sides() for box in p.boxes[:d + 1]] == [(a,) * d] + [(b,) * d] * d
+    assert Fraction(d, d - 2) < Fraction(b, a) < beta
+    assert balance_of_set(p.boxes).value == b  # the pixels have side 1
+    key = tuple(range(d + 1))
+    _, _, ordered, sign = build_dual(p).seed_raw(key)
+    assert sign * chain_parity(ordered) == seed_sign_by_oracle(p, d) == 1
+    centers = [p.boxes[i].center2() for i in ordered]
+    got = orientation_sign(centers)
+    assert got == -sign
+    verdict = center_embeddable(p)
+    assert (key, sign, got) in [(v.simplex, v.expected, v.actual)
+                                for v in verdict.violations]
 
 
-# ---------------------------------------------------------------- representability
+def refused_by_the_grid_limit(monkeypatch, d, beta):
+    def refuse(boxes, n):
+        raise AssertionError("a staircase was pixel-filled")
+    monkeypatch.setattr(counterexamples, "pixel_fill", refuse)
+    start = time.monotonic()
+    with pytest.raises(GridTooLarge):
+        gen_cubical_config(d, beta)
+    assert time.monotonic() - start < 1
 
 
-def test_represent_examples():
-    assert represent_two_products(6, 35, 170) == (5, 4)
-    assert represent_two_products(6, 35, 169) is None
-    assert represent_two_products(1, 5, 3) == (3, 0)
-
-
-def test_represent_matches_brute_force():
-    for length in range(501):
-        got = represent_two_products(6, 35, length)
-        want = brute_represent(6, 35, length)
-        assert got == want, (length, got, want)
-        if got is not None:
-            lam1, lam2 = got
-            assert lam1 >= 0 and lam2 >= 0 and 6 * lam1 + 35 * lam2 == length
-
-
-def test_represent_rejects_shared_factor():
-    with pytest.raises(ValueError):
-        represent_two_products(6, 10, 46)
-
-
-def test_fill_threshold_values():
-    assert fill_threshold((2, 3)) == 2
-    assert fill_threshold((2, 3, 5, 7)) == 182
-    for sides in ((2, 3), (5, 7), (2, 3, 5, 7), (3, 4, 5, 7)):
-        assert fill_threshold(sides) == brute_fill_threshold(sides)
-
-
-def test_fill_threshold_needs_two_sides():
-    for sides in ((), (5,)):
-        with pytest.raises(ValueError):
-            fill_threshold(sides)
-
-
-def test_fill_threshold_refuses_a_scan_over_the_limit(monkeypatch):
-    # k sides have 2^(k-1) - 1 bipartitions: 7 for four, 15 for five
-    monkeypatch.setattr(counterexamples, "_GRID_LIMIT", 7)
-    assert fill_threshold((2, 3, 5, 7)) == 182
-    with pytest.raises(ScanTooLarge) as info:
-        fill_threshold((2, 3, 5, 7, 11))
-    assert (info.value.sides, info.value.iterations) == (5, 15)
-    assert isinstance(info.value, ValueError)
+def test_cubical_config_near_three_is_refused_by_the_grid_limit(monkeypatch):
+    # no 3d staircase within 10^-9 of the bound flips before the owner grid
+    # of [0, 2b+2]^3 outgrows its limit at b = 106; nothing is built
+    refused_by_the_grid_limit(monkeypatch, 3, 3 + Fraction(1, 10 ** 9))
 
 
 def test_cubical_config_in_5d_is_refused_before_the_scan(monkeypatch):
-    # 32 sides: the 2^31 - 1 bipartitions used to be scanned, for hours
-    calls = []
-
-    def counted(factors):
-        calls.append(1)
-        if len(calls) > 1000:
-            raise AssertionError("the bipartition scan started")
-        return prod(factors)
-    monkeypatch.setattr(counterexamples, "prod", counted)
-    with pytest.raises(ScanTooLarge) as info:
-        gen_cubical_config(5, 3)
-    assert info.value.sides == 32
-    monkeypatch.undo()
-    rep = gen_cubical_config(4, 3)
-    assert len(rep.side_set) == 16
-    assert rep.L0_bound == fill_threshold(rep.side_set)
-
-
-# ---------------------------------------------------------------- square filling
-
-
-def test_square_fill_interval():
-    p = square_fill(IntBox((0,), (7,)), (2, 3))
-    assert [(b.lo[0], b.sides()[0]) for b in p.boxes] == [(0, 2), (2, 2), (4, 3)]
-    assert not p.partial
-
-
-def test_square_fill_210_by_211():
-    box = IntBox((0, 0), (210, 211))
-    p = square_fill(box, (2, 3, 5, 7))
-    assert len(p.boxes) == 3360
-    for sq in p.boxes:
-        s = sq.sides()
-        assert s[0] == s[1] and s[0] in (2, 3, 5, 7)
-    assert sum(sq.volume() for sq in p.boxes) == box.volume()
-    corner = next(sq for sq in p.boxes if sq.lo == (0, 0))
-    assert corner.sides() == (2, 2)
-    assert p.partial  # bounding frame is the 211-cube
-
-
-def test_square_fill_cube_uses_every_side():
-    p = square_fill(IntBox((0, 0), (211, 211)), (2, 3, 5, 7))
-    assert not p.partial and p.n == 211
-    assert {sq.sides()[0] for sq in p.boxes} == {2, 3, 5, 7}
-
-
-def test_square_fill_translates_to_origin():
-    p = square_fill(IntBox((5, 5), (215, 215)), (2, 3, 5, 7))
-    assert not p.partial and p.n == 210
-    assert any(sq.lo == (0, 0) for sq in p.boxes)
-
-
-def test_square_fill_error_order():
-    # unrepresentable height wins over the short-side check
-    with pytest.raises(NotRepresentable) as exc:
-        square_fill(IntBox((0, 0), (210, 169)), (2, 3, 5, 7))
-    assert exc.value.length == 169
-    with pytest.raises(TooSmall) as exc:
-        square_fill(IntBox((0, 0), (100, 210)), (2, 3, 5, 7))
-    assert exc.value.side == 100 and exc.value.threshold == 182
-
-
-def test_square_fill_refuses_a_huge_grid_before_tiling(monkeypatch):
-    # the 4000-square used to be tiled (44 s, 1.5 GB) before validation
-    # refused its grid; the other checks still come first
-    def refuse(ext, sides):
-        raise AssertionError("_tile ran")
-    monkeypatch.setattr(counterexamples, "_tile", refuse)
-    with pytest.raises(GridTooLarge) as exc:
-        square_fill(IntBox((0, 0), (4000, 4000)), (2, 3, 5, 7))
-    assert exc.value.cells == 4002 ** 2
-    with pytest.raises(NotRepresentable):
-        square_fill(IntBox((0, 0), (4000, 169)), (2, 3, 5, 7))
-    with pytest.raises(TooSmall):
-        square_fill(IntBox((0, 0), (100, 4000)), (2, 3, 5, 7))
-
-
-def test_square_fill_input_validation():
-    box = IntBox((0, 0), (210, 210))
-    with pytest.raises(ValueError):
-        square_fill(box, (3, 2, 5, 7))  # unsorted
-    with pytest.raises(ValueError):
-        square_fill(box, (2, 3, 5, 6))  # shared factor
-    with pytest.raises(ValueError):
-        square_fill(box, (2, 3, 5))  # wrong count
-
-
-def test_square_fill_construction_faults(monkeypatch):
-    # with the threshold check defeated, an extent of 1 has no (3, 5) tiling
-    monkeypatch.setattr(counterexamples, "fill_threshold", lambda sides: 0)
-    with pytest.raises(ConstructionFault):
-        square_fill(IntBox((0, 0), (1, 2)), (1, 2, 3, 5))
-    monkeypatch.setattr(counterexamples, "_tile", lambda ext, sides: [])
-    with pytest.raises(ConstructionFault):
-        square_fill(IntBox((0, 0), (2, 2)), (1, 2, 3, 5))
-
-
-def test_coprimality_faults(monkeypatch):
-    monkeypatch.setattr(counterexamples, "gcd", lambda a, b: 2)
-    with pytest.raises(ConstructionFault):
-        coprime_base(2, 1)
-    with pytest.raises(ConstructionFault):
-        gen_cubical_config(3, Fraction(7, 2))
-
-
-def test_cubical_seed_orientation_fault(monkeypatch):
-    monkeypatch.setattr(counterexamples, "orientation", lambda pts: -1)
-    with pytest.raises(ConstructionFault):
-        gen_cubical_config(3, Fraction(7, 2))
-
-
-# ---------------------------------------------------------------- cubical report
-
-
-def test_cubical_d3_certificate():
-    beta = Fraction(7, 2)
-    rep = gen_cubical_config(3, beta)
-    assert rep.b == 510511  # 1 + 2*3*5*7*11*13*17
-    assert rep.a == 170169
-    assert rep.det_sign == -1
-    assert rep.side_set == tuple(rep.b + z - 1 for z in (1, 2, 3, 5, 7, 11, 13, 17))
-    for x, y in combinations(rep.side_set, 2):
-        assert gcd(x, y) == 1
-    # the inequality chain, exactly
-    zmax = 17
-    assert beta > Fraction(rep.b + zmax - 1, rep.a) > Fraction(rep.b, rep.a) >= Fraction(3)
-    # independent sign check of the center orientation
-    assert orientation(rep.centers) == -1
-    assert rep.centers[0] == (Fraction(-rep.a, 2),) * 3
-    assert rep.centers[1] == (Fraction(rep.b, 2), Fraction(-rep.b, 2), Fraction(-rep.b, 2))
-    assert rep.centers[2][0] == Fraction(-rep.b, 2) + 1
-    assert not rep.materializable
-
-
-def test_cubical_l0_matches_bipartition_scan():
-    rep = gen_cubical_config(3, Fraction(7, 2))
-    best = 0
-    sides = rep.side_set
-    for r in range(1, len(sides)):
-        for left in combinations(range(len(sides)), r):
-            if 0 not in left:
-                continue  # fix side 0 on the left to dedupe
-            p1 = prod(sides[i] for i in left)
-            p2 = prod(sides[i] for i in range(len(sides)) if i not in left)
-            best = max(best, p1 * p2 - p1 - p2)
-    assert rep.L0_bound == best + 1
+    # at beta = 2 no 5d staircase flips before the limit at b = 11
+    refused_by_the_grid_limit(monkeypatch, 5, 2)
 
 
 def test_cubical_infeasible_beta():
-    with pytest.raises(NoFeasibleAB):
-        gen_cubical_config(3, 3)  # not above d/(d-2)
-    with pytest.raises(NoFeasibleAB):
-        gen_cubical_config(4, 2)
+    for d, beta in ((3, 3), (3, Fraction(5, 2)), (4, 2), (5, Fraction(5, 3))):
+        with pytest.raises(BetaTooSmall):
+            gen_cubical_config(d, beta)
     with pytest.raises(ValueError):
         gen_cubical_config(2, 10)

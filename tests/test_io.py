@@ -57,6 +57,12 @@ def test_partition_parse_errors():
         parse_partition("2 2 1\n1 0 0 1\n")  # inverted corner
     with pytest.raises(ParseError):
         parse_partition("2 2 1\na b c d\n")
+    # the header is checked by itself, at its own line
+    for text, line in (("-1 2 1\n0 1\n", 1), ("0 1 0\n", 1), ("2 0 0\n", 1),
+                       ("2 1 -1\n", 1), ("# comment\n0 1 1\n0 1\n", 2)):
+        with pytest.raises(ParseError, match="header needs") as info:
+            parse_partition(text)
+        assert info.value.line == line
 
 
 def test_partition_parse_validates():

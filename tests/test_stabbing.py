@@ -223,11 +223,12 @@ def test_shadow_problem_never_line_stabbed():
 
 @pytest.mark.parametrize("kind", ["regular", "singular"])
 def test_plane_stab_threshold_grid(kind):
-    grid = SUB3 + [F(3), F(7, 2), F(4), F(5)]
+    # 301/100 and 31/10 pin the regular threshold at 3, not 7/2
+    grid = SUB3 + [F(3), F(301, 100), F(31, 10), F(7, 2), F(4), F(5)]
     verdicts = {b: plane_stab(build_config_sets(kind, b)) for b in grid}
     if kind == "regular":
-        want = [INFEASIBLE] * 5 + [FEASIBLE] * 3
-        for b in (F(7, 2), F(4), F(5)):
+        want = [INFEASIBLE] * 5 + [FEASIBLE] * 5
+        for b in grid[5:]:
             v = verdicts[b]
             assert v.witness[0] in (0, 1)
             for i, pt in enumerate(v.witness_points):
@@ -235,7 +236,7 @@ def test_plane_stab_threshold_grid(kind):
     else:
         # cone analysis of the per-set fibers shows no plane ever meets
         # all four sets of this family once the slants are excluded
-        want = [INFEASIBLE] * 8
+        want = [INFEASIBLE] * 10
     assert [verdicts[b].status for b in grid] == want
     # once feasible, stays feasible
     seen = False
