@@ -265,21 +265,29 @@ def partition_balance(p: Partition) -> BalanceReport:
 
     The maximum over edges equals the maximum over arbitrary simplices,
     since every simplex's longest and shortest sides appear on one of its
-    edges. Raises ValueError, as balance_of_set does, for a partition
+    edges. Each box's longest and shortest sides are read once; balances
+    are compared as integer cross products, and only the winner becomes
+    a report. Its witness is the one balance_of_set gives: on ties the
+    first box of an edge, and a later edge or box only when strictly
+    greater. Raises ValueError, as balance_of_set does, for a partition
     with no boxes."""
     if not p.boxes:
         return balance_of_set(p.boxes)  # raises its ValueError
-    best = BalanceReport(Fraction(1), (p.boxes[0], p.boxes[0]))
+    ext = [(max(s), min(s)) for s in (box.sides() for box in p.boxes)]
+    # (longest, its box id, shortest, its box id); balance 1 to start
+    best = (1, 0, 1, 0)
     for i, j in build_dual(p).edges():
-        rep = balance_of_set((p.boxes[i], p.boxes[j]))
-        if rep.value > best.value:
-            best = rep
+        (hi_i, lo_i), (hi_j, lo_j) = ext[i], ext[j]
+        hi, wh = (hi_j, j) if hi_j > hi_i else (hi_i, i)
+        lo, wl = (lo_j, j) if lo_j < lo_i else (lo_i, i)
+        if hi * best[2] > best[0] * lo:
+            best = (hi, wh, lo, wl)
     # single-box partitions still have aspect ratio to account for
-    for box in p.boxes:
-        rep = balance_of_set((box,))
-        if rep.value > best.value:
-            best = rep
-    return best
+    for i, (hi, lo) in enumerate(ext):
+        if hi * best[2] > best[0] * lo:
+            best = (hi, i, lo, i)
+    hi, wh, lo, wl = best
+    return BalanceReport(Fraction(hi, lo), (p.boxes[wh], p.boxes[wl]))
 
 
 def _closure(d, m, top, lower):

@@ -26,6 +26,21 @@ structural columns, and with them the witness, are those of the
 rational tableau. The input is read through the numerators and
 denominators of its ints and Fractions, with no Fraction copies; only
 the result is converted back.
+
+MarginLp keeps strict_feasible's problem as an optimal tableau of the
+same kind, for callers that solve a chain of systems, each its parent
+plus a few rows (the sign-case scan in stabbing). reoptimize adds the
+rows in canonical form with their slacks basic and re-optimizes by the
+dual simplex. Adding rows leaves the reduced costs as they are, so the
+parent's optimal basis stays dual feasible, and the dual simplex keeps
+it so while it drives the new rows' negative slacks out; it stops at an
+optimal tableau of the whole system or at a row proving the weak part
+infeasible. Its pivots are exact integer-preserving ones (_pivot), so
+the margin it reads is the exact optimum, which is unique whatever basis
+reaches it; the witness vertex is not, so callers that need the cold
+solve's witness solve cold. The smallest-index rule on leaving rows and
+entering columns is Bland's rule applied to the dual problem, so no
+basis repeats and the loop ends.
 """
 
 from __future__ import annotations
@@ -44,6 +59,12 @@ LE, GE, EQ = "<=", ">=", "=="
 class PhaseOneUnbounded(RuntimeError):
     """Phase one reported an unbounded minimum; its objective, a sum of
     nonnegative artificials, is bounded below by 0, so this is a fault."""
+
+
+class DualSimplexFault(RuntimeError):
+    """The dual simplex lost dual feasibility (a negative reduced cost
+    after a pivot), or a margin it found disagrees with a cold solve of
+    the same system; exact pivoting can do neither, so this is a fault."""
 
 
 @dataclass
@@ -209,3 +230,125 @@ def strict_feasible(nvars, eq_rows=(), weak_rows=(), strict_rows=()):
     if res.value <= 0:
         return False, None, res.value
     return True, res.x[:nvars], res.value
+
+
+class MarginLp:
+    """strict_feasible's problem, kept as an optimal tableau rows can be
+    added to: maximize the margin t subject to t <= 1, with every unknown
+    free. The root holds only the row t <= 1; reoptimize adds rows.
+
+    status is OPTIMAL, with the exact optimal margin, or INFEASIBLE (the
+    weak system is infeasible), with margin None. The tableau rows are
+    integer-preserving as in solve_lp, over the denominator d: column 0
+    is the right-hand side, then the split parts of the unknowns and of
+    t, then one slack per row in the order the rows came; the last row
+    holds d times [-objective | reduced costs] for minimizing -t.
+    """
+
+    __slots__ = ("nvars", "rows", "basis", "d", "status", "margin")
+
+    def __init__(self, nvars):
+        t = 2 * nvars + 1  # column of the positive part of t
+        row = [0] * (t + 3)
+        row[0] = row[t] = row[t + 2] = 1
+        row[t + 1] = -1
+        z = [0] * (t + 3)
+        z[0] = z[t + 2] = 1
+        self.nvars = nvars
+        self.rows = [row, z]
+        self.basis = [t]
+        self.d = 1
+        self.status = OPTIMAL
+        self.margin = Fraction(1)
+
+
+def reoptimize(lp: MarginLp, eq_rows=(), weak_rows=(),
+               strict_rows=()) -> MarginLp:
+    """A copy of lp with the rows added, re-optimized; lp is unchanged.
+
+    Rows are as in strict_feasible; an equality becomes two <= rows, a
+    strict row gets the margin's coefficient 1. Each new row r, scaled
+    to integers by the lcm of its own denominators, is put into
+    canonical form over the current denominator as
+    d * r - sum_i r[basis[i]] * rows[i], with its slack basic. Neither
+    step touches the reduced costs, so the tableau stays dual feasible,
+    and the dual simplex re-optimizes it (see _dual_simplex).
+    """
+    nv = lp.nvars
+    new = []
+    for coeffs, rhs in eq_rows:
+        new += [(coeffs, 0, rhs, 1), (coeffs, 0, rhs, -1)]
+    new += [(coeffs, 0, rhs, 1) for coeffs, rhs in weak_rows]
+    new += [(coeffs, 1, rhs, 1) for coeffs, rhs in strict_rows]
+    pad = [0] * len(new)
+    M = [r + pad for r in lp.rows]
+    z = M.pop()
+    old = list(enumerate(lp.basis))
+    basis = list(lp.basis)
+    d = lp.d
+    slack = len(z) - len(new)
+    for coeffs, margin, rhs, sign in new:
+        if len(coeffs) != nv:
+            raise ValueError(f"row has {len(coeffs)} coefficients, "
+                             f"not {nv}")
+        vals = (*coeffs, margin, rhs)
+        *vals, rhs = _scaled(vals, lcm(*(v.denominator for v in vals)))
+        raw = [0] * len(z)
+        raw[0] = sign * rhs
+        for j, c in enumerate(vals):  # t is unknown nv
+            raw[2 * j + 1] = sign * c
+            raw[2 * j + 2] = -sign * c
+        raw[slack] = 1
+        row = [d * v for v in raw]
+        for i, b in old:
+            f = raw[b]
+            if f:
+                row = [a - f * v for a, v in zip(row, M[i])]
+        M.append(row)
+        basis.append(slack)
+        slack += 1
+    M.append(z)
+    status, d = _dual_simplex(M, basis, d)
+    out = MarginLp.__new__(MarginLp)
+    out.nvars, out.rows, out.basis, out.d = nv, M, basis, d
+    out.status = status
+    out.margin = Fraction(M[-1][0], d) if status == OPTIMAL else None
+    return out
+
+
+def _dual_simplex(M, basis, d):
+    """Dual simplex under the smallest-index rule, over the denominator
+    d, from a dual-feasible tableau laid out as in MarginLp.
+
+    The leaving row holds the basic variable of least index among those
+    below zero; the entering column is the least index among the least
+    ratios z_j / -a_j over that row's a_j < 0. This is Bland's rule on
+    the dual problem, so no basis repeats and the loop ends. Each pivot
+    keeps every reduced cost nonnegative; the loop stops at a primal
+    feasible tableau, which is then optimal, or at a leaving row with no
+    a_j < 0: a sum of nonnegative terms set equal to a negative number,
+    so the system is infeasible. Returns the status and the final
+    denominator.
+    """
+    m = len(basis)
+    while True:
+        leave = -1
+        for i in range(m):
+            if M[i][0] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                leave = i
+        if leave < 0:
+            return OPTIMAL, d
+        r = M[leave]
+        z = M[-1]
+        enter = -1
+        for j in range(1, len(r)):
+            a = r[j]
+            # z_j / -a < z_e / -r[e], cross-multiplied
+            if a < 0 and (enter < 0 or z[j] * r[enter] > z[enter] * a):
+                enter = j
+        if enter < 0:
+            return INFEASIBLE, d
+        d = _pivot(M, basis, d, leave, enter)
+        if min(M[-1][1:]) < 0:
+            raise DualSimplexFault(
+                f"negative reduced cost after pivoting on column {enter}")

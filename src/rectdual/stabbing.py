@@ -10,7 +10,10 @@ sign conditions on the values at its vertices, and the combined sign
 cases are scanned depth first, one set at a time, as linear feasibility
 problems: an infeasible prefix (the conditions of the first sets)
 refutes every case that extends it with one LP. Strict inequalities are
-settled by margin maximization, so verdicts carry no epsilon.
+settled by margin maximization, so verdicts carry no epsilon. Each node
+of the scan is its parent's system plus one set's rows, so its LP starts
+from the parent's optimal tableau and is re-optimized by the dual
+simplex (ratlp.reoptimize); only the witness case is solved cold.
 
 Three set families are built in: the two three-dimensional
 configurations (regular and singular) whose stabbing planes certify
@@ -39,12 +42,14 @@ injectively; with x free, the fiber points with x = 0 avoid both x faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import prod
 
 from .dual import orientation
-from .ratlp import EQ, LE, OPTIMAL, feasible_point, strict_feasible
+from .ratlp import (EQ, LE, OPTIMAL, DualSimplexFault, MarginLp,
+                    feasible_point, reoptimize, strict_feasible)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -125,6 +130,12 @@ class FlaggedConvexSet:
     def dim(self) -> int:
         return len(self.vertices[0])
 
+    @cached_property
+    def face_functionals(self) -> tuple:
+        """face_functional of each excluded face, in order; built on the
+        first read and kept (a non-face raises every time it is read)."""
+        return tuple(face_functional(self, f) for f in self.excluded_faces)
+
 
 def face_functional(fset: FlaggedConvexSet, face) -> tuple:
     """Affine functional (a, c) with a.v = c on the face and a.v <= c - 1
@@ -149,7 +160,8 @@ def contains_point(fset: FlaggedConvexSet, pt) -> bool:
 
     The point is a convex combination w of the vertices.  Every excluded
     face a.x = c, given by its functional (a, c), becomes the strict row
-    sum_j (a.v_j - c) w_j < 0: the point lies off the face."""
+    sum_j (a.v_j - c) w_j < 0: the point lies off the face. The
+    functionals are built once per set (FlaggedConvexSet.face_functionals)."""
     if len(pt) != fset.dim:
         raise ArityMismatch(f"point needs {fset.dim} coordinates")
     verts = fset.vertices
@@ -162,11 +174,8 @@ def contains_point(fset: FlaggedConvexSet, pt) -> bool:
         row = [0] * m
         row[j] = -1
         weak.append((row, 0))
-    strict = []
-    for face in fset.excluded_faces:
-        a, c = face_functional(fset, face)
-        strict.append(([sum(ai * vi for ai, vi in zip(a, v)) - c
-                        for v in verts], 0))
+    strict = [([sum(ai * vi for ai, vi in zip(a, v)) - c for v in verts], 0)
+              for a, c in fset.face_functionals]
     return strict_feasible(m, eq, weak, strict)[0]
 
 
@@ -314,15 +323,22 @@ def _rows_for_case(prefix, cond):
     return eq, weak, strict
 
 
+def _refutation(margin):
+    """Why a case with this optimal margin (None: weak part infeasible)
+    has no solution."""
+    if margin is None:
+        return "weak system infeasible"
+    return f"max margin {margin} <= 0"
+
+
 def _solve_case(prefix, dim, cond):
+    """One sign case solved cold: (witness, None) or (None, reason)."""
     nvars = dim + 1 - len(prefix)
     eq, weak, strict = _rows_for_case(prefix, cond)
     ok, x, margin = strict_feasible(nvars, eq, weak, strict)
     if ok:
         return tuple(prefix) + tuple(x), None
-    if margin is None:
-        return None, "weak system infeasible"
-    return None, f"max margin {margin} <= 0"
+    return None, _refutation(margin)
 
 
 def _product_split(p, q, strict):
@@ -440,11 +456,21 @@ def _first_feasible(prefix, dim, per_set_conditions, certificate, label):
     order of the flat product (last set fastest).
 
     Each node adds one set's atoms to its parent's and is checked by the
-    atom filter and an LP. An infeasible node refutes every case under it
-    at once, since more rows never make an infeasible system feasible;
-    each such case still gets its own certificate entry, in scan order,
-    naming the refuting sets. The first feasible leaf is the flat scan's
-    first feasible case, solved as the same system.
+    atom filter, then by the margin LP: a copy of its parent's optimal
+    tableau with the node's rows added, re-optimized by the dual simplex
+    (ratlp.reoptimize). The root tableau holds only the cap t <= 1. A
+    node's LP is exactly the cold strict_feasible problem of its atoms,
+    and the optimal margin of an LP is unique whatever basis reaches it,
+    so each reason ("weak system infeasible", "max margin m <= 0") reads
+    as the cold solve's would.
+
+    An infeasible node refutes every case under it at once, since more
+    rows never make an infeasible system feasible; each such case still
+    gets its own certificate entry, in scan order, naming the refuting
+    sets. The first feasible leaf is the flat scan's first feasible
+    case. Its witness is a vertex of the case's polyhedron that depends
+    on the pivots taken, so that leaf alone is solved again cold, as the
+    same system the flat scan solves, and its witness is the flat scan's.
     """
     sizes = [len(c) for c in per_set_conditions]
     last = len(sizes) - 1
@@ -459,26 +485,31 @@ def _first_feasible(prefix, dim, per_set_conditions, certificate, label):
             refuted += 1
             certificate.append((f"{label}#{refuted}", reason))
 
-    def scan(depth, atoms):
+    def scan(depth, atoms, lp):
         for cond in per_set_conditions[depth]:
             node = atoms + cond
             if _atoms_conflict(prefix, node):
-                witness, reason = None, "sign atoms conflict"
-            else:
-                witness, reason = _solve_case(prefix, dim, node)
-            if witness is None:
-                refute(depth, reason)
-            elif depth == last:
-                return witness
-            else:
-                witness = scan(depth + 1, node)
+                refute(depth, "sign atoms conflict")
+                continue
+            child = reoptimize(lp, *_rows_for_case(prefix, cond))
+            if child.margin is None or child.margin <= 0:
+                refute(depth, _refutation(child.margin))
+            elif depth < last:
+                witness = scan(depth + 1, node, child)
                 if witness is not None:
                     return witness
+            else:
+                witness, reason = _solve_case(prefix, dim, node)
+                if witness is None:
+                    raise DualSimplexFault(
+                        f"margin {child.margin} > 0 but the cold solve "
+                        f"gives {reason!r}")
+                return witness
         return None
 
     if not sizes:  # the empty family: one case with no atoms
         return _solve_case(prefix, dim, ())[0], 1
-    return scan(0, ()), prod(sizes)
+    return scan(0, (), MarginLp(dim + 1 - len(prefix))), prod(sizes)
 
 
 def _verify_witness(sets, coeffs):

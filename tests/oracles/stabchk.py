@@ -3,13 +3,17 @@
 Decision logic here is deliberately separate from the package: meeting a
 fixed hyperplane is decided by a feasibility LP over convex-combination
 weights, and membership in the concrete set families is hand-coded from
-their closed-form descriptions. flat_first_feasible is the reference for
-stabbing._first_feasible: it solves every combined sign case on its own,
-with the package's atom filter and case LP.
+their closed-form descriptions. Two references stand for
+stabbing._first_feasible, both with the package's atom filter and cold
+case LP: flat_first_feasible solves every combined sign case on its own,
+and cold_first_feasible is the same depth-first scan solving each node
+cold instead of re-optimizing its parent's tableau. FracMarginLp and
+frac_reoptimize stand in for ratlp's margin LP with the Fraction simplex.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from oracles.fraclp import EQ, LE, OPTIMAL, feasible_point, strict_feasible
 from rectdual.stabbing import _atoms_conflict, _solve_case
@@ -110,3 +114,61 @@ def flat_first_feasible(prefix, dim, per_set_conditions, certificate, label):
         else:
             certificate.append((f"{label}#{count}", reason))
     return found, count
+
+
+def cold_first_feasible(prefix, dim, per_set_conditions, certificate, label):
+    """Depth-first scan of the product of per-set sign cases, last set
+    fastest, with one cold LP on every node's accumulated atoms; an
+    infeasible node refutes its subtree under a reason naming its sets."""
+    sizes = [len(c) for c in per_set_conditions]
+    last = len(sizes) - 1
+    refuted = 0
+
+    def refute(depth, reason):
+        nonlocal refuted
+        if depth < last:
+            sets = f"sets 0-{depth}" if depth else "set 0"
+            reason = f"{sets} infeasible: {reason}"
+        for _ in range(prod(sizes[depth + 1:])):
+            refuted += 1
+            certificate.append((f"{label}#{refuted}", reason))
+
+    def scan(depth, atoms):
+        for cond in per_set_conditions[depth]:
+            node = atoms + cond
+            if _atoms_conflict(prefix, node):
+                witness, reason = None, "sign atoms conflict"
+            else:
+                witness, reason = _solve_case(prefix, dim, node)
+            if witness is None:
+                refute(depth, reason)
+            elif depth == last:
+                return witness
+            else:
+                witness = scan(depth + 1, node)
+                if witness is not None:
+                    return witness
+        return None
+
+    if not sizes:
+        return _solve_case(prefix, dim, ())[0], 1
+    return scan(0, ()), prod(sizes)
+
+
+class FracMarginLp:
+    """The margin LP of the rows accumulated so far, solved from scratch
+    by the Fraction simplex; margin is None when the weak part is
+    infeasible."""
+
+    def __init__(self, nvars, eq_rows=(), weak_rows=(), strict_rows=()):
+        self.nvars = nvars
+        self.eq_rows, self.weak_rows, self.strict_rows = \
+            list(eq_rows), list(weak_rows), list(strict_rows)
+        self.margin = strict_feasible(nvars, eq_rows, weak_rows,
+                                      strict_rows)[2]
+
+
+def frac_reoptimize(lp, eq_rows=(), weak_rows=(), strict_rows=()):
+    return FracMarginLp(lp.nvars, lp.eq_rows + list(eq_rows),
+                        lp.weak_rows + list(weak_rows),
+                        lp.strict_rows + list(strict_rows))

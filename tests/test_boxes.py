@@ -17,7 +17,7 @@ from rectdual.boxes import (
     pixel_fill,
     validate_partition,
 )
-from rectdual.dual import partition_balance
+from rectdual.dual import build_dual, partition_balance
 
 from oracles.partitions import (
     pixel_fill_by_validation,
@@ -125,6 +125,39 @@ def test_partition_balance_uses_dual_edges():
     p = validate_partition(boxes, 2, 4)
     rep = partition_balance(p)
     assert rep.value == 4
+
+
+def _balance_by_edges(p):
+    """partition_balance by its definition: balance_of_set of every edge
+    and then of every box, in order, kept when strictly greater."""
+    best = BalanceReport(Fraction(1), (p.boxes[0], p.boxes[0]))
+    for i, j in build_dual(p).edges():
+        rep = balance_of_set((p.boxes[i], p.boxes[j]))
+        if rep.value > best.value:
+            best = rep
+    for box in p.boxes:
+        rep = balance_of_set((box,))
+        if rep.value > best.value:
+            best = rep
+    return best
+
+
+def test_partition_balance_matches_per_edge_reports():
+    rng = random.Random(5)
+    parts = [random_partition(d, n, rng, stop=0.1)
+             for d, n in ((2, 6), (2, 8), (3, 4), (3, 5)) for _ in range(6)]
+    parts.append(validate_partition(
+        [IntBox((0, 0), (1, 4))] + pixels([(x, y) for x in (1, 2, 3)
+                                           for y in range(4)]), 2, 4))
+    # two boxes, each the longest of one edge and the shortest of another
+    parts.append(validate_partition(
+        [IntBox((0, 0), (2, 1)), IntBox((0, 1), (1, 2)),
+         IntBox((1, 1), (2, 2))], 2, 2))
+    assert sum(len(p.boxes) > 1 for p in parts) > 20
+    for p in parts:
+        got = partition_balance(p)
+        want = _balance_by_edges(p)
+        assert (got.value, got.witness) == (want.value, want.witness)
 
 
 def test_partition_balance_of_no_boxes_is_refused():

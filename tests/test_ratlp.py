@@ -11,8 +11,11 @@ from rectdual.ratlp import (
     LE,
     OPTIMAL,
     UNBOUNDED,
+    DualSimplexFault,
+    MarginLp,
     PhaseOneUnbounded,
     feasible_point,
+    reoptimize,
     solve_lp,
     strict_feasible,
 )
@@ -169,3 +172,123 @@ def test_matches_fraction_oracle(lp):
     assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
     if got.status == OPTIMAL:
         assert isinstance(got.value, Fraction)
+
+
+# --- the incremental margin LP against cold solves -----------------------
+
+@st.composite
+def row_batches(draw):
+    """nvars and batches of (kind, coeffs, rhs) rows, kind 0/1/2 for
+    equality/weak/strict; some rows are zero rows or repeat an earlier
+    row."""
+    nv = draw(st.integers(1, 3))
+    coeffs = st.lists(_q, min_size=nv, max_size=nv)
+    seen, batches = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        batch = []
+        for _ in range(draw(st.integers(1, 3))):
+            how = draw(st.sampled_from(["new", "new", "new", "zero", "dup"]))
+            if how == "dup" and seen:
+                row = draw(st.sampled_from(seen))
+            else:
+                row = (draw(st.integers(0, 2)),
+                       [0] * nv if how == "zero" else draw(coeffs), draw(_q))
+            seen.append(row)
+            batch.append(row)
+        batches.append(batch)
+    return nv, batches
+
+
+def _split(rows):
+    return tuple([(c, r) for k, c, r in rows if k == kind]
+                 for kind in range(3))
+
+
+def _snapshot(lp):
+    return ([list(r) for r in lp.rows], list(lp.basis), lp.d, lp.status,
+            lp.margin)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(row_batches())
+def test_margin_lp_matches_cold_solves(case):
+    nv, batches = case
+    lp = MarginLp(nv)
+    assert (lp.status, lp.margin) == (OPTIMAL, 1)
+    rows = []
+    for batch in batches:
+        before = _snapshot(lp)
+        child = reoptimize(lp, *_split(batch))
+        assert _snapshot(lp) == before  # the parent is left as it was
+        rows += batch
+        _, _, margin = strict_feasible(nv, *_split(rows))
+        assert child.margin == margin
+        assert child.status == (INFEASIBLE if margin is None else OPTIMAL)
+        if margin is not None:
+            assert isinstance(child.margin, Fraction)
+        lp = child
+
+
+def test_margin_lp_infeasible_weak_part_stays_infeasible():
+    lp = reoptimize(MarginLp(1), weak_rows=[([1], 0)])
+    assert lp.margin == 1
+    bad = reoptimize(lp, weak_rows=[([-1], -1)])
+    assert (bad.status, bad.margin) == (INFEASIBLE, None)
+    worse = reoptimize(bad, eq_rows=[([1], 0)], strict_rows=[([1], 5)])
+    assert (worse.status, worse.margin) == (INFEASIBLE, None)
+    assert reoptimize(lp, strict_rows=[([-1], 0)]).margin == 0
+    assert reoptimize(lp, weak_rows=[([0], -1)]).status == INFEASIBLE
+
+
+def test_margin_lp_breaks_ratio_ties_by_least_index(monkeypatch):
+    # every pivot takes the least basic index below zero to leave and
+    # the least column index among the least ratios to enter; the log
+    # keeps each pivot's tied columns and their ratio
+    ties = []
+    pivot = ratlp._pivot
+
+    def checked(M, basis, d, row, col):
+        below = [i for i in range(len(basis)) if M[i][0] < 0]
+        assert row == min(below, key=lambda i: basis[i])
+        r, z = M[row], M[-1]
+        ratios = {j: Fraction(z[j], -r[j]) for j in range(1, len(r))
+                  if r[j] < 0}
+        least = min(ratios.values())
+        tied = [j for j, q in ratios.items() if q == least]
+        assert col == tied[0]
+        ties.append((tied, least))
+        return pivot(M, basis, d, row, col)
+
+    monkeypatch.setattr(ratlp, "_pivot", checked)
+    # -x - y <= -1 leaves its slack at -1; x+ (column 1) and y+ (column 3)
+    # both price out at ratio 0, and x+ enters
+    lp = reoptimize(MarginLp(2), weak_rows=[([-1, -1], -1)])
+    assert ties == [([1, 3], 0)] and lp.basis == [5, 1] and lp.margin == 1
+    # two rows below zero at once: the slack of least index leaves first
+    ties.clear()
+    lp = reoptimize(MarginLp(2), weak_rows=[([0, -1], -2), ([-1, 0], -1)])
+    assert [t[0][0] for t in ties] == [3, 1] and lp.margin == 1
+    # a tie at a positive ratio
+    ties.clear()
+    lp = reoptimize(MarginLp(1), weak_rows=[([-1], 0)],
+                    strict_rows=[([2], 0), ([0], -2)])
+    assert any(len(tied) > 1 and least > 0 for tied, least in ties)
+    assert lp.margin == -2
+
+
+def test_margin_lp_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        reoptimize(MarginLp(2), weak_rows=[([1], 0)])
+
+
+def test_dual_simplex_fault_raises(monkeypatch):
+    pivot = ratlp._pivot
+
+    def corrupt(M, basis, d, row, col):
+        d = pivot(M, basis, d, row, col)
+        M[-1][1] = -1
+        return d
+
+    monkeypatch.setattr(ratlp, "_pivot", corrupt)
+    with pytest.raises(DualSimplexFault):
+        reoptimize(MarginLp(1), weak_rows=[([-1], -1)])

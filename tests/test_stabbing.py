@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from rectdual import stabbing
+from rectdual import ratlp, stabbing
 from rectdual.stabbing import (
     FEASIBLE,
     INFEASIBLE,
@@ -28,7 +28,10 @@ from rectdual.stabbing import (
 
 from oracles import fraclp, shadows as lp_shadows
 from oracles.stabchk import (
+    FracMarginLp,
+    cold_first_feasible,
     flat_first_feasible,
+    frac_reoptimize,
     in_planar,
     in_regular,
     in_singular,
@@ -108,6 +111,26 @@ def test_contains_point_flagged_trapezoid():
     assert not contains_point(trap, (0, 2, -1))    # off the carrier plane
     assert contains_point(trap, (F(1, 2), 1, -1))  # open lower edge
     assert not contains_point(trap, (1, 1, -1))    # excluded corner
+
+
+def test_contains_point_builds_face_functionals_once(monkeypatch):
+    calls = []
+    build = stabbing.face_functional
+
+    def counted(fset, face):
+        calls.append(face)
+        return build(fset, face)
+
+    monkeypatch.setattr(stabbing, "face_functional", counted)
+    trap = build_config_sets("regular", 3).sets[2]
+    for pt in ((0, 2, -2), (-2, 2, -2), (9, 9, 9), (1, 1, -1)):
+        contains_point(trap, pt)
+    assert calls == list(trap.excluded_faces)
+    # a non-face is refused on every call, as before
+    square = FlaggedConvexSet(((0, 0), (1, 0), (1, 1), (0, 1)), ((0, 2),))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            contains_point(square, (F(1, 2), F(1, 2)))
 
 
 def test_flagged_set_rejects_malformed_vertices():
@@ -285,7 +308,7 @@ def test_regular_witness_survives_beyond_three():
 
 def test_verdicts_match_fraction_oracle(monkeypatch):
     # every witness, certificate string and case count is the one the
-    # Fraction simplex gives
+    # Fraction simplex gives, the scan's warm margins included
     probs = [build_config_sets("regular", F(3)),
              build_config_sets("regular", F(7, 2)),
              build_config_sets("singular", F(5)),
@@ -297,6 +320,9 @@ def test_verdicts_match_fraction_oracle(monkeypatch):
     got = stab_all()
     monkeypatch.setattr(stabbing, "feasible_point", fraclp.feasible_point)
     monkeypatch.setattr(stabbing, "strict_feasible", fraclp.strict_feasible)
+    # the scan's margin LPs too, each node re-solved from all its rows
+    monkeypatch.setattr(stabbing, "MarginLp", FracMarginLp)
+    monkeypatch.setattr(stabbing, "reoptimize", frac_reoptimize)
     assert got == stab_all()
     assert [v.status for v in got] == [INFEASIBLE, FEASIBLE, INFEASIBLE,
                                        INFEASIBLE, FEASIBLE]
@@ -343,6 +369,36 @@ def test_pruned_scan_matches_flat_scan(kind, monkeypatch):
         assert [r[:2] for r in pruned_log] == [r[:2] for r in flat_log]
         for (_, _, got), (_, _, want) in zip(pruned_log, flat_log):
             assert set(got) <= set(want), f"b={b}"
+
+
+@pytest.mark.parametrize("kind", ["regular", "singular", "planar"])
+def test_warm_scan_matches_cold_scan(kind, monkeypatch):
+    # re-optimizing the parent's tableau changes no verdict, witness,
+    # case count or certificate string against one cold LP per node
+    for b in SCAN_GRID + [F(301, 100), F(13, 4)]:
+        monkeypatch.setattr(stabbing, "_first_feasible", PRUNED)
+        warm = _stab(kind, b)
+        monkeypatch.setattr(stabbing, "_first_feasible", cold_first_feasible)
+        assert warm == _stab(kind, b), f"b={b}"
+
+
+def test_warm_scan_solves_only_the_witness_leaf_cold(monkeypatch):
+    calls = []
+    cold = ratlp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cold(*args, **kwargs)
+
+    monkeypatch.setattr(ratlp, "solve_lp", counted)
+    v = plane_stab(build_config_sets("singular", 5))
+    assert v.status == INFEASIBLE and len(v.certificate) == v.cases
+    assert len(calls) <= 2  # one per node before the warm scan: 128
+    calls.clear()
+    # a feasible verdict adds the witness leaf and the witness re-check:
+    # one membership LP per set and one per excluded face (0 + 0 + 2 + 4)
+    assert plane_stab(build_config_sets("regular", F(7, 2))).feasible
+    assert len(calls) == 1 + 4 + 6
 
 
 @pytest.mark.parametrize("kind,b", [("regular", F(3)), ("singular", F(5))])
