@@ -20,6 +20,7 @@ from .dual import (
     InexactCoordinate,
     NotTopSimplex,
     SeedConflict,
+    TooManyChains,
     build_dual,
     orientation,
     partition_balance,

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
-from operator import add, mul
+from itertools import chain, compress, product
+from operator import add, mul, ne
 from typing import Iterator, NamedTuple
 
 
@@ -182,15 +182,29 @@ def grid_vertex_owners(d, n, grid, vertices=None):
     standing for axis k (-1 outside). Given a sequence of grid vertices
     of [0,n]^d, the same pairs for those vertices only, in their order."""
     strides = _strides(d, n)
-    # cell w - 1 + bits(s) has padded index sum(w[k] * strides[k]) + shift[s]
-    shift = [sum(st for k, st in enumerate(strides) if s >> k & 1)
-             for s in range(1 << d)]
+    shift = _shifts(strides)
     if vertices is not None:
         return _owners_at(grid, strides, shift, vertices)
     rows = _run_starts(strides, (-1,) * d, (n,) * d)
     around = chain.from_iterable(
         zip(*(grid[r + s:r + s + n + 1] for s in shift)) for r in rows)
     return zip(product(range(n + 1), repeat=d), around)
+
+
+def interior_vertex_owners(d, n, grid):
+    """(w, around) as grid_vertex_owners gives them, in lexicographic
+    order, for the vertices w in [1, n-1]^d whose all-below and all-above
+    cells (around[0] and around[-1]) have different owners; the others
+    are dropped row by row at C speed."""
+    strides = _strides(d, n)
+    shift = _shifts(strides)
+    up, m = shift[-1], n - 1
+    rows = list(_run_starts(strides, (0,) * d, (m,) * d))
+    around = chain.from_iterable(
+        zip(*[grid[r + s:r + s + m] for s in shift]) for r in rows)
+    differ = chain.from_iterable(
+        map(ne, grid[r:r + m], grid[r + up:r + up + m]) for r in rows)
+    return compress(zip(product(range(1, n), repeat=d), around), differ)
 
 
 def _owners_at(grid, strides, shift, vertices):
@@ -201,6 +215,13 @@ def _owners_at(grid, strides, shift, vertices):
 
 def _strides(d, n):
     return [(n + 2) ** (d - 1 - k) for k in range(d)]
+
+
+def _shifts(strides):
+    """shift[s]: cell w - 1 + bits(s) has padded index
+    sum(w[k] * strides[k]) + shift[s], for s in range(2^d)."""
+    return [sum(st for k, st in enumerate(strides) if s >> k & 1)
+            for s in range(1 << len(strides))]
 
 
 def _run_starts(strides, lo, hi):

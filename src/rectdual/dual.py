@@ -26,21 +26,31 @@ its vertex. A vertex with at most d distinct owners therefore witnesses
 no top simplex, and a vertex inside a single box only that box.
 
 build_dual runs the top walk, once per partition (the complex is cached
-on the partition): it follows the chains only at vertices with more than
-d owners and keeps the top simplices with their seeds, which is all that
-classifying and a solution's re-check read. The lower simplices are
-found by the lower walk, over every vertex with two or more owners, on
-the first read of simplices (or edges), which builds the downward
-closure. The solver's constraint root runs the same top walk over a
-given list of vertices instead (_seeds): walked in lexicographic order,
-a list that holds every chain of some top simplices gives them the seeds
-and the order of the full walk.
+on the partition), and keeps the top simplices with their seeds, which
+is all that classifying and a solution's re-check read. Every chain at w
+holds the all-below cell w - 1 and the all-above cell w, so the walk
+reads only the interior vertices [1, n-1]^d (at a vertex on the cube's
+border one of the two is outside), and of those only the vertices whose
+two cells have different owners, dropped row by row at C speed: two
+cells of one box B put all 2^d cells around w in B (B is convex), and
+two gaps put -1 in every chain. That skip is exact, so the walk gives
+the seeds and the order of the walk over every vertex. It follows the
+chains inline only at vertices with more than d owners. The lower
+simplices are found by the lower walk, over every vertex with two or
+more owners, on the first read of simplices (or edges), which builds the
+downward closure. The solver's constraint root follows the same chains
+over a given list of vertices instead (_seeds): walked in lexicographic
+order, a list that holds every chain of some top simplices gives them
+the seeds and the order of the full walk. Both walks refuse a dimension
+whose d! chains exceed boxes._GRID_LIMIT with TooManyChains, before the
+chain table is built.
 
 _kernel(n) is the one dispatcher of the orientation sign of n points:
-the closed forms _orient2 (d = 2) and _orient3 (d = 3), else Bareiss
-elimination (_orient_det), none of which checks its points. orientation
-checks its points once, then calls _kernel's choice. The loops that
-orient many simplices bind the unchecked kernel once instead:
+the closed forms _orient2 (d = 2), _orient3 (d = 3) and _orient4 (d = 4,
+a Laplace expansion over 2x2 minors), else Bareiss elimination
+(_orient_det, d = 1 and d >= 5), none of which checks its points.
+orientation checks its points once, then calls _kernel's choice. The
+loops that orient many simplices bind the unchecked kernel once instead:
 DualComplex.misoriented, on points check_faithful has checked, and the
 solver's revise.
 """
@@ -49,11 +59,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 from operator import itemgetter
 
-from .boxes import (BalanceReport, Partition, balance_of_set,
-                    grid_vertex_owners)
+from .boxes import (_GRID_LIMIT, BalanceReport, Partition, balance_of_set,
+                    grid_vertex_owners, interior_vertex_owners)
 
 
 class SeedConflict(Exception):
@@ -62,6 +72,16 @@ class SeedConflict(Exception):
 
 class NotTopSimplex(Exception):
     """Seed requested for a simplex that is not top-dimensional."""
+
+
+class TooManyChains(ValueError):
+    """The d! chains at a grid vertex exceed boxes._GRID_LIMIT."""
+
+    def __init__(self, d):
+        self.dim = d
+        self.chains = factorial(d)
+        super().__init__(f"{self.chains} chains per grid vertex in {d}d "
+                         f"exceed the limit of {_GRID_LIMIT}")
 
 
 class DimensionMismatch(ValueError):
@@ -125,6 +145,24 @@ def _orient3(a, b, c, d) -> int:
     return (v > 0) - (v < 0)
 
 
+def _orient4(a, b, c, d, e) -> int:
+    """Orientation sign of five points in R^4: the Laplace expansion of
+    the difference rows over the 2x2 minors of the first two and of the
+    last two."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b[0] - a0, b[1] - a1, b[2] - a2, b[3] - a3
+    c0, c1, c2, c3 = c[0] - a0, c[1] - a1, c[2] - a2, c[3] - a3
+    d0, d1, d2, d3 = d[0] - a0, d[1] - a1, d[2] - a2, d[3] - a3
+    e0, e1, e2, e3 = e[0] - a0, e[1] - a1, e[2] - a2, e[3] - a3
+    v = ((b0 * c1 - b1 * c0) * (d2 * e3 - d3 * e2)
+         - (b0 * c2 - b2 * c0) * (d1 * e3 - d3 * e1)
+         + (b0 * c3 - b3 * c0) * (d1 * e2 - d2 * e1)
+         + (b1 * c2 - b2 * c1) * (d0 * e3 - d3 * e0)
+         - (b1 * c3 - b3 * c1) * (d0 * e2 - d2 * e0)
+         + (b2 * c3 - b3 * c2) * (d0 * e1 - d1 * e0))
+    return (v > 0) - (v < 0)
+
+
 def _orient_det(*points) -> int:
     """Orientation sign of d+1 points in R^d, any d >= 1: the sign of the
     Bareiss determinant (_det) of the difference rows p_i - p_0."""
@@ -135,12 +173,14 @@ def _orient_det(*points) -> int:
 
 def _kernel(n):
     """The orientation sign of n points of dimension n - 1, as a function
-    of the n points: _orient2, _orient3, else _orient_det. The points are
-    not checked."""
+    of the n points: _orient2, _orient3, _orient4, else _orient_det. The
+    points are not checked."""
     if n == 3:
         return _orient2
     if n == 4:
         return _orient3
+    if n == 5:
+        return _orient4
     return _orient_det
 
 
@@ -226,7 +266,7 @@ class DualComplex:
                 if got != want:
                     found.append((key, want, got))
         else:
-            orient = _orient_det
+            orient = _kernel(self.dim + 1)
             for key, (_, _, ordered, want) in self._top.items():
                 got = orient(*[pts[i] for i in ordered])
                 if got != want:
@@ -306,25 +346,14 @@ def _closure(d, m, top, lower):
     return simplices
 
 
-def _register_top(top, key, ordered, anchor, perm, sign):
-    prev = top.get(key)
-    if prev is None:
-        top[key] = (anchor, perm, ordered, sign)
-        return
-    # both chains must orient the boxes, taken in sorted order, alike
-    if prev[3] * _perm_parity(prev[2]) != sign * _perm_parity(ordered):
-        raise SeedConflict(f"simplex {key} seen with both orientations")
-
-
-def _walk(d, n, grid, fewest, vertices=None):
-    """Yield (w, perm, sign, owners, k) for each chain at each grid vertex
-    w (of the cube, or of the given sequence) with k >= fewest distinct
-    owners (ids >= 0) in the 2^d cells around it: owners are the owners
-    of the chain's d+1 cells in chain order (-1 outside the boxes), and
-    sign is the parity of perm."""
-    cells = 1 << d
-    # per axis order: a getter of the cells visited along the chain, whose
-    # shifts from the all-below cell are bitmasks
+def _chain_table(d):
+    """(perm, getter, parity of perm) for each axis order, in
+    permutations order: the getter reads, from the owners around a
+    vertex, those of the cells the chain visits, whose shifts from the
+    all-below cell are bitmasks. TooManyChains refuses d! > _GRID_LIMIT
+    before any getter is built."""
+    if factorial(d) > _GRID_LIMIT:
+        raise TooManyChains(d)
     table = []
     for perm in permutations(range(d)):
         masks, acc = [0], 0
@@ -332,46 +361,63 @@ def _walk(d, n, grid, fewest, vertices=None):
             acc |= 1 << axis
             masks.append(acc)
         table.append((perm, itemgetter(*masks), _perm_parity(perm)))
-    for w, around in grid_vertex_owners(d, n, grid, vertices):
-        if around.count(around[0]) == cells:
-            continue
-        k = len(set(around)) - (-1 in around)
-        if k < fewest:
-            continue
-        for perm, chain, sign in table:
-            yield w, perm, sign, chain(around), k
+    return table
 
 
 def _chains(p: Partition):
-    """Top simplices with their seeds, from the chains at the grid
-    vertices with more than d distinct owners around them: the full walk,
-    which build_dual runs."""
+    """Top simplices with their seeds from the full walk, which
+    build_dual runs."""
     return _seeds(p)
 
 
 def _seeds(p: Partition, vertices=None):
-    """_chains, or, given grid vertices in lexicographic order, the top
-    simplices that chains at those vertices witness. Where the vertices
-    hold every chain of a simplex, its seed and its place in the order
-    are those of the full walk."""
-    d = p.dim
+    """sorted ids -> seed of the top simplices, in walk order: from the
+    full walk, over the vertices interior_vertex_owners keeps, or,
+    given grid vertices in lexicographic order, from the chains at those
+    vertices. Where the vertices hold every chain of a simplex, its seed
+    and its place in the order are those of the full walk."""
+    d, n, grid = p.dim, p.n, p.owner_grid()
+    table = _chain_table(d)
+    if vertices is None:
+        pairs = interior_vertex_owners(d, n, grid)
+    else:
+        pairs = grid_vertex_owners(d, n, grid, vertices)
     cells = 1 << d
     top = {}
-    for w, perm, sign, owners, k in _walk(d, p.n, p.owner_grid(), d + 1,
-                                          vertices):
+    for w, around in pairs:
+        boxes = set(around)
+        boxes.discard(-1)
+        if len(boxes) <= d:
+            continue
         # with 2^d distinct boxes around w, every chain visits d + 1
-        if k == cells or -1 not in owners and len(set(owners)) > d:
-            _register_top(top, tuple(sorted(owners)), owners, w, perm, sign)
+        every = len(boxes) == cells
+        for perm, chain_of, sign in table:
+            owners = chain_of(around)
+            if every or -1 not in owners and len(set(owners)) > d:
+                key = tuple(sorted(owners))
+                seed = top.get(key)
+                if seed is None:
+                    top[key] = (w, perm, owners, sign)
+                # both chains must orient the boxes, in sorted order, alike
+                elif (seed[3] * _perm_parity(seed[2])
+                      != sign * _perm_parity(owners)):
+                    raise SeedConflict(
+                        f"simplex {key} seen with both orientations")
     return top
 
 
 def _lower_chains(d, n, grid):
     """Sorted ids of the simplices of 2..d boxes that the chains at the
     grid vertices with two or more owners around them visit."""
+    table = _chain_table(d)
     lower = set()
-    for _, _, _, owners, _ in _walk(d, n, grid, 2):
-        boxes = set(owners)
-        boxes.discard(-1)
-        if 1 < len(boxes) <= d:
-            lower.add(tuple(sorted(boxes)))
+    for _, around in grid_vertex_owners(d, n, grid):
+        k = len(set(around)) - (-1 in around)
+        if k < 2:
+            continue
+        for _, chain_of, _ in table:
+            boxes = set(chain_of(around))
+            boxes.discard(-1)
+            if 1 < len(boxes) <= d:
+                lower.add(tuple(sorted(boxes)))
     return lower

@@ -65,7 +65,7 @@ revise, the inner loop of the search, tests each value of a box
 against the product of the other domains of one constraint, in product
 order, and keeps it at the first tuple with the required sign. It binds
 the orientation kernel for the constraint's arity once per call
-(dual._kernel: the closed form for d = 2, 3), not once per tuple.
+(dual._kernel: the closed form for d = 2, 3, 4), not once per tuple.
 
 solve and enumerate_all share one routine, _drive: it reads the
 constraint root, searches, stopping at the first solution unless every

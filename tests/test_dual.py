@@ -56,10 +56,10 @@ def test_orientation_scale_invariant():
 
 @st.composite
 def _point_sets(draw):
-    """d+1 points in R^d, d = 2, 3, 4, of int or Fraction coordinates;
+    """d+1 points in R^d, d = 2, 3, 4, 5, of int or Fraction coordinates;
     degenerate sets repeat a point or put the last one on the affine hull
     of the others."""
-    d = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.sampled_from((2, 3, 4, 5)))
     ints = st.integers(-9, 9)
     fractions = st.fractions(-9, 9, max_denominator=6)
     coord = draw(st.sampled_from((ints, fractions, ints | fractions)))
@@ -85,6 +85,12 @@ def test_orientation_agrees_with_the_leibniz_expansion(case):
     assert type(got) is int and got == want
     assert orientation([list(p) for p in pts]) == want
     assert dual._kernel(len(pts))(*pts) == want
+
+
+def test_each_dimension_has_its_kernel():
+    assert [dual._kernel(d + 1) for d in range(1, 6)] == [
+        dual._orient_det, dual._orient2, dual._orient3, dual._orient4,
+        dual._orient_det]
 
 
 @pytest.mark.parametrize("points", [

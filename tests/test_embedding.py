@@ -187,7 +187,8 @@ def _random_projection(p, rng):
     return Projection(tuple(pts))
 
 
-@pytest.mark.parametrize("d, n, count", [(2, 8, 40), (3, 4, 40), (4, 3, 20)])
+@pytest.mark.parametrize("d, n, count", [(2, 8, 40), (3, 4, 40), (4, 3, 20),
+                                         (5, 3, 2)])
 def test_violations_match_a_recomputation_by_the_oracles(d, n, count):
     # every top simplex of the frozen enumerator, in its order, with the
     # seed sign its axis order gives and the sign of the Leibniz expansion

@@ -3,12 +3,14 @@ checked against brute force and the frozen generic enumerator."""
 
 import random
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectdual.boxes import (
+    _GRID_LIMIT,
     GridTooLarge,
     IntBox,
     Overlap,
@@ -16,7 +18,7 @@ from rectdual.boxes import (
     validate_partition,
 )
 from rectdual.counterexamples import gen_3d_layered, gen_planar_lcycle
-from rectdual.dual import build_dual
+from rectdual.dual import TooManyChains, _lower_chains, build_dual
 from rectdual.io import parse_partition
 
 from oracles.chains import dual_of
@@ -37,13 +39,25 @@ def _with_gaps(d, n, seed):
     return build
 
 
+def _unit_cubes(d, n, drop=()):
+    # every unit cell of [0,n]^d is a box, but the dropped cells
+    cells = [c for c in product(range(n), repeat=d) if c not in drop]
+    return lambda: validate_partition(
+        [IntBox(c, tuple(x + 1 for x in c)) for c in cells], d, n,
+        partial=bool(drop))
+
+
 # labelled by position: seed 1 leaves the cube undivided in every
 # dimension, so it is skipped
 PARTITIONS = {
     **{f"guillotine{d}d#{i}": _guillotine(d, n, seed)
        for d, n, seeds in ((2, 8, (0, 2, 3, 4)), (3, 5, (0, 2, 3)),
-                           (4, 3, (0, 2)))
+                           (4, 3, (0, 2)), (5, 3, (4,)))
        for i, seed in enumerate(seeds)},
+    # n = 1 has no interior grid vertex; n = 2 has one, with 2^d owners
+    **{f"cubes{d}d_n{n}": _unit_cubes(d, n) for d in (3, 4) for n in (1, 2)},
+    # one gap at a corner of the cube, one strictly inside it
+    "cubes3d_two_gaps": _unit_cubes(3, 3, drop=((0, 0, 0), (1, 1, 1))),
     **{f"gaps{d}d#{seed}": _with_gaps(d, n, seed)
        for d, n, seed in ((2, 8, 0), (2, 8, 2), (3, 5, 0), (4, 3, 0))},
     "gaps_and_a_lone_box": lambda: validate_partition(
@@ -121,6 +135,16 @@ def test_owner_grid_matches_brute_force(case):
         assert list(around) == [
             _brute_owner(boxes, [x - 1 + (s >> k & 1) for k, x in enumerate(w)])
             for s in range(1 << d)]
+
+
+def test_a_chain_table_larger_than_the_grid_limit_is_refused():
+    # 4^11 padded cells pass the grid limit; 11! chains per vertex do not
+    p = validate_partition([IntBox((0,) * 11, (2,) * 11)], 11, 2)
+    with pytest.raises(TooManyChains) as info:
+        build_dual(p)
+    assert info.value.chains == factorial(11) > _GRID_LIMIT
+    with pytest.raises(TooManyChains):
+        _lower_chains(11, 2, p.owner_grid())
 
 
 def test_huge_grid_is_refused_before_allocation():
