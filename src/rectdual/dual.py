@@ -346,14 +346,20 @@ def _closure(d, m, top, lower):
     return simplices
 
 
+def _refuse_too_many_chains(d):
+    """Raise TooManyChains when the d! chains at a vertex exceed
+    _GRID_LIMIT."""
+    if factorial(d) > _GRID_LIMIT:
+        raise TooManyChains(d)
+
+
 def _chain_table(d):
     """(perm, getter, parity of perm) for each axis order, in
     permutations order: the getter reads, from the owners around a
     vertex, those of the cells the chain visits, whose shifts from the
     all-below cell are bitmasks. TooManyChains refuses d! > _GRID_LIMIT
     before any getter is built."""
-    if factorial(d) > _GRID_LIMIT:
-        raise TooManyChains(d)
+    _refuse_too_many_chains(d)
     table = []
     for perm in permutations(range(d)):
         masks, acc = [0], 0

@@ -44,6 +44,7 @@ __all__ = [
     "RoutingFailure",
     "InconsistentCycle",
     "UnsatisfiedClause",
+    "MalformedAssignment",
     "CycleRect",
     "VariableGadget",
     "PathGadget",
@@ -70,6 +71,10 @@ class UnsatisfiedClause(ValueError):
     def __init__(self, clause):
         super().__init__(f"assignment leaves clause {clause} unsatisfied")
         self.clause = clause
+
+
+class MalformedAssignment(ValueError):
+    """An assignment that is not one bool for each variable of the map."""
 
 
 # ---------------------------------------------------------------- geometry
@@ -303,6 +308,13 @@ def _clause_core(base):
     return sq, arms, helper
 
 
+def _slice(i, di, count):
+    """The slice over count flat indices from i in steps of di."""
+    if di < 0:
+        i, di = i + di * (count - 1), -di
+    return slice(i, i + di * (count - 1) + 1, di)
+
+
 def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
     """Find reception legs from an entering corridor to a clause arm.
 
@@ -313,87 +325,162 @@ def _route(canvas, region, h_in, face, target, own_tag, arm_tag):
     foreign tag, that is every tag but the corridor rectangle they
     continue and the arm they reach, and they may lie next to both.
     Whether they touch where the contact law forbids it, their own arm
-    included, is checked on the finished partition by check_gadget_map."""
+    included, is checked on the finished partition by check_gadget_map.
+
+    The search is depth first with at most four bends.  A node first
+    tries its final leg, which exists when its heading is a final heading
+    and the arm's head lies ahead on its line.  Then it grows its run
+    cell by cell, and at each bend it turns toward the arm tail first.
+    The first legs found in this order are returned.
+
+    seen holds the (bend, heading) pairs tried, whatever the bends left
+    at them.  Each pair is expanded at most once per call, which bounds
+    the work by the region's cells.  The search is incomplete: a pair
+    first reached with few bends left is not tried again with more.
+    reduce's output comes from exactly this order and this seen set,
+    and the tests pin it byte for byte.
+
+    A node with one bend left is settled in bulk, without a call per
+    bend.  Its children can only try their final leg.  A final leg
+    turning off the run lies on the arm tail's cross line, so only the
+    one bend on that line can succeed, and its two turns are tried in
+    turn order.  On failure the node marks every bend of its run as tried
+    for both turns, by slice assignment.
+
+    Cells are flat indices into the region's bounding box, padded by a
+    blocked one-cell border that stops every run.  The canvas does not
+    change during the search, so each cell's free/blocked state is read
+    from it at most once, when first needed.  A free cell is unclaimed,
+    in the region and next to no foreign tag."""
     T, finals = target
-    seen = set()  # (bend, heading) pairs tried; finite, as runs stay in region
-    # the canvas does not change during the search, so whether a cell is
-    # free (unclaimed, in region, next to no foreign tag) is read once
-    free = {}
-    mine = set()  # the cells of the legs laid so far
+    bx = [b[0] for b in region]
+    by = [b[1] for b in region]
+    x0, y0 = min(bx) * _BLOCK - 1, min(by) * _BLOCK - 1
+    col = (max(by) + 1) * _BLOCK + 1 - y0   # cells per column
+    size = ((max(bx) + 1) * _BLOCK + 1 - x0) * col
+    step = {"E": col, "W": -col, "N": 1, "S": -1}
+    # 0 unread, 1 free, 2 blocked; cells outside the region are blocked
+    # from the start
+    state = bytearray(b"\x02") * size
+    for qx, qy in region:
+        corner = (qx * _BLOCK - x0) * col + qy * _BLOCK - y0
+        for i in range(corner, corner + _BLOCK * col, col):
+            state[i:i + _BLOCK] = bytes(_BLOCK)
+    mine = bytearray(size)  # the cells of the legs laid so far
+    seen = {h: bytearray(size) for h in _VEC}  # bends tried, per heading
+    occ = canvas.occ
+    legs = []
 
-    def is_free(c):
-        if c in canvas.occ or (c[0] // _BLOCK, c[1] // _BLOCK) not in region:
-            return False
-        for dx, dy in _HALO:
-            t = canvas.occ.get((c[0] + dx, c[1] + dy))
-            if t is not None and t != own_tag and t != arm_tag:
-                return False
-        return True
+    def at(c):
+        return (c[0] - x0) * col + c[1] - y0
 
-    def ok(c):
-        f = free.get(c)
-        if f is None:
-            f = free[c] = is_free(c)
-        return f and c not in mine
+    def read(i):
+        x, y = divmod(i, col)
+        x += x0
+        y += y0
+        f = 1
+        if (x, y) in occ:
+            f = 2
+        else:
+            for dx, dy in _HALO:
+                t = occ.get((x + dx, y + dy))
+                if t is not None and t != own_tag and t != arm_tag:
+                    f = 2
+                    break
+        state[i] = f
+        return f
 
-    def dfs(tail, h, bends, first, legs):
-        """The cells this call adds to mine are removed again before it
-        returns."""
-        for hf in finals:
-            if hf != h:
-                continue
-            head = _step(T, hf, -1)
-            v = _VEC[h]
-            d = (head[0] - tail[0]) * v[0] + (head[1] - tail[1]) * v[1]
-            if (head[0] - tail[0]) * v[1] != (head[1] - tail[1]) * v[0]:
-                continue  # off this line
-            if d < 0:
-                continue
-            m = d + 1
-            if m < _THIN and not first:
-                continue
-            if all(ok(_step(tail, h, i)) for i in range(m)):
-                return legs + [(tail, head, h)]
-        if bends == 0:
+    def final(tail, h, first):
+        """The final leg from tail on heading h, or None."""
+        if h not in finals:
             return None
-        # greedy: turn toward the arm tail first
-        perp = sorted(_PERP[h], key=lambda h2: (
-            (T[0] - tail[0]) * _VEC[h2][0] + (T[1] - tail[1]) * _VEC[h2][1]
-        ) <= 0)
-        # the run grows one cell at a time: ok(cell), inlined on the
-        # router's hot path
         vx, vy = _VEC[h]
+        head = (T[0] - vx, T[1] - vy)
+        dx, dy = head[0] - tail[0], head[1] - tail[1]
+        d = dx * vx + dy * vy
+        if dx * vy != dy * vx or d < 0 or d + 1 < _THIN and not first:
+            return None
+        i, di = at(tail), step[h]
+        for i in range(i, i + (d + 1) * di, di):
+            if (state[i] or read(i)) != 1 or mine[i]:
+                return None
+        return (tail, head, h)
+
+    def turns(tail, h):
+        # greedy: turn toward the arm tail first
+        a, b = _PERP[h]
+        ux, uy = _VEC[a]
+        if (T[0] - tail[0]) * ux + (T[1] - tail[1]) * uy < 0:
+            return b, a
+        return a, b
+
+    def settle(tail, h, first):
+        """A node with one bend left, whose children are leaves."""
+        vx, vy = _VEC[h]
+        i0, di = at(tail), step[h]
+        i, run = i0, 0
+        while (state[i] or read(i)) == 1 and not mine[i]:
+            run += 1
+            i += di
+        lo = 1 if first else _THIN
+        if run < lo:
+            return None
+        perp = turns(tail, h)
+        # a final leg turning off the run heads along the arm tail's
+        # cross line, so both turns can end only at the bend on it
+        m = (T[0] - tail[0]) * vx + (T[1] - tail[1]) * vy
+        if lo <= m <= run:
+            bend = (tail[0] + vx * m, tail[1] + vy * m)
+            for h2 in perp:
+                if not seen[h2][i0 + m * di]:
+                    leg = final(bend, h2, False)
+                    if leg:
+                        return legs + [(tail, (bend[0] - vx, bend[1] - vy),
+                                        h), leg]
+        tried = _slice(i0 + lo * di, di, run - lo + 1)
+        for h2 in perp:
+            seen[h2][tried] = b"\x01" * (run - lo + 1)
+        return None
+
+    def dfs(tail, h, bends, first):
+        """legs holds the legs laid before this node; the cells its run
+        marks in mine are cleared again before it returns."""
+        leg = final(tail, h, first)
+        if leg:
+            return legs + [leg]
+        if bends == 1:
+            return settle(tail, h, first)
+        perp = turns(tail, h)
+        vx, vy = _VEC[h]
+        i0, di = at(tail), step[h]
+        lo = 1 if first else _THIN
+        i, m = i0, 0
         x, y = tail
-        run = []
         try:
-            m = 0
-            while True:
+            while (state[i] or read(i)) == 1 and not mine[i]:
+                mine[i] = 1
                 m += 1
-                cell = (x, y)
-                f = free.get(cell)
-                if f is None:
-                    f = free[cell] = is_free(cell)
-                if not f or cell in mine:
-                    return None
-                run.append(cell)
-                mine.add(cell)
+                i += di
                 x += vx
                 y += vy
-                if m < _THIN and not first:
+                if m < lo:
                     continue
-                bend = (x, y)
                 for h2 in perp:
-                    if (bend, h2) in seen:
+                    tried = seen[h2]
+                    if tried[i]:
                         continue
-                    seen.add((bend, h2))
-                    got = dfs(bend, h2, bends - 1, False,
-                              legs + [(tail, cell, h)])
+                    tried[i] = 1
+                    legs.append((tail, (x - vx, y - vy), h))
+                    got = dfs((x, y), h2, bends - 1, False)
+                    legs.pop()
                     if got:
                         return got
+            return None
         finally:
-            mine.difference_update(run)
+            if m:
+                mine[_slice(i0, di, m)] = bytes(m)
 
-    return dfs(face, h_in, 4, True, [])
+    return dfs(face, h_in, 4, True)
 
 
 def _exit_zigzag(base, side, sign):
@@ -751,10 +838,20 @@ def assignment_from_projection(proj: Projection, gmap: GadgetMap) -> dict:
 
 def projection_from_assignment(assignment, p, gmap: GadgetMap) -> Projection:
     """Pin gadget boxes to the windows the assignment dictates and let
-    constraint search settle the clause squares; the result is verified."""
+    constraint search settle the clause squares; the result is verified.
+    Raises MalformedAssignment unless the assignment maps exactly the
+    map's variables, each to a bool."""
+    vids = {v.var for v in gmap.variables}
+    if set(assignment) != vids:
+        raise MalformedAssignment(
+            f"assignment names variables {sorted(assignment)}, "
+            f"the map {sorted(vids)}")
+    for var, val in assignment.items():
+        if type(val) is not bool:
+            raise MalformedAssignment(f"variable {var}: {val!r} is not a bool")
     lit = {}
     for pg in gmap.paths:
-        val = bool(assignment[pg.var])
+        val = assignment[pg.var]
         lit[pg.path] = val if pg.sign > 0 else not val
     for cg in gmap.clauses:
         if not any(lit[pid] for pid in cg.arm_paths):
@@ -769,7 +866,7 @@ def projection_from_assignment(assignment, p, gmap: GadgetMap) -> Projection:
         return [_off_point2(rect, h, k) for k in offs]
 
     for v in gmap.variables:
-        front = bool(assignment[v.var])
+        front = assignment[v.var]
         for c in v.cycle:
             pins[c.box] = window(p.boxes[c.box], c.heading, not front)
     for pg in gmap.paths:

@@ -78,7 +78,9 @@ ValueError or classification as the reason. A pin on an id that is not
 an int naming a box raises UnknownBox, a pinned value that is not a
 point of d ints raises DimensionMismatch, and a partition whose domains
 together would hold more than boxes._GRID_LIMIT points raises
-DomainTooLarge, both before any domain is listed. The search
+DomainTooLarge, both before any domain is listed. A dimension whose d!
+chains per vertex exceed that limit raises dual.TooManyChains before the
+root lists a vertex. The search
 honours SolverConfig.node_limit between nodes. SolverConfig.time_limit
 fixes a deadline when solve or enumerate_all starts. It is read once per
 vertex the root walks, between nodes, before each revise of the
@@ -96,7 +98,8 @@ from itertools import product, starmap
 from math import prod
 
 from .boxes import _GRID_LIMIT, Partition
-from .dual import DimensionMismatch, _kernel, _seeds, build_dual
+from .dual import (DimensionMismatch, _kernel, _refuse_too_many_chains,
+                   _seeds, build_dual)
 from .embedding import Projection, classify_projection
 
 
@@ -186,6 +189,8 @@ class _Root:
     kept on it; solves read it and change only centers, once."""
 
     def __init__(self, p: Partition, deadline):
+        # the chain table's limit, before any vertex is listed
+        _refuse_too_many_chains(p.dim)
         free = [i for i, b in enumerate(p.boxes) if not b.is_pixel()]
         big = bytearray(len(p.boxes))
         for i in free:

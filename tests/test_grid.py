@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectdual import solver
 from rectdual.boxes import (
     _GRID_LIMIT,
     GridTooLarge,
@@ -20,6 +21,7 @@ from rectdual.boxes import (
 from rectdual.counterexamples import gen_3d_layered, gen_planar_lcycle
 from rectdual.dual import TooManyChains, _lower_chains, build_dual
 from rectdual.io import parse_partition
+from rectdual.solver import solve
 
 from oracles.chains import dual_of
 from oracles.determinant import orientation_sign
@@ -145,6 +147,16 @@ def test_a_chain_table_larger_than_the_grid_limit_is_refused():
     assert info.value.chains == factorial(11) > _GRID_LIMIT
     with pytest.raises(TooManyChains):
         _lower_chains(11, 2, p.owner_grid())
+
+
+def test_solve_refuses_a_huge_chain_table_before_listing_vertices(
+        monkeypatch):
+    def refuse(boxes):
+        raise AssertionError("listed the lower-face vertices")
+    monkeypatch.setattr(solver, "_boundary_vertices", refuse)
+    p = validate_partition([IntBox((0,) * 11, (2,) * 11)], 11, 2)
+    with pytest.raises(TooManyChains):
+        solve(p)
 
 
 def test_huge_grid_is_refused_before_allocation():

@@ -28,6 +28,7 @@ from rectdual.io import format_partition
 from rectdual.reduction import (
     CycleRect,
     GadgetMap,
+    MalformedAssignment,
     PathGadget,
     UnsatisfiedClause,
     VariableGadget,
@@ -42,6 +43,7 @@ from rectdual.solver import SAT, UNSAT, SolverConfig, enumerate_all, solve
 
 from oracles.instances import random_grid3sat
 from oracles.roots import check_root
+from oracles.router import route as oracle_route
 
 # one variable at (0,1) wired to one clause at (2,1) by three disjoint
 # paths: through (1,1), around the top, around the bottom
@@ -185,6 +187,19 @@ def test_projection_from_assignment_law(reduced_of, name, assignment):
     assert assignment_from_projection(proj, gmap) == assignment
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ({0: "false"}, "is not a bool"),
+    ({}, "names variables"),
+    ({0: True, 7: False}, "names variables"),
+], ids=["string-value", "empty", "unknown-variable"])
+def test_projection_from_assignment_refuses_a_malformed_assignment(
+        reduced_of, assignment, message):
+    # all_positive has the one variable 0
+    _, p, gmap = reduced_of("all_positive")
+    with pytest.raises(MalformedAssignment, match=message):
+        projection_from_assignment(assignment, p, gmap)
+
+
 @pytest.mark.parametrize("name, assignment", CASES)
 def test_a_cached_root_answers_as_a_fresh_one(reduced_of, name, assignment):
     # the root is built unpinned by whichever solve comes first, so pins
@@ -249,6 +264,28 @@ def test_reduce_output_is_unchanged_on_generated_instances():
         digest.update((format_partition(p) + gadget_map_to_json(gmap))
                       .encode())
     assert digest.hexdigest() == GENERATED_SHA256
+
+
+def test_router_returns_the_oracles_legs(monkeypatch):
+    # every route call of reduce, failed searches included, answered by
+    # the router and by its frozen oracle on the canvas as it stands at
+    # that call; the hashes above see failed searches only through the
+    # layout reduce keeps
+    route = reduction._route
+    results = []
+
+    def both(canvas, *args):
+        got = route(canvas, *args)
+        assert got == oracle_route(canvas, *args)
+        results.append(got)
+        return got
+    monkeypatch.setattr(reduction, "_route", both)
+    for name in REDUCED_SHA256:
+        reduce(parse_grid3sat({**INSTANCES, **LARGE}[name]))
+    rng = random.Random(0)
+    for _ in range(16):
+        reduce(random_grid3sat(rng))
+    assert None in results and any(results)
 
 
 def test_unsat3_has_no_completion(reduced_of):
