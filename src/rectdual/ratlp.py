@@ -1,77 +1,64 @@
-"""Exact linear programming over the rationals.
+"""Exact margin linear programs over the rationals.
 
-Dense two-phase simplex with Bland's rule, intended for the small systems
-this package produces (a handful of variables, tens of rows). Strict
-inequalities are handled by maximizing a shared margin variable.
+One problem, one engine. A mixed system of equality, weak (<=) and
+strict (<) rows over free unknowns is decided by its margin LP:
+maximize a shared margin t, subtracted from every strict row, subject to
+t <= 1. The strict system is feasible exactly when the optimal margin is
+positive. The systems this package produces are small: a handful of
+unknowns and tens of rows.
+
+MarginLp holds the margin LP as an exact optimal tableau, and
+reoptimize adds rows to a copy of it and re-optimizes by the dual
+simplex. strict_feasible is reoptimize on the root: the root holds only
+the row t <= 1, and its basis {t} is optimal, since the objective
+(minimize -t) is as small as that row allows, and dual feasible, since
+every reduced cost is 0 except the cap slack's, which is 1. Callers that
+solve a chain of systems, each its parent plus a few rows (the sign-case
+scan in stabbing), re-optimize the parent's tableau instead of the root.
+
+No system is unbounded: the unknowns are free but do not enter the
+objective, and the cap bounds -t below by -1. So the dual simplex ends
+in one of two ways: at an optimal tableau, whose margin is the exact
+optimum, or at a row proving the weak part infeasible. The optimal
+margin is unique whatever basis reaches it; the witness, the basic
+solution's unknowns, is a vertex that depends on the pivots taken.
+
+Adding a row leaves the reduced costs as they are: each new row is put
+into canonical form with its slack basic, so the tableau stays dual
+feasible, and the dual simplex keeps it so while it drives the new rows'
+negative slacks out. The smallest-index rule on leaving rows and
+entering columns is Bland's rule applied to the dual problem (Bland,
+"New finite pivoting rules for the simplex method", 1977), so no basis
+repeats and the loop ends.
 
 The tableau is integer-preserving (Edmonds 1967, Bareiss 1968): integer
 rows M over one common positive denominator D stand for the rational
-tableau T = M / D. The input rows are scaled by the lcm L of all
-constraint denominators, the slack and artificial columns keep
-coefficient 1, and D starts at 1. A pivot on p = M[r][c] leaves row r as
-it is, replaces every other row i by (p * M[i] - M[i][c] * M[r]) / D and
-sets D = p (negating M and D if p < 0). Each division is exact by
-Sylvester's identity: D is, up to sign, the determinant of the basis,
-and M is D times its inverse applied to the scaled input. The reduced
-costs are one more row of M that the same pivots update.
-
-The pivots are the ones Bland's rule takes over Fractions. Scaling all
-rows by one L leaves the canonical tableau as it is. Scaling a column by
-a positive factor (each slack and each artificial, with coefficient 1,
-reads L times its variable) or the objective (the phase-two costs by the
-lcm of their denominators) multiplies every reduced cost by a positive
-number, and all ratios of one column's ratio test by the same positive
-number. So the same column enters, the same row leaves, and the
-structural columns, and with them the witness, are those of the
-rational tableau. The input is read through the numerators and
-denominators of its ints and Fractions, with no Fraction copies; only
-the result is converted back.
-
-MarginLp keeps strict_feasible's problem as an optimal tableau of the
-same kind, for callers that solve a chain of systems, each its parent
-plus a few rows (the sign-case scan in stabbing). reoptimize adds the
-rows in canonical form with their slacks basic and re-optimizes by the
-dual simplex. Adding rows leaves the reduced costs as they are, so the
-parent's optimal basis stays dual feasible, and the dual simplex keeps
-it so while it drives the new rows' negative slacks out; it stops at an
-optimal tableau of the whole system or at a row proving the weak part
-infeasible. Its pivots are exact integer-preserving ones (_pivot), so
-the margin it reads is the exact optimum, which is unique whatever basis
-reaches it; the witness vertex is not, so callers that need the cold
-solve's witness solve cold. The smallest-index rule on leaving rows and
-entering columns is Bland's rule applied to the dual problem, so no
-basis repeats and the loop ends.
+tableau T = M / D. Each input row is scaled to integers by the lcm of its
+own denominators, its slack keeps coefficient 1, and the root has D = 1.
+A pivot on p = M[r][c] leaves row r as it is, replaces every other row i
+by (p * M[i] - M[i][c] * M[r]) / D and sets D = p (negating M and D if
+p < 0). Each division is exact by Sylvester's identity: D is, up to
+sign, the determinant of the basis, and M is D times its inverse applied
+to the scaled input. The reduced costs are one more row of M that the
+same pivots update. Scaling a row or a slack column by a positive factor
+scales the ratios the pivot rules compare by positive factors that they
+share, so the pivots are the ones the rational tableau takes. Only ints
+and Fractions are read, through their numerators and denominators;
+anything else is refused with a TypeError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-LE, GE, EQ = "<=", ">=", "=="
-
-
-class PhaseOneUnbounded(RuntimeError):
-    """Phase one reported an unbounded minimum; its objective, a sum of
-    nonnegative artificials, is bounded below by 0, so this is a fault."""
 
 
 class DualSimplexFault(RuntimeError):
     """The dual simplex lost dual feasibility (a negative reduced cost
-    after a pivot), or a margin it found disagrees with a cold solve of
-    the same system; exact pivoting can do neither, so this is a fault."""
-
-
-@dataclass
-class LpResult:
-    status: str
-    x: tuple = None
-    value: Fraction = None
+    after a pivot); exact pivoting cannot, so this is a fault."""
 
 
 def _pivot(M, basis, d, row, col):
@@ -93,117 +80,13 @@ def _pivot(M, basis, d, row, col):
     return p
 
 
-def _simplex_min(M, basis, d):
-    """Bland's rule minimization over the denominator d.
-
-    M holds the constraint rows [A | b] in canonical form, then the
-    reduced-cost row. Returns the status and the final denominator.
-    """
-    m = len(basis)
-    while True:
-        z = M[-1]
-        enter = next((j for j in range(len(z) - 1) if z[j] < 0), -1)
-        if enter < 0:
-            return OPTIMAL, d
-        leave = -1
-        for i in range(m):
-            a = M[i][enter]
-            if a > 0:
-                if leave < 0:
-                    leave = i
-                    continue
-                # ratios M[i][-1] / a against the best so far, cross-multiplied
-                lhs = M[i][-1] * M[leave][enter]
-                rhs = M[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        if leave < 0:
-            return UNBOUNDED, d
-        d = _pivot(M, basis, d, leave, enter)
-
-
-def _scaled(values, scale):
+def _integer_row(values):
+    """values scaled to integers by the lcm of their denominators."""
+    for v in values:
+        if type(v) is not int and type(v) is not Fraction:
+            raise TypeError(f"LP data {v!r} is not an int or a Fraction")
+    scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def solve_lp(objective, constraints, maximize=False) -> LpResult:
-    """Optimize a linear objective over free variables.
-
-    constraints is a list of (coeffs, rel, rhs) with rel in {"<=", ">=",
-    "=="}. Every variable is free; internally split into two nonnegative
-    parts. Returns OPTIMAL with a witness, INFEASIBLE, or UNBOUNDED.
-    """
-    nv = len(objective)
-    obj = [-c for c in objective] if maximize else list(objective)
-    cons = list(constraints)
-    scale = lcm(*(v.denominator for coeffs, _, rhs in cons
-                  for v in (*coeffs, rhs)))
-    m = len(cons)
-    width = 2 * nv + sum(1 for _, rel, _ in cons if rel != EQ)
-    # phase 1 with one artificial per row
-    M = []
-    si = 2 * nv
-    for i, (coeffs, rel, rhs) in enumerate(cons):
-        sign = -1 if rel == GE else 1
-        *coeffs, rhs = _scaled((*coeffs, rhs), scale)
-        row = [0] * (width + m + 1)
-        for j, c in enumerate(coeffs):
-            row[2 * j] = sign * c
-            row[2 * j + 1] = -sign * c
-        if rel != EQ:
-            row[si] = 1
-            si += 1
-        row[-1] = sign * rhs
-        if row[-1] < 0:
-            row = [-v for v in row]
-        row[width + i] = 1
-        M.append(row)
-    z = [-sum(col) for col in zip(*M)] if M else [0] * (width + 1)
-    z[width:-1] = [0] * m
-    M.append(z)
-    basis = [width + i for i in range(m)]
-    status, d = _simplex_min(M, basis, 1)
-    if status != OPTIMAL:
-        raise PhaseOneUnbounded("phase one of the simplex is unbounded")
-    if M.pop()[-1] != 0:  # the reduced-cost row ends in -D * L * (phase-1 min)
-        return LpResult(INFEASIBLE)
-    # drive surviving artificials out of the basis, drop redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] >= width:
-            col = next((j for j in range(width) if M[i][j] != 0), None)
-            if col is None:
-                continue  # redundant row
-            d = _pivot(M, basis, d, i, col)
-        keep.append(i)
-    M = [M[i][:width] + [M[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    cost = [0] * width
-    for j, c in enumerate(_scaled(obj, lcm(*(c.denominator for c in obj)))):
-        cost[2 * j] = c
-        cost[2 * j + 1] = -c
-    z = [d * c for c in cost] + [0]
-    for i, b in enumerate(basis):
-        if cost[b]:
-            z = [a - cost[b] * v for a, v in zip(z, M[i])]
-    M.append(z)
-    status, d = _simplex_min(M, basis, d)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED)
-    x = [0] * width
-    for i, b in enumerate(basis):
-        x[b] = M[i][-1]
-    point = tuple(Fraction(x[2 * j] - x[2 * j + 1], d) for j in range(nv))
-    value = sum((o * v for o, v in zip(obj, point)), Fraction(0))
-    if maximize:
-        value = -value
-    return LpResult(OPTIMAL, point, value)
-
-
-def feasible_point(constraints, nvars) -> LpResult:
-    """Plain feasibility; constraints as in solve_lp."""
-    return solve_lp([0] * nvars, constraints)
 
 
 def strict_feasible(nvars, eq_rows=(), weak_rows=(), strict_rows=()):
@@ -213,23 +96,14 @@ def strict_feasible(nvars, eq_rows=(), weak_rows=(), strict_rows=()):
     <= rhs for weak_rows, and < rhs for strict_rows. Returns
     (feasible, witness, margin): strict rows are tightened by a shared
     margin which is then maximized (capped at 1), so feasibility of the
-    strict system is equivalent to a positive optimal margin.
+    strict system is equivalent to a positive optimal margin. margin is
+    None when the weak part alone is infeasible, and the witness is None
+    unless the system is feasible.
     """
-    cons = []
-    for coeffs, rhs in eq_rows:
-        cons.append((list(coeffs) + [0], EQ, rhs))
-    for coeffs, rhs in weak_rows:
-        cons.append((list(coeffs) + [0], LE, rhs))
-    for coeffs, rhs in strict_rows:
-        cons.append((list(coeffs) + [1], LE, rhs))
-    cons.append(([0] * nvars + [1], LE, 1))
-    obj = [0] * nvars + [1]
-    res = solve_lp(obj, cons, maximize=True)
-    if res.status != OPTIMAL:
-        return False, None, None
-    if res.value <= 0:
-        return False, None, res.value
-    return True, res.x[:nvars], res.value
+    lp = reoptimize(MarginLp(nvars), eq_rows, weak_rows, strict_rows)
+    if lp.margin is None or lp.margin <= 0:
+        return False, None, lp.margin
+    return True, lp.witness(), lp.margin
 
 
 class MarginLp:
@@ -239,10 +113,10 @@ class MarginLp:
 
     status is OPTIMAL, with the exact optimal margin, or INFEASIBLE (the
     weak system is infeasible), with margin None. The tableau rows are
-    integer-preserving as in solve_lp, over the denominator d: column 0
-    is the right-hand side, then the split parts of the unknowns and of
-    t, then one slack per row in the order the rows came; the last row
-    holds d times [-objective | reduced costs] for minimizing -t.
+    integer-preserving over the denominator d: column 0 is the right-hand
+    side, then the split parts of the unknowns and of t, then one slack
+    per row in the order the rows came; the last row holds d times
+    [-objective | reduced costs] for minimizing -t.
     """
 
     __slots__ = ("nvars", "rows", "basis", "d", "status", "margin")
@@ -261,6 +135,17 @@ class MarginLp:
         self.status = OPTIMAL
         self.margin = Fraction(1)
 
+    def witness(self) -> tuple:
+        """The unknowns at the tableau's basic solution: x_j is the value
+        of column 2j+1 minus that of column 2j+2, over d. A point of the
+        system when status is OPTIMAL."""
+        value = [0] * (2 * self.nvars + 1)
+        for row, col in zip(self.rows, self.basis):
+            if col <= 2 * self.nvars:
+                value[col] = row[0]
+        return tuple(Fraction(value[2 * j + 1] - value[2 * j + 2], self.d)
+                     for j in range(self.nvars))
+
 
 def reoptimize(lp: MarginLp, eq_rows=(), weak_rows=(),
                strict_rows=()) -> MarginLp:
@@ -272,7 +157,9 @@ def reoptimize(lp: MarginLp, eq_rows=(), weak_rows=(),
     canonical form over the current denominator as
     d * r - sum_i r[basis[i]] * rows[i], with its slack basic. Neither
     step touches the reduced costs, so the tableau stays dual feasible,
-    and the dual simplex re-optimizes it (see _dual_simplex).
+    and the dual simplex re-optimizes it (see _dual_simplex). A row of
+    the wrong length raises ValueError; data other than ints and
+    Fractions raises TypeError.
     """
     nv = lp.nvars
     new = []
@@ -291,8 +178,7 @@ def reoptimize(lp: MarginLp, eq_rows=(), weak_rows=(),
         if len(coeffs) != nv:
             raise ValueError(f"row has {len(coeffs)} coefficients, "
                              f"not {nv}")
-        vals = (*coeffs, margin, rhs)
-        *vals, rhs = _scaled(vals, lcm(*(v.denominator for v in vals)))
+        *vals, rhs = _integer_row((*coeffs, margin, rhs))
         raw = [0] * len(z)
         raw[0] = sign * rhs
         for j, c in enumerate(vals):  # t is unknown nv

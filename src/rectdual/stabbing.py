@@ -13,7 +13,13 @@ refutes every case that extends it with one LP. Strict inequalities are
 settled by margin maximization, so verdicts carry no epsilon. Each node
 of the scan is its parent's system plus one set's rows, so its LP starts
 from the parent's optimal tableau and is re-optimized by the dual
-simplex (ratlp.reoptimize); only the witness case is solved cold.
+simplex (ratlp.reoptimize). The scan's root is the margin LP with only
+its cap t <= 1, which is optimal as it stands, and the cap keeps every
+node's LP bounded, so no node is solved from scratch; the witness is
+read off the first feasible leaf's tableau.
+
+Every coordinate, coefficient and side ratio is an int or a Fraction;
+anything else, bools included, raises dual.InexactCoordinate.
 
 Three set families are built in: the two three-dimensional
 configurations (regular and singular) whose stabbing planes certify
@@ -47,9 +53,8 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .dual import orientation
-from .ratlp import (EQ, LE, OPTIMAL, DualSimplexFault, MarginLp,
-                    feasible_point, reoptimize, strict_feasible)
+from .dual import InexactCoordinate, orientation
+from .ratlp import MarginLp, reoptimize, strict_feasible
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -66,8 +71,14 @@ class UnsupportedShape(ValueError):
     """A flagged set falls outside the shapes this checker handles."""
 
 
-def _frac_point(pt):
-    return tuple(Fraction(x) for x in pt)
+def _exact(values, what):
+    """values as Fractions; InexactCoordinate refuses anything but an
+    int (not a bool) or a Fraction, as dual.orientation does."""
+    for x in values:
+        if type(x) is not int and type(x) is not Fraction:
+            raise InexactCoordinate(f"{what} {x!r} is not an int or a "
+                                    f"Fraction")
+    return tuple(Fraction(x) for x in values)
 
 
 def _eval(coeffs, pt):
@@ -114,7 +125,7 @@ class FlaggedConvexSet:
     excluded_faces: tuple = ()
 
     def __post_init__(self):
-        verts = tuple(_frac_point(v) for v in self.vertices)
+        verts = tuple(_exact(v, "vertex coordinate") for v in self.vertices)
         if not verts:
             raise ValueError("a flagged set needs at least one vertex")
         if len({len(v) for v in verts}) != 1:
@@ -142,17 +153,17 @@ def face_functional(fset: FlaggedConvexSet, face) -> tuple:
     on all other vertices; exists iff the face is exposed."""
     d = fset.dim
     on = set(face)
-    cons = []
+    eq, weak = [], []
     for i, v in enumerate(fset.vertices):
-        row = list(v) + [-1]
+        row = [*v, -1]
         if i in on:
-            cons.append((row, EQ, 0))
+            eq.append((row, 0))
         else:
-            cons.append((row, LE, -1))
-    res = feasible_point(cons, d + 1)
-    if res.status != OPTIMAL:
+            weak.append((row, -1))
+    ok, x, _ = strict_feasible(d + 1, eq, weak)
+    if not ok:
         raise ValueError(f"vertex set {tuple(face)} is not a face of the hull")
-    return tuple(res.x[:d]), res.x[d]
+    return x[:d], x[d]
 
 
 def contains_point(fset: FlaggedConvexSet, pt) -> bool:
@@ -167,7 +178,7 @@ def contains_point(fset: FlaggedConvexSet, pt) -> bool:
     verts = fset.vertices
     m = len(verts)
     eq = [([1] * m, 1)]
-    for axis, x in enumerate(_frac_point(pt)):
+    for axis, x in enumerate(_exact(pt, "point coordinate")):
         eq.append(([v[axis] for v in verts], x))
     weak = []
     for j in range(m):
@@ -198,6 +209,7 @@ def stab_point(fset: FlaggedConvexSet, coeffs):
     """
     if len(coeffs) != fset.dim + 1:
         raise ArityMismatch(f"hyperplane needs {fset.dim + 1} coefficients")
+    _exact(coeffs, "hyperplane coefficient")
     verts = fset.vertices
     vals = [_eval(coeffs, v) for v in verts]
     if min(vals) > 0 or max(vals) < 0:
@@ -228,10 +240,13 @@ class StabbingProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "b", _exact((self.b,), "side ratio")[0])
         for s in self.sets:
+            if not isinstance(s, FlaggedConvexSet):
+                raise TypeError(f"{s!r} is not a FlaggedConvexSet")
             if s.dim != self.dim:
-                raise ValueError("set dimension differs from problem dimension")
+                raise ArityMismatch(
+                    "set dimension differs from problem dimension")
 
 
 @dataclass(frozen=True)
@@ -269,14 +284,25 @@ def _class_set(code, vertices) -> FlaggedConvexSet:
     return FlaggedConvexSet(tuple(vertices), tuple(sorted(faces)))
 
 
+def _side_ratio(b) -> Fraction:
+    """b as a Fraction; refuses an inexact b and b <= 1."""
+    b = _exact((b,), "side ratio")[0]
+    if b <= 1:
+        raise ValueError("need b > 1")
+    return b
+
+
+def _config_args(kind, b) -> Fraction:
+    """Check a configuration's kind and side ratio; returns the ratio."""
+    if kind not in _CODES:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _side_ratio(b)
+
+
 def build_config_sets(kind: str, b) -> StabbingProblem:
     """The four point-class sets of the regular or singular meeting
     pattern around a vertex, at side ratio b (unit short side)."""
-    b = Fraction(b)
-    if b <= 1:
-        raise ValueError("need b > 1")
-    if kind not in _CODES:
-        raise ValueError(f"unknown kind {kind!r}")
+    b = _config_args(kind, b)
     sets = tuple(
         _class_set(code, [v for s in _signs(code)
                           for v in (s, tuple(b * x for x in s))])
@@ -287,9 +313,7 @@ def build_config_sets(kind: str, b) -> StabbingProblem:
 def build_planar_sets(b) -> StabbingProblem:
     """Center regions of three rectangles meeting at a point in the
     plane: two closed boxes and one box whose lower side is excluded."""
-    b = Fraction(b)
-    if b <= 1:
-        raise ValueError("need b > 1")
+    b = _side_ratio(b)
     h = b / 2
     q = Fraction(1, 2)
     sets = (
@@ -329,16 +353,6 @@ def _refutation(margin):
     if margin is None:
         return "weak system infeasible"
     return f"max margin {margin} <= 0"
-
-
-def _solve_case(prefix, dim, cond):
-    """One sign case solved cold: (witness, None) or (None, reason)."""
-    nvars = dim + 1 - len(prefix)
-    eq, weak, strict = _rows_for_case(prefix, cond)
-    ok, x, margin = strict_feasible(nvars, eq, weak, strict)
-    if ok:
-        return tuple(prefix) + tuple(x), None
-    return None, _refutation(margin)
 
 
 def _product_split(p, q, strict):
@@ -459,18 +473,18 @@ def _first_feasible(prefix, dim, per_set_conditions, certificate, label):
     atom filter, then by the margin LP: a copy of its parent's optimal
     tableau with the node's rows added, re-optimized by the dual simplex
     (ratlp.reoptimize). The root tableau holds only the cap t <= 1. A
-    node's LP is exactly the cold strict_feasible problem of its atoms,
-    and the optimal margin of an LP is unique whatever basis reaches it,
-    so each reason ("weak system infeasible", "max margin m <= 0") reads
-    as the cold solve's would.
+    node's LP is exactly the strict_feasible problem of its atoms, and
+    the optimal margin of an LP is unique whatever basis reaches it, so
+    each reason ("weak system infeasible", "max margin m <= 0") does not
+    depend on the order the rows came in.
 
     An infeasible node refutes every case under it at once, since more
     rows never make an infeasible system feasible; each such case still
     gets its own certificate entry, in scan order, naming the refuting
     sets. The first feasible leaf is the flat scan's first feasible
-    case. Its witness is a vertex of the case's polyhedron that depends
-    on the pivots taken, so that leaf alone is solved again cold, as the
-    same system the flat scan solves, and its witness is the flat scan's.
+    case, and its witness is read off its tableau: the prefix, then the
+    unknowns at the tableau's basic solution. The empty family has one
+    case with no atoms, and its witness is read off the root.
     """
     sizes = [len(c) for c in per_set_conditions]
     last = len(sizes) - 1
@@ -499,17 +513,13 @@ def _first_feasible(prefix, dim, per_set_conditions, certificate, label):
                 if witness is not None:
                     return witness
             else:
-                witness, reason = _solve_case(prefix, dim, node)
-                if witness is None:
-                    raise DualSimplexFault(
-                        f"margin {child.margin} > 0 but the cold solve "
-                        f"gives {reason!r}")
-                return witness
+                return tuple(prefix) + child.witness()
         return None
 
-    if not sizes:  # the empty family: one case with no atoms
-        return _solve_case(prefix, dim, ())[0], 1
-    return scan(0, (), MarginLp(dim + 1 - len(prefix))), prod(sizes)
+    root = MarginLp(dim + 1 - len(prefix))
+    if not sizes:
+        return tuple(prefix) + root.witness(), 1
+    return scan(0, (), root), prod(sizes)
 
 
 def _verify_witness(sets, coeffs):
@@ -576,7 +586,10 @@ def _lemma_rows(kind: str, b: Fraction):
 def lemma_formulas_hold(kind: str, b, coeffs) -> bool:
     """Evaluate the four per-set product formulas at a fixed plane with
     unit first coefficient."""
-    b = Fraction(b)
+    b = _config_args(kind, b)
+    if len(coeffs) != 4:
+        raise ArityMismatch("a plane needs 4 coefficients")
+    _exact(coeffs, "hyperplane coefficient")
     if coeffs[0] != 1:
         raise ValueError("formulas assume unit first coefficient")
     for row in _lemma_rows(kind, b):

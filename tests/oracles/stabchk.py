@@ -4,11 +4,13 @@ Decision logic here is deliberately separate from the package: meeting a
 fixed hyperplane is decided by a feasibility LP over convex-combination
 weights, and membership in the concrete set families is hand-coded from
 their closed-form descriptions. Two references stand for
-stabbing._first_feasible, both with the package's atom filter and cold
-case LP: flat_first_feasible solves every combined sign case on its own,
-and cold_first_feasible is the same depth-first scan solving each node
-cold instead of re-optimizing its parent's tableau. FracMarginLp and
-frac_reoptimize stand in for ratlp's margin LP with the Fraction simplex.
+stabbing._first_feasible, both with the package's atom filter and
+solve_case, which solves a case's whole system at once with
+ratlp.strict_feasible: flat_first_feasible solves every combined sign
+case on its own, and cold_first_feasible is the same depth-first scan
+solving each node at once instead of re-optimizing its parent's tableau.
+FracMarginLp and frac_reoptimize stand in for ratlp's margin LP with the
+Fraction simplex.
 """
 
 from fractions import Fraction
@@ -16,7 +18,8 @@ from itertools import product
 from math import prod
 
 from oracles.fraclp import EQ, LE, OPTIMAL, feasible_point, strict_feasible
-from rectdual.stabbing import _atoms_conflict, _solve_case
+from rectdual import ratlp
+from rectdual.stabbing import _atoms_conflict, _refutation, _rows_for_case
 
 
 def _functional(vertices, face):
@@ -95,6 +98,17 @@ def in_planar(i, b, pt):
     return q <= x <= h and -h < y <= h
 
 
+def solve_case(prefix, dim, cond):
+    """One sign case, all its rows at once: (witness, None) or (None,
+    reason)."""
+    nvars = dim + 1 - len(prefix)
+    ok, x, margin = ratlp.strict_feasible(nvars,
+                                          *_rows_for_case(prefix, cond))
+    if ok:
+        return tuple(prefix) + x, None
+    return None, _refutation(margin)
+
+
 def flat_first_feasible(prefix, dim, per_set_conditions, certificate, label):
     """Flat scan of the product of per-set sign cases, last set fastest:
     one atom check and one LP per case, every case counted."""
@@ -108,7 +122,7 @@ def flat_first_feasible(prefix, dim, per_set_conditions, certificate, label):
         if _atoms_conflict(prefix, cond):
             certificate.append((f"{label}#{count}", "sign atoms conflict"))
             continue
-        witness, reason = _solve_case(prefix, dim, cond)
+        witness, reason = solve_case(prefix, dim, cond)
         if witness is not None:
             found = witness
         else:
@@ -139,7 +153,7 @@ def cold_first_feasible(prefix, dim, per_set_conditions, certificate, label):
             if _atoms_conflict(prefix, node):
                 witness, reason = None, "sign atoms conflict"
             else:
-                witness, reason = _solve_case(prefix, dim, node)
+                witness, reason = solve_case(prefix, dim, node)
             if witness is None:
                 refute(depth, reason)
             elif depth == last:
@@ -151,21 +165,24 @@ def cold_first_feasible(prefix, dim, per_set_conditions, certificate, label):
         return None
 
     if not sizes:
-        return _solve_case(prefix, dim, ())[0], 1
+        return solve_case(prefix, dim, ())[0], 1
     return scan(0, ()), prod(sizes)
 
 
 class FracMarginLp:
     """The margin LP of the rows accumulated so far, solved from scratch
     by the Fraction simplex; margin is None when the weak part is
-    infeasible."""
+    infeasible, and witness() is None unless the system is feasible."""
 
     def __init__(self, nvars, eq_rows=(), weak_rows=(), strict_rows=()):
         self.nvars = nvars
         self.eq_rows, self.weak_rows, self.strict_rows = \
             list(eq_rows), list(weak_rows), list(strict_rows)
-        self.margin = strict_feasible(nvars, eq_rows, weak_rows,
-                                      strict_rows)[2]
+        _, self.x, self.margin = strict_feasible(nvars, eq_rows, weak_rows,
+                                                 strict_rows)
+
+    def witness(self):
+        return self.x
 
 
 def frac_reoptimize(lp, eq_rows=(), weak_rows=(), strict_rows=()):

@@ -1,96 +1,106 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rectdual import ratlp
 from rectdual.ratlp import (
-    EQ,
-    GE,
     INFEASIBLE,
-    LE,
     OPTIMAL,
-    UNBOUNDED,
     DualSimplexFault,
     MarginLp,
-    PhaseOneUnbounded,
-    feasible_point,
     reoptimize,
-    solve_lp,
     strict_feasible,
 )
 
 from oracles import fraclp
 
 
+# --- strict_feasible: the margin LP solved from its root -------------------
+
 def test_simple_max():
-    res = solve_lp([1, 1], [([1, 0], LE, 3), ([0, 1], LE, 2)], maximize=True)
-    assert res.status == OPTIMAL
-    assert res.value == 5
-    assert res.x == (3, 2)
+    # the strict row x + y > 9/2 has margin x + y - 9/2, largest at (3, 2)
+    res = strict_feasible(2, weak_rows=[([1, 0], 3), ([0, 1], 2)],
+                          strict_rows=[([-1, -1], -Fraction(9, 2))])
+    assert res == (True, (3, 2), Fraction(1, 2))
 
 
 def test_simple_min():
-    res = solve_lp([1], [([1], GE, 2)])
-    assert res.status == OPTIMAL
-    assert res.value == 2
+    # x >= 2 and x < 5/2: the margin 5/2 - x is largest at x = 2
+    res = strict_feasible(1, weak_rows=[([-1], -2)],
+                          strict_rows=[([1], Fraction(5, 2))])
+    assert res == (True, (2,), Fraction(1, 2))
 
 
 def test_infeasible():
-    res = solve_lp([1], [([1], LE, 1), ([1], GE, 2)])
-    assert res.status == INFEASIBLE
+    res = strict_feasible(1, weak_rows=[([1], 1), ([-1], -2)])
+    assert res == (False, None, None)
+    assert reoptimize(MarginLp(1), weak_rows=[([1], 1), ([-1], -2)]).status \
+        == INFEASIBLE
 
 
 def test_unbounded():
-    res = solve_lp([1], [([1], GE, 0)], maximize=True)
-    assert res.status == UNBOUNDED
+    # x may grow without bound, and so would the margin of x > 0 without
+    # the cap t <= 1: no system is unbounded
+    ok, x, margin = strict_feasible(1, weak_rows=[([-1], 0)],
+                                    strict_rows=[([-1], 0)])
+    assert ok and margin == 1 and x[0] >= 1
 
 
 def test_equalities_exact():
-    res = solve_lp([0, 0], [([2, 3], EQ, 7), ([1, -1], EQ, 1)])
-    assert res.status == OPTIMAL
-    assert res.x == (2, 1)
+    res = strict_feasible(2, eq_rows=[([2, 3], 7), ([1, -1], 1)])
+    assert res == (True, (2, 1), 1)
 
 
 def test_fractional_data_stays_exact():
-    res = solve_lp([Fraction(1, 3)], [([1], LE, Fraction(1, 7))], maximize=True)
-    assert res.status == OPTIMAL
-    assert res.value == Fraction(1, 21)
-    assert isinstance(res.value, Fraction)
+    ok, x, margin = strict_feasible(1, weak_rows=[([1], Fraction(1, 7))],
+                                    strict_rows=[([-Fraction(1, 3)], 0)])
+    assert ok and x == (Fraction(1, 7),) and margin == Fraction(1, 21)
+    assert isinstance(margin, Fraction)
+    assert all(isinstance(v, Fraction) for v in x)
 
 
 def test_redundant_equalities():
-    cons = [([1, 1], EQ, 1), ([2, 2], EQ, 2), ([1, -1], EQ, 0)]
-    res = solve_lp([1, 0], cons, maximize=True)
-    assert res.status == OPTIMAL
-    assert res.x == (Fraction(1, 2), Fraction(1, 2))
+    eq = [([1, 1], 1), ([2, 2], 2), ([1, -1], 0)]
+    res = strict_feasible(2, eq_rows=eq)
+    assert res == (True, (Fraction(1, 2), Fraction(1, 2)), 1)
 
 
 def test_redundant_row_then_unbounded():
-    res = solve_lp([1, 0], [([1, 1], EQ, 1), ([1, 1], EQ, 1)], maximize=True)
-    assert res.status == UNBOUNDED
+    # x + y = 1 twice leaves x free to grow: the margin of x > 0 reads
+    # the cap
+    ok, x, margin = strict_feasible(2, eq_rows=[([1, 1], 1), ([1, 1], 1)],
+                                    strict_rows=[([-1, 0], 0)])
+    assert ok and margin == 1
+    assert x[0] + x[1] == 1 and x[0] >= 1
 
 
 def test_beale_cycling_example_terminates():
-    # classic degenerate instance that cycles under naive pivoting
-    cons = [
-        ([Fraction(1, 4), -60, -Fraction(1, 25), 9], LE, 0),
-        ([Fraction(1, 2), -90, -Fraction(1, 50), 3], LE, 0),
-        ([0, 0, 1, 0], LE, 1),
-        ([1, 0, 0, 0], GE, 0),
-        ([0, 1, 0, 0], GE, 0),
-        ([0, 0, 1, 0], GE, 0),
-        ([0, 0, 0, 1], GE, 0),
+    # classic degenerate instance that cycles under naive pivoting, as a
+    # weak system; the strict row c.x < 0 has margin -c.x, and the least
+    # c.x over the rows is -1/20
+    F = Fraction
+    weak = [
+        ([F(1, 4), -60, -F(1, 25), 9], 0),
+        ([F(1, 2), -90, -F(1, 50), 3], 0),
+        ([0, 0, 1, 0], 1),
+        ([-1, 0, 0, 0], 0),
+        ([0, -1, 0, 0], 0),
+        ([0, 0, -1, 0], 0),
+        ([0, 0, 0, -1], 0),
     ]
-    res = solve_lp([-Fraction(3, 4), 150, -Fraction(1, 50), 6], cons)
-    assert res.status == OPTIMAL
-    assert res.value == -Fraction(1, 20)
+    c = [-F(3, 4), 150, -F(1, 50), 6]
+    ok, x, margin = strict_feasible(4, weak_rows=weak, strict_rows=[(c, 0)])
+    assert ok and margin == F(1, 20)
+    assert sum(a * v for a, v in zip(c, x)) == -F(1, 20)
+    for row, rhs in weak:
+        assert sum(a * v for a, v in zip(row, x)) <= rhs
 
 
 def test_feasible_point():
-    res = feasible_point([([1, 1], EQ, 2), ([1, -1], LE, 0)], 2)
-    assert res.status == OPTIMAL
-    x, y = res.x
+    ok, (x, y), margin = strict_feasible(2, eq_rows=[([1, 1], 2)],
+                                         weak_rows=[([1, -1], 0)])
+    assert ok and margin == 1
     assert x + y == 2 and x <= y
 
 
@@ -128,53 +138,34 @@ def test_weak_only_boundary_point():
     assert margin == 1  # the cap, since no strict rows constrain it
 
 
-def test_no_rows_left_after_phase_one():
-    # every variable is free once no row constrains it
-    assert solve_lp([1], []).status == UNBOUNDED
-    assert solve_lp([1], [([0], EQ, 0)]).status == UNBOUNDED
-    assert solve_lp([0, 2], [([0, 0], LE, 1)], maximize=True).status == UNBOUNDED
-    for cons in ([], [([0], EQ, 0)], [([0], GE, -3)]):
-        res = solve_lp([0], cons)
-        assert (res.status, res.x, res.value) == (OPTIMAL, (0,), 0)
-        assert isinstance(res.value, Fraction)
-    assert feasible_point([], 2).x == (0, 0)
+def test_no_rows():
+    # the root alone: every unknown at 0 and the margin at its cap
+    for nv in (0, 1, 3):
+        assert strict_feasible(nv) == (True, (0,) * nv, 1)
+    # zero rows that hold change nothing; one that fails decides
+    assert strict_feasible(1, eq_rows=[([0], 0)], weak_rows=[([0], 3)]) == \
+        (True, (0,), 1)
+    assert strict_feasible(1, weak_rows=[([0], -3)]) == (False, None, None)
+    assert strict_feasible(1, strict_rows=[([0], 0)]) == (False, None, 0)
 
 
-def test_phase_one_unbounded_raises(monkeypatch):
-    monkeypatch.setattr(ratlp, "_simplex_min", lambda M, basis, d: (UNBOUNDED, d))
-    with pytest.raises(PhaseOneUnbounded):
-        solve_lp([1], [([1], LE, 1)])
+@pytest.mark.parametrize("rows", [
+    {"weak_rows": [([0.5], 1)]},
+    {"eq_rows": [([1], 0.25)]},
+    {"strict_rows": [(["1"], 0)]},
+    {"weak_rows": [([True], 1)]},
+])
+def test_inexact_data_refused(rows):
+    with pytest.raises(TypeError):
+        strict_feasible(1, **rows)
+    with pytest.raises(TypeError):
+        reoptimize(MarginLp(1), **rows)
 
 
-# --- equivalence with the frozen Fraction simplex ---------------------------
+# --- against the frozen Fraction simplex ---------------------------------
 
 _q = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
 
-
-@st.composite
-def small_lps(draw):
-    nv = draw(st.integers(1, 4))
-    coeffs = st.lists(_q, min_size=nv, max_size=nv)
-    row = st.tuples(coeffs, st.sampled_from([LE, GE, EQ]), _q)
-    return (draw(coeffs), draw(st.lists(row, min_size=1, max_size=6)),
-            draw(st.booleans()))
-
-
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(small_lps())
-def test_matches_fraction_oracle(lp):
-    objective, constraints, maximize = lp
-    try:
-        want = fraclp.solve_lp(objective, constraints, maximize)
-    except IndexError:  # the oracle cannot run when no row survives phase one
-        assume(False)
-    got = solve_lp(objective, constraints, maximize)
-    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
-    if got.status == OPTIMAL:
-        assert isinstance(got.value, Fraction)
-
-
-# --- the incremental margin LP against cold solves -----------------------
 
 @st.composite
 def row_batches(draw):
@@ -204,6 +195,31 @@ def _split(rows):
                  for kind in range(3))
 
 
+def _dot(coeffs, x):
+    return sum((c * v for c, v in zip(coeffs, x)), Fraction(0))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(row_batches())
+def test_matches_fraction_oracle(case):
+    # same verdict and margin as the two-phase Fraction simplex; the
+    # witness is a vertex either engine may pick, so it is re-checked
+    # row by row instead of compared
+    nv, batches = case
+    rows = [row for batch in batches for row in batch]
+    eq, weak, strict = _split(rows)
+    ok, x, margin = strict_feasible(nv, eq, weak, strict)
+    want_ok, _, want_margin = fraclp.strict_feasible(nv, eq, weak, strict)
+    assert (ok, margin) == (want_ok, want_margin)
+    if not ok:
+        assert x is None
+        return
+    assert len(x) == nv and all(isinstance(v, Fraction) for v in x)
+    assert all(_dot(c, x) == r for c, r in eq)
+    assert all(_dot(c, x) <= r for c, r in weak)
+    assert all(_dot(c, x) <= r - margin for c, r in strict)
+
+
 def _snapshot(lp):
     return ([list(r) for r in lp.rows], list(lp.basis), lp.d, lp.status,
             lp.margin)
@@ -221,7 +237,7 @@ def test_margin_lp_matches_cold_solves(case):
         child = reoptimize(lp, *_split(batch))
         assert _snapshot(lp) == before  # the parent is left as it was
         rows += batch
-        _, _, margin = strict_feasible(nv, *_split(rows))
+        _, _, margin = fraclp.strict_feasible(nv, *_split(rows))
         assert child.margin == margin
         assert child.status == (INFEASIBLE if margin is None else OPTIMAL)
         if margin is not None:
@@ -279,6 +295,10 @@ def test_margin_lp_breaks_ratio_ties_by_least_index(monkeypatch):
 def test_margin_lp_rejects_rows_of_the_wrong_length():
     with pytest.raises(ValueError):
         reoptimize(MarginLp(2), weak_rows=[([1], 0)])
+    for rows in ({"weak_rows": [([1], 0)]}, {"eq_rows": [([1, 2, 3], 0)]},
+                 {"strict_rows": [([], 0)]}):
+        with pytest.raises(ValueError):
+            strict_feasible(2, **rows)
 
 
 def test_dual_simplex_fault_raises(monkeypatch):

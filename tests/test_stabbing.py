@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from rectdual import ratlp, stabbing
+from rectdual import stabbing
+from rectdual.dual import InexactCoordinate
 from rectdual.stabbing import (
     FEASIBLE,
     INFEASIBLE,
@@ -79,8 +80,49 @@ def test_builders_reject_small_b():
             build_config_sets("regular", bad)
         with pytest.raises(ValueError):
             build_planar_sets(bad)
+        with pytest.raises(ValueError):
+            lemma_formulas_hold("regular", bad, (1, 0, 0, 0))
     with pytest.raises(ValueError):
         build_config_sets("octagonal", 3)
+    with pytest.raises(ValueError):
+        lemma_formulas_hold("octagonal", 3, (1, 0, 0, 0))
+
+
+def test_malformed_arguments_raise_typed_errors():
+    with pytest.raises(ArityMismatch):
+        lemma_formulas_hold("regular", 3, (1, 1))
+    with pytest.raises(TypeError):
+        StabbingProblem(2, (((0, 0), (1, 1)),), 2)
+    with pytest.raises(ArityMismatch):
+        StabbingProblem(3, build_planar_sets(3).sets, 3)
+
+
+_SEG = FlaggedConvexSet(((F(1, 10), 0), (F(3, 10), 0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: meets_hyperplane(_SEG, (1, 0, -(0.1 + 0.2))),
+    lambda: stab_point(_SEG, (1, 0, -0.3)),
+    lambda: stab_point(_SEG, (True, 0, 0)),
+    lambda: contains_point(_SEG, (0.2, 0)),
+    lambda: contains_point(_SEG, ("1/5", 0)),
+    lambda: FlaggedConvexSet(((True, 0), (1, 1))),
+    lambda: FlaggedConvexSet(((0.5, 0),)),
+    lambda: build_config_sets("regular", 3.1),
+    lambda: build_planar_sets(3.5),
+    lambda: lemma_formulas_hold("regular", 3.5, (1, 0, 0, 0)),
+    lambda: lemma_formulas_hold("regular", 3, (1, 0.5, 0, 0)),
+    lambda: StabbingProblem(2, (), 2.5),
+], ids=["meets-float-plane", "stab-float-plane", "stab-bool-plane",
+        "contains-float-point", "contains-str-point", "bool-vertex",
+        "float-vertex", "config-float-b", "planar-float-b",
+        "formulas-float-b", "formulas-float-plane", "problem-float-b"])
+def test_inexact_input_refused(call):
+    # the exact plane x = 3/10 touches the segment; its float spelling
+    # must not decide that
+    assert meets_hyperplane(_SEG, (1, 0, -F(3, 10)))
+    with pytest.raises(InexactCoordinate):
+        call()
 
 
 def test_hull2d_small_cases():
@@ -228,7 +270,6 @@ def test_yz_shadows_match_lp_oracle(kind, monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr(stabbing, "feasible_point", no_lp)
     monkeypatch.setattr(stabbing, "strict_feasible", no_lp)
     for b, p in probs.items():
         assert _project_to_yz(p, kind) == want[b], f"b={b}"
@@ -318,7 +359,6 @@ def test_verdicts_match_fraction_oracle(monkeypatch):
         return [plane_stab(p) if p.dim == 3 else line_stab(p) for p in probs]
 
     got = stab_all()
-    monkeypatch.setattr(stabbing, "feasible_point", fraclp.feasible_point)
     monkeypatch.setattr(stabbing, "strict_feasible", fraclp.strict_feasible)
     # the scan's margin LPs too, each node re-solved from all its rows
     monkeypatch.setattr(stabbing, "MarginLp", FracMarginLp)
@@ -382,23 +422,23 @@ def test_warm_scan_matches_cold_scan(kind, monkeypatch):
         assert warm == _stab(kind, b), f"b={b}"
 
 
-def test_warm_scan_solves_only_the_witness_leaf_cold(monkeypatch):
+def test_warm_scan_solves_nothing_cold(monkeypatch):
     calls = []
-    cold = ratlp.solve_lp
+    cold = stabbing.strict_feasible
 
     def counted(*args, **kwargs):
         calls.append(args)
         return cold(*args, **kwargs)
 
-    monkeypatch.setattr(ratlp, "solve_lp", counted)
+    monkeypatch.setattr(stabbing, "strict_feasible", counted)
     v = plane_stab(build_config_sets("singular", 5))
     assert v.status == INFEASIBLE and len(v.certificate) == v.cases
-    assert len(calls) <= 2  # one per node before the warm scan: 128
-    calls.clear()
-    # a feasible verdict adds the witness leaf and the witness re-check:
-    # one membership LP per set and one per excluded face (0 + 0 + 2 + 4)
+    assert calls == []
+    # a feasible verdict reads its witness off the leaf's tableau; only
+    # the witness re-check solves from scratch: one membership LP per set
+    # and one face functional per excluded face (0 + 0 + 2 + 4)
     assert plane_stab(build_config_sets("regular", F(7, 2))).feasible
-    assert len(calls) == 1 + 4 + 6
+    assert len(calls) == 4 + 6
 
 
 @pytest.mark.parametrize("kind,b", [("regular", F(3)), ("singular", F(5))])
