@@ -1,74 +1,91 @@
-"""Exact stabbing of convex sets with excluded facets by a hyperplane.
+"""Exact stabbing of interval classes by a hyperplane.
 
-A FlaggedConvexSet is a convex hull minus a union of excluded closed
-faces; equivalently an intersection of halfspaces some of which are
-open. The feasibility question "is there a hyperplane meeting every set
-of a family" is decided exactly over the rationals: the hyperplane
-coefficients are normalized by case analysis on the leading coefficient,
-the meeting condition for each set is expanded into a disjunction of
-sign conditions on the values at its vertices, and the combined sign
-cases are scanned depth first, one set at a time, as linear feasibility
-problems: an infeasible prefix (the conditions of the first sets)
-refutes every case that extends it with one LP. Strict inequalities are
-settled by margin maximization, so verdicts carry no epsilon. Each node
-of the scan is its parent's system plus one set's rows, so its LP starts
-from the parent's optimal tableau and is re-optimized by the dual
-simplex (ratlp.reoptimize). The scan's root is the margin LP with only
-its cap t <= 1, which is optimal as it stands, and the cap keeps every
-node's LP bounded, so no node is solved from scratch; the witness is
-read off the first feasible leaf's tableau.
+An interval class is a box B = I_1 x ... x I_d of rational intervals,
+each end open or closed, swept radially: the union of r.B over r in
+[1, rho], rho >= 1. It is the shape of the point classes of the paper's
+stabbing lemmas:
 
-Every coordinate, coefficient and side ratio is an int or a Fraction;
+- a 3d meeting configuration (build_config_sets) has one class per box
+  around the meeting vertex, written as a cube-face code. Its cube
+  reading takes '-' to [-1, -1], '+' to [1, 1] and '*' (the box
+  straddles the vertex on that axis) to (-1, 1), with rho = b:
+
+      regular   ---  +--  *+-  **+
+      singular  *--  *+-  -*+  +*+
+
+- the planar triple (build_planar_sets) is three boxes with rho = 1:
+  the center regions of three rectangles meeting at a point, the third
+  with its lower side excluded.
+
+Both are parametrized by the side-ratio bound b with unit short side.
+
+The interval-sum rule. The hyperplane a.x = c meets a class iff the
+closed interval C = {c/r : r in [1, rho]} meets the sum S = a_1.I_1 +
+... + a_d.I_d, since a.(r.u) = c exactly when a.u = c/r. Once the sign
+of each a_j is fixed, S runs from L, the sum of a_j.lo_j over a_j > 0
+and a_j.hi_j over a_j < 0, to U, the sum of the other ends; both are
+linear in a, and an end of S is open iff one of the ends adding to it,
+over a_j != 0, is open. Once the sign of c is fixed, C runs between c
+and c/rho, linear in c. Two nonempty intervals meet iff each one's low
+end is below the other's high end, strictly where either of the two
+ends is open; as C is closed, each class adds two rows: min C <= U and
+L <= max C, strict where U or L is open.
+
+The decider (hyperplane_stab). A hyperplane is normalized to have its
+first nonzero coefficient a_k = 1. A sign case fixes k, a sign (0, +,
+-) for each later a_j, and, when some class has rho > 1, whether c >= 0
+or c <= 0. The case is then one linear system over its nonzero
+coefficients after a_k and c: a strict row -a_j < 0 or a_j < 0 per
+nonzero sign, the row of c's sign, and two rows per class, with a_k = 1
+and the zero coefficients substituted. ratlp.strict_feasible decides it
+exactly, by margin maximization, so verdicts carry no epsilon. Cases run
+k = 0 first, signs in the order 0, +, -, last coefficient fastest, then
+c >= 0 before c <= 0. A hyperplane meets every class iff some case is
+feasible.
+
+The first feasible case's solution is the witness, written
+(a_1, ..., a_d, -c), constant last, so witness[0] is 0 or 1. Each
+class's witness point is a closed form (_point): v is the midpoint of
+the interval where C meets S, and r = c/v (1 when v = 0). On the axes
+with a_j != 0, u moves from S's low-end corner toward its high-end
+corner by the fraction that puts a.u at v; on the others it sits at its
+interval's midpoint. The point r.u is re-checked by exact evaluation,
+and a failed check raises WitnessFault. An infeasible verdict has one
+certificate entry per case: its label, such as "1+0 c<=0" (a = (1, +,
+0), c <= 0), and the reason, "weak system infeasible" or
+"max margin m <= 0".
+
+Every coordinate, coefficient and ratio is an int or a Fraction;
 anything else, bools included, raises dual.InexactCoordinate.
-
-Three set families are built in: the two three-dimensional
-configurations (regular and singular) whose stabbing planes certify
-flat tetrahedra in balanced partitions, and the planar triple whose
-stabbing line certifies a flat triangle. All are parametrized by the
-side-ratio bound b with unit short side.
-
-Each set of a 3d configuration is one point class around the meeting
-vertex, written as a cube-face code: "-" or "+" fixes the sign of a
-coordinate, "*" leaves it free. The class is the hull of s and b.s over
-its sign vectors s, minus, for each free coordinate and each sign, the
-face of the vertices on that side:
-
-    regular   ---  +--  *+-  **+
-    singular  *--  *+-  -*+  +*+
-
-The codes alone give the sets, the per-set product formulas of the
-lemma (each unit vertex s against b.s reflected in the free
-coordinates) and the yz-shadows: the shadow of a class is the class of
-its code without the x sign over the hull of the projected vertices.
-That needs no LP: every vertex has |x| = |z| and z's sign is fixed, so
-with x's sign fixed too the class lies in one plane x = +-z and projects
-injectively; with x free, the fiber points with x = 0 avoid both x faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from math import prod
 
-from .dual import InexactCoordinate, orientation
-from .ratlp import MarginLp, reoptimize, strict_feasible
+from .dual import InexactCoordinate
+from .ratlp import strict_feasible
+
+__all__ = [
+    "FEASIBLE", "INFEASIBLE", "ArityMismatch", "IntervalClass",
+    "StabVerdict", "StabbingProblem", "WitnessFault", "build_config_sets",
+    "build_planar_sets", "contains_point", "hyperplane_stab", "line_stab",
+    "meets_hyperplane", "plane_stab",
+]
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-
-# sign relations tying a vertex value E(p) to zero
-_LE0, _LT0, _GE0, _GT0, _EQ0 = "<=0", "<0", ">=0", ">0", "==0"
 
 
 class ArityMismatch(ValueError):
     """Problem shape does not fit the requested operation."""
 
 
-class UnsupportedShape(ValueError):
-    """A flagged set falls outside the shapes this checker handles."""
+class WitnessFault(RuntimeError):
+    """A witness point is off its hyperplane or outside its class; exact
+    arithmetic on a feasible case cannot give one, so this is a fault."""
 
 
 def _exact(values, what):
@@ -81,169 +98,149 @@ def _exact(values, what):
     return tuple(Fraction(x) for x in values)
 
 
-def _eval(coeffs, pt):
-    v = coeffs[-1]
-    for c, x in zip(coeffs, pt):
-        v += c * x
-    return v
-
-
-def hull2d(points):
-    """Extreme points in counterclockwise order (monotone chain).
-
-    Collinear input collapses to its two endpoints; a single repeated
-    point collapses to one.
-    """
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and orientation((lower[-2], lower[-1], p)) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and orientation((upper[-2], upper[-1], p)) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # fully collinear
-        return [pts[0], pts[-1]]
-    return hull
+def _flags(values, d, what):
+    """One bool per axis; an empty tuple reads as all False."""
+    flags = tuple(values) or (False,) * d
+    if len(flags) != d or any(type(f) is not bool for f in flags):
+        raise ValueError(f"{what} needs one bool per axis")
+    return flags
 
 
 @dataclass(frozen=True)
-class FlaggedConvexSet:
-    """Convex hull of vertices minus the listed closed faces.
+class IntervalClass:
+    """The union of r.B over r in [1, rho], B the box whose axis j runs
+    from lo[j] to hi[j], that end excluded where lo_open[j] or
+    hi_open[j] is True (every end is closed when a flag tuple is left
+    empty)."""
 
-    excluded_faces holds vertex index tuples; each must span a genuine
-    face of the hull (checked when the supporting functional is built).
-    """
-
-    vertices: tuple
-    excluded_faces: tuple = ()
+    lo: tuple
+    hi: tuple
+    lo_open: tuple = ()
+    hi_open: tuple = ()
+    rho: Fraction = Fraction(1)
 
     def __post_init__(self):
-        verts = tuple(_exact(v, "vertex coordinate") for v in self.vertices)
-        if not verts:
-            raise ValueError("a flagged set needs at least one vertex")
-        if len({len(v) for v in verts}) != 1:
-            raise ValueError("vertices differ in length")
-        object.__setattr__(self, "vertices", verts)
-        faces = tuple(tuple(sorted(f)) for f in self.excluded_faces)
-        for f in faces:
-            if not f or any(i < 0 or i >= len(verts) for i in f):
-                raise ValueError(f"bad face index tuple {f}")
-        object.__setattr__(self, "excluded_faces", faces)
+        lo = _exact(self.lo, "interval end")
+        hi = _exact(self.hi, "interval end")
+        d = len(lo)
+        if not d or len(hi) != d:
+            raise ValueError("need one low and one high end per axis")
+        lo_open = _flags(self.lo_open, d, "lo_open")
+        hi_open = _flags(self.hi_open, d, "hi_open")
+        for j in range(d):
+            if lo[j] > hi[j] or lo[j] == hi[j] and (lo_open[j] or hi_open[j]):
+                raise ValueError(f"interval {j} is empty")
+        rho = _exact((self.rho,), "sweep ratio")[0]
+        if rho < 1:
+            raise ValueError("need rho >= 1")
+        for name, value in (("lo", lo), ("hi", hi), ("lo_open", lo_open),
+                            ("hi_open", hi_open), ("rho", rho)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return len(self.vertices[0])
-
-    @cached_property
-    def face_functionals(self) -> tuple:
-        """face_functional of each excluded face, in order; built on the
-        first read and kept (a non-face raises every time it is read)."""
-        return tuple(face_functional(self, f) for f in self.excluded_faces)
+        return len(self.lo)
 
 
-def face_functional(fset: FlaggedConvexSet, face) -> tuple:
-    """Affine functional (a, c) with a.v = c on the face and a.v <= c - 1
-    on all other vertices; exists iff the face is exposed."""
-    d = fset.dim
-    on = set(face)
-    eq, weak = [], []
-    for i, v in enumerate(fset.vertices):
-        row = [*v, -1]
-        if i in on:
-            eq.append((row, 0))
-        else:
-            weak.append((row, -1))
-    ok, x, _ = strict_feasible(d + 1, eq, weak)
-    if not ok:
-        raise ValueError(f"vertex set {tuple(face)} is not a face of the hull")
-    return x[:d], x[d]
+def _ends(s: IntervalClass, signs):
+    """The sum a_1.I_1 + ... + a_d.I_d over a coefficient vector with
+    these signs (any numbers; only their signs are read): the per-axis
+    factors of its low and its high end, 0 where a_j = 0, and whether
+    each end is open."""
+    low, high = [], []
+    low_open = high_open = False
+    for sign, lo, hi, lo_o, hi_o in zip(signs, s.lo, s.hi, s.lo_open,
+                                        s.hi_open):
+        if sign < 0:
+            lo, hi, lo_o, hi_o = hi, lo, hi_o, lo_o
+        elif sign == 0:
+            lo = hi = 0
+            lo_o = hi_o = False
+        low.append(lo)
+        high.append(hi)
+        low_open |= lo_o
+        high_open |= hi_o
+    return low, high, low_open, high_open
 
 
-def contains_point(fset: FlaggedConvexSet, pt) -> bool:
-    """Exact membership: inside the hull and off every excluded face.
-
-    The point is a convex combination w of the vertices.  Every excluded
-    face a.x = c, given by its functional (a, c), becomes the strict row
-    sum_j (a.v_j - c) w_j < 0: the point lies off the face. The
-    functionals are built once per set (FlaggedConvexSet.face_functionals)."""
-    if len(pt) != fset.dim:
-        raise ArityMismatch(f"point needs {fset.dim} coordinates")
-    verts = fset.vertices
-    m = len(verts)
-    eq = [([1] * m, 1)]
-    for axis, x in enumerate(_exact(pt, "point coordinate")):
-        eq.append(([v[axis] for v in verts], x))
-    weak = []
-    for j in range(m):
-        row = [0] * m
-        row[j] = -1
-        weak.append((row, 0))
-    strict = [([sum(ai * vi for ai, vi in zip(a, v)) - c for v in verts], 0)
-              for a, c in fset.face_functionals]
-    return strict_feasible(m, eq, weak, strict)[0]
+def _dot(a, x):
+    return sum(ai * xi for ai, xi in zip(a, x))
 
 
-def meets_hyperplane(fset: FlaggedConvexSet, coeffs) -> bool:
-    """Does the hyperplane coeffs[:-1].x + coeffs[-1] = 0 meet the set?"""
-    return stab_point(fset, coeffs) is not None
+def meets_hyperplane(s: IntervalClass, coeffs) -> bool:
+    """Does the hyperplane coeffs[:-1].x + coeffs[-1] = 0 meet the class?
+    The interval-sum rule at a fixed hyperplane a.x = c."""
+    if len(coeffs) != s.dim + 1:
+        raise ArityMismatch(f"hyperplane needs {s.dim + 1} coefficients")
+    *a, const = _exact(coeffs, "hyperplane coefficient")
+    c = -const
+    low, high, low_open, high_open = _ends(s, a)
+    lo_c, hi_c = sorted((c, c / s.rho))
+    big_l, big_u = _dot(a, low), _dot(a, high)
+    return (lo_c < big_u or lo_c == big_u and not high_open) and \
+        (big_l < hi_c or big_l == hi_c and not low_open)
 
 
-def stab_point(fset: FlaggedConvexSet, coeffs):
-    """A rational point of the flagged set on the hyperplane, or None.
+def contains_point(s: IntervalClass, pt) -> bool:
+    """Exact membership: pt = r.u for some r in [1, rho] and u in the box.
 
-    Pure sign analysis: if the vertex values take both strict signs the
-    plane crosses the relative interior; a one-sided touch meets the set
-    unless the zero vertices all lie in a single excluded face.
+    With t = 1/r, each axis asks lo <= t.x <= hi, a bound on t from each
+    end, as open as that end; the point is in the class iff the bounds
+    leave some t in [1/rho, 1]."""
+    if len(pt) != s.dim:
+        raise ArityMismatch(f"point needs {s.dim} coordinates")
+    low, low_open = 1 / s.rho, False
+    high, high_open = Fraction(1), False
+    for x, lo, hi, lo_o, hi_o in zip(_exact(pt, "point coordinate"), s.lo,
+                                     s.hi, s.lo_open, s.hi_open):
+        if x == 0:
+            if lo > 0 or lo == 0 and lo_o or hi < 0 or hi == 0 and hi_o:
+                return False
+            continue
+        if x < 0:
+            lo, hi, lo_o, hi_o = hi, lo, hi_o, lo_o
+        if lo / x > low or lo / x == low and lo_o:
+            low, low_open = lo / x, lo_o
+        if hi / x < high or hi / x == high and hi_o:
+            high, high_open = hi / x, hi_o
+    return low < high or low == high and not (low_open or high_open)
 
-    Crossing case: move from the vertex centroid (relative interior)
-    toward an opposite-signed vertex; the zero stays interior. Touching
-    case: the zero vertices span the touching face; its centroid avoids
-    every excluded face not containing the whole touch.
-    """
-    if len(coeffs) != fset.dim + 1:
-        raise ArityMismatch(f"hyperplane needs {fset.dim + 1} coefficients")
-    _exact(coeffs, "hyperplane coefficient")
-    verts = fset.vertices
-    vals = [_eval(coeffs, v) for v in verts]
-    if min(vals) > 0 or max(vals) < 0:
-        return None
-    if min(vals) < 0 < max(vals):
-        m = len(verts)
-        cen = tuple(sum(v[i] for v in verts) / m for i in range(fset.dim))
-        cv = _eval(coeffs, cen)
-        if cv == 0:
-            return cen
-        far = min(range(m), key=lambda i: vals[i]) if cv > 0 else \
-            max(range(m), key=lambda i: vals[i])
-        fv = vals[far]
-        t = cv / (cv - fv)  # in (0, 1); zero of the segment centroid->vertex
-        return tuple(c + t * (verts[far][i] - c) for i, c in enumerate(cen))
-    zero = [i for i, v in enumerate(vals) if v == 0]
-    if any(set(zero) <= set(f) for f in fset.excluded_faces):
-        return None
-    k = len(zero)
-    return tuple(sum(verts[i][j] for i in zero) / k for j in range(fset.dim))
+
+def _point(s: IntervalClass, a, c) -> tuple:
+    """The witness point of a class on a hyperplane a.x = c that meets
+    it (module docstring)."""
+    low, high, _, _ = _ends(s, a)
+    big_l, big_u = _dot(a, low), _dot(a, high)
+    lo_c, hi_c = sorted((c, c / s.rho))
+    v = (max(lo_c, big_l) + min(hi_c, big_u)) / 2
+    lam = (v - big_l) / (big_u - big_l) if big_u != big_l else 0
+    r = c / v if v else 1
+    return tuple(r * (l + lam * (h - l) if aj else (lo + hi) / 2)
+                 for aj, l, h, lo, hi in zip(a, low, high, s.lo, s.hi))
+
+
+def _witness_points(sets, witness) -> tuple:
+    """One checked point of each class on the witness hyperplane."""
+    *a, const = witness
+    points = tuple(_point(s, a, -const) for s in sets)
+    for i, (s, pt) in enumerate(zip(sets, points)):
+        if _dot(a, pt) + const != 0 or not contains_point(s, pt):
+            raise WitnessFault(f"witness point {pt} fails on set {i}")
+    return points
 
 
 @dataclass(frozen=True)
 class StabbingProblem:
     dim: int
     sets: tuple
-    b: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
-        object.__setattr__(self, "b", _exact((self.b,), "side ratio")[0])
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError(f"dimension {self.dim!r} is not a positive int")
         for s in self.sets:
-            if not isinstance(s, FlaggedConvexSet):
-                raise TypeError(f"{s!r} is not a FlaggedConvexSet")
+            if not isinstance(s, IntervalClass):
+                raise TypeError(f"{s!r} is not an IntervalClass")
             if s.dim != self.dim:
                 raise ArityMismatch(
                     "set dimension differs from problem dimension")
@@ -254,7 +251,7 @@ class StabVerdict:
     status: str
     witness: tuple = None        # hyperplane coefficients, constant last
     witness_points: tuple = ()   # one point per set when feasible
-    certificate: tuple = ()      # per-case infeasibility reasons
+    certificate: tuple = ()      # one (case, reason) per case when not
     cases: int = 0
 
     @property
@@ -262,26 +259,95 @@ class StabVerdict:
         return self.status == FEASIBLE
 
 
-# --- 3d: the two meeting configurations as face codes ------------------
+_SIGN_CHAR = {0: "0", 1: "+", -1: "-"}
+_C_SIGN = {0: "", 1: " c>=0", -1: " c<=0"}
+
+
+def _cases(d, swept):
+    """(label, k, signs, c sign) of every sign case, in scan order; the
+    c sign is 0 (free) unless some class is swept."""
+    for k in range(d):
+        for tail in product((0, 1, -1), repeat=d - 1 - k):
+            label = "0" * k + "1" + "".join(_SIGN_CHAR[s] for s in tail)
+            for c_sign in (1, -1) if swept else (0,):
+                yield label + _C_SIGN[c_sign], k, (0,) * k + (1,) + tail, \
+                    c_sign
+
+
+def _rows(sets, k, signs, c_sign):
+    """A case's free coefficients (the nonzero ones after a_k), and its
+    weak and strict rows over them and c."""
+    d = len(signs)
+    free = [j for j in range(k + 1, d) if signs[j]]
+    weak, strict = [], []
+
+    def add(dense, is_strict):
+        # dense holds the factors of a_1..a_d and c of a row "< 0" or
+        # "<= 0"; a_k = 1 moves to the right-hand side
+        row = [dense[j] for j in free] + [dense[d]]
+        (strict if is_strict else weak).append((row, -dense[k]))
+
+    def unit(j, factor):
+        return [factor if i == j else 0 for i in range(d + 1)]
+
+    for j in free:
+        add(unit(j, -signs[j]), True)
+    if c_sign:
+        add(unit(d, -c_sign), False)
+    for s in sets:
+        low, high, low_open, high_open = _ends(s, signs)
+        inv = 1 / s.rho
+        lo_c, hi_c = (inv, 1) if c_sign >= 0 else (1, inv)
+        add([-h for h in high] + [lo_c], high_open)  # min C - U
+        add(low + [-hi_c], low_open)                 # L - max C
+    return free, weak, strict
+
+
+def hyperplane_stab(problem: StabbingProblem) -> StabVerdict:
+    """Is there a hyperplane meeting every class of the problem? One
+    strict_feasible call per sign case (module docstring); cases counts
+    every case, scanned or not."""
+    d = problem.dim
+    cases = list(_cases(d, any(s.rho != 1 for s in problem.sets)))
+    certificate = []
+    for label, k, signs, c_sign in cases:
+        free, weak, strict = _rows(problem.sets, k, signs, c_sign)
+        ok, x, margin = strict_feasible(len(free) + 1, (), weak, strict)
+        if ok:
+            a = [Fraction(int(i == k)) for i in range(d)]
+            for j, value in zip(free, x):
+                a[j] = value
+            witness = (*a, -x[-1])
+            return StabVerdict(FEASIBLE, witness=witness, cases=len(cases),
+                               witness_points=_witness_points(problem.sets,
+                                                              witness))
+        certificate.append((label, "weak system infeasible" if margin is None
+                            else f"max margin {margin} <= 0"))
+    return StabVerdict(INFEASIBLE, certificate=tuple(certificate),
+                       cases=len(cases))
+
+
+def line_stab(problem: StabbingProblem) -> StabVerdict:
+    """hyperplane_stab for a planar problem."""
+    if problem.dim != 2:
+        raise ArityMismatch("line_stab needs a 2d problem")
+    return hyperplane_stab(problem)
+
+
+def plane_stab(problem: StabbingProblem) -> StabVerdict:
+    """hyperplane_stab for a 3d problem."""
+    if problem.dim != 3:
+        raise ArityMismatch("plane_stab needs a 3d problem")
+    return hyperplane_stab(problem)
+
+
+# --- the built-in families ---------------------------------------------
 
 _CODES = {
     "regular": ("---", "+--", "*+-", "**+"),
     "singular": ("*--", "*+-", "-*+", "+*+"),
 }
-_SIGNS = {"-": (-1,), "+": (1,), "*": (-1, 1)}
-
-
-def _signs(code) -> list:
-    """Sign vectors of a class, first coordinate slowest."""
-    return list(product(*(_SIGNS[c] for c in code)))
-
-
-def _class_set(code, vertices) -> FlaggedConvexSet:
-    """The hull of vertices minus, for each free coordinate of code and
-    each sign, the face made of the vertices on that side."""
-    faces = [tuple(i for i, v in enumerate(vertices) if v[axis] * side > 0)
-             for axis, c in enumerate(code) if c == "*" for side in (-1, 1)]
-    return FlaggedConvexSet(tuple(vertices), tuple(sorted(faces)))
+_CUBE = {"-": (-1, -1, False), "+": (1, 1, False), "*": (-1, 1, True)}
 
 
 def _side_ratio(b) -> Fraction:
@@ -292,22 +358,18 @@ def _side_ratio(b) -> Fraction:
     return b
 
 
-def _config_args(kind, b) -> Fraction:
-    """Check a configuration's kind and side ratio; returns the ratio."""
+def build_config_sets(kind: str, b) -> StabbingProblem:
+    """The cube readings of the four point classes of the regular or
+    singular meeting pattern around a vertex, at side ratio b (unit
+    short side)."""
     if kind not in _CODES:
         raise ValueError(f"unknown kind {kind!r}")
-    return _side_ratio(b)
-
-
-def build_config_sets(kind: str, b) -> StabbingProblem:
-    """The four point-class sets of the regular or singular meeting
-    pattern around a vertex, at side ratio b (unit short side)."""
-    b = _config_args(kind, b)
-    sets = tuple(
-        _class_set(code, [v for s in _signs(code)
-                          for v in (s, tuple(b * x for x in s))])
-        for code in _CODES[kind])
-    return StabbingProblem(3, sets, b)
+    b = _side_ratio(b)
+    sets = []
+    for code in _CODES[kind]:
+        lo, hi, free = zip(*(_CUBE[ch] for ch in code))
+        sets.append(IntervalClass(lo, hi, free, free, b))
+    return StabbingProblem(3, sets)
 
 
 def build_planar_sets(b) -> StabbingProblem:
@@ -316,348 +378,8 @@ def build_planar_sets(b) -> StabbingProblem:
     b = _side_ratio(b)
     h = b / 2
     q = Fraction(1, 2)
-    sets = (
-        FlaggedConvexSet(((-h, -h), (-q, -h), (-q, -q), (-h, -q))),
-        FlaggedConvexSet(((-h, q), (-q, q), (-q, h), (-h, h))),
-        FlaggedConvexSet(((q, -h), (h, -h), (h, h), (q, h)), ((0, 1),)),
-    )
-    return StabbingProblem(2, sets, b)
-
-
-# --- sign-case systems -------------------------------------------------
-
-def _rows_for_case(prefix, cond):
-    """Translate (point, relation-to-zero) atoms into LP rows over the
-    trailing coefficients (unknowns: coeffs after prefix, constant last)."""
-    k = len(prefix)
-    eq, weak, strict = [], [], []
-    for pt, rel in cond:
-        const = sum(c * x for c, x in zip(prefix, pt[:k]))
-        row = [*pt[k:], 1]
-        if rel == _EQ0:
-            eq.append((row, -const))
-        elif rel == _LE0:
-            weak.append((row, -const))
-        elif rel == _LT0:
-            strict.append((row, -const))
-        elif rel == _GE0:
-            weak.append(([-x for x in row], const))
-        else:
-            strict.append(([-x for x in row], const))
-    return eq, weak, strict
-
-
-def _refutation(margin):
-    """Why a case with this optimal margin (None: weak part infeasible)
-    has no solution."""
-    if margin is None:
-        return "weak system infeasible"
-    return f"max margin {margin} <= 0"
-
-
-def _product_split(p, q, strict):
-    """Sign cases of E(p).E(q) <= 0 (or < 0 when strict)."""
-    if strict:
-        return [((p, _GT0), (q, _LT0)), ((p, _LT0), (q, _GT0))]
-    return [((p, _GE0), (q, _LE0)), ((p, _LE0), (q, _GE0))]
-
-
-_REL_BOUNDS = {
-    _GE0: (0, None, False, False),
-    _GT0: (0, None, True, False),
-    _LE0: (None, 0, False, False),
-    _LT0: (None, 0, False, True),
-    _EQ0: (0, 0, False, False),
-}
-
-
-def _atoms_conflict(prefix, cond):
-    """Cheap soundness filter: two atoms whose points agree on every
-    unknown coordinate differ by a known constant, so incompatible sign
-    demands rule the case out without an LP."""
-    k = len(prefix)
-    n = len(cond)
-    for i in range(n):
-        p, rp = cond[i]
-        lo_p, up_p, slo_p, sup_p = _REL_BOUNDS[rp]
-        for j in range(i + 1, n):
-            q, rq = cond[j]
-            if tuple(p[k:]) != tuple(q[k:]):
-                continue
-            d = sum(c * (a - e) for c, a, e in zip(prefix, p[:k], q[:k]))
-            lo_q, up_q, slo_q, sup_q = _REL_BOUNDS[rq]
-            # E(p) = E(q) + d must fit both value intervals
-            if lo_p is not None and up_q is not None:
-                gap = lo_p - d
-                if gap > up_q or (gap == up_q and (slo_p or sup_q)):
-                    return True
-            if lo_q is not None and up_p is not None:
-                gap = up_p - d
-                if lo_q > gap or (lo_q == gap and (slo_q or sup_p)):
-                    return True
-    return False
-
-
-# --- 2d set conditions -------------------------------------------------
-
-def _quad_frame(fset: FlaggedConvexSet):
-    """Corners of a quad with two horizontal edges, plus exclusion flags."""
-    hull = hull2d(fset.vertices)
-    if len(hull) != 4:
-        raise UnsupportedShape("expected four extreme points")
-    ys = sorted({p[1] for p in hull})
-    if len(ys) != 2:
-        raise UnsupportedShape("quad needs exactly two horizontal edges")
-    bot = sorted([p for p in hull if p[1] == ys[0]])
-    top = sorted([p for p in hull if p[1] == ys[1]])
-    if len(bot) != 2 or len(top) != 2:
-        raise UnsupportedShape("quad needs exactly two horizontal edges")
-    bl, br = bot
-    tl, tr = top
-    edges = {
-        "bottom": {bl, br}, "top": {tl, tr},
-        "left": {bl, tl}, "right": {br, tr},
-    }
-    excluded = set()
-    for face in fset.excluded_faces:
-        coords = {fset.vertices[i] for i in face}
-        for name, edge in edges.items():
-            if coords == edge:
-                excluded.add(name)
-                break
-        else:
-            raise UnsupportedShape(f"excluded face {face} is not an edge")
-    return bl, br, tl, tr, excluded
-
-
-def _set_conditions(fset: FlaggedConvexSet, steep: bool):
-    """Disjunctive meeting conditions for one 2d set.
-
-    steep=True is the branch with unit first coefficient (every
-    non-horizontal line); steep=False the horizontal branch (0, 1, c).
-    """
-    hull = hull2d(fset.vertices)
-    if len(hull) == 1:
-        if fset.excluded_faces:
-            raise UnsupportedShape("point set cannot exclude faces")
-        return [((hull[0], _EQ0),)]
-    if len(hull) == 2:
-        if fset.excluded_faces:
-            raise UnsupportedShape("segments here are always closed")
-        return _product_split(hull[0], hull[1], False)
-    bl, br, tl, tr, excluded = _quad_frame(fset)
-    if not steep:
-        relb = _LT0 if "bottom" in excluded else _LE0
-        relt = _GT0 if "top" in excluded else _GE0
-        return [((bl, relb), (tl, relt))]
-    if not excluded:
-        return _product_split(bl, tr, False) + _product_split(br, tl, False)
-    conds = _product_split(bl, tr, True) + _product_split(br, tl, True)
-    excl_coords = set()
-    for face in fset.excluded_faces:
-        excl_coords |= {fset.vertices[i] for i in face}
-    corners = [c for c in (bl, br, tl, tr) if c not in excl_coords]
-    for c in corners:
-        conds.append(((c, _EQ0),))
-    for e0, e1, name in ((bl, tl, "left"), (br, tr, "right")):
-        if name not in excluded and e0 in excl_coords and e1 in excl_coords:
-            conds.append(((e0, _EQ0), (e1, _EQ0)))
-    return conds
-
-
-def _first_feasible(prefix, dim, per_set_conditions, certificate, label):
-    """Depth-first scan of the product of per-set sign cases, in the
-    order of the flat product (last set fastest).
-
-    Each node adds one set's atoms to its parent's and is checked by the
-    atom filter, then by the margin LP: a copy of its parent's optimal
-    tableau with the node's rows added, re-optimized by the dual simplex
-    (ratlp.reoptimize). The root tableau holds only the cap t <= 1. A
-    node's LP is exactly the strict_feasible problem of its atoms, and
-    the optimal margin of an LP is unique whatever basis reaches it, so
-    each reason ("weak system infeasible", "max margin m <= 0") does not
-    depend on the order the rows came in.
-
-    An infeasible node refutes every case under it at once, since more
-    rows never make an infeasible system feasible; each such case still
-    gets its own certificate entry, in scan order, naming the refuting
-    sets. The first feasible leaf is the flat scan's first feasible
-    case, and its witness is read off its tableau: the prefix, then the
-    unknowns at the tableau's basic solution. The empty family has one
-    case with no atoms, and its witness is read off the root.
-    """
-    sizes = [len(c) for c in per_set_conditions]
-    last = len(sizes) - 1
-    refuted = 0
-
-    def refute(depth, reason):
-        nonlocal refuted
-        if depth < last:
-            sets = f"sets 0-{depth}" if depth else "set 0"
-            reason = f"{sets} infeasible: {reason}"
-        for _ in range(prod(sizes[depth + 1:])):
-            refuted += 1
-            certificate.append((f"{label}#{refuted}", reason))
-
-    def scan(depth, atoms, lp):
-        for cond in per_set_conditions[depth]:
-            node = atoms + cond
-            if _atoms_conflict(prefix, node):
-                refute(depth, "sign atoms conflict")
-                continue
-            child = reoptimize(lp, *_rows_for_case(prefix, cond))
-            if child.margin is None or child.margin <= 0:
-                refute(depth, _refutation(child.margin))
-            elif depth < last:
-                witness = scan(depth + 1, node, child)
-                if witness is not None:
-                    return witness
-            else:
-                return tuple(prefix) + child.witness()
-        return None
-
-    root = MarginLp(dim + 1 - len(prefix))
-    if not sizes:
-        return tuple(prefix) + root.witness(), 1
-    return scan(0, (), root), prod(sizes)
-
-
-def _verify_witness(sets, coeffs):
-    """Re-check a feasible verdict by direct evaluation on every set."""
-    points = []
-    for i, s in enumerate(sets):
-        pt = stab_point(s, coeffs)
-        if pt is None:
-            raise AssertionError(f"witness misses set {i}")
-        if _eval(coeffs, pt) != 0 or not contains_point(s, pt):
-            raise AssertionError(f"witness point check failed on set {i}")
-        points.append(pt)
-    return tuple(points)
-
-
-def line_stab(problem: StabbingProblem) -> StabVerdict:
-    """Is there a line meeting every flagged set of a planar family?
-
-    Branches on the line normal: unit first coefficient covers every
-    non-horizontal line, (0, 1, c) the horizontal ones. Within a branch
-    each set contributes a disjunction of linear sign conditions; the
-    first feasible combined case (fixed enumeration order) supplies the
-    witness, which is re-verified geometrically.
-
-    An infeasible verdict's certificate has one (case, reason) entry per
-    combined case, in order. A case refuted on its own reads "sign atoms
-    conflict" or "max margin m <= 0"; a case refuted through an
-    infeasible prefix names it, as in "sets 0-2 infeasible: max margin
-    -3 <= 0", and the margin is the prefix's, not the case's.
-    """
-    if problem.dim != 2:
-        raise ArityMismatch("line_stab needs a 2d problem")
-    cert = []
-    cases = 0
-    for prefix, label in (((1,), "steep"), ((0, 1), "flat")):
-        conds = [_set_conditions(s, prefix == (1,)) for s in problem.sets]
-        witness, count = _first_feasible(prefix, 2, conds, cert, label)
-        cases += count
-        if witness is not None:
-            points = _verify_witness(problem.sets, witness)
-            return StabVerdict(FEASIBLE, witness=witness,
-                               witness_points=points, cases=cases)
-    return StabVerdict(INFEASIBLE, certificate=tuple(cert), cases=cases)
-
-
-# --- 3d: plane stabbing -------------------------------------------------
-
-def _lemma_rows(kind: str, b: Fraction):
-    """Per-set disjunctions of vertex-pair product conditions for the
-    t0 = 1 normalization; (p, q, strict) encodes E(p).E(q) <= 0 / < 0.
-
-    Each unit vertex s of a class, first coordinate fastest, pairs with
-    b.s reflected in the free coordinates; only a closed segment (no
-    free coordinate) admits a zero product."""
-    rows = []
-    for code in _CODES[kind]:
-        rows.append([
-            (s, tuple(-b * x if c == "*" else b * x for c, x in zip(code, s)),
-             "*" in code)
-            for s in sorted(_signs(code), key=lambda s: s[::-1])])
-    return rows
-
-
-def lemma_formulas_hold(kind: str, b, coeffs) -> bool:
-    """Evaluate the four per-set product formulas at a fixed plane with
-    unit first coefficient."""
-    b = _config_args(kind, b)
-    if len(coeffs) != 4:
-        raise ArityMismatch("a plane needs 4 coefficients")
-    _exact(coeffs, "hyperplane coefficient")
-    if coeffs[0] != 1:
-        raise ValueError("formulas assume unit first coefficient")
-    for row in _lemma_rows(kind, b):
-        ok = False
-        for p, q, strict in row:
-            prod = _eval(coeffs, p) * _eval(coeffs, q)
-            if prod < 0 or (not strict and prod == 0):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
-def _detect_kind(problem: StabbingProblem) -> str:
-    for kind in _CODES:
-        if problem.sets == build_config_sets(kind, problem.b).sets:
-            return kind
-    raise ArityMismatch(
-        "sets are not the regular or singular configuration at this scale")
-
-
-def _project_to_yz(problem: StabbingProblem, kind: str):
-    """Shadows of the four sets of a configuration on the last two
-    coordinates, repeats dropped: the class of each code without its x
-    sign, over the hull of the projected vertices (see the module
-    docstring for why no LP is needed)."""
-    shadows = []
-    for code, fset in zip(_CODES[kind], problem.sets):
-        shadow = _class_set(code[1:], hull2d([v[1:] for v in fset.vertices]))
-        if shadow not in shadows:
-            shadows.append(shadow)
-    return tuple(shadows)
-
-
-def plane_stab(problem: StabbingProblem) -> StabVerdict:
-    """Is there a plane meeting all four sets of a meeting configuration?
-
-    Phase one settles planes with zero first coefficient by projecting
-    the sets onto the last two coordinates and stabbing the shadows with
-    a line. Phase two normalizes the first coefficient to one and scans
-    the sign cases of the per-set product formulas, refuting the cases
-    under an infeasible prefix of sets at once. Certificate entries read
-    as in line_stab; those of phase one carry an "x-coefficient 0: "
-    label prefix.
-    """
-    if problem.dim != 3 or len(problem.sets) != 4:
-        raise ArityMismatch("plane_stab needs exactly four 3d sets")
-    kind = _detect_kind(problem)
-    cert = []
-    shadow_problem = StabbingProblem(2, _project_to_yz(problem, kind),
-                                     problem.b)
-    flat = line_stab(shadow_problem)
-    cases = flat.cases
-    if flat.feasible:
-        coeffs = (Fraction(0),) + tuple(flat.witness)
-        points = _verify_witness(problem.sets, coeffs)
-        return StabVerdict(FEASIBLE, witness=coeffs, witness_points=points,
-                           cases=cases)
-    cert.extend(("x-coefficient 0: " + lbl, why) for lbl, why in flat.certificate)
-
-    rows = _lemma_rows(kind, problem.b)
-    conds = [[atoms for p, q, strict in row
-              for atoms in _product_split(p, q, strict)] for row in rows]
-    witness, count = _first_feasible((1,), 3, conds, cert, "unit")
-    cases += count
-    if witness is not None:
-        points = _verify_witness(problem.sets, witness)
-        return StabVerdict(FEASIBLE, witness=witness, witness_points=points,
-                           cases=cases)
-    return StabVerdict(INFEASIBLE, certificate=tuple(cert), cases=cases)
+    return StabbingProblem(2, (
+        IntervalClass((-h, -h), (-q, -q)),
+        IntervalClass((-h, q), (-q, h)),
+        IntervalClass((q, -h), (h, h), (False, True)),
+    ))

@@ -1,48 +1,52 @@
 import random
-import re
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from rectdual import stabbing
-from rectdual.dual import InexactCoordinate
+from rectdual.boxes import (IntBox, balance_of_set, pixel_fill,
+                            validate_partition)
+from rectdual.dual import InexactCoordinate, build_dual
+from rectdual.embedding import Violation, center_embeddable
 from rectdual.stabbing import (
     FEASIBLE,
     INFEASIBLE,
     ArityMismatch,
-    FlaggedConvexSet,
+    IntervalClass,
     StabbingProblem,
-    UnsupportedShape,
+    WitnessFault,
     build_config_sets,
     build_planar_sets,
     contains_point,
-    face_functional,
-    hull2d,
-    lemma_formulas_hold,
+    hyperplane_stab,
     line_stab,
     meets_hyperplane,
     plane_stab,
-    stab_point,
-    _project_to_yz,
 )
 
-from oracles import fraclp, shadows as lp_shadows
+from oracles import fraclp
+from oracles.chains import _perm_parity as chain_parity, dual_of
+from oracles.determinant import orientation_sign
 from oracles.stabchk import (
-    FracMarginLp,
-    cold_first_feasible,
-    flat_first_feasible,
-    frac_reoptimize,
+    case_labels,
+    case_margin,
+    hull_sets,
     in_planar,
     in_regular,
     in_singular,
+    interval_sets,
     lp_meets,
-    set_functionals,
 )
 
 F = Fraction
 
 SUB3 = [F(3, 2), F(2), F(5, 2), F(29, 10)]
+# the threshold grid: 11 values of b for each of the three families
+GRID = [F(11, 10), F(2), F(29, 10), F(3), F(301, 100), F(31, 10), F(13, 4),
+        F(7, 2), F(4), F(5), F(13)]
+MEMBER = {"regular": in_regular, "singular": in_singular,
+          "planar": in_planar}
 
 
 def rand_plane(rng, dim, t0=None):
@@ -51,27 +55,69 @@ def rand_plane(rng, dim, t0=None):
     return (F(lead), *tail)
 
 
+def family(kind, b):
+    if kind == "planar":
+        return build_planar_sets(b)
+    return build_config_sets(kind, b)
+
+
+def closed(s):
+    """The class with every end kept."""
+    return replace(s, lo_open=(), hi_open=())
+
+
+# the regular pattern in d dimensions: '-'^d, then '*'^i '+' '-'^(d-1-i)
+
+def regular_codes(d):
+    return ["-" * d] + ["*" * i + "+" + "-" * (d - 1 - i) for i in range(d)]
+
+
+def reading(d, ends, rho):
+    sets = []
+    for code in regular_codes(d):
+        lo, hi, free = zip(*(ends[c] for c in code))
+        sets.append(IntervalClass(lo, hi, free, free, rho))
+    return StabbingProblem(d, sets)
+
+
+def cube_family(d, b):
+    """Cube reading: '+' -> [1, 1], '-' -> [-1, -1], '*' -> (-1, 1),
+    swept to ratio b."""
+    ends = {"-": (-1, -1, False), "+": (1, 1, False), "*": (-1, 1, True)}
+    return reading(d, ends, b)
+
+
+def box_family(d, b):
+    """Box reading: '+' -> [1, b], '-' -> [-b, -1], '*' -> (-b, b)."""
+    ends = {"-": (-b, -1, False), "+": (1, b, False), "*": (-b, b, True)}
+    return reading(d, ends, 1)
+
+
 # --- builders -----------------------------------------------------------
 
 def test_build_config_sets_shapes():
     p = build_config_sets("regular", 3)
-    assert p.dim == 3 and p.b == 3
-    assert [len(s.vertices) for s in p.sets] == [2, 2, 4, 8]
-    assert [len(s.excluded_faces) for s in p.sets] == [0, 0, 2, 4]
+    assert p.dim == 3 and len(p.sets) == 4
+    assert all(s.rho == 3 for s in p.sets)
+    trap = p.sets[2]  # code *+-
+    assert trap.lo == (-1, 1, -1) and trap.hi == (1, 1, -1)
+    assert trap.lo_open == trap.hi_open == (True, False, False)
+    assert [sum(s.lo_open) for s in p.sets] == [0, 0, 1, 2]
     q = build_config_sets("singular", F(5, 2))
-    assert [len(s.vertices) for s in q.sets] == [4, 4, 4, 4]
-    assert all(len(s.excluded_faces) == 2 for s in q.sets)
+    assert all(s.rho == F(5, 2) for s in q.sets)
+    assert all(sum(s.lo_open) == sum(s.hi_open) == 1 for s in q.sets)
 
 
 def test_build_planar_sets_exact():
     p = build_planar_sets(3)
     c0, c1, c2 = p.sets
-    assert c0.vertices == ((F(-3, 2), F(-3, 2)), (F(-1, 2), F(-3, 2)),
-                           (F(-1, 2), F(-1, 2)), (F(-3, 2), F(-1, 2)))
-    assert c0.excluded_faces == () and c1.excluded_faces == ()
+    assert (c0.lo, c0.hi) == ((F(-3, 2), F(-3, 2)), (F(-1, 2), F(-1, 2)))
+    assert (c1.lo, c1.hi) == ((F(-3, 2), F(1, 2)), (F(-1, 2), F(3, 2)))
+    assert (c2.lo, c2.hi) == ((F(1, 2), F(-3, 2)), (F(3, 2), F(3, 2)))
+    assert all(s.rho == 1 and not any(s.hi_open) for s in p.sets)
+    assert not any(c0.lo_open) and not any(c1.lo_open)
     # lower side of the third region is excluded
-    assert c2.excluded_faces == ((0, 1),)
-    assert c2.vertices[0] == (F(1, 2), F(-3, 2))
+    assert c2.lo_open == (False, True)
 
 
 def test_builders_reject_small_b():
@@ -80,43 +126,39 @@ def test_builders_reject_small_b():
             build_config_sets("regular", bad)
         with pytest.raises(ValueError):
             build_planar_sets(bad)
-        with pytest.raises(ValueError):
-            lemma_formulas_hold("regular", bad, (1, 0, 0, 0))
     with pytest.raises(ValueError):
         build_config_sets("octagonal", 3)
-    with pytest.raises(ValueError):
-        lemma_formulas_hold("octagonal", 3, (1, 0, 0, 0))
 
 
 def test_malformed_arguments_raise_typed_errors():
-    with pytest.raises(ArityMismatch):
-        lemma_formulas_hold("regular", 3, (1, 1))
     with pytest.raises(TypeError):
-        StabbingProblem(2, (((0, 0), (1, 1)),), 2)
+        StabbingProblem(2, (((0, 0), (1, 1)),))
     with pytest.raises(ArityMismatch):
-        StabbingProblem(3, build_planar_sets(3).sets, 3)
+        StabbingProblem(3, build_planar_sets(3).sets)
+    # each set carries its own geometry: a problem takes no side ratio
+    with pytest.raises(TypeError):
+        StabbingProblem(2, (), -3)
+    for dim in (0, 2.0, True):
+        with pytest.raises(ValueError):
+            StabbingProblem(dim, ())
 
 
-_SEG = FlaggedConvexSet(((F(1, 10), 0), (F(3, 10), 0)))
+_SEG = IntervalClass((F(1, 10), 0), (F(3, 10), 0))
 
 
 @pytest.mark.parametrize("call", [
     lambda: meets_hyperplane(_SEG, (1, 0, -(0.1 + 0.2))),
-    lambda: stab_point(_SEG, (1, 0, -0.3)),
-    lambda: stab_point(_SEG, (True, 0, 0)),
+    lambda: meets_hyperplane(_SEG, (True, 0, 0)),
     lambda: contains_point(_SEG, (0.2, 0)),
     lambda: contains_point(_SEG, ("1/5", 0)),
-    lambda: FlaggedConvexSet(((True, 0), (1, 1))),
-    lambda: FlaggedConvexSet(((0.5, 0),)),
+    lambda: IntervalClass((True, 0), (1, 1)),
+    lambda: IntervalClass((0.5, 0), (1, 1)),
     lambda: build_config_sets("regular", 3.1),
     lambda: build_planar_sets(3.5),
-    lambda: lemma_formulas_hold("regular", 3.5, (1, 0, 0, 0)),
-    lambda: lemma_formulas_hold("regular", 3, (1, 0.5, 0, 0)),
-    lambda: StabbingProblem(2, (), 2.5),
-], ids=["meets-float-plane", "stab-float-plane", "stab-bool-plane",
-        "contains-float-point", "contains-str-point", "bool-vertex",
-        "float-vertex", "config-float-b", "planar-float-b",
-        "formulas-float-b", "formulas-float-plane", "problem-float-b"])
+    lambda: IntervalClass((0, 0), (1, 1), rho=2.5),
+], ids=["meets-float-plane", "meets-bool-plane", "contains-float-point",
+        "contains-str-point", "bool-vertex", "float-vertex",
+        "config-float-b", "planar-float-b", "class-float-rho"])
 def test_inexact_input_refused(call):
     # the exact plane x = 3/10 touches the segment; its float spelling
     # must not decide that
@@ -125,26 +167,7 @@ def test_inexact_input_refused(call):
         call()
 
 
-def test_hull2d_small_cases():
-    assert hull2d([(0, 0), (2, 2), (1, 1)]) == [(0, 0), (2, 2)]
-    assert hull2d([(5, 5), (5, 5)]) == [(5, 5)]
-    quad = hull2d([(0, 0), (1, 0), (1, 1), (0, 1), (F(1, 2), F(1, 2))])
-    assert len(quad) == 4 and (F(1, 2), F(1, 2)) not in quad
-
-
-# --- face machinery -----------------------------------------------------
-
-def test_face_functional_validates_faces():
-    p = build_config_sets("regular", 3)
-    trap = p.sets[2]
-    for face in trap.excluded_faces:
-        a, c = face_functional(trap, face)
-        vals = [sum(ai * vi for ai, vi in zip(a, v)) for v in trap.vertices]
-        for i, v in enumerate(vals):
-            assert (v == c) == (i in face)
-    with pytest.raises(ValueError):
-        face_functional(trap, (0, 3))  # diagonal pair is not a face
-
+# --- the set shape ------------------------------------------------------
 
 def test_contains_point_flagged_trapezoid():
     trap = build_config_sets("regular", 3).sets[2]
@@ -155,64 +178,87 @@ def test_contains_point_flagged_trapezoid():
     assert not contains_point(trap, (1, 1, -1))    # excluded corner
 
 
-def test_contains_point_builds_face_functionals_once(monkeypatch):
-    calls = []
-    build = stabbing.face_functional
-
-    def counted(fset, face):
-        calls.append(face)
-        return build(fset, face)
-
-    monkeypatch.setattr(stabbing, "face_functional", counted)
-    trap = build_config_sets("regular", 3).sets[2]
-    for pt in ((0, 2, -2), (-2, 2, -2), (9, 9, 9), (1, 1, -1)):
-        contains_point(trap, pt)
-    assert calls == list(trap.excluded_faces)
-    # a non-face is refused on every call, as before
-    square = FlaggedConvexSet(((0, 0), (1, 0), (1, 1), (0, 1)), ((0, 2),))
-    for _ in range(2):
+def test_interval_class_rejects_malformed_input():
+    for lo, hi, lo_open, hi_open, rho in [
+            ((), (), (), (), 1),                      # no axis
+            ((0, 0), (1,), (), (), 1),                # ends differ in length
+            ((1,), (0,), (), (), 1),                  # lo above hi
+            ((0,), (0,), (True,), (), 1),             # open point
+            ((0,), (1,), (False, False), (), 1),      # flags of another arity
+            ((0,), (1,), (1,), (), 1),                # a flag that is no bool
+            ((0,), (1,), (), (), F(1, 2))]:           # rho below 1
         with pytest.raises(ValueError):
-            contains_point(square, (F(1, 2), F(1, 2)))
-
-
-def test_flagged_set_rejects_malformed_vertices():
-    with pytest.raises(ValueError):
-        FlaggedConvexSet(())
-    with pytest.raises(ValueError):
-        FlaggedConvexSet(((0, 0), (1, 1, 1)))
+            IntervalClass(lo, hi, lo_open, hi_open, rho)
 
 
 def test_point_and_hyperplane_arity_checked():
-    square = FlaggedConvexSet(((0, 0), (1, 0), (1, 1), (0, 1)))
+    square = IntervalClass((0, 0), (1, 1))
     with pytest.raises(ArityMismatch):
         contains_point(square, (1,))
     with pytest.raises(ArityMismatch):
         contains_point(square, (1, 1, 1))
     for coeffs in ((1, 1), (1, 1, 1, 1)):
         with pytest.raises(ArityMismatch):
-            stab_point(square, coeffs)
-        with pytest.raises(ArityMismatch):
             meets_hyperplane(square, coeffs)
     assert contains_point(square, (1, 1))
-    assert stab_point(square, (1, 1, -1)) is not None
+    assert meets_hyperplane(square, (1, 1, -1))
 
 
-# --- fixed-plane evaluation vs LP oracle ---------------------------------
+def test_contains_point_on_a_swept_box():
+    # [1, 2] x (-1, 1] swept to 3: the points r.u, r in [1, 3]
+    s = IntervalClass((1, -1), (2, 1), (False, True), (), 3)
+    assert contains_point(s, (6, 3))           # r = 3, u = (2, 1)
+    assert contains_point(s, (1, 0))
+    assert not contains_point(s, (6, -3))      # y = -x/2 needs u_y = -1
+    assert not contains_point(s, (F(1, 2), 0))  # x below r.1 for every r
+    assert not contains_point(s, (7, 0))        # x above 3.2
+    assert not contains_point(s, (1, 2))        # y above x on u_x = 1
+    assert not contains_point(s, (0, 0))        # x = 0 is outside [1, 2]
 
-@pytest.mark.parametrize("kind", ["regular", "singular"])
+
+# --- the meeting rule against the hull-minus-faces reference -------------
+
+@pytest.mark.parametrize("kind", ["regular", "singular", "planar"])
 def test_meets_hyperplane_agrees_with_lp(kind):
-    rng = random.Random({"regular": 1, "singular": 2}[kind])
+    rng = random.Random({"regular": 1, "singular": 2, "planar": 5}[kind])
     for b in (2, 3, 4):
-        prob = build_config_sets(kind, b)
-        funcs = [set_functionals(s) for s in prob.sets]
+        sets = family(kind, b).sets
+        hulls = hull_sets(kind, b)
         for _ in range(25):
-            coeffs = rand_plane(rng, 3)
-            for s, fn in zip(prob.sets, funcs):
-                assert meets_hyperplane(s, coeffs) == lp_meets(s, coeffs, fn)
+            coeffs = rand_plane(rng, len(sets[0].lo))
+            for s, hull in zip(sets, hulls):
+                assert meets_hyperplane(s, coeffs) == lp_meets(hull, coeffs)
+
+
+def test_meeting_rule_on_planes_through_the_classes():
+    # random planes rarely meet a class; these pass through a point of
+    # one, and the rule must agree with the reference on every class
+    rng = random.Random(9)
+    met = 0
+    for kind in ("regular", "singular", "planar"):
+        for b in (2, 3, 4):
+            sets = family(kind, b).sets
+            hulls = hull_sets(kind, b)
+            for _ in range(8):
+                i = rng.randrange(len(sets))
+                verts = hulls[i].vertices
+                w = [rng.randint(1, 9) for _ in verts]
+                pt = [sum(wi * v[j] for wi, v in zip(w, verts)) / sum(w)
+                      for j in range(len(verts[0]))]
+                a = rand_plane(rng, len(pt))[:-1]
+                coeffs = (*a, -sum(x * y for x, y in zip(a, pt)))
+                assert meets_hyperplane(sets[i], coeffs)
+                for s, hull in zip(sets, hulls):
+                    got = meets_hyperplane(s, coeffs)
+                    assert got == lp_meets(hull, coeffs)
+                    met += got
+    assert met > 80
 
 
 @pytest.mark.parametrize("kind", ["regular", "singular"])
 def test_stab_point_consistent(kind):
+    # the closed-form point of a class on a plane that meets it lies on
+    # the plane and in the class
     rng = random.Random({"regular": 3, "singular": 4}[kind])
     member = in_regular if kind == "regular" else in_singular
     hits = 0
@@ -220,70 +266,18 @@ def test_stab_point_consistent(kind):
         prob = build_config_sets(kind, b)
         for _ in range(60):
             coeffs = rand_plane(rng, 3)
+            a, c = coeffs[:-1], -coeffs[-1]
             for i, s in enumerate(prob.sets):
-                pt = stab_point(s, coeffs)
                 if meets_hyperplane(s, coeffs):
                     hits += 1
-                    val = sum(c * x for c, x in zip(coeffs, pt)) + coeffs[-1]
-                    assert val == 0
+                    pt = stabbing._point(s, a, c)
+                    assert sum(x * y for x, y in zip(a, pt)) == c
                     assert contains_point(s, pt)
                     assert member(i, b, pt)
-                else:
-                    assert pt is None
     assert hits > 50
 
 
-# --- product formulas ----------------------------------------------------
-
-@pytest.mark.parametrize("kind", ["regular", "singular"])
-def test_formulas_match_direct_stabbing(kind):
-    rng = random.Random(7 if kind == "regular" else 11)
-    for b in (F(5, 2), F(3), F(7, 2)):
-        prob = build_config_sets(kind, b)
-        for _ in range(80):
-            coeffs = rand_plane(rng, 3, t0=1)
-            direct = all(meets_hyperplane(s, coeffs) for s in prob.sets)
-            assert lemma_formulas_hold(kind, b, coeffs) == direct
-
-
-# --- shadows (zero leading coefficient phase) ----------------------------
-
-@pytest.mark.parametrize("kind", ["regular", "singular"])
-def test_yz_shadows(kind):
-    b = F(3)
-    shadows = _project_to_yz(build_config_sets(kind, b), kind)
-    seg_low = FlaggedConvexSet(((-b, -b), (-1, -1)))
-    seg_high = FlaggedConvexSet(((1, -1), (b, -b)))
-    trap = FlaggedConvexSet(((-b, b), (-1, 1), (1, 1), (b, b)),
-                            ((0, 1), (2, 3)))
-    assert shadows == (seg_low, seg_high, trap)
-
-
-@pytest.mark.parametrize("kind", ["regular", "singular"])
-def test_yz_shadows_match_lp_oracle(kind, monkeypatch):
-    # the face-code rule gives the shadows the fiber LPs gave, and solves
-    # no LP doing so
-    probs = {b: build_config_sets(kind, b)
-             for b in (F(3, 2), F(2), F(3), F(7, 2), F(9))}
-    want = {b: lp_shadows.project_to_yz(p) for b, p in probs.items()}
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved")
-
-    monkeypatch.setattr(stabbing, "strict_feasible", no_lp)
-    for b, p in probs.items():
-        assert _project_to_yz(p, kind) == want[b], f"b={b}"
-
-
-def test_shadow_problem_never_line_stabbed():
-    for kind in ("regular", "singular"):
-        for b in (F(2), F(3), F(9)):
-            shadows = _project_to_yz(build_config_sets(kind, b), kind)
-            v = line_stab(StabbingProblem(2, shadows, b))
-            assert v.status == INFEASIBLE
-
-
-# --- plane_stab verdicts --------------------------------------------------
+# --- verdicts on the threshold grid ------------------------------------
 
 @pytest.mark.parametrize("kind", ["regular", "singular"])
 def test_plane_stab_threshold_grid(kind):
@@ -309,20 +303,60 @@ def test_plane_stab_threshold_grid(kind):
         seen = seen or verdicts[b].feasible
     infeas = verdicts[F(2)]
     assert infeas.witness is None
-    assert infeas.cases == 20 + (128 if kind == "regular" else 256)
+    assert infeas.cases == 26
     assert len(infeas.certificate) == infeas.cases
     assert all(why for _, why in infeas.certificate)
 
 
+@pytest.mark.parametrize("kind", ["regular", "singular", "planar"])
+def test_threshold_grid_statuses(kind):
+    # the statuses of the whole grid; each feasible witness passes the
+    # closed-form membership and the reference meeting LP on every set,
+    # and each infeasible verdict refutes every case
+    threshold = {"regular": F(3), "planar": F(3), "singular": None}[kind]
+    for b in GRID:
+        v = family(kind, b)
+        v = plane_stab(v) if kind != "planar" else line_stab(v)
+        if threshold is None or b < threshold or \
+                (kind == "regular" and b == threshold):
+            assert v.status == INFEASIBLE, f"b={b}"
+            assert len(v.certificate) == v.cases, f"b={b}"
+            continue
+        assert v.status == FEASIBLE, f"b={b}"
+        assert v.witness[0] in (0, 1) and v.certificate == ()
+        hulls = hull_sets(kind, b)
+        assert len(v.witness_points) == len(hulls)
+        for i, (pt, hull) in enumerate(zip(v.witness_points, hulls)):
+            assert MEMBER[kind](i, b, pt), f"b={b} set {i}"
+            assert lp_meets(hull, v.witness), f"b={b} set {i}"
+
+
+@pytest.mark.parametrize("kind,b", [("regular", F(3)), ("singular", F(5)),
+                                    ("singular", F(13)), ("planar", F(2))])
+def test_certificate_margins_match_fraction_oracle(kind, b):
+    # every case of an infeasible verdict, rebuilt by the oracle from its
+    # label and solved by the Fraction simplex, has the reason it quotes
+    v = family(kind, b)
+    v = line_stab(v) if kind == "planar" else plane_stab(v)
+    assert v.status == INFEASIBLE
+    labels = [lbl for lbl, _ in v.certificate]
+    assert len(labels) == v.cases == len(set(labels))
+    assert set(labels) == case_labels(2 if kind == "planar" else 3,
+                                      kind != "planar")
+    intervals = interval_sets(kind, b)
+    for lbl, why in v.certificate:
+        margin = case_margin(intervals, lbl)
+        if margin is None:
+            assert why == "weak system infeasible", lbl
+        else:
+            assert margin <= 0 and why == f"max margin {margin} <= 0", lbl
+
+
 def test_plane_stab_rejects_foreign_input():
-    prob = build_config_sets("regular", 3)
-    with pytest.raises(ArityMismatch):
-        plane_stab(StabbingProblem(3, prob.sets[:3], 3))
     with pytest.raises(ArityMismatch):
         plane_stab(build_planar_sets(3))
-    tweaked = (FlaggedConvexSet(((0, 0, 0), (1, 1, 1))),) + prob.sets[1:]
     with pytest.raises(ArityMismatch):
-        plane_stab(StabbingProblem(3, tweaked, 3))
+        plane_stab(StabbingProblem(4, ()))
 
 
 def test_closed_reading_feasible_at_three():
@@ -331,9 +365,8 @@ def test_closed_reading_feasible_at_three():
     # exactly what blocks it in the flagged reading
     b = F(3)
     flagged = build_config_sets("regular", b)
-    closed = [FlaggedConvexSet(s.vertices) for s in flagged.sets]
     plane = (1, 1, 1, 3)
-    assert all(meets_hyperplane(s, plane) for s in closed)
+    assert all(meets_hyperplane(closed(s), plane) for s in flagged.sets)
     met = [meets_hyperplane(s, plane) for s in flagged.sets]
     assert met == [True, True, False, False]
     # and no plane at all meets the flagged configuration (threshold case)
@@ -349,7 +382,7 @@ def test_regular_witness_survives_beyond_three():
 
 def test_verdicts_match_fraction_oracle(monkeypatch):
     # every witness, certificate string and case count is the one the
-    # Fraction simplex gives, the scan's warm margins included
+    # Fraction simplex gives
     probs = [build_config_sets("regular", F(3)),
              build_config_sets("regular", F(7, 2)),
              build_config_sets("singular", F(5)),
@@ -360,120 +393,52 @@ def test_verdicts_match_fraction_oracle(monkeypatch):
 
     got = stab_all()
     monkeypatch.setattr(stabbing, "strict_feasible", fraclp.strict_feasible)
-    # the scan's margin LPs too, each node re-solved from all its rows
-    monkeypatch.setattr(stabbing, "MarginLp", FracMarginLp)
-    monkeypatch.setattr(stabbing, "reoptimize", frac_reoptimize)
     assert got == stab_all()
     assert [v.status for v in got] == [INFEASIBLE, FEASIBLE, INFEASIBLE,
                                        INFEASIBLE, FEASIBLE]
 
 
-# --- the pruned sign-case scan against the flat scan -------------------------
-
-SCAN_GRID = [F(11, 10), F(2), F(29, 10), F(3), F(31, 10), F(7, 2), F(5), F(13)]
-PRUNED = stabbing._first_feasible
-
-
-def _stab(kind, b):
-    if kind == "planar":
-        return line_stab(build_planar_sets(b))
-    return plane_stab(build_config_sets(kind, b))
-
-
-def _logged_scan(monkeypatch, scan):
-    """Route every sign-case scan through scan, logging its result and the
-    case labels it refuted."""
-    log = []
-
-    def logged(prefix, dim, conds, certificate, label):
-        start = len(certificate)
-        found, count = scan(prefix, dim, conds, certificate, label)
-        log.append((found, count, [lbl for lbl, _ in certificate[start:]]))
-        return found, count
-
-    monkeypatch.setattr(stabbing, "_first_feasible", logged)
-    return log
-
-
-@pytest.mark.parametrize("kind", ["regular", "singular", "planar"])
-def test_pruned_scan_matches_flat_scan(kind, monkeypatch):
-    for b in SCAN_GRID:
-        pruned_log = _logged_scan(monkeypatch, PRUNED)
-        pruned = _stab(kind, b)
-        flat_log = _logged_scan(monkeypatch, flat_first_feasible)
-        flat = _stab(kind, b)
-        assert (pruned.status, pruned.witness, pruned.witness_points,
-                pruned.cases, len(pruned.certificate)) == \
-            (flat.status, flat.witness, flat.witness_points,
-             flat.cases, len(flat.certificate)), f"b={b}"
-        assert [r[:2] for r in pruned_log] == [r[:2] for r in flat_log]
-        for (_, _, got), (_, _, want) in zip(pruned_log, flat_log):
-            assert set(got) <= set(want), f"b={b}"
-
-
-@pytest.mark.parametrize("kind", ["regular", "singular", "planar"])
-def test_warm_scan_matches_cold_scan(kind, monkeypatch):
-    # re-optimizing the parent's tableau changes no verdict, witness,
-    # case count or certificate string against one cold LP per node
-    for b in SCAN_GRID + [F(301, 100), F(13, 4)]:
-        monkeypatch.setattr(stabbing, "_first_feasible", PRUNED)
-        warm = _stab(kind, b)
-        monkeypatch.setattr(stabbing, "_first_feasible", cold_first_feasible)
-        assert warm == _stab(kind, b), f"b={b}"
-
-
-def test_warm_scan_solves_nothing_cold(monkeypatch):
+def test_one_lp_per_case(monkeypatch):
+    # an infeasible verdict solves one LP per case; a feasible one stops
+    # at its first feasible case, and its witness check solves none
     calls = []
-    cold = stabbing.strict_feasible
+    solve = stabbing.strict_feasible
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return cold(*args, **kwargs)
+        out = solve(*args, **kwargs)
+        calls.append(out[0])
+        return out
 
     monkeypatch.setattr(stabbing, "strict_feasible", counted)
     v = plane_stab(build_config_sets("singular", 5))
-    assert v.status == INFEASIBLE and len(v.certificate) == v.cases
-    assert calls == []
-    # a feasible verdict reads its witness off the leaf's tableau; only
-    # the witness re-check solves from scratch: one membership LP per set
-    # and one face functional per excluded face (0 + 0 + 2 + 4)
-    assert plane_stab(build_config_sets("regular", F(7, 2))).feasible
-    assert len(calls) == 4 + 6
+    assert v.status == INFEASIBLE and len(calls) == v.cases == 26
+    calls.clear()
+    v = plane_stab(build_config_sets("regular", F(7, 2)))
+    assert v.feasible and calls[-1] and not any(calls[:-1])
+    assert len(calls) < v.cases
 
 
-@pytest.mark.parametrize("kind,b", [("regular", F(3)), ("singular", F(5))])
-def test_prefix_reasons_hold(kind, b):
-    # each certificate entry's reason holds for the sets it names: that
-    # prefix of the case is infeasible under the Fraction simplex, with
-    # the margin the entry quotes
-    conds = [[atoms for p, q, strict in row
-              for atoms in stabbing._product_split(p, q, strict)]
-             for row in stabbing._lemma_rows(kind, b)]
-    cert = []
-    found, count = PRUNED((1,), 3, conds, cert, "unit")
-    assert found is None and len(cert) == count
-    prefixed = 0
-    for (lbl, why), combo in zip(cert, product(*conds)):
-        m = re.fullmatch(r"(?:sets? 0(?:-(\d))? infeasible: )?(.*)", why)
-        sets = len(conds)
-        if why != m.group(2):
-            prefixed += 1
-            sets = int(m.group(1) or 0) + 1
-        cond = tuple(a for c in combo[:sets] for a in c)
-        eq, weak, strict = stabbing._rows_for_case((1,), cond)
-        ok, _, margin = fraclp.strict_feasible(3, eq, weak, strict)
-        assert not ok, lbl
-        if m.group(2).startswith("max margin"):
-            assert m.group(2) == f"max margin {margin} <= 0", lbl
-    assert prefixed > 0
+def test_corrupted_witness_raises_fault(monkeypatch):
+    # a hyperplane that misses a class cannot pass the point check
+    solve = stabbing.strict_feasible
+
+    def corrupt(*args, **kwargs):
+        ok, x, margin = solve(*args, **kwargs)
+        return ok, x and (*x[:-1], x[-1] + 1), margin
+
+    monkeypatch.setattr(stabbing, "strict_feasible", corrupt)
+    with pytest.raises(WitnessFault):
+        line_stab(build_planar_sets(3))
+    with pytest.raises(WitnessFault):
+        plane_stab(build_config_sets("regular", F(7, 2)))
 
 
 def test_line_stab_empty_family():
-    # the product of no sign cases is one empty case, met by any line
-    v = line_stab(StabbingProblem(2, (), 3))
+    # every sign case of an empty family is feasible; the first is a = (1, 0)
+    v = line_stab(StabbingProblem(2, ()))
     assert v.status == FEASIBLE
     assert v.witness == (1, 0, 0) and v.witness_points == ()
-    assert v.cases == 1 and v.certificate == ()
+    assert v.cases == 4 and v.certificate == ()
 
 
 # --- line_stab on the planar family ---------------------------------------
@@ -501,7 +466,7 @@ def test_line_stab_unique_witness_at_three():
 def test_line_stab_planar_case_count():
     v = line_stab(build_planar_sets(2))
     assert v.status == INFEASIBLE
-    assert v.cases == 96 + 1
+    assert v.cases == 4
 
 
 def test_line_stab_excluded_side_matters():
@@ -509,29 +474,34 @@ def test_line_stab_excluded_side_matters():
     # threshold (the witness uses its top side) but admits new lines above it
     b = F(3)
     flagged = build_planar_sets(b)
-    closed = StabbingProblem(
-        2, [FlaggedConvexSet(s.vertices) for s in flagged.sets], b)
-    assert line_stab(closed).status == FEASIBLE
+    closed_sets = StabbingProblem(2, [closed(s) for s in flagged.sets])
+    assert line_stab(closed_sets).status == FEASIBLE
     # y = -x - 1 touches both squares and the reinstated lower-left corner
     down = (1, 1, 1)
-    assert all(meets_hyperplane(s, down) for s in closed.sets)
+    assert all(meets_hyperplane(s, down) for s in closed_sets.sets)
     assert not meets_hyperplane(flagged.sets[2], down)
 
 
 def test_line_stab_common_point_degenerate():
     segs = [
-        FlaggedConvexSet(((-1, -1), (1, 1))),
-        FlaggedConvexSet(((-1, 1), (1, -1))),
-        FlaggedConvexSet(((-2, 0), (2, 0))),
+        IntervalClass((-1, 0), (1, 0)),
+        IntervalClass((0, -1), (0, 1)),
+        IntervalClass((-2, -2), (2, 2), (True, True), (True, True)),
     ]
-    v = line_stab(StabbingProblem(2, segs, F(2)))
+    v = line_stab(StabbingProblem(2, segs))
     assert v.status == FEASIBLE
-    for pt in v.witness_points:
+    for s, pt in zip(segs, v.witness_points):
         val = sum(c * x for c, x in zip(v.witness, pt)) + v.witness[-1]
-        assert val == 0
-    point = FlaggedConvexSet(((3, 4),))
-    v2 = line_stab(StabbingProblem(2, [point, segs[2]], F(2)))
+        assert val == 0 and contains_point(s, pt)
+    point = IntervalClass((3, 4), (3, 4))
+    v2 = line_stab(StabbingProblem(2, [point, segs[0]]))
     assert v2.status == FEASIBLE
+    # two points span a line; three points in general position do not
+    corner = IntervalClass((5, 5), (5, 5))
+    v3 = line_stab(StabbingProblem(2, [point, corner]))
+    assert v3.feasible and v3.witness_points == ((3, 4), (5, 5))
+    far = IntervalClass((0, 9), (0, 9))
+    assert not line_stab(StabbingProblem(2, [point, corner, far])).feasible
 
 
 def test_line_stab_rejects_wrong_dim():
@@ -539,13 +509,49 @@ def test_line_stab_rejects_wrong_dim():
         line_stab(build_config_sets("regular", 2))
 
 
-def test_unsupported_shapes_raise():
-    penta = FlaggedConvexSet(((0, 0), (4, 0), (5, 2), (2, 4), (-1, 2)))
-    with pytest.raises(UnsupportedShape):
-        line_stab(StabbingProblem(2, [penta], F(2)))
-    diag = FlaggedConvexSet(((0, 0), (1, 0), (1, 1), (0, 1)), ((0, 2),))
-    with pytest.raises(UnsupportedShape):
-        line_stab(StabbingProblem(2, [diag], F(2)))
+# --- thresholds beyond the built-in families --------------------------------
+
+@pytest.mark.parametrize("d,threshold,above", [
+    (3, F(3), F(1, 1000)), (4, F(2), F(1, 1000)), (5, F(3, 2), F(1, 10**6))])
+def test_regular_cube_thresholds(d, threshold, above):
+    # infeasible at the threshold, feasible just above it
+    assert hyperplane_stab(cube_family(d, threshold)).status == INFEASIBLE
+    v = hyperplane_stab(cube_family(d, threshold + above))
+    assert v.feasible and len(v.witness_points) == d + 1
+
+
+def test_regular_box_threshold_in_3d():
+    # the box reading's threshold lies in (5/3, 5/3 + 10^-9]
+    b = F(5, 3)
+    assert hyperplane_stab(box_family(3, b)).status == INFEASIBLE
+    v = hyperplane_stab(box_family(3, b + F(1, 10**9)))
+    assert v.feasible and v.cases == 13
+
+
+def test_3d_boxes_flip_at_local_balance_two():
+    # sides 4 and 8 in the regular pattern around w = (8, 8, 8): the
+    # pixel-filled partition's centers misorient the four boxes, and the
+    # box reading of the pattern is stabbable at b = 2, as a flip needs
+    boxes = [IntBox((4, 0, 4), (8, 8, 8)), IntBox((8, 4, 0), (12, 8, 8)),
+             IntBox((6, 8, 4), (14, 12, 8)), IntBox((1, 7, 8), (9, 15, 12))]
+    p = pixel_fill(boxes, 15)
+    assert len(p.boxes) == 2739
+    assert balance_of_set(p.boxes[:4]).value == 2
+    key = (0, 1, 2, 3)
+    assert Violation(key, expected=1, actual=-1) in \
+        center_embeddable(p).violations
+    # the frozen enumerator on the 8 cells around w gives the seed
+    w = (8, 8, 8)
+    window = validate_partition(
+        [IntBox(tuple(max(x, c - 1) - c + 1 for x, c in zip(b.lo, w)),
+                tuple(min(x, c + 1) - c + 1 for x, c in zip(b.hi, w)))
+         for b in boxes], 3, 2)
+    top, _ = dual_of(window)
+    _, perm, ordered = top[key]
+    assert chain_parity(perm) * chain_parity(ordered) == 1
+    assert build_dual(p).seed_raw(key)[0] == w
+    assert orientation_sign([boxes[i].center2() for i in ordered]) == -1
+    assert hyperplane_stab(box_family(3, F(2))).feasible
 
 
 # --- falsification sampling ------------------------------------------------
