@@ -263,13 +263,15 @@ def _claim_cells(boxes, d, n) -> list:
 
 def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partition:
     """Validate containment, interior disjointness and (unless partial)
-    exact coverage of [0,n]^d, filling the owner grid. Raises OutOfBounds,
+    exact coverage of [0,n]^d, filling the owner grid. Raises ValueError
+    for a d or n that is not an int >= 1 (bools included), OutOfBounds,
     GridTooLarge (before the grid is allocated), Overlap or CoverageGap.
 
     Disjointness is checked while the owner grid is filled; an overfull
     partition covers some cell twice, so that check rejects it."""
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    if type(d) is not int or type(n) is not int or d < 1 or n < 1:
+        raise ValueError(f"need int d >= 1 and n >= 1, not d={d!r}, "
+                         f"n={n!r}")
     boxes = tuple(b if isinstance(b, IntBox) else IntBox(*b) for b in boxes)
     total = 0
     for box in boxes:

@@ -1,40 +1,32 @@
 """Exact margin linear programs over the rationals.
 
-One problem, one engine. A mixed system of equality, weak (<=) and
-strict (<) rows over free unknowns is decided by its margin LP:
-maximize a shared margin t, subtracted from every strict row, subject to
-t <= 1. The strict system is feasible exactly when the optimal margin is
-positive. The systems this package produces are small: a handful of
-unknowns and tens of rows.
+One problem, one routine. A mixed system of weak (<=) and strict (<)
+rows over free unknowns is decided by its margin LP: maximize a shared
+margin t, subtracted from every strict row, subject to t <= 1. The
+strict system is feasible exactly when the optimal margin is positive.
+An equality is written as two weak rows. The systems this package
+produces are small: a handful of unknowns and tens of rows.
 
-MarginLp holds the margin LP as an exact optimal tableau, and
-reoptimize adds rows to a copy of it and re-optimizes by the dual
-simplex. strict_feasible is reoptimize on the root: the root holds only
-the row t <= 1, and its basis {t} is optimal, since the objective
-(minimize -t) is as small as that row allows, and dual feasible, since
-every reduced cost is 0 except the cap slack's, which is 1. Callers that
-solve a chain of systems, each its parent plus a few rows (the sign-case
-scan in stabbing), re-optimize the parent's tableau instead of the root.
+strict_feasible builds the tableau in one pass, the cap row t <= 1 with
+t basic, then each input row with its own slack basic, and solves it by
+the dual simplex. That basis is dual feasible, since every reduced cost
+is 0 except the cap slack's, which is 1; the dual simplex keeps it so
+while it drives the rows' negative slacks out.
 
 No system is unbounded: the unknowns are free but do not enter the
 objective, and the cap bounds -t below by -1. So the dual simplex ends
 in one of two ways: at an optimal tableau, whose margin is the exact
 optimum, or at a row proving the weak part infeasible. The optimal
 margin is unique whatever basis reaches it; the witness, the basic
-solution's unknowns, is a vertex that depends on the pivots taken.
-
-Adding a row leaves the reduced costs as they are: each new row is put
-into canonical form with its slack basic, so the tableau stays dual
-feasible, and the dual simplex keeps it so while it drives the new rows'
-negative slacks out. The smallest-index rule on leaving rows and
-entering columns is Bland's rule applied to the dual problem (Bland,
-"New finite pivoting rules for the simplex method", 1977), so no basis
-repeats and the loop ends.
+solution's unknowns, is a vertex that depends on the pivots taken. The
+smallest-index rule on leaving rows and entering columns is Bland's
+rule applied to the dual problem (Bland, "New finite pivoting rules for
+the simplex method", 1977), so no basis repeats and the loop ends.
 
 The tableau is integer-preserving (Edmonds 1967, Bareiss 1968): integer
 rows M over one common positive denominator D stand for the rational
 tableau T = M / D. Each input row is scaled to integers by the lcm of its
-own denominators, its slack keeps coefficient 1, and the root has D = 1.
+own denominators, its slack keeps coefficient 1, and the start has D = 1.
 A pivot on p = M[r][c] leaves row r as it is, replaces every other row i
 by (p * M[i] - M[i][c] * M[r]) / D and sets D = p (negating M and D if
 p < 0). Each division is exact by Sylvester's identity: D is, up to
@@ -52,8 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
+__all__ = ["DualSimplexFault", "strict_feasible"]
 
 
 class DualSimplexFault(RuntimeError):
@@ -89,122 +80,70 @@ def _integer_row(values):
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def strict_feasible(nvars, eq_rows=(), weak_rows=(), strict_rows=()):
+def strict_feasible(nvars, weak_rows=(), strict_rows=()):
     """Decide a mixed weak/strict linear system exactly.
 
-    Rows are (coeffs, rhs) meaning coeffs . x == rhs for eq_rows,
-    <= rhs for weak_rows, and < rhs for strict_rows. Returns
-    (feasible, witness, margin): strict rows are tightened by a shared
-    margin which is then maximized (capped at 1), so feasibility of the
-    strict system is equivalent to a positive optimal margin. margin is
-    None when the weak part alone is infeasible, and the witness is None
-    unless the system is feasible.
+    Rows are (coeffs, rhs) meaning coeffs . x <= rhs for weak_rows and
+    < rhs for strict_rows. Returns (feasible, witness, margin): strict
+    rows are tightened by a shared margin which is then maximized
+    (capped at 1), so feasibility of the strict system is equivalent to
+    a positive optimal margin. margin is None when the weak part alone
+    is infeasible, and the witness is None unless the system is
+    feasible.
+
+    Tableau columns: the right-hand side, the split parts x_j+ (column
+    2j+1) and x_j- (column 2j+2) of the unknowns and of t (unknown
+    nvars), then one slack per row. Rows: the cap, the weak rows, the
+    strict rows, then d times [-objective | reduced costs] for
+    minimizing -t. An input row scaled to integers as (coeffs, m, rhs),
+    m the margin's coefficient, is put in canonical form by subtracting
+    m times the cap row. An nvars that is not an int (bools included)
+    and data other than ints and Fractions raise TypeError; a negative
+    nvars or a row of the wrong length raises ValueError.
     """
-    lp = reoptimize(MarginLp(nvars), eq_rows, weak_rows, strict_rows)
-    if lp.margin is None or lp.margin <= 0:
-        return False, None, lp.margin
-    return True, lp.witness(), lp.margin
-
-
-class MarginLp:
-    """strict_feasible's problem, kept as an optimal tableau rows can be
-    added to: maximize the margin t subject to t <= 1, with every unknown
-    free. The root holds only the row t <= 1; reoptimize adds rows.
-
-    status is OPTIMAL, with the exact optimal margin, or INFEASIBLE (the
-    weak system is infeasible), with margin None. The tableau rows are
-    integer-preserving over the denominator d: column 0 is the right-hand
-    side, then the split parts of the unknowns and of t, then one slack
-    per row in the order the rows came; the last row holds d times
-    [-objective | reduced costs] for minimizing -t.
-    """
-
-    __slots__ = ("nvars", "rows", "basis", "d", "status", "margin")
-
-    def __init__(self, nvars):
-        t = 2 * nvars + 1  # column of the positive part of t
-        row = [0] * (t + 3)
-        row[0] = row[t] = row[t + 2] = 1
-        row[t + 1] = -1
-        z = [0] * (t + 3)
-        z[0] = z[t + 2] = 1
-        self.nvars = nvars
-        self.rows = [row, z]
-        self.basis = [t]
-        self.d = 1
-        self.status = OPTIMAL
-        self.margin = Fraction(1)
-
-    def witness(self) -> tuple:
-        """The unknowns at the tableau's basic solution: x_j is the value
-        of column 2j+1 minus that of column 2j+2, over d. A point of the
-        system when status is OPTIMAL."""
-        value = [0] * (2 * self.nvars + 1)
-        for row, col in zip(self.rows, self.basis):
-            if col <= 2 * self.nvars:
-                value[col] = row[0]
-        return tuple(Fraction(value[2 * j + 1] - value[2 * j + 2], self.d)
-                     for j in range(self.nvars))
-
-
-def reoptimize(lp: MarginLp, eq_rows=(), weak_rows=(),
-               strict_rows=()) -> MarginLp:
-    """A copy of lp with the rows added, re-optimized; lp is unchanged.
-
-    Rows are as in strict_feasible; an equality becomes two <= rows, a
-    strict row gets the margin's coefficient 1. Each new row r, scaled
-    to integers by the lcm of its own denominators, is put into
-    canonical form over the current denominator as
-    d * r - sum_i r[basis[i]] * rows[i], with its slack basic. Neither
-    step touches the reduced costs, so the tableau stays dual feasible,
-    and the dual simplex re-optimizes it (see _dual_simplex). A row of
-    the wrong length raises ValueError; data other than ints and
-    Fractions raises TypeError.
-    """
-    nv = lp.nvars
-    new = []
-    for coeffs, rhs in eq_rows:
-        new += [(coeffs, 0, rhs, 1), (coeffs, 0, rhs, -1)]
-    new += [(coeffs, 0, rhs, 1) for coeffs, rhs in weak_rows]
-    new += [(coeffs, 1, rhs, 1) for coeffs, rhs in strict_rows]
-    pad = [0] * len(new)
-    M = [r + pad for r in lp.rows]
-    z = M.pop()
-    old = list(enumerate(lp.basis))
-    basis = list(lp.basis)
-    d = lp.d
-    slack = len(z) - len(new)
-    for coeffs, margin, rhs, sign in new:
-        if len(coeffs) != nv:
+    if type(nvars) is not int:
+        raise TypeError(f"nvars {nvars!r} is not an int")
+    if nvars < 0:
+        raise ValueError(f"nvars {nvars} is negative")
+    t = 2 * nvars + 1  # column of the positive part of t
+    rows = [(r, 0) for r in weak_rows] + [(r, 1) for r in strict_rows]
+    width = t + 3 + len(rows)
+    cap = [0] * width
+    cap[0] = cap[t] = cap[t + 2] = 1
+    cap[t + 1] = -1
+    M = [cap]
+    for slack, ((coeffs, rhs), margin) in enumerate(rows, t + 3):
+        if len(coeffs) != nvars:
             raise ValueError(f"row has {len(coeffs)} coefficients, "
-                             f"not {nv}")
-        *vals, rhs = _integer_row((*coeffs, margin, rhs))
-        raw = [0] * len(z)
-        raw[0] = sign * rhs
-        for j, c in enumerate(vals):  # t is unknown nv
-            raw[2 * j + 1] = sign * c
-            raw[2 * j + 2] = -sign * c
-        raw[slack] = 1
-        row = [d * v for v in raw]
-        for i, b in old:
-            f = raw[b]
-            if f:
-                row = [a - f * v for a, v in zip(row, M[i])]
+                             f"not {nvars}")
+        *vals, m, rhs = _integer_row((*coeffs, margin, rhs))
+        row = [0] * width
+        row[0] = rhs - m
+        for j, c in enumerate(vals):
+            row[2 * j + 1] = c
+            row[2 * j + 2] = -c
+        row[t + 2] = -m
+        row[slack] = 1
         M.append(row)
-        basis.append(slack)
-        slack += 1
+    z = [0] * width
+    z[0] = z[t + 2] = 1
     M.append(z)
-    status, d = _dual_simplex(M, basis, d)
-    out = MarginLp.__new__(MarginLp)
-    out.nvars, out.rows, out.basis, out.d = nv, M, basis, d
-    out.status = status
-    out.margin = Fraction(M[-1][0], d) if status == OPTIMAL else None
-    return out
+    basis = [t, *range(t + 3, width)]
+    d = _dual_simplex(M, basis, 1)
+    if d is None:
+        return False, None, None
+    margin = Fraction(M[-1][0], d)
+    if margin <= 0:
+        return False, None, margin
+    value = {col: row[0] for row, col in zip(M, basis)}  # nonbasic: 0
+    return True, tuple(
+        Fraction(value.get(2 * j + 1, 0) - value.get(2 * j + 2, 0), d)
+        for j in range(nvars)), margin
 
 
 def _dual_simplex(M, basis, d):
     """Dual simplex under the smallest-index rule, over the denominator
-    d, from a dual-feasible tableau laid out as in MarginLp.
+    d, from a dual-feasible tableau laid out as in strict_feasible.
 
     The leaving row holds the basic variable of least index among those
     below zero; the entering column is the least index among the least
@@ -213,8 +152,8 @@ def _dual_simplex(M, basis, d):
     keeps every reduced cost nonnegative; the loop stops at a primal
     feasible tableau, which is then optimal, or at a leaving row with no
     a_j < 0: a sum of nonnegative terms set equal to a negative number,
-    so the system is infeasible. Returns the status and the final
-    denominator.
+    so the system is infeasible. Returns the final denominator at an
+    optimal tableau, or None when the system is infeasible.
     """
     m = len(basis)
     while True:
@@ -223,7 +162,7 @@ def _dual_simplex(M, basis, d):
             if M[i][0] < 0 and (leave < 0 or basis[i] < basis[leave]):
                 leave = i
         if leave < 0:
-            return OPTIMAL, d
+            return d
         r = M[leave]
         z = M[-1]
         enter = -1
@@ -233,7 +172,7 @@ def _dual_simplex(M, basis, d):
             if a < 0 and (enter < 0 or z[j] * r[enter] > z[enter] * a):
                 enter = j
         if enter < 0:
-            return INFEASIBLE, d
+            return None
         d = _pivot(M, basis, d, leave, enter)
         if min(M[-1][1:]) < 0:
             raise DualSimplexFault(

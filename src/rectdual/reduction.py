@@ -236,11 +236,20 @@ _NESTED = {"variables": VariableGadget, "cycle": CycleRect,
 def _rebuild(cls, doc):
     """cls from its asdict() form: nested gadgets rebuilt, lists turned
     back into tuples; keys that name no field (a legacy "profile") are
-    ignored."""
+    ignored. A doc that is not a dict, lacks a field or holds something
+    other than a list of nested gadgets raises ValueError."""
+    name = cls.__name__
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a dict, got {type(doc).__name__}")
     kw = {}
     for f in dataclasses.fields(cls):
+        if f.name not in doc:
+            raise ValueError(f"{name} has no {f.name!r} field")
         v = doc[f.name]
         if f.name in _NESTED:
+            if not isinstance(v, list):
+                raise ValueError(f"{name}.{f.name} must be a list, got "
+                                 f"{type(v).__name__}")
             kw[f.name] = tuple(_rebuild(_NESTED[f.name], d) for d in v)
         else:
             kw[f.name] = tuple(v) if isinstance(v, list) else v
@@ -248,6 +257,8 @@ def _rebuild(cls, doc):
 
 
 def gadget_map_from_json(text: str) -> GadgetMap:
+    """The GadgetMap gadget_map_to_json wrote; malformed JSON or a
+    document of the wrong shape raises ValueError."""
     return _rebuild(GadgetMap, json.loads(text))
 
 

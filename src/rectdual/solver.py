@@ -138,8 +138,19 @@ class _Deadline(Exception):
 
 @dataclass
 class SolverConfig:
+    """Search limits. A node_limit that is not an int >= 0 (a bool
+    included) or a time_limit that is not an int or float >= 0 (a bool
+    or NaN included) raises ValueError."""
     node_limit: int = 0          # 0 = unlimited
     time_limit: float = 0.0      # seconds, 0 = unlimited
+
+    def __post_init__(self):
+        n, t = self.node_limit, self.time_limit
+        if type(n) is not int or n < 0:
+            raise ValueError(f"node_limit {n!r} is not an int >= 0")
+        # not (t >= 0) also holds for NaN
+        if type(t) not in (int, float) or not t >= 0:
+            raise ValueError(f"time_limit {t!r} is not a number >= 0")
 
 
 @dataclass

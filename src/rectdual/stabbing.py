@@ -312,7 +312,8 @@ def hyperplane_stab(problem: StabbingProblem) -> StabVerdict:
     certificate = []
     for label, k, signs, c_sign in cases:
         free, weak, strict = _rows(problem.sets, k, signs, c_sign)
-        ok, x, margin = strict_feasible(len(free) + 1, (), weak, strict)
+        ok, x, margin = strict_feasible(len(free) + 1, weak_rows=weak,
+                                        strict_rows=strict)
         if ok:
             a = [Fraction(int(i == k)) for i in range(d)]
             for j, value in zip(free, x):

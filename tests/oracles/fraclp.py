@@ -3,8 +3,9 @@
 A frozen copy of the Fraction tableau simplex that rectdual.ratlp
 replaced with an integer-preserving one. The oracles solve their own LPs
 with it, so they do not check ratlp with ratlp, and the equivalence tests
-compare ratlp against it. Same API as rectdual.ratlp. Strict
-inequalities are handled by maximizing a shared margin variable.
+compare ratlp against it. Same API as rectdual.ratlp, plus eq_rows,
+which ratlp takes as pairs of weak rows. Strict inequalities are
+handled by maximizing a shared margin variable.
 """
 
 from __future__ import annotations

@@ -84,6 +84,15 @@ def test_validate_errors():
                            2, 2, partial=True)
 
 
+@pytest.mark.parametrize("d, n", [
+    (True, 1), (2, True), (2, 2.5), (2, "3"), (2.0, 2), (0, 2), (2, 0),
+])
+def test_validate_refuses_malformed_d_and_n(d, n):
+    with pytest.raises(ValueError) as info:
+        validate_partition([], d, n, partial=True)
+    assert type(info.value) is ValueError
+
+
 def test_is_generic():
     # four pixels meeting at one point exceed d+1 = 3 boxes
     p = validate_partition(pixels([(0, 0), (0, 1), (1, 0), (1, 1)]), 2, 2)

@@ -4,19 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectdual import ratlp
-from rectdual.ratlp import (
-    INFEASIBLE,
-    OPTIMAL,
-    DualSimplexFault,
-    MarginLp,
-    reoptimize,
-    strict_feasible,
-)
+from rectdual.ratlp import DualSimplexFault, strict_feasible
 
 from oracles import fraclp
 
 
-# --- strict_feasible: the margin LP solved from its root -------------------
+def _eq(rows):
+    """Equalities as weak rows: (c, r) then (-c, -r) for each."""
+    return [row for c, r in rows for row in ((c, r), ([-a for a in c], -r))]
+
 
 def test_simple_max():
     # the strict row x + y > 9/2 has margin x + y - 9/2, largest at (3, 2)
@@ -35,8 +31,6 @@ def test_simple_min():
 def test_infeasible():
     res = strict_feasible(1, weak_rows=[([1], 1), ([-1], -2)])
     assert res == (False, None, None)
-    assert reoptimize(MarginLp(1), weak_rows=[([1], 1), ([-1], -2)]).status \
-        == INFEASIBLE
 
 
 def test_unbounded():
@@ -48,7 +42,7 @@ def test_unbounded():
 
 
 def test_equalities_exact():
-    res = strict_feasible(2, eq_rows=[([2, 3], 7), ([1, -1], 1)])
+    res = strict_feasible(2, weak_rows=_eq([([2, 3], 7), ([1, -1], 1)]))
     assert res == (True, (2, 1), 1)
 
 
@@ -62,14 +56,14 @@ def test_fractional_data_stays_exact():
 
 def test_redundant_equalities():
     eq = [([1, 1], 1), ([2, 2], 2), ([1, -1], 0)]
-    res = strict_feasible(2, eq_rows=eq)
+    res = strict_feasible(2, weak_rows=_eq(eq))
     assert res == (True, (Fraction(1, 2), Fraction(1, 2)), 1)
 
 
 def test_redundant_row_then_unbounded():
     # x + y = 1 twice leaves x free to grow: the margin of x > 0 reads
     # the cap
-    ok, x, margin = strict_feasible(2, eq_rows=[([1, 1], 1), ([1, 1], 1)],
+    ok, x, margin = strict_feasible(2, weak_rows=_eq([([1, 1], 1)] * 2),
                                     strict_rows=[([-1, 0], 0)])
     assert ok and margin == 1
     assert x[0] + x[1] == 1 and x[0] >= 1
@@ -98,8 +92,8 @@ def test_beale_cycling_example_terminates():
 
 
 def test_feasible_point():
-    ok, (x, y), margin = strict_feasible(2, eq_rows=[([1, 1], 2)],
-                                         weak_rows=[([1, -1], 0)])
+    ok, (x, y), margin = strict_feasible(
+        2, weak_rows=_eq([([1, 1], 2)]) + [([1, -1], 0)])
     assert ok and margin == 1
     assert x + y == 2 and x <= y
 
@@ -115,11 +109,14 @@ def test_strict_empty_interval():
     ok, x, margin = strict_feasible(1, strict_rows=[([1], 0), ([-1], 0)])
     assert not ok
     assert margin is not None and margin <= 0
+    # x <= 0 and -x < 0 meet only at x = 0: the margin is exactly 0
+    assert strict_feasible(1, weak_rows=[([1], 0)],
+                           strict_rows=[([-1], 0)]) == (False, None, 0)
 
 
 def test_strict_with_equalities():
     ok, x, _ = strict_feasible(
-        2, eq_rows=[([1, 1], 1)], strict_rows=[([1, -1], 0)])
+        2, weak_rows=_eq([([1, 1], 1)]), strict_rows=[([1, -1], 0)])
     assert ok
     assert x[0] + x[1] == 1 and x[0] < x[1]
 
@@ -143,23 +140,31 @@ def test_no_rows():
     for nv in (0, 1, 3):
         assert strict_feasible(nv) == (True, (0,) * nv, 1)
     # zero rows that hold change nothing; one that fails decides
-    assert strict_feasible(1, eq_rows=[([0], 0)], weak_rows=[([0], 3)]) == \
+    assert strict_feasible(1, weak_rows=_eq([([0], 0)]) + [([0], 3)]) == \
         (True, (0,), 1)
     assert strict_feasible(1, weak_rows=[([0], -3)]) == (False, None, None)
+    assert strict_feasible(1, weak_rows=[([1], 0), ([0], -1)]) == \
+        (False, None, None)
     assert strict_feasible(1, strict_rows=[([0], 0)]) == (False, None, 0)
 
 
 @pytest.mark.parametrize("rows", [
     {"weak_rows": [([0.5], 1)]},
-    {"eq_rows": [([1], 0.25)]},
+    {"weak_rows": _eq([([1], 0.25)])},
     {"strict_rows": [(["1"], 0)]},
     {"weak_rows": [([True], 1)]},
 ])
 def test_inexact_data_refused(rows):
     with pytest.raises(TypeError):
         strict_feasible(1, **rows)
-    with pytest.raises(TypeError):
-        reoptimize(MarginLp(1), **rows)
+
+
+@pytest.mark.parametrize("nvars, error", [
+    (-1, ValueError), (True, TypeError), (1.0, TypeError), ("2", TypeError),
+])
+def test_nvars_refused(nvars, error):
+    with pytest.raises(error):
+        strict_feasible(nvars)
 
 
 # --- against the frozen Fraction simplex ---------------------------------
@@ -202,13 +207,14 @@ def _dot(coeffs, x):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(row_batches())
 def test_matches_fraction_oracle(case):
-    # same verdict and margin as the two-phase Fraction simplex; the
-    # witness is a vertex either engine may pick, so it is re-checked
-    # row by row instead of compared
+    # same verdict and margin as the two-phase Fraction simplex, which
+    # takes the equalities as such; the witness is a vertex either engine
+    # may pick, so it is re-checked row by row instead of compared
     nv, batches = case
     rows = [row for batch in batches for row in batch]
     eq, weak, strict = _split(rows)
-    ok, x, margin = strict_feasible(nv, eq, weak, strict)
+    ok, x, margin = strict_feasible(nv, weak_rows=_eq(eq) + weak,
+                                    strict_rows=strict)
     want_ok, _, want_margin = fraclp.strict_feasible(nv, eq, weak, strict)
     assert (ok, margin) == (want_ok, want_margin)
     if not ok:
@@ -220,47 +226,12 @@ def test_matches_fraction_oracle(case):
     assert all(_dot(c, x) <= r - margin for c, r in strict)
 
 
-def _snapshot(lp):
-    return ([list(r) for r in lp.rows], list(lp.basis), lp.d, lp.status,
-            lp.margin)
-
-
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(row_batches())
-def test_margin_lp_matches_cold_solves(case):
-    nv, batches = case
-    lp = MarginLp(nv)
-    assert (lp.status, lp.margin) == (OPTIMAL, 1)
-    rows = []
-    for batch in batches:
-        before = _snapshot(lp)
-        child = reoptimize(lp, *_split(batch))
-        assert _snapshot(lp) == before  # the parent is left as it was
-        rows += batch
-        _, _, margin = fraclp.strict_feasible(nv, *_split(rows))
-        assert child.margin == margin
-        assert child.status == (INFEASIBLE if margin is None else OPTIMAL)
-        if margin is not None:
-            assert isinstance(child.margin, Fraction)
-        lp = child
-
-
-def test_margin_lp_infeasible_weak_part_stays_infeasible():
-    lp = reoptimize(MarginLp(1), weak_rows=[([1], 0)])
-    assert lp.margin == 1
-    bad = reoptimize(lp, weak_rows=[([-1], -1)])
-    assert (bad.status, bad.margin) == (INFEASIBLE, None)
-    worse = reoptimize(bad, eq_rows=[([1], 0)], strict_rows=[([1], 5)])
-    assert (worse.status, worse.margin) == (INFEASIBLE, None)
-    assert reoptimize(lp, strict_rows=[([-1], 0)]).margin == 0
-    assert reoptimize(lp, weak_rows=[([0], -1)]).status == INFEASIBLE
-
-
 def test_margin_lp_breaks_ratio_ties_by_least_index(monkeypatch):
     # every pivot takes the least basic index below zero to leave and
     # the least column index among the least ratios to enter; the log
-    # keeps each pivot's tied columns and their ratio
-    ties = []
+    # keeps each pivot's tied columns and their ratio, and final holds
+    # the basis after the last pivot
+    ties, final = [], []
     pivot = ratlp._pivot
 
     def checked(M, basis, d, row, col):
@@ -273,29 +244,31 @@ def test_margin_lp_breaks_ratio_ties_by_least_index(monkeypatch):
         tied = [j for j, q in ratios.items() if q == least]
         assert col == tied[0]
         ties.append((tied, least))
-        return pivot(M, basis, d, row, col)
+        d = pivot(M, basis, d, row, col)
+        final[:] = basis
+        return d
 
     monkeypatch.setattr(ratlp, "_pivot", checked)
     # -x - y <= -1 leaves its slack at -1; x+ (column 1) and y+ (column 3)
     # both price out at ratio 0, and x+ enters
-    lp = reoptimize(MarginLp(2), weak_rows=[([-1, -1], -1)])
-    assert ties == [([1, 3], 0)] and lp.basis == [5, 1] and lp.margin == 1
+    _, _, margin = strict_feasible(2, weak_rows=[([-1, -1], -1)])
+    assert ties == [([1, 3], 0)] and final == [5, 1] and margin == 1
     # two rows below zero at once: the slack of least index leaves first
     ties.clear()
-    lp = reoptimize(MarginLp(2), weak_rows=[([0, -1], -2), ([-1, 0], -1)])
-    assert [t[0][0] for t in ties] == [3, 1] and lp.margin == 1
+    _, _, margin = strict_feasible(2, weak_rows=[([0, -1], -2),
+                                                 ([-1, 0], -1)])
+    assert [t[0][0] for t in ties] == [3, 1] and margin == 1
     # a tie at a positive ratio
     ties.clear()
-    lp = reoptimize(MarginLp(1), weak_rows=[([-1], 0)],
-                    strict_rows=[([2], 0), ([0], -2)])
+    _, _, margin = strict_feasible(1, weak_rows=[([-1], 0)],
+                                   strict_rows=[([2], 0), ([0], -2)])
     assert any(len(tied) > 1 and least > 0 for tied, least in ties)
-    assert lp.margin == -2
+    assert margin == -2
 
 
 def test_margin_lp_rejects_rows_of_the_wrong_length():
-    with pytest.raises(ValueError):
-        reoptimize(MarginLp(2), weak_rows=[([1], 0)])
-    for rows in ({"weak_rows": [([1], 0)]}, {"eq_rows": [([1, 2, 3], 0)]},
+    for rows in ({"weak_rows": [([1], 0)]},
+                 {"weak_rows": _eq([([1, 2, 3], 0)])},
                  {"strict_rows": [([], 0)]}):
         with pytest.raises(ValueError):
             strict_feasible(2, **rows)
@@ -311,4 +284,4 @@ def test_dual_simplex_fault_raises(monkeypatch):
 
     monkeypatch.setattr(ratlp, "_pivot", corrupt)
     with pytest.raises(DualSimplexFault):
-        reoptimize(MarginLp(1), weak_rows=[([-1], -1)])
+        strict_feasible(1, weak_rows=[([-1], -1)])

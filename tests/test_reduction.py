@@ -162,6 +162,24 @@ def test_gadget_map_checks_and_round_trips(reduced):
     assert gadget_map_from_json(legacy) == gmap
 
 
+_NO_GADGETS = {"scale": 1, "variables": [], "paths": [], "clauses": []}
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({}, "GadgetMap has no 'scale' field"),
+    ([], "GadgetMap must be a dict, got list"),
+    ({**_NO_GADGETS, "variables": [5]},
+     "VariableGadget must be a dict, got int"),
+    ({**_NO_GADGETS, "paths": {}}, "GadgetMap.paths must be a list, got dict"),
+    ({**_NO_GADGETS, "clauses": [{"clause": 0}]},
+     "ClauseGadget has no 'point' field"),
+], ids=["empty", "list", "int-gadget", "dict-paths", "short-clause"])
+def test_gadget_map_from_json_names_malformed_input(doc, match):
+    with pytest.raises(ValueError, match=match) as info:
+        gadget_map_from_json(json.dumps(doc))
+    assert type(info.value) is ValueError
+
+
 @pytest.mark.parametrize("name, assignment", CASES)
 def test_ring_pins_solve_iff_satisfied(reduced_of, name, assignment):
     inst, p, gmap = reduced_of(name)

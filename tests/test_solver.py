@@ -217,6 +217,16 @@ def test_node_limit_times_out():
     assert res.status == TIMEOUT
 
 
+@pytest.mark.parametrize("limits", [
+    {"node_limit": -1}, {"node_limit": 0.5}, {"node_limit": "5"},
+    {"node_limit": True}, {"time_limit": -1.0}, {"time_limit": float("nan")},
+    {"time_limit": "2"}, {"time_limit": False},
+])
+def test_malformed_limits_refused(limits):
+    with pytest.raises(ValueError):
+        SolverConfig(**limits)
+
+
 def test_time_limit_times_out():
     p = planar3_partition()
     res = solve(p, cfg=SolverConfig(time_limit=1e-9))
