@@ -9,14 +9,15 @@ of [-1,n+1]^d: the cube's cells hold their box (-1 where a partial
 partition leaves a gap) and a border one cell wide holds -1 on every
 side, so the 2^d cells around any grid vertex of the cube can be read
 without bounds checks. Validation fills this grid, which is also how it
-finds overlaps, so every validated partition has one; a partition whose
-grid would exceed _GRID_LIMIT cells is refused with GridTooLarge before
-anything is allocated. pixel_fill fills the grid by validating the given
-boxes as a partial partition and then writing a unit pixel into each cell
-still left at -1, so its coverage holds by construction and GridTooLarge
-comes before any pixel is built. Its pixels are checked once, by
-construction: their corners are int tuples one apart, so they skip the
-IntBox constructor and its re-checks (_pixel).
+finds overlaps and, from the cells left at -1, gaps, so every validated
+partition has one; a partition whose grid would exceed _GRID_LIMIT cells
+is refused with GridTooLarge before anything is allocated. pixel_fill
+fills the grid by validating the given boxes as a partial partition and
+then writing a unit pixel into each cell still left at -1, so its
+coverage holds by construction and GridTooLarge comes before any pixel
+is built. Its pixels are checked once, by construction: their corners
+are int tuples one apart, so they skip the IntBox constructor and its
+re-checks (_pixel).
 
 IntBox.is_pixel is the one pixel test. The owner grid is read and
 written in runs along the last axis; _run_starts gives the padded index
@@ -31,6 +32,13 @@ from fractions import Fraction
 from itertools import chain, compress, product
 from operator import add, mul, ne
 from typing import Iterator, NamedTuple
+
+__all__ = [
+    "BalanceReport", "CoverageGap", "Genericity", "GridTooLarge", "IntBox",
+    "OutOfBounds", "Overlap", "Partition", "ValidationError",
+    "balance_of_set", "grid_vertex_owners", "interior_vertex_owners",
+    "is_generic", "listed_vertex_owners", "pixel_fill", "validate_partition",
+]
 
 
 class ValidationError(Exception):
@@ -175,16 +183,13 @@ class Partition:
         return self.owner_grid()[self.cell_index(cell)]
 
 
-def grid_vertex_owners(d, n, grid, vertices=None):
+def grid_vertex_owners(d, n, grid):
     """(w, around) for every grid vertex w of [0,n]^d in lexicographic
     order, read from the padded owner grid of a partition of [0,n]^d;
     around[s] is the owner of the cell w - 1 + bits(s), bit k of s
-    standing for axis k (-1 outside). Given a sequence of grid vertices
-    of [0,n]^d, the same pairs for those vertices only, in their order."""
+    standing for axis k (-1 outside)."""
     strides = _strides(d, n)
     shift = _shifts(strides)
-    if vertices is not None:
-        return _owners_at(grid, strides, shift, vertices)
     rows = _run_starts(strides, (-1,) * d, (n,) * d)
     around = chain.from_iterable(
         zip(*(grid[r + s:r + s + n + 1] for s in shift)) for r in rows)
@@ -207,7 +212,11 @@ def interior_vertex_owners(d, n, grid):
     return compress(zip(product(range(1, n), repeat=d), around), differ)
 
 
-def _owners_at(grid, strides, shift, vertices):
+def listed_vertex_owners(d, n, grid, vertices):
+    """(w, around) as grid_vertex_owners gives them, for the given grid
+    vertices w of [0,n]^d, in their order."""
+    strides = _strides(d, n)
+    shift = _shifts(strides)
     for w in vertices:
         r = sum(map(mul, w, strides))
         yield w, tuple([grid[r + s] for s in shift])
@@ -268,21 +277,23 @@ def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partitio
     GridTooLarge (before the grid is allocated), Overlap or CoverageGap.
 
     Disjointness is checked while the owner grid is filled; an overfull
-    partition covers some cell twice, so that check rejects it."""
+    partition covers some cell twice, so that check rejects it. Coverage
+    is then the count of cube cells the filled grid leaves at -1."""
     if type(d) is not int or type(n) is not int or d < 1 or n < 1:
         raise ValueError(f"need int d >= 1 and n >= 1, not d={d!r}, "
                          f"n={n!r}")
     boxes = tuple(b if isinstance(b, IntBox) else IntBox(*b) for b in boxes)
-    total = 0
     for box in boxes:
         if box.dim != d:
             raise ValueError(f"box {box} has dimension {box.dim}, expected {d}")
         if any(a < 0 for a in box.lo) or any(b > n for b in box.hi):
             raise OutOfBounds(box)
-        total += box.volume()
     owner = _claim_cells(boxes, d, n)
-    if not partial and total != n ** d:
-        raise CoverageGap(n ** d - total)
+    if not partial:
+        # the cube's uncovered cells: the grid's -1s but the border's
+        missing = owner.count(-1) - ((n + 2) ** d - n ** d)
+        if missing:
+            raise CoverageGap(missing)
     return Partition(d, n, boxes, partial, owner)
 
 

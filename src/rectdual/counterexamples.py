@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import count
 
 from .boxes import IntBox, Partition, _check_grid, pixel_fill, validate_partition
-from .dual import orientation
+from .dual import _exact, orientation
 
 __all__ = [
     "BetaTooSmall",
@@ -118,9 +118,10 @@ def gen_3d_layered(beta) -> Partition:
     wiggle room: the degenerate 3-simplex has orientation 0.
 
     The cube has side 4b, so validation raises GridTooLarge from b = 54,
-    that is for every beta <= 55/51.
+    that is for every beta <= 55/51. A beta that is not an int or a
+    Fraction raises dual.InexactCoordinate.
     """
-    beta = Fraction(beta)
+    beta = _exact((beta,), "aspect bound")[0]
     if beta <= 1:
         raise BetaTooSmall(f"no layered construction for aspect bound {beta} <= 1")
     # (b+2)/(b-2) < beta  <=>  b > 2(beta+1)/(beta-1), for b > 2
@@ -186,14 +187,16 @@ def gen_cubical_config(d, beta) -> Partition:
     for the d+1 staircase cubes only: the pixels bring the partition's
     global balance to b.
 
-    Raises ValueError for d < 3 and BetaTooSmall for beta <= d/(d-2).
+    Raises ValueError for a d that is not an int >= 3,
+    dual.InexactCoordinate for a beta that is not an int or a Fraction,
+    and BetaTooSmall for beta <= d/(d-2).
     Each b is refused with GridTooLarge before anything is built once
     the owner grid of [0, 2b+2]^d would exceed its limit, so a beta too
     close to d/(d-2) ends the scan there.
     """
-    if d < 3:
-        raise ValueError("needs d >= 3")
-    beta = Fraction(beta)
+    if type(d) is not int or d < 3:
+        raise ValueError(f"needs an int d >= 3, not {d!r}")
+    beta = _exact((beta,), "aspect bound")[0]
     critical = Fraction(d, d - 2)
     if beta <= critical:
         raise BetaTooSmall(f"aspect bound {beta} does not exceed d/(d-2) = {critical}")

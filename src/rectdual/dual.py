@@ -10,47 +10,59 @@ all of them. Every simplex therefore arises from a chain
     u_0, u_0 + e_{pi(1)}, u_0 + e_{pi(1)} + e_{pi(2)}, ...
 
 anchored at a grid vertex w (u_0 is the all-below cell) for some axis
-permutation pi. A walk reads the grid vertices in lexicographic order,
-with the owners of the 2^d cells around each vertex from the partition's
-padded owner grid, and follows the d! chains there in permutations
-order; cells outside the cube read -1 and drop out of the chain. A chain
-whose d+1 cells lie in d+1 distinct boxes witnesses a top-dimensional
-simplex; the first such chain is stored as its seed. A seed is the
-walk's tuple (w, pi, ordered ids, sign), the ids in chain order and sign
-the orientation of the chain's pixel centers, which is the parity of pi;
-DualComplex.seed_raw reads it.
+permutation pi. A walk reads grid vertices with the owners of the 2^d
+cells around each (from the padded owner grid) and follows the d! chains
+there in permutations order; cells outside the cube read -1 and drop out
+of the chain. A chain never comes back to a box it has left (boxes are
+convex and the chain is monotone), so a vertex with at most d distinct
+owners witnesses no top simplex. DualComplex.simplices is one lazy walk
+over every vertex, which follows each distinct owner tuple once: every
+box, every set of two or more boxes one chain visits, and all their
+subsets.
 
-A chain never comes back to a box it has left (boxes are convex and the
-chain is monotone), so the boxes it visits are distinct owners around
-its vertex. A vertex with at most d distinct owners therefore witnesses
-no top simplex, and a vertex inside a single box only that box.
+The top walk (_seeds) reads (w, around) pairs in their order. A chain
+whose d+1 cells lie in d+1 distinct boxes witnesses a top simplex, and
+it is the one such chain: its seed is (w, pi, ordered ids, sign), the
+ids in chain order and sign the orientation of the chain's pixel
+centers, which is the parity of pi (DualComplex.seed_raw). So _seeds
+stores each simplex once and raises SeedConflict on any repeat. Proof:
+around w the cells are masks in {0,1}^d, and a box's cells there form a
+sub-cube Q_B = Q_B,1 x ... x Q_B,d. A chain of d+1 boxes that enters
+box B on axis a forces Q_B,a = {1}.
+- Same vertex: two such chains with the same boxes part at a mask m,
+  one adding axis a into box X, the other axis c into box Y. Each later
+  enters the other's box with both bits set, so Q_X,c = Q_Y,a = {0,1},
+  and cell m + e_a + e_c lies in both X and Y; but Q_X,a = {1} != Q_Y,a.
+- Two vertices w != w': every box's closure holds the segment ww'. On
+  an axis k with w'_k > w_k every box therefore holds a cell around w
+  with bit k set, so the box the chain leaves on its k-step owns the
+  next cell too and the chain repeats a box; w'_k < w_k is symmetric.
+Gaps play no part, so the same holds for partial partitions.
 
-build_dual runs the top walk, once per partition (the complex is cached
-on the partition), and keeps the top simplices with their seeds, which
-is all that classifying and a solution's re-check read. Every chain at w
-holds the all-below cell w - 1 and the all-above cell w, so the walk
-reads only the interior vertices [1, n-1]^d (at a vertex on the cube's
-border one of the two is outside), and of those only the vertices whose
-two cells have different owners, dropped row by row at C speed: two
-cells of one box B put all 2^d cells around w in B (B is convex), and
-two gaps put -1 in every chain. That skip is exact, so the walk gives
-the seeds and the order of the walk over every vertex. It follows the
-chains inline only at vertices with more than d owners. The lower
-simplices are found by the lower walk, over every vertex with two or
-more owners, on the first read of simplices (or edges), which builds the
-downward closure. The solver's constraint root follows the same chains
-over a given list of vertices instead (_seeds): walked in lexicographic
-order, a list that holds every chain of some top simplices gives them
-the seeds and the order of the full walk. Both walks refuse a dimension
-whose d! chains exceed boxes._GRID_LIMIT with TooManyChains, before the
-chain table is built.
+build_dual runs the top walk once per partition (the complex is cached
+on it) and keeps the top simplices with their seeds, which is all that
+classifying and a solution's re-check read. Every chain at w holds the
+all-below cell w - 1 and the all-above cell w, so it reads only the
+interior vertices [1, n-1]^d, and of those only the ones whose two cells
+have different owners, dropped row by row at C speed: two cells of one
+box B put all 2^d cells around w in B (B is convex), and two gaps put -1
+in every chain. That skip is exact, so the walk gives the seeds and the
+order of the walk over every vertex. The solver's constraint root feeds
+_seeds the vertices it lists, in lexicographic order, through
+boxes.listed_vertex_owners: a simplex whose one chain lies at one of
+them gets its seed and place in the order of the full walk. Every walk
+refuses d! chains above boxes._GRID_LIMIT with TooManyChains before it
+builds the chain table.
 
-_kernel(n) is the one dispatcher of the orientation sign of n points:
-the closed forms _orient2 (d = 2), _orient3 (d = 3) and _orient4 (d = 4,
-a Laplace expansion over 2x2 minors), else Bareiss elimination
-(_orient_det, d = 1 and d >= 5), none of which checks its points.
-orientation checks its points once, then calls _kernel's choice. The
-loops that orient many simplices bind the unchecked kernel once instead:
+_exact is the package's one exactness gate: it accepts ints (not bools)
+and Fractions and raises InexactCoordinate otherwise. _kernel(n) is the
+one dispatcher of the orientation sign of n points: the closed forms
+_orient2 (d = 2), _orient3 (d = 3) and _orient4 (d = 4, a Laplace
+expansion over 2x2 minors), else Bareiss elimination (_orient_det, d = 1
+and d >= 5), all on int coordinates and none checking its points.
+orientation passes its points through the gate and scales them to ints
+by the lcm of their denominators, which keeps the sign. The loops that
+orient many simplices bind the unchecked kernel once instead:
 DualComplex.misoriented, on points check_faithful has checked, and the
 solver's revise.
 """
@@ -58,16 +70,22 @@ solver's revise.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, lcm
 from operator import itemgetter
 
 from .boxes import (_GRID_LIMIT, BalanceReport, Partition, balance_of_set,
                     grid_vertex_owners, interior_vertex_owners)
 
+__all__ = [
+    "DimensionMismatch", "DualComplex", "InexactCoordinate", "NotTopSimplex",
+    "SeedConflict", "TooManyChains", "build_dual", "orientation",
+    "partition_balance",
+]
+
 
 class SeedConflict(Exception):
-    """The same top simplex was produced by chains of opposite orientation."""
+    """A second chain witnesses a top simplex (module docstring: never)."""
 
 
 class NotTopSimplex(Exception):
@@ -92,22 +110,22 @@ class InexactCoordinate(TypeError):
     """An orientation coordinate is neither an int nor a Fraction."""
 
 
-def _det(rows):
-    """Exact determinant of a square matrix of ints or Fractions.
+def _exact(values, what):
+    """values, read once, as a tuple of Fractions; InexactCoordinate
+    refuses anything but an int (not a bool) or a Fraction."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int and type(x) is not Fraction:
+            raise InexactCoordinate(f"{what} {x!r} is not an int or a "
+                                    f"Fraction")
+    return tuple(map(Fraction, values))
 
-    Fraction entries are first scaled to integers by one positive common
-    denominator L, and the integer determinant, found by fraction-free
-    elimination (Bareiss 1968), is divided by L^n again."""
+
+def _det(rows):
+    """Exact determinant of a square int matrix, by fraction-free
+    elimination (Bareiss 1968)."""
     n = len(rows)
-    den = 1
-    for row in rows:
-        for x in row:
-            if type(x) is not int:
-                den = lcm(den, x.denominator)
-    if den == 1:
-        m = [list(row) for row in rows]
-    else:
-        m = [[int(x * den) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
@@ -123,8 +141,7 @@ def _det(rows):
                 # exact by Sylvester's identity
                 row[j] = (pivot * row[j] - f * top[j]) // prev
         prev = pivot
-    det = sign * m[n - 1][n - 1]
-    return det if den == 1 else Fraction(det, den ** n)
+    return sign * m[n - 1][n - 1]
 
 
 def _orient2(a, b, c) -> int:
@@ -172,9 +189,9 @@ def _orient_det(*points) -> int:
 
 
 def _kernel(n):
-    """The orientation sign of n points of dimension n - 1, as a function
-    of the n points: _orient2, _orient3, _orient4, else _orient_det. The
-    points are not checked."""
+    """The orientation sign of n int points of dimension n - 1, as a
+    function of the n points: _orient2, _orient3, _orient4, else
+    _orient_det. The points are not checked."""
     if n == 3:
         return _orient2
     if n == 4:
@@ -197,11 +214,10 @@ def orientation(points) -> int:
     n = len(points)
     if n < 2 or any(len(p) != n - 1 for p in points):
         raise DimensionMismatch(f"need d+1 points of dimension d, got {n}")
-    for p in points:
-        for x in p:
-            if type(x) is not int and type(x) is not Fraction:
-                raise InexactCoordinate(f"{x!r} is not an int or a Fraction")
-    return _kernel(n)(*points)
+    rows = [_exact(p, "coordinate") for p in points]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return _kernel(n)(*[[x.numerator * (den // x.denominator) for x in row]
+                        for row in rows])
 
 
 def _perm_parity(perm) -> int:
@@ -216,11 +232,10 @@ def _perm_parity(perm) -> int:
 class DualComplex:
     """Simplices over box ids, downward closed; top simplices carry seeds.
 
-    The top simplices come from build_dual's top walk. simplices (and so
-    edges) is the closure of the top simplices and the lower ones, which
-    the lower walk finds on its first read. For that walk the complex
-    keeps the partition's n and owner grid (the partition's own list, not
-    a copy), never the partition itself."""
+    The top simplices come from build_dual's top walk; simplices (and so
+    edges) comes from the closure walk on its first read. For that walk
+    the complex keeps the partition's n and owner grid (the partition's
+    own list, not a copy), never the partition itself."""
 
     def __init__(self, partition, top):
         self.dim = partition.dim
@@ -232,10 +247,27 @@ class DualComplex:
 
     @property
     def simplices(self):
-        """k -> set of sorted id tuples, for k = 0..dim."""
+        """k -> set of sorted id tuples, for k = 0..dim: every box, every
+        set of two or more boxes one chain visits, and all their subsets,
+        walked on the first read."""
         if self._simplices is None:
-            lower = _lower_chains(self.dim, self._n, self._grid)
-            self._simplices = _closure(self.dim, self._boxes, self._top, lower)
+            d = self.dim
+            getters = [chain_of for _, chain_of, _ in _chain_table(d)]
+            # each distinct owner tuple, and chain of it, is followed once
+            arounds = set(map(itemgetter(1), grid_vertex_owners(
+                d, self._n, self._grid)))
+            chains = {chain_of(a) for a in arounds for chain_of in getters}
+            found = {k: set() for k in range(d + 1)}
+            for owners in chains:
+                boxes = set(owners)
+                boxes.discard(-1)
+                if len(boxes) > 1:
+                    found[len(boxes) - 1].add(tuple(sorted(boxes)))
+            for k in range(d, 1, -1):
+                for s in found[k]:
+                    found[k - 1].update(combinations(s, k))
+            found[0] = {(i,) for i in range(self._boxes)}
+            self._simplices = found
         return self._simplices
 
     def edges(self):
@@ -251,7 +283,7 @@ class DualComplex:
         """(simplex, seed sign, sign) of every top simplex whose points
         pts[i] (by box id) do not orient as its seed, in walk order. Every
         top simplex is evaluated, by one kernel bound for the dimension;
-        pts must hold points of dimension dim."""
+        pts must hold int points of dimension dim."""
         found = []
         if self.dim == 2:
             orient = _orient2
@@ -289,11 +321,9 @@ def build_dual(p: Partition) -> DualComplex:
 
     The top walk runs once per partition: the complex is cached on p
     (Partition._dual), which is sound because a partition is treated as
-    immutable, and every later call returns the same object.
-
-    Raises SeedConflict if two chains witness the same top simplex with
-    opposite orientations (cannot happen for valid partitions; the check
-    guards the construction).
+    immutable, and every later call returns the same object. Raises
+    SeedConflict if a second chain witnesses a top simplex, which the
+    module docstring proves cannot happen; the check guards the walk.
     """
     if p._dual is None:
         p._dual = DualComplex(p, _chains(p))
@@ -330,22 +360,6 @@ def partition_balance(p: Partition) -> BalanceReport:
     return BalanceReport(Fraction(hi, lo), (p.boxes[wh], p.boxes[wl]))
 
 
-def _closure(d, m, top, lower):
-    """Downward closure of the top and lower simplices over m boxes; every
-    box is a 0-simplex."""
-    simplices = {k: set() for k in range(d + 1)}
-    simplices[d] = set(top.keys())
-    for s in lower:
-        simplices[len(s) - 1].add(s)
-    for k in range(d, 1, -1):
-        target = simplices[k - 1]
-        for s in simplices[k]:
-            for i in range(k + 1):
-                target.add(s[:i] + s[i + 1 :])
-    simplices[0] = {(i,) for i in range(m)}
-    return simplices
-
-
 def _refuse_too_many_chains(d):
     """Raise TooManyChains when the d! chains at a vertex exceed
     _GRID_LIMIT."""
@@ -371,23 +385,15 @@ def _chain_table(d):
 
 
 def _chains(p: Partition):
-    """Top simplices with their seeds from the full walk, which
-    build_dual runs."""
-    return _seeds(p)
+    """build_dual's walk, over the vertices interior_vertex_owners keeps."""
+    return _seeds(p.dim, interior_vertex_owners(p.dim, p.n, p.owner_grid()))
 
 
-def _seeds(p: Partition, vertices=None):
-    """sorted ids -> seed of the top simplices, in walk order: from the
-    full walk, over the vertices interior_vertex_owners keeps, or,
-    given grid vertices in lexicographic order, from the chains at those
-    vertices. Where the vertices hold every chain of a simplex, its seed
-    and its place in the order are those of the full walk."""
-    d, n, grid = p.dim, p.n, p.owner_grid()
+def _seeds(d, pairs):
+    """sorted ids -> seed of the top simplices that the chains at the
+    (w, around) pairs of a partition of dimension d witness, in the
+    pairs' order. SeedConflict refuses a second chain of one simplex."""
     table = _chain_table(d)
-    if vertices is None:
-        pairs = interior_vertex_owners(d, n, grid)
-    else:
-        pairs = grid_vertex_owners(d, n, grid, vertices)
     cells = 1 << d
     top = {}
     for w, around in pairs:
@@ -401,29 +407,8 @@ def _seeds(p: Partition, vertices=None):
             owners = chain_of(around)
             if every or -1 not in owners and len(set(owners)) > d:
                 key = tuple(sorted(owners))
-                seed = top.get(key)
-                if seed is None:
-                    top[key] = (w, perm, owners, sign)
-                # both chains must orient the boxes, in sorted order, alike
-                elif (seed[3] * _perm_parity(seed[2])
-                      != sign * _perm_parity(owners)):
-                    raise SeedConflict(
-                        f"simplex {key} seen with both orientations")
+                if key in top:
+                    raise SeedConflict(f"simplex {key} has a second chain, "
+                                       f"at {w}")
+                top[key] = (w, perm, owners, sign)
     return top
-
-
-def _lower_chains(d, n, grid):
-    """Sorted ids of the simplices of 2..d boxes that the chains at the
-    grid vertices with two or more owners around them visit."""
-    table = _chain_table(d)
-    lower = set()
-    for _, around in grid_vertex_owners(d, n, grid):
-        k = len(set(around)) - (-1 in around)
-        if k < 2:
-            continue
-        for _, chain_of, _ in table:
-            boxes = set(chain_of(around))
-            boxes.discard(-1)
-            if 1 < len(boxes) <= d:
-                lower.add(tuple(sorted(boxes)))
-    return lower

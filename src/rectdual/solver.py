@@ -28,19 +28,20 @@ unit boxes only is the case where B_i is a pixel too
 
 The constraints of the search are therefore the top simplices with two
 or more boxes larger than a pixel, and the setup, the constraint root,
-finds them without the walk over the whole grid. Every chain of such a
-simplex lies at a grid vertex w in the closure of both larger boxes.
-Their interiors are disjoint, so some axis k separates them, hi_k of one
-<= lo_k of the other, and w_k, bounded by both, equals that lo_k: w lies
-on a lower face of a box larger than a pixel. The root walks only those
-lower-face vertices, in lexicographic order (dual._seeds), so each
-constraint keeps the seed, ordered ids, sign and place in the order that
-the full walk gives it; it makes no orientation call. Domains are listed
-only for the boxes larger than a pixel and for the pixels that some
-constraint names; every other box's point is its center, filled into
-each solution. On a reduced grid-3SAT partition, where almost every box
-is a pixel, the root and every search node then cost what the gadget
-boxes cost, not what the pixels do.
+finds them without the walk over the whole grid. The one chain of such a
+simplex (dual's module docstring) lies at a grid vertex w in the closure
+of both larger boxes. Their interiors are disjoint, so some axis k
+separates them, hi_k of one <= lo_k of the other, and w_k, bounded by
+both, equals that lo_k: w lies on a lower face of a box larger than a
+pixel. The root walks only those lower-face vertices, in lexicographic
+order (dual._seeds), so it reads the one chain the full walk reads, and
+each constraint keeps the seed, ordered ids, sign and place in the order
+that the full walk gives it; the root makes no orientation call. Domains
+are listed only for the boxes larger than a pixel and for the pixels
+that some constraint names; every other box's point is its center,
+filled into each solution. On a reduced grid-3SAT partition, where
+almost every box is a pixel, the root and every search node then cost
+what the gadget boxes cost, not what the pixels do.
 
 The root is built once per partition, unpinned, the first time a solve
 reaches it, and kept on the partition (Partition._solver_root) for every
@@ -97,7 +98,7 @@ from dataclasses import dataclass, field
 from itertools import product, starmap
 from math import prod
 
-from .boxes import _GRID_LIMIT, Partition
+from .boxes import _GRID_LIMIT, Partition, listed_vertex_owners
 from .dual import (DimensionMismatch, _kernel, _refuse_too_many_chains,
                    _seeds, build_dual)
 from .embedding import Projection, classify_projection
@@ -212,7 +213,8 @@ class _Root:
         # with at most one box larger than a pixel the simplex keeps its
         # seed sign wherever that box's point lies (one-box lemma)
         constraints = [(ordered, want) for _, _, ordered, want
-                       in _seeds(p, vertices).values()
+                       in _seeds(p.dim, listed_vertex_owners(
+                           p.dim, p.n, p.owner_grid(), vertices)).values()
                        if sum(map(big.__getitem__, ordered)) > 1]
         listed = set(free).union(*(ordered for ordered, _ in constraints))
         self.domains = {i: box_domain(p.boxes[i]) for i in sorted(listed)}

@@ -56,7 +56,7 @@ certificate entry per case: its label, such as "1+0 c<=0" (a = (1, +,
 "max margin m <= 0".
 
 Every coordinate, coefficient and ratio is an int or a Fraction;
-anything else, bools included, raises dual.InexactCoordinate.
+anything else, bools included, raises dual.InexactCoordinate (dual._exact).
 """
 
 from __future__ import annotations
@@ -65,14 +65,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .dual import InexactCoordinate
+from .boxes import _GRID_LIMIT
+from .dual import _exact
 from .ratlp import strict_feasible
 
 __all__ = [
     "FEASIBLE", "INFEASIBLE", "ArityMismatch", "IntervalClass",
-    "StabVerdict", "StabbingProblem", "WitnessFault", "build_config_sets",
-    "build_planar_sets", "contains_point", "hyperplane_stab", "line_stab",
-    "meets_hyperplane", "plane_stab",
+    "StabVerdict", "StabbingProblem", "TooManyCases", "WitnessFault",
+    "build_config_sets", "build_planar_sets", "contains_point",
+    "hyperplane_stab", "line_stab", "meets_hyperplane", "plane_stab",
 ]
 
 FEASIBLE = "feasible"
@@ -83,19 +84,18 @@ class ArityMismatch(ValueError):
     """Problem shape does not fit the requested operation."""
 
 
+class TooManyCases(ValueError):
+    """The sign cases of a problem exceed boxes._GRID_LIMIT."""
+
+    def __init__(self, d):
+        self.dim = d
+        super().__init__(f"the sign cases in {d}d exceed the limit of "
+                         f"{_GRID_LIMIT}")
+
+
 class WitnessFault(RuntimeError):
     """A witness point is off its hyperplane or outside its class; exact
     arithmetic on a feasible case cannot give one, so this is a fault."""
-
-
-def _exact(values, what):
-    """values as Fractions; InexactCoordinate refuses anything but an
-    int (not a bool) or a Fraction, as dual.orientation does."""
-    for x in values:
-        if type(x) is not int and type(x) is not Fraction:
-            raise InexactCoordinate(f"{what} {x!r} is not an int or a "
-                                    f"Fraction")
-    return tuple(Fraction(x) for x in values)
 
 
 def _flags(values, d, what):
@@ -306,11 +306,18 @@ def _rows(sets, k, signs, c_sign):
 def hyperplane_stab(problem: StabbingProblem) -> StabVerdict:
     """Is there a hyperplane meeting every class of the problem? One
     strict_feasible call per sign case (module docstring); cases counts
-    every case, scanned or not."""
+    every case, scanned or not: (3^d - 1)/2, twice that when a class is
+    swept. TooManyCases refuses a count above _GRID_LIMIT before any
+    LP."""
     d = problem.dim
-    cases = list(_cases(d, any(s.rho != 1 for s in problem.sets)))
+    swept = any(s.rho != 1 for s in problem.sets)
+    # 3^d > 2^d > _GRID_LIMIT once d exceeds the limit's bit length
+    top = min(d, _GRID_LIMIT.bit_length() + 1)
+    cases = (3 ** top - 1) // 2 * (2 if swept else 1)
+    if cases > _GRID_LIMIT:
+        raise TooManyCases(d)
     certificate = []
-    for label, k, signs, c_sign in cases:
+    for label, k, signs, c_sign in _cases(d, swept):
         free, weak, strict = _rows(problem.sets, k, signs, c_sign)
         ok, x, margin = strict_feasible(len(free) + 1, weak_rows=weak,
                                         strict_rows=strict)
@@ -319,13 +326,13 @@ def hyperplane_stab(problem: StabbingProblem) -> StabVerdict:
             for j, value in zip(free, x):
                 a[j] = value
             witness = (*a, -x[-1])
-            return StabVerdict(FEASIBLE, witness=witness, cases=len(cases),
+            return StabVerdict(FEASIBLE, witness=witness, cases=cases,
                                witness_points=_witness_points(problem.sets,
                                                               witness))
         certificate.append((label, "weak system infeasible" if margin is None
                             else f"max margin {margin} <= 0"))
     return StabVerdict(INFEASIBLE, certificate=tuple(certificate),
-                       cases=len(cases))
+                       cases=cases)
 
 
 def line_stab(problem: StabbingProblem) -> StabVerdict:

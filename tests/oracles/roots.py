@@ -3,6 +3,7 @@ walk, filtered by the one-box lemma. check_root compares a partition's
 root with it."""
 
 from rectdual import dual, solver
+from rectdual.boxes import listed_vertex_owners
 from rectdual.dual import build_dual
 from rectdual.solver import box_domain
 
@@ -32,7 +33,8 @@ def check_root(p):
     walked = solver._boundary_vertices(p.boxes[i] for i in free)
     assert walked == sorted(set(walked))
     big = set(free)
-    seeds = dual._seeds(p, walked)
+    seeds = dual._seeds(p.dim, listed_vertex_owners(p.dim, p.n,
+                                                    p.owner_grid(), walked))
     assert [(key, seed) for key, seed in seeds.items()
             if len(big.intersection(key)) > 1] == want
     listed = big.union(*(ordered for _, (_, _, ordered, _) in want))

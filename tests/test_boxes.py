@@ -84,6 +84,24 @@ def test_validate_errors():
                            2, 2, partial=True)
 
 
+def test_coverage_gap_names_the_missing_volume():
+    cases = [([IntBox((0, 0), (1, 2))], 2, 2, 2), ([], 2, 3, 9),
+             ([IntBox((0, 0), (2, 1)), IntBox((0, 1), (1, 2))], 2, 2, 1),
+             ([IntBox((0, 0, 0), (2, 1, 2)), IntBox((1, 1, 1), (2, 2, 2))],
+              3, 2, 3)]
+    rng = random.Random(13)
+    for d, n in ((2, 6), (3, 4), (4, 3)) * 4:
+        boxes = random_partition(d, n, rng, stop=0.2).boxes
+        if len(boxes) > 1:
+            kept = boxes[::3] + boxes[2::3]
+            cases.append((kept, d, n, sum(b.volume() for b in boxes[1::3])))
+    assert len(cases) > 10
+    for boxes, d, n, missing in cases:
+        with pytest.raises(CoverageGap) as info:
+            validate_partition(boxes, d, n)
+        assert info.value.missing_volume == missing
+
+
 @pytest.mark.parametrize("d, n", [
     (True, 1), (2, True), (2, 2.5), (2, "3"), (2.0, 2), (0, 2), (2, 0),
 ])

@@ -14,7 +14,8 @@ from rectdual.counterexamples import (
     gen_planar_beta4,
     gen_planar_lcycle,
 )
-from rectdual.dual import build_dual, orientation, partition_balance
+from rectdual.dual import (InexactCoordinate, build_dual, orientation,
+                           partition_balance)
 from rectdual.embedding import center_embeddable
 from rectdual.io import format_partition
 from rectdual.solver import SAT, UNSAT, enumerate_all, solve
@@ -135,6 +136,13 @@ def test_layered_rejects_tiny_beta(beta):
         gen_3d_layered(beta)
 
 
+@pytest.mark.parametrize("beta", ["3", 2.5, True])
+def test_layered_refuses_an_inexact_beta(beta):
+    # a string or a float was read by Fraction as a bound
+    with pytest.raises(InexactCoordinate):
+        gen_3d_layered(beta)
+
+
 # ---------------------------------------------------------------- determinant
 
 
@@ -246,3 +254,12 @@ def test_cubical_infeasible_beta():
             gen_cubical_config(d, beta)
     with pytest.raises(ValueError):
         gen_cubical_config(2, 10)
+
+
+@pytest.mark.parametrize("d, beta, error", [
+    (3, "5", InexactCoordinate), (3, 5.0, InexactCoordinate),
+    (3.0, 5, ValueError), (True, 5, ValueError), ("3", 5, ValueError)])
+def test_cubical_config_refuses_an_inexact_argument(d, beta, error):
+    with pytest.raises(error) as info:
+        gen_cubical_config(d, beta)
+    assert type(info.value) is error

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectdual import dual
-from rectdual.boxes import IntBox, validate_partition
+from rectdual.boxes import IntBox, interior_vertex_owners, validate_partition
 from rectdual.dual import (
     DimensionMismatch,
     InexactCoordinate,
@@ -14,6 +17,7 @@ from rectdual.dual import (
     SeedConflict,
     build_dual,
     orientation,
+    partition_balance,
 )
 from rectdual.embedding import center_embeddable
 from rectdual.solver import enumerate_all, solve
@@ -84,7 +88,9 @@ def test_orientation_agrees_with_the_leibniz_expansion(case):
     got = orientation(pts)
     assert type(got) is int and got == want
     assert orientation([list(p) for p in pts]) == want
-    assert dual._kernel(len(pts))(*pts) == want
+    den = lcm(*(Fraction(x).denominator for p in pts for x in p))
+    scaled = [[int(x * den) for x in p] for p in pts]
+    assert dual._kernel(len(pts))(*scaled) == want
 
 
 def test_each_dimension_has_its_kernel():
@@ -238,6 +244,70 @@ def test_seed_conflict_never_fires_on_valid_partitions():
             pytest.fail(f"seed conflict on valid partition: {exc}")
 
 
+def test_a_second_chain_of_a_top_simplex_is_refused():
+    p = unit_grid(2, 2)
+    pair = next(iter(interior_vertex_owners(2, 2, p.owner_grid())))
+    assert list(dual._seeds(2, [pair])) == [(0, 2, 3), (0, 1, 3)]
+    with pytest.raises(SeedConflict):
+        dual._seeds(2, [pair, pair])
+
+
+def _rainbow_chains(p):
+    """sorted ids -> number of chains, over every grid vertex and axis
+    order, whose d+1 cells lie in d+1 distinct boxes; each cell's owner
+    is read off the box corners."""
+    d, n = p.dim, p.n
+    owner = {}
+    for i, box in enumerate(p.boxes):
+        for cell in product(*map(range, box.lo, box.hi)):
+            owner[cell] = i
+    counts = Counter()
+    for w in product(range(n + 1), repeat=d):
+        for perm in permutations(range(d)):
+            cell = [x - 1 for x in w]
+            ids = [owner.get(tuple(cell))]
+            for k in perm:
+                cell[k] += 1
+                ids.append(owner.get(tuple(cell)))
+            if None not in ids and len(set(ids)) == d + 1:
+                counts[tuple(sorted(ids))] += 1
+    return counts
+
+
+def _one_chain_corpus():
+    yield from enumerate_rectangulations(2, 3)
+    yield from enumerate_rectangulations(3, 2)
+    rng = random.Random(29)
+    for d, n, count in ((2, 8, 40), (3, 5, 20), (4, 4, 8)):
+        for _ in range(count):
+            boxes = random_partition(d, n, rng, stop=0.2).boxes
+            yield validate_partition(boxes, d, n)
+            # every third box dropped leaves gaps
+            yield validate_partition(boxes[::3] + boxes[2::3], d, n,
+                                     partial=True)
+
+
+def test_every_top_simplex_has_one_chain():
+    # the proof in the dual module docstring, checked over the 3x3
+    # rectangulations, those of [0,2]^3, and guillotine partitions with
+    # and without gaps in 2d, 3d and 4d
+    seen = 0
+    for p in _one_chain_corpus():
+        counts = _rainbow_chains(p)
+        assert set(counts.values()) <= {1}, p.boxes
+        assert set(counts) == set(build_dual(p).top_simplices()), p.boxes
+        seen += len(counts)
+    assert seen > 1000
+
+
+def test_balance_reads_a_box_with_no_edge():
+    p = validate_partition([IntBox((0, 0), (1, 3))], 2, 3, partial=True)
+    assert not build_dual(p).edges()
+    report = partition_balance(p)
+    assert report.value == 3
+    assert report.witness == (p.boxes[0], p.boxes[0])
+
+
 def test_build_dual_is_cached_on_the_partition(monkeypatch):
     p = unit_grid(2, 3)
     walks = []
@@ -259,9 +329,8 @@ def test_closure_is_built_only_when_read(monkeypatch):
     monkeypatch.setattr(dual, "_chains", lambda q: walks.append(q) or real(q))
 
     def refuse(*args):
-        raise AssertionError("lower simplices or downward closure built")
-    monkeypatch.setattr(dual, "_lower_chains", refuse)
-    monkeypatch.setattr(dual, "_closure", refuse)
+        raise AssertionError("downward closure walked")
+    monkeypatch.setattr(dual, "grid_vertex_owners", refuse)
     dc = build_dual(p)
     assert dc.has_top()
     center_embeddable(p, dc)

@@ -89,6 +89,14 @@ def test_a_point_with_the_wrong_coordinate_count_is_refused(point):
         classify_projection(p, proj)
 
 
+def test_a_projection_with_the_wrong_point_count_is_refused():
+    p = unit_grid2(2)
+    pts = center_projection(p).points2
+    for wrong in (pts[:-1], pts + pts[:1]):
+        with pytest.raises(ValueError, match="wrong number of vertices"):
+            check_faithful(p, Projection(wrong))
+
+
 def test_unit_grid_center_is_embedding():
     p = unit_grid2(2)
     dc = build_dual(p)

@@ -19,7 +19,7 @@ from rectdual.boxes import (
     validate_partition,
 )
 from rectdual.counterexamples import gen_3d_layered, gen_planar_lcycle
-from rectdual.dual import TooManyChains, _lower_chains, build_dual
+from rectdual.dual import DualComplex, TooManyChains, build_dual
 from rectdual.io import parse_partition
 from rectdual.solver import solve
 
@@ -145,8 +145,9 @@ def test_a_chain_table_larger_than_the_grid_limit_is_refused():
     with pytest.raises(TooManyChains) as info:
         build_dual(p)
     assert info.value.chains == factorial(11) > _GRID_LIMIT
+    # the closure walk refuses it too, on a complex with no top simplex
     with pytest.raises(TooManyChains):
-        _lower_chains(11, 2, p.owner_grid())
+        DualComplex(p, {}).simplices
 
 
 def test_solve_refuses_a_huge_chain_table_before_listing_vertices(

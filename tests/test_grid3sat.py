@@ -1,11 +1,23 @@
 """Malformed grid3sat texts: one per raise site of the parser and the
-structural checks, each with the exception it must raise."""
+structural checks, each with the exception it must raise. The checks
+for a fifth path and for colliding first steps of one variable cannot
+fire: a variable has four grid neighbours, so such an input repeats a
+path vertex, runs a path through a terminal or gives a clause colliding
+final steps, which an earlier check refuses; their entries pin the
+error those inputs do raise."""
 
 import importlib
+import pkgutil
 
 import pytest
 
-from rectdual.grid3sat import InvalidInstance, parse_grid3sat
+import rectdual
+from rectdual.grid3sat import (
+    ClauseArity,
+    DisjointnessViolation,
+    InvalidInstance,
+    parse_grid3sat,
+)
 from rectdual.io import ParseError
 
 # one variable at (0,1) wired to one clause at (2,1) by three paths
@@ -71,6 +83,52 @@ MALFORMED = {
     # the route check rejects a first step away from the variable
     "path_starts_away": (edit("P 0 0 0 + 1 1 1", "P 0 0 0 + 0"),
                          InvalidInstance, r"path 0 jumps from \(0, 1\)", None),
+    "variable_on_variable": (edit("V 0 0 1", "V 0 0 1\nV 1 0 1")
+                             .replace("2 1 1 3", "2 2 1 3"),
+                             DisjointnessViolation,
+                             r"terminal collision at \(0, 1\)", None),
+    "clause_on_variable": (edit("C 0 2 1", "C 0 0 1"), DisjointnessViolation,
+                           r"terminal collision at \(0, 1\)", None),
+    "path_through_terminal": (edit("P 0 0 0 + 1 1 1",
+                                   "P 0 0 0 + 3 1 1 2 1 2 2"),
+                              DisjointnessViolation,
+                              r"path 0 runs through terminal \('C', 0\)", None),
+    "shared_vertex": (edit("P 2 0 0 + 3 0 0 1 0 2 0",
+                           "P 2 0 0 + 3 0 2 1 2 2 2"),
+                      DisjointnessViolation,
+                      r"paths 1 and 2 share vertex \(0, 2\)", None),
+    "clause_repeats_a_path": (edit("C 0 2 1 0 1 2", "C 0 2 1 0 1 1"),
+                              ClauseArity, r"clause 0 lists \(0, 1, 1\)",
+                              None),
+    "clause_names_unknown_path": (edit("C 0 2 1 0 1 2", "C 0 2 1 0 1 5"),
+                                  ClauseArity,
+                                  "clause 0 references unknown path 5", None),
+    "clause_names_foreign_path": (
+        edit("C 0 2 1 0 1 2", "C 0 2 1 0 1 2\nC 1 2 0 0 1 2")
+        .replace("2 1 1 3", "2 1 2 3")
+        .replace("P 2 0 0 + 3 0 0 1 0 2 0", "P 2 0 1 + 2 0 0 1 0"),
+        ClauseArity, "clause 0 lists path 2 which targets clause 1", None),
+    "path_not_listed": (edit("V 0 0 1", "V 0 0 1\nV 1 3 2")
+                        .replace("2 1 1 3", "3 2 1 4")
+                        + "P 3 1 0 + 1 3 1\n",
+                        ClauseArity, "path 3 is not referenced by its clause 0",
+                        None),
+    # a variable next to its clause, wired to it twice with no point
+    "colliding_final_steps": ("2 1 1 3\nV 0 0 1\nC 0 1 1 0 1 2\n"
+                              "P 0 0 0 + 0\nP 1 0 0 + 0\n"
+                              "P 2 0 0 + 4 0 2 1 2 2 2 2 1\n",
+                              DisjointnessViolation,
+                              "clause 0 has colliding final steps", None),
+    # a fifth path from one variable, and two paths from one variable
+    # with one first step: earlier checks refuse both (module docstring)
+    "fifth_path": (VALID.replace("2 1 1 3", "2 1 1 5")
+                   + "P 3 0 0 + 1 1 1\nP 4 0 0 + 1 1 1\n",
+                   DisjointnessViolation,
+                   r"paths 0 and 3 share vertex \(1, 1\)", None),
+    "colliding_first_steps": (edit("P 2 0 0 + 3 0 0 1 0 2 0",
+                                   "P 2 0 0 + 3 1 1 1 0 2 0"),
+                              DisjointnessViolation,
+                              r"paths 0 and 2 share vertex \(1, 1\)", None),
 }
 
 
@@ -89,7 +147,18 @@ def test_malformed_text_raises_typed_error(text, exc, fragment, line):
         assert info.value.line == line
 
 
-@pytest.mark.parametrize("module", ["counterexamples", "grid3sat", "reduction"])
+# every module of the package that has an __all__
+EXPORTING = [m.name for m in pkgutil.iter_modules(rectdual.__path__)
+             if hasattr(importlib.import_module(f"rectdual.{m.name}"),
+                        "__all__")]
+
+
+def test_the_exporting_modules_are_found():
+    assert {"boxes", "counterexamples", "dual", "grid3sat", "ratlp",
+            "reduction", "stabbing"} <= set(EXPORTING)
+
+
+@pytest.mark.parametrize("module", EXPORTING)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"rectdual.{module}")
     for name in mod.__all__:

@@ -24,10 +24,12 @@ from rectdual.grid3sat import (
     format_grid3sat,
     parse_grid3sat,
 )
+from rectdual.embedding import Projection
 from rectdual.io import format_partition
 from rectdual.reduction import (
     CycleRect,
     GadgetMap,
+    InconsistentCycle,
     MalformedAssignment,
     PathGadget,
     UnsatisfiedClause,
@@ -205,6 +207,27 @@ def test_projection_from_assignment_law(reduced_of, name, assignment):
     assert assignment_from_projection(proj, gmap) == assignment
 
 
+@pytest.mark.parametrize("where, message", [("center", "dead center"),
+                                             ("back", "mixes halves")])
+def test_an_inconsistent_ring_reads_back_as_no_assignment(reduced_of, where,
+                                                          message):
+    # one ring vertex of a solved projection moved to the middle of its
+    # rectangle, or to its back marker while the others stay in front
+    _, p, gmap = reduced_of("all_positive")
+    proj = projection_from_assignment({0: True}, p, gmap)
+    c = gmap.variables[0].cycle[0]
+    axis = 0 if c.front2[0] != c.back2[0] else 1
+    pt = list(c.back2)
+    if where == "center":
+        span = abs(c.front2[axis] - c.back2[axis])
+        step = 1 if c.back2[axis] > c.front2[axis] else -1
+        pt[axis] = c.front2[axis] + step * ((span + 2) // 2 - 1)
+    pts = list(proj.points2)
+    pts[c.box] = tuple(pt)
+    with pytest.raises(InconsistentCycle, match=message):
+        assignment_from_projection(Projection(tuple(pts)), gmap)
+
+
 @pytest.mark.parametrize("assignment, message", [
     ({0: "false"}, "is not a bool"),
     ({}, "names variables"),
@@ -366,17 +389,15 @@ def test_root_is_the_full_walk_filtered(reduced_of, name):
 
 def test_one_walk_per_partition(monkeypatch):
     """Pinned completion and a later solve of one reduced partition share
-    one dual complex, and neither finds its lower simplices or builds its
-    downward closure."""
+    one dual complex, and neither walks its downward closure."""
     p, gmap = reduce(parse_grid3sat(ALL_POSITIVE))
     walks = []
     real = dual._chains
     monkeypatch.setattr(dual, "_chains", lambda q: walks.append(q) or real(q))
 
     def refuse(*args):
-        raise AssertionError("lower simplices or downward closure built")
-    monkeypatch.setattr(dual, "_lower_chains", refuse)
-    monkeypatch.setattr(dual, "_closure", refuse)
+        raise AssertionError("downward closure walked")
+    monkeypatch.setattr(dual, "grid_vertex_owners", refuse)
     proj = projection_from_assignment({0: True}, p, gmap)
     pins = {c.box: [c.front2] for v in gmap.variables for c in v.cycle}
     res = solve(p, SolverConfig(node_limit=2000), pins=pins)

@@ -15,6 +15,7 @@ from rectdual.stabbing import (
     ArityMismatch,
     IntervalClass,
     StabbingProblem,
+    TooManyCases,
     WitnessFault,
     build_config_sets,
     build_planar_sets,
@@ -189,6 +190,13 @@ def test_interval_class_rejects_malformed_input():
             ((0,), (1,), (), (), F(1, 2))]:           # rho below 1
         with pytest.raises(ValueError):
             IntervalClass(lo, hi, lo_open, hi_open, rho)
+
+
+def test_interval_ends_may_come_as_iterators():
+    # the exactness gate reads its values once; an iterator's ends were
+    # consumed by the check and read back as no axis
+    s = IntervalClass(iter((0, 0)), iter((1, 1)))
+    assert s.lo == (0, 0) and s.hi == (1, 1)
 
 
 def test_point_and_hyperplane_arity_checked():
@@ -439,6 +447,42 @@ def test_line_stab_empty_family():
     assert v.status == FEASIBLE
     assert v.witness == (1, 0, 0) and v.witness_points == ()
     assert v.cases == 4 and v.certificate == ()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("sign cases listed or an LP solved")
+
+
+@pytest.mark.parametrize("d, swept", [(16, False), (15, True),
+                                      (10 ** 9, False)])
+def test_too_many_sign_cases_are_refused_before_any_lp(monkeypatch, d,
+                                                       swept):
+    # (3^d - 1)/2 cases, twice that when a class is swept: 21,523,360 at
+    # d = 16 and 14,348,906 at d = 15 swept exceed the limit
+    sets = (IntervalClass((0,) * d, (1,) * d, rho=2),) if swept else ()
+    problem = StabbingProblem(d, sets)
+    monkeypatch.setattr(stabbing, "_cases", _refuse)
+    monkeypatch.setattr(stabbing, "strict_feasible", _refuse)
+    with pytest.raises(TooManyCases) as info:
+        hyperplane_stab(problem)
+    assert info.value.dim == d
+
+
+def test_sign_cases_are_read_lazily(monkeypatch):
+    # an empty family in 15d stops at the first of its 7,174,453 cases
+    drawn = []
+    cases = stabbing._cases
+
+    def counted(d, swept):
+        for case in cases(d, swept):
+            if len(drawn) == 3:
+                raise AssertionError("read past the first feasible case")
+            drawn.append(case)
+            yield case
+
+    monkeypatch.setattr(stabbing, "_cases", counted)
+    v = hyperplane_stab(StabbingProblem(15, ()))
+    assert v.feasible and v.cases == 7_174_453 and len(drawn) == 1
 
 
 # --- line_stab on the planar family ---------------------------------------
