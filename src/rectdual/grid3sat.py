@@ -33,7 +33,6 @@ __all__ = [
     "InvalidInstance",
     "DisjointnessViolation",
     "ClauseArity",
-    "VariableOveruse",
     "Variable",
     "Clause",
     "Path",
@@ -56,10 +55,6 @@ class DisjointnessViolation(ValueError):
 
 class ClauseArity(ValueError):
     """A clause is not wired to exactly three distinct incoming paths."""
-
-
-class VariableOveruse(ValueError):
-    """A variable feeds more than four paths."""
 
 
 @dataclass(frozen=True)
@@ -158,6 +153,13 @@ def parse_grid3sat(text: str) -> Grid3SatInstance:
 
 
 def _validate(inst):
+    """Raise on the first structural rule the instance breaks.
+
+    A variable's paths need no check of their own: the route check puts
+    every first step on one of the variable's four grid neighbours, so a
+    fifth path or a repeated first step makes two paths share a vertex,
+    runs one through the other's clause or gives that clause colliding
+    final steps, and a check below refuses each of these."""
     vmap = {v.id: v for v in inst.variables}
     cmap = {c.id: c for c in inst.clauses}
     pmap = {p.id: p for p in inst.paths}
@@ -228,15 +230,6 @@ def _validate(inst):
             lasts.add(prev)
         if len(lasts) != 3:
             raise DisjointnessViolation(f"clause {c.id} has colliding final steps")
-
-    for v in inst.variables:
-        # the route check above puts every first step next to v
-        firsts = [p.points[0] if p.points else cmap[p.clause].point
-                  for p in inst.paths if p.var == v.id]
-        if len(firsts) > 4:
-            raise VariableOveruse(f"variable {v.id} feeds {len(firsts)} paths")
-        if len(set(firsts)) != len(firsts):
-            raise DisjointnessViolation(f"variable {v.id} has colliding first steps")
 
 
 def format_grid3sat(inst: Grid3SatInstance) -> str:

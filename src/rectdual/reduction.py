@@ -26,13 +26,15 @@ The gadget map is also the contact law: two gadget boxes may touch
 consecutive boxes of a path, a path's stub and the ring rectangle it
 leaves through (or the next one, for a positive path), or two boxes of
 one clause core.  check_gadget_map enforces it on the finished partition.
+Box ids follow reduce's sorted canvas tags: the ring rectangles, the
+clause cores, the path chains, then the unit pixels.
 The router keeps a lane's reception legs off every foreign tag, and only
 check_gadget_map keeps a lane off its own arm.
 """
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations, takewhile
 import json
 
 from .boxes import _GRID_LIMIT, GridTooLarge, IntBox, pixel_fill
@@ -510,6 +512,12 @@ def _exit_zigzag(base, side, sign):
     return stub, corr1, h1, bend2
 
 
+# a canvas tag is (kind, gadget id, slot), and the tags sort in box id
+# order: ring rects by variable, clause cores by clause (square 0, arms
+# 1-3, helper 4), path chains by path in flow order
+_RING_TAG, _CORE_TAG, _CHAIN_TAG = 0, 1, 2
+
+
 def reduce(inst: Grid3SatInstance):
     """Build the gadget partition for a grid3sat instance.
 
@@ -524,39 +532,36 @@ def reduce(inst: Grid3SatInstance):
     if n * n > _GRID_LIMIT:
         raise GridTooLarge(n * n)
     canvas = _Canvas(n)
+    variables = sorted(inst.variables, key=lambda v: v.id)
+    paths = sorted(inst.paths, key=lambda p: p.id)
+    clauses = sorted(inst.clauses, key=lambda c: c.id)
 
     def block(pt):
         return (pt[0] * _BLOCK, pt[1] * _BLOCK)
 
     # variable rings
-    ring_tags = {}
-    for v in sorted(inst.variables, key=lambda v: v.id):
+    for v in variables:
         base = block(v.point)
-        tags = []
         for i, (rect, h) in enumerate(_RING):
             g = ((base[0] + rect[0][0], base[1] + rect[0][1]),
                  (base[0] + rect[1][0], base[1] + rect[1][1]))
-            tag = ("ring", v.id, i)
-            canvas.claim(g, h, tag)
-            tags.append(tag)
-        ring_tags[v.id] = tags
+            canvas.claim(g, h, (_RING_TAG, v.id, i))
 
     # path chains: stub, first corridor turn, straight runs between turns
-    chains = {}            # pid -> list of tags in flow order
+    open_slot = {}         # pid -> slot of the leg open up to the face
     entries = {}           # cid -> list of (pid, face, heading)
     vmap = {v.id: v for v in inst.variables}
     cmap = {c.id: c for c in inst.clauses}
-    for p in sorted(inst.paths, key=lambda p: p.id):
+    for p in paths:
         route = (vmap[p.var].point,) + p.points + (cmap[p.clause].point,)
         dirs = [_LETTER[(b[0] - a[0], b[1] - a[1])]
                 for a, b in zip(route, route[1:])]
         side = dirs[0]
         base = block(vmap[p.var].point)
         stub, corr1, h1, bend2 = _exit_zigzag(base, side, p.sign)
-        stag, c1tag = ("chain", p.id, 0), ("chain", p.id, 1)
-        canvas.claim(stub, side, stag)
-        canvas.claim(corr1, h1, c1tag)
-        chain = [stag, c1tag]
+        canvas.claim(stub, side, (_CHAIN_TAG, p.id, 0))
+        canvas.claim(corr1, h1, (_CHAIN_TAG, p.id, 1))
+        slot = 2
         tail, h = bend2, side
         for i in range(1, len(dirs)):
             if dirs[i] == dirs[i - 1]:
@@ -567,12 +572,11 @@ def reduce(inst: Grid3SatInstance):
             bend[axis] = b[axis] + _TRANSIT_OFF
             bend[1 - axis] = tail[1 - axis]
             bend = tuple(bend)
-            tag = ("chain", p.id, len(chain))
             leg = _span(tail, _step(bend, h, -1))
             if _length(leg, h) < _THIN:
                 raise RoutingFailure(f"path {p.id}: transit leg too short")
-            canvas.claim(leg, h, tag)
-            chain.append(tag)
+            canvas.claim(leg, h, (_CHAIN_TAG, p.id, slot))
+            slot += 1
             tail, h = bend, dirs[i]
         # open leg up to the clause block's face
         cbase = block(cmap[p.clause].point)
@@ -582,11 +586,9 @@ def reduce(inst: Grid3SatInstance):
         face[axis] = cbase[axis] if _VEC[h][axis] > 0 \
             else cbase[axis] + _BLOCK - 1
         face = tuple(face)
-        tag = ("chain", p.id, len(chain))
         outside = _span(tail, _step(face, h, -1))
-        canvas.claim(outside, h, tag)
-        chain.append(tag)
-        chains[p.id] = chain
+        canvas.claim(outside, h, (_CHAIN_TAG, p.id, slot))
+        open_slot[p.id] = slot
         entries.setdefault(p.clause, []).append((p.id, face, h))
 
     # interior grid points free of terminals and path vertices may host
@@ -596,13 +598,10 @@ def reduce(inst: Grid3SatInstance):
     for p in inst.paths:
         used_pts.update(p.points)
 
-    clause_rec = {}
-    for c in sorted(inst.clauses, key=lambda c: c.id):
+    arm_slot = {}          # pid -> core slot of the arm its lane reached
+    for c in clauses:
         base = block(c.point)
         ent = sorted(entries[c.id], key=lambda e: c.paths.index(e[0]))
-        sides = {}
-        for pid, face, h in ent:
-            sides[pid] = _OPP[h]
         blocks = {c.point}
         for d in _VEC.values():
             q = (c.point[0] + d[0], c.point[1] + d[1])
@@ -610,94 +609,68 @@ def reduce(inst: Grid3SatInstance):
                     and q not in used_pts:
                 blocks.add(q)
         sq, arms, helper = _clause_core(base)
-        sq_tag, m_tag = ("square", c.id), ("helper", c.id)
-        arm_tags = [("arm", c.id, k) for k in range(3)]
-        core = [(sq, None, sq_tag), (helper, "E", m_tag)] + \
-               [(arms[k][0], arms[k][2], arm_tags[k]) for k in range(3)]
-        for rect, h, tag in core:
-            canvas.claim(rect, h, tag)
+        core = [(sq, None, 0), (helper, "E", 4)] + \
+               [(arms[k][0], arms[k][2], 1 + k) for k in range(3)]
+        for rect, h, slot in core:
+            canvas.claim(rect, h, (_CORE_TAG, c.id, slot))
+        # an arm growing out toward the side a lane enters from is
+        # preferred for that lane
         perms = sorted(
             permutations(range(3)),
-            key=lambda pm: (-sum(arms[pm[i]][1] == sides[ent[i][0]]
+            key=lambda pm: (-sum(arms[pm[i]][1] == _OPP[ent[i][2]]
                                  for i in range(3)), pm))
         for pm in perms:
             # route and claim on a trial canvas, kept only on success
             trial = canvas.copy()
-            routed = {}
-            for i, (pid, face, h_in) in enumerate(ent):
-                arm_rect, out, arm_h, arm_tail = arms[pm[i]]
+            for (pid, face, h_in), k in zip(ent, pm):
+                _, out, _, arm_tail = arms[k]
                 d_in = _VEC[_OPP[h_in]]
                 own = (c.point[0] + d_in[0], c.point[1] + d_in[1])
-                finals = _PERP[out]
-                open_tag = chains[pid][-1]  # the leg up to the face
+                slot = open_slot[pid]
                 legs = _route(trial, blocks | {own}, h_in, face,
-                              (arm_tail, finals), open_tag, arm_tags[pm[i]])
+                              (arm_tail, _PERP[out]), (_CHAIN_TAG, pid, slot),
+                              (_CORE_TAG, c.id, 1 + k))
                 if not legs:
                     break
                 # the first leg extends the open corridor rectangle
-                tags = [open_tag] + [("chain", pid, len(chains[pid]) + j)
-                                     for j in range(len(legs) - 1)]
-                for tag, (lt, lh, lhead) in zip(tags, legs):
-                    trial.claim(_span(lt, lh), lhead, tag)
-                routed[pid] = (tags[1:], arm_tags[pm[i]], pm[i])
+                for j, (lt, lh, lhead) in enumerate(legs, slot):
+                    trial.claim(_span(lt, lh), lhead, (_CHAIN_TAG, pid, j))
+                arm_slot[pid] = 1 + k
             else:
                 canvas = trial  # every entry reached its arm
                 break
         else:
             raise RoutingFailure(f"clause {c.id}: no reception layout found")
-        for pid, (extra, arm_tag, k) in routed.items():
-            chains[pid].extend(extra)
-            chains[pid].append(arm_tag)
-        order = {pid: routed[pid][2] for pid in routed}
-        clause_rec[c.id] = (sq_tag, arm_tags, m_tag, order,
-                            [a[2] for a in arms])
 
-    # freeze box ids: rings, clause cores, then chains; pixels last
-    tag_order = []
-    for v in sorted(inst.variables, key=lambda v: v.id):
-        tag_order.extend(ring_tags[v.id])
-    for c in sorted(inst.clauses, key=lambda c: c.id):
-        sq_tag, arm_tags, m_tag, _, _ = clause_rec[c.id]
-        tag_order.append(sq_tag)
-        tag_order.extend(arm_tags)
-        tag_order.append(m_tag)
-    for p in sorted(inst.paths, key=lambda p: p.id):
-        for tag in chains[p.id]:
-            if tag[0] == "chain":
-                tag_order.append(tag)
-    ids = {tag: i for i, tag in enumerate(tag_order)}
+    tags = sorted(canvas.rects)
+    ids = {tag: i for i, tag in enumerate(tags)}
+    p_out = pixel_fill([IntBox(*canvas.rects[tag][0]) for tag in tags], n)
 
-    p_out = pixel_fill([IntBox(*canvas.rects[tag][0]) for tag in tag_order],
-                       n)
-
-    variables = []
-    for v in sorted(inst.variables, key=lambda v: v.id):
+    gvars = []
+    for v in variables:
         cyc = []
-        for tag in ring_tags[v.id]:
+        for tag in [(_RING_TAG, v.id, i) for i in range(4)]:
             rect, h = canvas.rects[tag]
-            L = _length(rect, h)
+            back = 2 * _length(rect, h) - 1
             cyc.append(CycleRect(ids[tag], h, _off_point2(rect, h, 1),
-                                 _off_point2(rect, h, 2 * L - 1)))
-        variables.append(VariableGadget(v.id, v.point, tuple(cyc)))
-    paths = []
-    for p in sorted(inst.paths, key=lambda p: p.id):
-        bids, heads = [], []
-        for tag in chains[p.id]:
-            bids.append(ids[tag])
-            heads.append(canvas.rects[tag][1])
-        paths.append(PathGadget(p.id, p.var, p.clause, p.sign,
-                                tuple(bids), tuple(heads)))
-    clauses = []
-    for c in sorted(inst.clauses, key=lambda c: c.id):
-        sq_tag, arm_tags, m_tag, order, arm_heads = clause_rec[c.id]
-        arm_paths = [None, None, None]
-        for pid, k in order.items():
-            arm_paths[k] = pid
-        clauses.append(ClauseGadget(
-            c.id, c.point, ids[sq_tag],
-            tuple(ids[tg] for tg in arm_tags), tuple(arm_heads),
-            tuple(arm_paths), (ids[m_tag],)))
-    gmap = GadgetMap(_BLOCK, tuple(variables), tuple(paths), tuple(clauses))
+                                 _off_point2(rect, h, back)))
+        gvars.append(VariableGadget(v.id, v.point, tuple(cyc)))
+    gpaths = []
+    for p in paths:
+        chain = list(takewhile(canvas.rects.__contains__,
+                               ((_CHAIN_TAG, p.id, j) for j in count())))
+        chain.append((_CORE_TAG, p.clause, arm_slot[p.id]))
+        gpaths.append(PathGadget(
+            p.id, p.var, p.clause, p.sign, tuple(ids[t] for t in chain),
+            tuple(canvas.rects[t][1] for t in chain)))
+    gclauses = []
+    for c in clauses:
+        sq, *arms, helper = [(_CORE_TAG, c.id, slot) for slot in range(5)]
+        gclauses.append(ClauseGadget(
+            c.id, c.point, ids[sq], tuple(ids[t] for t in arms),
+            tuple(canvas.rects[t][1] for t in arms),
+            tuple(sorted(c.paths, key=arm_slot.__getitem__)), (ids[helper],)))
+    gmap = GadgetMap(_BLOCK, tuple(gvars), tuple(gpaths), tuple(gclauses))
     check_gadget_map(p_out, gmap)
     return p_out, gmap
 

@@ -255,20 +255,15 @@ class _Csp:
         self.free = root.free
         self.weights = [1] * len(root.constraints)  # dom/wdeg, this solve's
         domains = dict(root.domains)
-        pixel_failed = False
-        if pins:
-            for bid, allowed in pins.items():
-                if bid in domains:
-                    domains[bid] = tuple(v for v in domains[bid]
-                                         if v in allowed)
-                elif p.boxes[bid].center2() not in allowed:
-                    # an unlisted box is a pixel, whose point is its center
-                    pixel_failed = True
+        for bid, allowed in (pins or {}).items():
+            # an unlisted box is a pixel, whose one point is its center
+            dom = domains.get(bid, (p.boxes[bid].center2(),))
+            domains[bid] = tuple(v for v in dom if v in allowed)
         self.domains = domains
         self.propagations = 0
         # a box in no constraint is seen by none, so an empty domain (from
         # a pin) must fail here
-        self.root_failed = pixel_failed or not all(domains.values())
+        self.root_failed = not all(domains.values())
 
     def _check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:

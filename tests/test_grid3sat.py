@@ -1,10 +1,8 @@
 """Malformed grid3sat texts: one per raise site of the parser and the
-structural checks, each with the exception it must raise. The checks
-for a fifth path and for colliding first steps of one variable cannot
-fire: a variable has four grid neighbours, so such an input repeats a
-path vertex, runs a path through a terminal or gives a clause colliding
-final steps, which an earlier check refuses; their entries pin the
-error those inputs do raise."""
+structural checks, each with the exception it must raise. A fifth path
+or colliding first steps of one variable need no check of their own
+(grid3sat._validate says why); their entries pin the error those inputs
+do raise."""
 
 import importlib
 import pkgutil

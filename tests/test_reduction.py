@@ -32,6 +32,7 @@ from rectdual.reduction import (
     InconsistentCycle,
     MalformedAssignment,
     PathGadget,
+    RoutingFailure,
     UnsatisfiedClause,
     VariableGadget,
     assignment_from_projection,
@@ -41,7 +42,14 @@ from rectdual.reduction import (
     projection_from_assignment,
     reduce,
 )
-from rectdual.solver import SAT, UNSAT, SolverConfig, enumerate_all, solve
+from rectdual.solver import (
+    SAT,
+    UNSAT,
+    SolveResult,
+    SolverConfig,
+    enumerate_all,
+    solve,
+)
 
 from oracles.instances import random_grid3sat
 from oracles.roots import check_root
@@ -613,3 +621,48 @@ def test_check_gadget_map_rejects_a_path_that_touches_itself():
         with pytest.raises(ValueError,
                            match="^boxes 4 and 7 touch unplanned"):
             check_gadget_map(p, m)
+
+
+# ------------------------------------------------ RoutingFailure guards
+
+
+def test_the_canvas_refuses_a_claim_off_the_frame_or_on_another_tag():
+    canvas = reduction._Canvas(8)
+    canvas.claim(((0, 0), (4, 1)), "E", (0, 0, 0))
+    with pytest.raises(RoutingFailure, match="leaves the frame"):
+        canvas.claim(((5, 0), (9, 1)), "E", (0, 0, 1))
+    with pytest.raises(RoutingFailure,
+                       match=r"overlaps \(0, 0, 0\) at \(3, 0\)"):
+        canvas.claim(((3, 0), (4, 4)), "N", (0, 0, 1))
+    # a refused claim claims nothing
+    assert canvas.occ == {(x, 0): (0, 0, 0) for x in range(4)}
+    assert canvas.rects == {(0, 0, 0): (((0, 0), (4, 1)), "E")}
+
+
+def test_reduce_refuses_a_transit_leg_shorter_than_a_thin_rect(monkeypatch):
+    # path 1 turns east in the block above its variable; an offset of -4
+    # leaves its leg from the exit zigzag up to that turn three cells long
+    monkeypatch.setattr(reduction, "_TRANSIT_OFF", -4)
+    with pytest.raises(RoutingFailure,
+                       match="^path 1: transit leg too short$"):
+        reduce(parse_grid3sat(ALL_POSITIVE))
+
+
+def test_reduce_refuses_a_clause_no_arm_layout_reaches(monkeypatch):
+    # a router that finds no legs: each of the six arm layouts stops at
+    # its first lane
+    calls = []
+    monkeypatch.setattr(reduction, "_route", lambda *args: calls.append(args))
+    with pytest.raises(RoutingFailure,
+                       match="^clause 0: no reception layout found$"):
+        reduce(parse_grid3sat(ALL_POSITIVE))
+    assert len(calls) == 6
+
+
+def test_projection_from_assignment_refuses_a_failed_completion(
+        reduced_of, monkeypatch):
+    _, p, gmap = reduced_of("all_positive")
+    monkeypatch.setattr(reduction, "solve",
+                        lambda p, pins: SolveResult(UNSAT))
+    with pytest.raises(RoutingFailure, match="pinned completion failed"):
+        projection_from_assignment({0: True}, p, gmap)

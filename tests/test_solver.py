@@ -271,6 +271,29 @@ def test_time_limit_stops_root_propagation_on_a_cached_root(monkeypatch):
     assert 0 < res.stats["propagations"] < full.stats["propagations"]
 
 
+def test_time_limit_stops_the_search_at_its_first_node(monkeypatch):
+    # the fake clock stands at 0 until root propagation returns, then
+    # jumps past the deadline: the first node reads it and stops before
+    # it propagates a branch
+    p = planar3_partition()
+    now = [0]
+    seeds = []
+    propagate = solver._Csp.propagate
+
+    def jump_after_the_root(csp, watched=None):
+        seeds.append(watched)
+        ok = propagate(csp, watched)
+        now[0] = 10
+        return ok
+    monkeypatch.setattr(solver._Csp, "propagate", jump_after_the_root)
+    monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
+    res = solve(p, cfg=SolverConfig(time_limit=1))
+    assert res.status == TIMEOUT
+    assert res.projection is None
+    assert res.stats["nodes"] == 1
+    assert seeds == [None]
+
+
 def test_time_limit_stops_setup(monkeypatch):
     # the deadline, fixed at 0 + 2, passes at the third vertex the
     # constraint root walks: reading 0 fixes it, readings 1, 2 and 3
