@@ -350,18 +350,12 @@ def is_generic(p: Partition) -> Genericity:
 
 
 def balance_of_set(boxes) -> BalanceReport:
-    """Longest side over shortest side across all boxes of the set."""
+    """Longest side over shortest side across all boxes of the set,
+    witnessed by the first box with each."""
     boxes = list(boxes)
     if not boxes:
         raise ValueError("balance of an empty set of boxes")
-    best_max = None
-    best_min = None
-    for box in boxes:
-        s = box.sides()
-        mx, mn = max(s), min(s)
-        if best_max is None or mx > best_max[0]:
-            best_max = (mx, box)
-        if best_min is None or mn < best_min[0]:
-            best_min = (mn, box)
-    value = Fraction(best_max[0], best_min[0])
-    return BalanceReport(value, (best_max[1], best_min[1]))
+    longest = max(boxes, key=lambda box: max(box.sides()))
+    shortest = min(boxes, key=lambda box: min(box.sides()))
+    return BalanceReport(Fraction(max(longest.sides()),
+                                  min(shortest.sides())), (longest, shortest))

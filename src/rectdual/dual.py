@@ -54,10 +54,11 @@ them gets its seed and place in the order of the full walk. Every walk
 refuses d! chains above boxes._GRID_LIMIT with TooManyChains before it
 builds the chain table.
 
-_exact is the package's one exactness gate: it accepts ints (not bools)
-and Fractions and raises InexactCoordinate otherwise. _kernel(n) is the
-one dispatcher of the orientation sign of n points: the closed forms
-_orient2 (d = 2), _orient3 (d = 3) and _orient4 (d = 4, a Laplace
+_exact is the exactness gate of orientation, stabbing and the generators
+(ratlp._integer_row keeps its own TypeError): it accepts ints (not
+bools) and Fractions and raises InexactCoordinate otherwise. _kernel(n)
+is the one dispatcher of the orientation sign of n points: the closed
+forms _orient2 (d = 2), _orient3 (d = 3) and _orient4 (d = 4, a Laplace
 expansion over 2x2 minors), else Bareiss elimination (_orient_det, d = 1
 and d >= 5), all on int coordinates and none checking its points.
 orientation passes its points through the gate and scales them to ints
@@ -72,7 +73,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .boxes import (_GRID_LIMIT, BalanceReport, Partition, balance_of_set,
                     grid_vertex_owners, interior_vertex_owners)
@@ -331,33 +332,15 @@ def build_dual(p: Partition) -> DualComplex:
 
 
 def partition_balance(p: Partition) -> BalanceReport:
-    """Maximum balance over all edges of the dual complex of p.
-
-    The maximum over edges equals the maximum over arbitrary simplices,
-    since every simplex's longest and shortest sides appear on one of its
-    edges. Each box's longest and shortest sides are read once; balances
-    are compared as integer cross products, and only the winner becomes
-    a report. Its witness is the one balance_of_set gives: on ties the
-    first box of an edge, and a later edge or box only when strictly
-    greater. Raises ValueError, as balance_of_set does, for a partition
-    with no boxes."""
+    """The first greatest balance_of_set over every edge of the dual
+    complex of p, then over every single box: every simplex's longest
+    and shortest sides appear on one of its edges. Raises ValueError, as
+    balance_of_set does, for a partition with no boxes."""
     if not p.boxes:
         return balance_of_set(p.boxes)  # raises its ValueError
-    ext = [(max(s), min(s)) for s in (box.sides() for box in p.boxes)]
-    # (longest, its box id, shortest, its box id); balance 1 to start
-    best = (1, 0, 1, 0)
-    for i, j in build_dual(p).edges():
-        (hi_i, lo_i), (hi_j, lo_j) = ext[i], ext[j]
-        hi, wh = (hi_j, j) if hi_j > hi_i else (hi_i, i)
-        lo, wl = (lo_j, j) if lo_j < lo_i else (lo_i, i)
-        if hi * best[2] > best[0] * lo:
-            best = (hi, wh, lo, wl)
-    # single-box partitions still have aspect ratio to account for
-    for i, (hi, lo) in enumerate(ext):
-        if hi * best[2] > best[0] * lo:
-            best = (hi, i, lo, i)
-    hi, wh, lo, wl = best
-    return BalanceReport(Fraction(hi, lo), (p.boxes[wh], p.boxes[wl]))
+    sets = [(p.boxes[i], p.boxes[j]) for i, j in build_dual(p).edges()]
+    return max(map(balance_of_set, sets + [(box,) for box in p.boxes]),
+               key=attrgetter("value"))
 
 
 def _refuse_too_many_chains(d):

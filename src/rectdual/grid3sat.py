@@ -221,7 +221,7 @@ def _validate(inst):
     for p in inst.paths:
         if p.id not in owned:
             raise ClauseArity(f"path {p.id} is not referenced by its clause {p.clause}")
-        # incoming edges must be distinct: last step direction per clause
+    # incoming edges must be distinct: last step direction per clause
     for c in inst.clauses:
         lasts = set()
         for pid in c.paths:

@@ -5,10 +5,13 @@ each end open or closed, swept radially: the union of r.B over r in
 [1, rho], rho >= 1. It is the shape of the point classes of the paper's
 stabbing lemmas:
 
-- a 3d meeting configuration (build_config_sets) has one class per box
-  around the meeting vertex, written as a cube-face code. Its cube
-  reading takes '-' to [-1, -1], '+' to [1, 1] and '*' (the box
-  straddles the vertex on that axis) to (-1, 1), with rho = b:
+- a meeting pattern has one box per cube-face code around a vertex w:
+  per axis, '-' (below w), '+' (above) or '*' (straddling). From w and
+  doubled, with unit short side, the boxes' centers lie in the pattern's
+  cube reading (cube_reading, every box a cube: '-' to [-1, -1], '+' to
+  [1, 1], '*' to (-1, 1), rho = b) or its box reading (box_reading:
+  '-' to [-b, -1], '+' to [1, b], '*' to (-b, b), rho = 1). The 3d
+  build_config_sets(kind, b) is the cube reading of one of
 
       regular   ---  +--  *+-  **+
       singular  *--  *+-  -*+  +*+
@@ -16,8 +19,6 @@ stabbing lemmas:
 - the planar triple (build_planar_sets) is three boxes with rho = 1:
   the center regions of three rectangles meeting at a point, the third
   with its lower side excluded.
-
-Both are parametrized by the side-ratio bound b with unit short side.
 
 The interval-sum rule. The hyperplane a.x = c meets a class iff the
 closed interval C = {c/r : r in [1, rho]} meets the sum S = a_1.I_1 +
@@ -72,8 +73,9 @@ from .ratlp import strict_feasible
 __all__ = [
     "FEASIBLE", "INFEASIBLE", "ArityMismatch", "IntervalClass",
     "StabVerdict", "StabbingProblem", "TooManyCases", "WitnessFault",
-    "build_config_sets", "build_planar_sets", "contains_point",
-    "hyperplane_stab", "line_stab", "meets_hyperplane", "plane_stab",
+    "box_reading", "build_config_sets", "build_planar_sets",
+    "contains_point", "cube_reading", "hyperplane_stab", "line_stab",
+    "meets_hyperplane", "plane_stab", "regular_codes",
 ]
 
 FEASIBLE = "feasible"
@@ -351,11 +353,13 @@ def plane_stab(problem: StabbingProblem) -> StabVerdict:
 
 # --- the built-in families ---------------------------------------------
 
-_CODES = {
-    "regular": ("---", "+--", "*+-", "**+"),
-    "singular": ("*--", "*+-", "-*+", "+*+"),
-}
-_CUBE = {"-": (-1, -1, False), "+": (1, 1, False), "*": (-1, 1, True)}
+def regular_codes(d) -> tuple:
+    """The regular pattern: '-'^d, then '*'^i '+' '-'^(d-1-i), i < d."""
+    return ("-" * d, *("*" * i + "+" + "-" * (d - 1 - i) for i in range(d)))
+
+
+_CODES = {"regular": regular_codes(3),
+          "singular": ("*--", "*+-", "-*+", "+*+")}
 
 
 def _side_ratio(b) -> Fraction:
@@ -366,23 +370,42 @@ def _side_ratio(b) -> Fraction:
     return b
 
 
+def _reading(codes, ends, rho) -> StabbingProblem:
+    """One class per code, swept to rho; its axis j is ends[code[j]]."""
+    if not codes or any(type(c) is not str or not c or len(c) != len(codes[0])
+                        or not set(c) <= ends.keys() for c in codes):
+        raise ValueError(f"codes {codes!r} are not of one length over -+*")
+    axes = (zip(*(ends[ch] for ch in code)) for code in codes)
+    return StabbingProblem(len(codes[0]), [
+        IntervalClass(lo, hi, free, free, rho) for lo, hi, free in axes])
+
+
+def cube_reading(codes, b) -> StabbingProblem:
+    """The cube reading of a pattern at side ratio b (module docstring)."""
+    return _reading(codes, {"-": (-1, -1, False), "+": (1, 1, False),
+                            "*": (-1, 1, True)}, _side_ratio(b))
+
+
+def box_reading(codes, b) -> StabbingProblem:
+    """The box reading of a pattern at side ratio b (module docstring)."""
+    b = _side_ratio(b)
+    return _reading(codes, {"-": (-b, -1, False), "+": (1, b, False),
+                            "*": (-b, b, True)}, 1)
+
+
 def build_config_sets(kind: str, b) -> StabbingProblem:
-    """The cube readings of the four point classes of the regular or
-    singular meeting pattern around a vertex, at side ratio b (unit
-    short side)."""
+    """The cube reading of the regular or singular 3d pattern."""
     if kind not in _CODES:
         raise ValueError(f"unknown kind {kind!r}")
-    b = _side_ratio(b)
-    sets = []
-    for code in _CODES[kind]:
-        lo, hi, free = zip(*(_CUBE[ch] for ch in code))
-        sets.append(IntervalClass(lo, hi, free, free, b))
-    return StabbingProblem(3, sets)
+    return cube_reading(_CODES[kind], b)
 
 
 def build_planar_sets(b) -> StabbingProblem:
     """Center regions of three rectangles meeting at a point in the
-    plane: two closed boxes and one box whose lower side is excluded."""
+    plane: the box reading of the T-junction ('--', '-+', '+*'), halved,
+    but with the third class's upper y end closed. At y = b/2 that box's
+    lower side reaches w and its y code turns '+': the 4-owner cross
+    ('--', '-+', '++')."""
     b = _side_ratio(b)
     h = b / 2
     q = Fraction(1, 2)

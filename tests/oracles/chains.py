@@ -7,9 +7,11 @@ the owner lookup with its bounds checks, the seed registration and the
 downward closure are kept verbatim. dual_of returns the top simplices
 (sorted ids -> (anchor, perm, ordered ids), in insertion order) and the
 simplex sets, keyed by dimension like DualComplex.simplices.
+window_seeds runs the same walk on the 2^d cells around one vertex.
 """
 
 from itertools import permutations, product
+from types import SimpleNamespace
 
 
 class SeedConflict(Exception):
@@ -133,3 +135,25 @@ def dual_of(p):
                 target.add(s[:i] + s[i + 1 :])
     simplices[0] = {(i,) for i in range(m)}
     return top, simplices
+
+
+def window_seeds(boxes, w):
+    """The top simplices of boxes on the 2^d cells around the grid
+    vertex w: each box clipped to [w - 1, w + 1]^d and shifted to
+    [0, 2]^d, where the clipped boxes must tile the window. Returns
+    sorted ids -> (ordered ids, sign), in insertion order; sign is the
+    parity of the chain's axis order times that of the ordered ids, so
+    a seed (w, pi, ordered, s) of the same simplex agrees when s times
+    the parity of ordered equals it."""
+    window = [SimpleNamespace(lo=tuple(max(x, c - 1) - c + 1
+                                       for x, c in zip(box.lo, w)),
+                              hi=tuple(min(x, c + 1) - c + 1
+                                       for x, c in zip(box.hi, w)))
+              for box in boxes]
+    cells = [cell for box in window
+             for cell in product(*map(range, box.lo, box.hi))]
+    if sorted(cells) != list(product(range(2), repeat=len(w))):
+        raise ValueError(f"the boxes do not tile the window around {w}")
+    top, _ = dual_of(SimpleNamespace(dim=len(w), n=2, boxes=window))
+    return {key: (ordered, _perm_parity(perm) * _perm_parity(ordered))
+            for key, (_, perm, ordered) in top.items()}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rectdual import counterexamples
-from rectdual.boxes import GridTooLarge, IntBox, balance_of_set, validate_partition
+from rectdual.boxes import GridTooLarge, balance_of_set
 from rectdual.counterexamples import (
     BetaTooSmall,
     gen_3d_layered,
@@ -20,7 +20,7 @@ from rectdual.embedding import center_embeddable
 from rectdual.io import format_partition
 from rectdual.solver import SAT, UNSAT, enumerate_all, solve
 
-from oracles.chains import _perm_parity as chain_parity, dual_of
+from oracles.chains import _perm_parity as chain_parity, window_seeds
 from oracles.determinant import leibniz_det, orientation_sign
 
 
@@ -196,14 +196,9 @@ def seed_sign_by_oracle(p, d):
     # staircase meets, which hold only boxes 0..d; the sign of its seed
     # chain, for the ids taken in sorted order
     t = p.boxes[0].hi[0]
-    window = validate_partition(
-        [IntBox(tuple(max(x, t - 1) - t + 1 for x in box.lo),
-                tuple(min(x, t + 1) - t + 1 for x in box.hi))
-         for box in p.boxes[:d + 1]], d, 2)
-    top, _ = dual_of(window)
-    assert list(top) == [tuple(range(d + 1))]
-    _, perm, ordered = top[tuple(range(d + 1))]
-    return chain_parity(perm) * chain_parity(ordered)
+    seeds = window_seeds(p.boxes[:d + 1], (t,) * d)
+    assert list(seeds) == [tuple(range(d + 1))]
+    return seeds[tuple(range(d + 1))][1]
 
 
 @pytest.mark.parametrize("d, beta", [(3, Fraction(5)), (3, Fraction(7, 2)),

@@ -306,6 +306,11 @@ def test_balance_reads_a_box_with_no_edge():
     report = partition_balance(p)
     assert report.value == 3
     assert report.witness == (p.boxes[0], p.boxes[0])
+    # beside an edge of two unit squares, the box with no edge still counts
+    q = validate_partition([IntBox((0, 0), (1, 1)), IntBox((1, 0), (2, 1)),
+                            IntBox((3, 0), (4, 3))], 2, 4, partial=True)
+    assert list(build_dual(q).edges()) == [(0, 1)]
+    assert partition_balance(q).witness == (q.boxes[2], q.boxes[2])
 
 
 def test_build_dual_is_cached_on_the_partition(monkeypatch):

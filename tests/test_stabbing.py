@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rectdual import stabbing
-from rectdual.boxes import (IntBox, balance_of_set, pixel_fill,
-                            validate_partition)
+from rectdual.boxes import IntBox, balance_of_set, pixel_fill
 from rectdual.dual import InexactCoordinate, build_dual
 from rectdual.embedding import Violation, center_embeddable
 from rectdual.stabbing import (
@@ -17,17 +16,20 @@ from rectdual.stabbing import (
     StabbingProblem,
     TooManyCases,
     WitnessFault,
+    box_reading,
     build_config_sets,
     build_planar_sets,
     contains_point,
+    cube_reading,
     hyperplane_stab,
     line_stab,
     meets_hyperplane,
     plane_stab,
+    regular_codes,
 )
 
 from oracles import fraclp
-from oracles.chains import _perm_parity as chain_parity, dual_of
+from oracles.chains import window_seeds
 from oracles.determinant import orientation_sign
 from oracles.stabchk import (
     case_labels,
@@ -67,33 +69,6 @@ def closed(s):
     return replace(s, lo_open=(), hi_open=())
 
 
-# the regular pattern in d dimensions: '-'^d, then '*'^i '+' '-'^(d-1-i)
-
-def regular_codes(d):
-    return ["-" * d] + ["*" * i + "+" + "-" * (d - 1 - i) for i in range(d)]
-
-
-def reading(d, ends, rho):
-    sets = []
-    for code in regular_codes(d):
-        lo, hi, free = zip(*(ends[c] for c in code))
-        sets.append(IntervalClass(lo, hi, free, free, rho))
-    return StabbingProblem(d, sets)
-
-
-def cube_family(d, b):
-    """Cube reading: '+' -> [1, 1], '-' -> [-1, -1], '*' -> (-1, 1),
-    swept to ratio b."""
-    ends = {"-": (-1, -1, False), "+": (1, 1, False), "*": (-1, 1, True)}
-    return reading(d, ends, b)
-
-
-def box_family(d, b):
-    """Box reading: '+' -> [1, b], '-' -> [-b, -1], '*' -> (-b, b)."""
-    ends = {"-": (-b, -1, False), "+": (1, b, False), "*": (-b, b, True)}
-    return reading(d, ends, 1)
-
-
 # --- builders -----------------------------------------------------------
 
 def test_build_config_sets_shapes():
@@ -121,14 +96,35 @@ def test_build_planar_sets_exact():
     assert c2.lo_open == (False, True)
 
 
+def test_readings_shapes():
+    assert regular_codes(2) == ("--", "+-", "*+")
+    assert build_config_sets("regular", 3) == \
+        cube_reading(("---", "+--", "*+-", "**+"), 3)
+    s, = box_reading(["+*-"], 3).sets
+    assert (s.lo, s.hi, s.rho) == ((1, -3, -3), (3, 3, -1), 1)
+    assert s.lo_open == s.hi_open == (False, True, False)
+    p = cube_reading(regular_codes(4), F(5, 2))
+    assert p.dim == 4 and len(p.sets) == 5
+    assert all(s.rho == F(5, 2) for s in p.sets)
+
+
 def test_builders_reject_small_b():
+    codes = regular_codes(3)
     for bad in (1, F(1, 2), 0):
-        with pytest.raises(ValueError):
-            build_config_sets("regular", bad)
-        with pytest.raises(ValueError):
-            build_planar_sets(bad)
+        for build in (lambda: build_config_sets("regular", bad),
+                      lambda: build_planar_sets(bad),
+                      lambda: cube_reading(codes, bad),
+                      lambda: box_reading(codes, bad)):
+            with pytest.raises(ValueError):
+                build()
     with pytest.raises(ValueError):
         build_config_sets("octagonal", 3)
+    # no code, codes of two lengths, a character outside '-', '+', '*',
+    # an empty code
+    for bad in ((), ("--", "-"), ("-x",), ("",)):
+        for reading in (cube_reading, box_reading):
+            with pytest.raises(ValueError, match="not of one length"):
+                reading(bad, 3)
 
 
 def test_malformed_arguments_raise_typed_errors():
@@ -157,9 +153,12 @@ _SEG = IntervalClass((F(1, 10), 0), (F(3, 10), 0))
     lambda: build_config_sets("regular", 3.1),
     lambda: build_planar_sets(3.5),
     lambda: IntervalClass((0, 0), (1, 1), rho=2.5),
+    lambda: cube_reading(regular_codes(3), 3.1),
+    lambda: box_reading(regular_codes(3), 3.1),
 ], ids=["meets-float-plane", "meets-bool-plane", "contains-float-point",
         "contains-str-point", "bool-vertex", "float-vertex",
-        "config-float-b", "planar-float-b", "class-float-rho"])
+        "config-float-b", "planar-float-b", "class-float-rho",
+        "cube-float-b", "box-float-b"])
 def test_inexact_input_refused(call):
     # the exact plane x = 3/10 touches the segment; its float spelling
     # must not decide that
@@ -548,6 +547,37 @@ def test_line_stab_common_point_degenerate():
     assert not line_stab(StabbingProblem(2, [point, corner, far])).feasible
 
 
+T_JUNCTION = ("--", "-+", "+*")
+CROSS = ("--", "-+", "++")
+
+
+def test_planar_sets_are_the_box_reading_but_one_end():
+    # the box reading of the T-junction leaves the third class's upper y
+    # end open, and only the line that stabs at b = 3 needs it closed;
+    # the cross, whose third box has its lower side at w, has it closed
+    for b in GRID:
+        want = line_stab(build_planar_sets(b)).status
+        t_status = line_stab(box_reading(T_JUNCTION, b)).status
+        assert t_status == (INFEASIBLE if b == 3 else want), f"b={b}"
+        assert line_stab(box_reading(CROSS, b)).status == want, f"b={b}"
+
+
+@pytest.mark.parametrize("reading,codes,b,status", [
+    (box_reading, CROSS, F(3), FEASIBLE),
+    (box_reading, CROSS, 3 - F(1, 10**9), INFEASIBLE),
+    (box_reading, T_JUNCTION, F(3), INFEASIBLE),
+    (box_reading, T_JUNCTION, 3 + F(1, 10**9), FEASIBLE),
+    (box_reading, ("*--", "*+-", "-*+", "+*+"), F(9, 8), FEASIBLE),
+    (cube_reading, ("*--", "*+-", "-*+", "+*+"), F(10**6), INFEASIBLE),
+], ids=["cross-at-3", "cross-below-3", "t-at-3", "t-above-3",
+        "singular-box-9_8", "singular-cube-10^6"])
+def test_local_thresholds(reading, codes, b, status):
+    # the 2d box threshold is 3 for both patterns, attained by the cross
+    # only; the singular 3d pattern stabs in its box reading at the 9/8
+    # of the flipping partition, and never in its cube reading
+    assert hyperplane_stab(reading(codes, b)).status == status
+
+
 def test_line_stab_rejects_wrong_dim():
     with pytest.raises(ArityMismatch):
         line_stab(build_config_sets("regular", 2))
@@ -559,16 +589,19 @@ def test_line_stab_rejects_wrong_dim():
     (3, F(3), F(1, 1000)), (4, F(2), F(1, 1000)), (5, F(3, 2), F(1, 10**6))])
 def test_regular_cube_thresholds(d, threshold, above):
     # infeasible at the threshold, feasible just above it
-    assert hyperplane_stab(cube_family(d, threshold)).status == INFEASIBLE
-    v = hyperplane_stab(cube_family(d, threshold + above))
+    codes = regular_codes(d)
+    assert hyperplane_stab(cube_reading(codes, threshold)).status == \
+        INFEASIBLE
+    v = hyperplane_stab(cube_reading(codes, threshold + above))
     assert v.feasible and len(v.witness_points) == d + 1
 
 
 def test_regular_box_threshold_in_3d():
     # the box reading's threshold lies in (5/3, 5/3 + 10^-9]
     b = F(5, 3)
-    assert hyperplane_stab(box_family(3, b)).status == INFEASIBLE
-    v = hyperplane_stab(box_family(3, b + F(1, 10**9)))
+    codes = regular_codes(3)
+    assert hyperplane_stab(box_reading(codes, b)).status == INFEASIBLE
+    v = hyperplane_stab(box_reading(codes, b + F(1, 10**9)))
     assert v.feasible and v.cases == 13
 
 
@@ -586,16 +619,11 @@ def test_3d_boxes_flip_at_local_balance_two():
         center_embeddable(p).violations
     # the frozen enumerator on the 8 cells around w gives the seed
     w = (8, 8, 8)
-    window = validate_partition(
-        [IntBox(tuple(max(x, c - 1) - c + 1 for x, c in zip(b.lo, w)),
-                tuple(min(x, c + 1) - c + 1 for x, c in zip(b.hi, w)))
-         for b in boxes], 3, 2)
-    top, _ = dual_of(window)
-    _, perm, ordered = top[key]
-    assert chain_parity(perm) * chain_parity(ordered) == 1
+    ordered, sign = window_seeds(boxes, w)[key]
+    assert sign == 1
     assert build_dual(p).seed_raw(key)[0] == w
     assert orientation_sign([boxes[i].center2() for i in ordered]) == -1
-    assert hyperplane_stab(box_family(3, F(2))).feasible
+    assert hyperplane_stab(box_reading(regular_codes(3), 2)).feasible
 
 
 # --- falsification sampling ------------------------------------------------
