@@ -7,11 +7,10 @@ doubled integers so that every predicate reduces to integer arithmetic.
 A partition of [0,n]^d owns one flat grid of box ids over the unit cells
 of [-1,n+1]^d: the cube's cells hold their box (-1 where a partial
 partition leaves a gap) and a border one cell wide holds -1 on every
-side, so the 2^d cells around any grid vertex of the cube can be read
-without bounds checks. Validation fills this grid, which is also how it
-finds overlaps and, from the cells left at -1, gaps, so every validated
-partition has one; a partition whose grid would exceed _GRID_LIMIT cells
-is refused with GridTooLarge before anything is allocated. pixel_fill
+side. Validation fills this grid, which is also how it finds overlaps
+and, from the cells left at -1, gaps, so every validated partition has
+one; a partition whose grid would exceed _GRID_LIMIT cells is refused
+with GridTooLarge before anything is allocated. pixel_fill
 fills the grid by validating the given boxes as a partial partition and
 then writing a unit pixel into each cell still left at -1, so its
 coverage holds by construction and GridTooLarge comes before any pixel
@@ -22,7 +21,9 @@ re-checks (_pixel).
 IntBox.is_pixel is the one pixel test. The owner grid is read and
 written in runs along the last axis; _run_starts gives the padded index
 where each run of a block of cells starts, for validation, pixel_fill
-and the vertex walk alike.
+and the vertex walk alike; Partition.cell_index is the one other padded
+index formula. vertex_owners, the one vertex walk, reads interior
+vertices only (dual's and is_generic's docstrings say why).
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, product
-from operator import add, mul, ne
+from operator import add, ne
 from typing import Iterator, NamedTuple
 
 __all__ = [
     "BalanceReport", "CoverageGap", "Genericity", "GridTooLarge", "IntBox",
     "OutOfBounds", "Overlap", "Partition", "ValidationError",
-    "balance_of_set", "grid_vertex_owners", "interior_vertex_owners",
-    "is_generic", "listed_vertex_owners", "pixel_fill", "validate_partition",
+    "balance_of_set", "is_generic", "pixel_fill", "validate_partition",
+    "vertex_owners",
 ]
 
 
@@ -183,60 +184,48 @@ class Partition:
         return self.owner_grid()[self.cell_index(cell)]
 
 
-def grid_vertex_owners(d, n, grid):
-    """(w, around) for every grid vertex w of [0,n]^d in lexicographic
-    order, read from the padded owner grid of a partition of [0,n]^d;
-    around[s] is the owner of the cell w - 1 + bits(s), bit k of s
-    standing for axis k (-1 outside)."""
+def vertex_owners(d, n, grid, within=None):
+    """(w, around) for interior grid vertices w in [1, n-1]^d, in
+    lexicographic order, read by rows from the padded owner grid of a
+    partition of [0,n]^d; around[s] is the owner of the cell
+    w - 1 + bits(s), bit k of s standing for axis k (-1 in a gap). By
+    default, the vertices whose all-below and all-above cells differ in
+    owner, filtered at C speed; within, an iterable of closed vertex
+    boxes (lo, hi), selects the interior vertices in them instead, each
+    once, by a mask over their all-below cells."""
     strides = _strides(d, n)
-    shift = _shifts(strides)
-    rows = _run_starts(strides, (-1,) * d, (n,) * d)
-    around = chain.from_iterable(
-        zip(*(grid[r + s:r + s + n + 1] for s in shift)) for r in rows)
-    return zip(product(range(n + 1), repeat=d), around)
-
-
-def interior_vertex_owners(d, n, grid):
-    """(w, around) as grid_vertex_owners gives them, in lexicographic
-    order, for the vertices w in [1, n-1]^d whose all-below and all-above
-    cells (around[0] and around[-1]) have different owners; the others
-    are dropped row by row at C speed."""
-    strides = _strides(d, n)
-    shift = _shifts(strides)
-    up, m = shift[-1], n - 1
+    # cell w - 1 + bits(s) has padded index sum(w[k] * strides[k]) + shift[s]
+    shift = [sum(st for k, st in enumerate(strides) if s >> k & 1)
+             for s in range(1 << d)]
+    m = n - 1
     rows = list(_run_starts(strides, (0,) * d, (m,) * d))
+    if within is None:
+        up = shift[-1]
+        keep = (map(ne, grid[r:r + m], grid[r + up:r + up + m]) for r in rows)
+    else:
+        mask = bytearray(len(grid))
+        for lo, hi in within:
+            # all-below cells of the interior vertices in [lo, hi], if any
+            lo = [max(a, 1) - 1 for a in lo]
+            hi = [min(b, m) for b in hi]
+            run = hi[-1] - lo[-1]
+            for start in _run_starts(strides, lo, hi):
+                mask[start:start + run] = b"\1" * run
+        keep = (mask[r:r + m] for r in rows)
     around = chain.from_iterable(
         zip(*[grid[r + s:r + s + m] for s in shift]) for r in rows)
-    differ = chain.from_iterable(
-        map(ne, grid[r:r + m], grid[r + up:r + up + m]) for r in rows)
-    return compress(zip(product(range(1, n), repeat=d), around), differ)
-
-
-def listed_vertex_owners(d, n, grid, vertices):
-    """(w, around) as grid_vertex_owners gives them, for the given grid
-    vertices w of [0,n]^d, in their order."""
-    strides = _strides(d, n)
-    shift = _shifts(strides)
-    for w in vertices:
-        r = sum(map(mul, w, strides))
-        yield w, tuple([grid[r + s] for s in shift])
+    return compress(zip(product(range(1, n), repeat=d), around),
+                    chain.from_iterable(keep))
 
 
 def _strides(d, n):
     return [(n + 2) ** (d - 1 - k) for k in range(d)]
 
 
-def _shifts(strides):
-    """shift[s]: cell w - 1 + bits(s) has padded index
-    sum(w[k] * strides[k]) + shift[s], for s in range(2^d)."""
-    return [sum(st for k, st in enumerate(strides) if s >> k & 1)
-            for s in range(1 << len(strides))]
-
-
 def _run_starts(strides, lo, hi):
     """Padded index of the first cell of each run along the last axis of
     the cells [lo, hi) of an owner grid with these strides, in
-    lexicographic order; lo may hold -1, for the border."""
+    lexicographic order."""
     return map(sum, product(*(range((a + 1) * st, (b + 1) * st, st)
                               for a, b, st in zip(lo, hi, strides[:-1])),
                             (lo[-1] + 1,)))
@@ -338,13 +327,18 @@ class Genericity(NamedTuple):
 def is_generic(p: Partition) -> Genericity:
     """Whether no point lies in more than d+1 closed boxes.
 
-    Returns Genericity(flag, witness), where witness is a violating grid
-    point or None; its truth value is flag. Only grid vertices can
-    witness a violation since boxes have integral corners."""
-    for vert, around in grid_vertex_owners(p.dim, p.n, p.owner_grid()):
+    Returns Genericity(flag, witness), where witness is the first
+    violating interior grid vertex or None; its truth value is flag.
+    Only grid vertices can witness a violation since boxes have integral
+    corners, and for n >= 2 interior ones suffice: moved one step inward
+    on each boundary axis, a vertex keeps every cube cell around it (so
+    from d = 4 on, the witness may move inward from the boundary)."""
+    d, n = p.dim, p.n
+    for vert, around in vertex_owners(d, n, p.owner_grid(),
+                                      [((0,) * d, (n,) * d)]):
         owners = set(around)
         owners.discard(-1)
-        if len(owners) > p.dim + 1:
+        if len(owners) > d + 1:
             return Genericity(False, vert)
     return Genericity(True)
 

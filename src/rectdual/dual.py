@@ -10,15 +10,23 @@ all of them. Every simplex therefore arises from a chain
     u_0, u_0 + e_{pi(1)}, u_0 + e_{pi(1)} + e_{pi(2)}, ...
 
 anchored at a grid vertex w (u_0 is the all-below cell) for some axis
-permutation pi. A walk reads grid vertices with the owners of the 2^d
-cells around each (from the padded owner grid) and follows the d! chains
-there in permutations order; cells outside the cube read -1 and drop out
-of the chain. A chain never comes back to a box it has left (boxes are
-convex and the chain is monotone), so a vertex with at most d distinct
-owners witnesses no top simplex. DualComplex.simplices is one lazy walk
-over every vertex, which follows each distinct owner tuple once: every
-box, every set of two or more boxes one chain visits, and all their
-subsets.
+permutation pi. A walk reads interior grid vertices with the owners of
+the 2^d cells around each (boxes.vertex_owners) and follows the d!
+chains there in permutations order; gaps read -1 and drop out of the
+chain. A chain never comes back to a box it has left (boxes are convex
+and the chain is monotone), so a vertex with at most d distinct owners
+witnesses no top simplex.
+
+Interior vertices [1, n-1]^d suffice. A chain holds the cells w - 1 and
+w, so at a boundary vertex it leaves the cube. For n >= 2 its cells in
+the cube there form a contiguous run, after its steps on the axes where
+w_k = 0 and before those where w_k = n; moved one step inward on those
+axes, w' has the run around it, and the chain at w' that steps the axes
+where w_k = n and those stepped before the run, then the run, then the
+rest, holds it all. So DualComplex.simplices, one lazy walk over every
+interior vertex, finds every set a chain visits; its top simplices are
+build_dual's (a chain of d+1 distinct boxes has no gap, so the top walk
+keeps its vertex).
 
 The top walk (_seeds) reads (w, around) pairs in their order. A chain
 whose d+1 cells lie in d+1 distinct boxes witnesses a top simplex, and
@@ -41,18 +49,16 @@ Gaps play no part, so the same holds for partial partitions.
 
 build_dual runs the top walk once per partition (the complex is cached
 on it) and keeps the top simplices with their seeds, which is all that
-classifying and a solution's re-check read. Every chain at w holds the
-all-below cell w - 1 and the all-above cell w, so it reads only the
-interior vertices [1, n-1]^d, and of those only the ones whose two cells
-have different owners, dropped row by row at C speed: two cells of one
-box B put all 2^d cells around w in B (B is convex), and two gaps put -1
-in every chain. That skip is exact, so the walk gives the seeds and the
-order of the walk over every vertex. The solver's constraint root feeds
-_seeds the vertices it lists, in lexicographic order, through
-boxes.listed_vertex_owners: a simplex whose one chain lies at one of
-them gets its seed and place in the order of the full walk. Every walk
-refuses d! chains above boxes._GRID_LIMIT with TooManyChains before it
-builds the chain table.
+classifying and a solution's re-check read. It reads only the vertices
+whose all-below and all-above cells differ in owner (vertex_owners'
+default): two cells of one box B put all 2^d cells around w in B (B is
+convex), and two gaps put -1 in every chain. That skip is exact for
+tops, so the walk gives the seeds and the order of the walk over every
+vertex, but not for the closure: unit boxes at cells (1,0,0) and
+(1,1,0) alone in [0,2]^3 form an edge. The solver's root feeds _seeds
+some interior vertices in the same order (solver's module docstring).
+Every walk refuses d! chains above boxes._GRID_LIMIT with TooManyChains
+before it builds the chain table.
 
 _exact is the exactness gate of orientation, stabbing and the generators
 (ratlp._integer_row keeps its own TypeError): it accepts ints (not
@@ -76,7 +82,7 @@ from math import factorial, lcm
 from operator import attrgetter, itemgetter
 
 from .boxes import (_GRID_LIMIT, BalanceReport, Partition, balance_of_set,
-                    grid_vertex_owners, interior_vertex_owners)
+                    vertex_owners)
 
 __all__ = [
     "DimensionMismatch", "DualComplex", "InexactCoordinate", "NotTopSimplex",
@@ -252,17 +258,17 @@ class DualComplex:
         set of two or more boxes one chain visits, and all their subsets,
         walked on the first read."""
         if self._simplices is None:
-            d = self.dim
+            d, n = self.dim, self._n
             getters = [chain_of for _, chain_of, _ in _chain_table(d)]
             # each distinct owner tuple, and chain of it, is followed once
-            arounds = set(map(itemgetter(1), grid_vertex_owners(
-                d, self._n, self._grid)))
+            arounds = set(map(itemgetter(1), vertex_owners(
+                d, n, self._grid, [((0,) * d, (n,) * d)])))
             chains = {chain_of(a) for a in arounds for chain_of in getters}
-            found = {k: set() for k in range(d + 1)}
+            found = {k: set() for k in range(d)} | {d: set(self._top)}
             for owners in chains:
                 boxes = set(owners)
                 boxes.discard(-1)
-                if len(boxes) > 1:
+                if 1 < len(boxes) <= d:
                     found[len(boxes) - 1].add(tuple(sorted(boxes)))
             for k in range(d, 1, -1):
                 for s in found[k]:
@@ -368,8 +374,8 @@ def _chain_table(d):
 
 
 def _chains(p: Partition):
-    """build_dual's walk, over the vertices interior_vertex_owners keeps."""
-    return _seeds(p.dim, interior_vertex_owners(p.dim, p.n, p.owner_grid()))
+    """build_dual's walk, over vertex_owners' default selection."""
+    return _seeds(p.dim, vertex_owners(p.dim, p.n, p.owner_grid()))
 
 
 def _seeds(d, pairs):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations, count, permutations, takewhile
 import json
 
-from .boxes import _GRID_LIMIT, GridTooLarge, IntBox, pixel_fill
+from .boxes import IntBox, _check_grid, pixel_fill
 from .embedding import Projection
 from .grid3sat import Grid3SatInstance
 from .solver import SAT, solve
@@ -525,12 +525,11 @@ def reduce(inst: Grid3SatInstance):
     geometry (blocks of side 32, thin rectangles at least 4 long, clause
     arms exactly 4), whose laws hold for half-integral drawings, the
     ones the solver searches.  Raises
-    boxes.GridTooLarge before routing anything when the canvas of
-    (32(n + 1))^2 cells exceeds the cell limit, since every free cell
-    becomes a pixel box."""
+    boxes.GridTooLarge before routing anything when the padded owner
+    grid of the (32(n + 1))^2 canvas exceeds the cell limit, since every
+    free cell becomes a pixel box."""
     n = _BLOCK * (inst.n + 1)
-    if n * n > _GRID_LIMIT:
-        raise GridTooLarge(n * n)
+    _check_grid(2, n)
     canvas = _Canvas(n)
     variables = sorted(inst.variables, key=lambda v: v.id)
     paths = sorted(inst.paths, key=lambda p: p.id)
@@ -799,15 +798,22 @@ def check_gadget_map(p, gmap: GadgetMap):
 
 
 def assignment_from_projection(proj: Projection, gmap: GadgetMap) -> dict:
-    """Read each ring's half; front = True.  Raises InconsistentCycle on
-    a ring that mixes halves or sits dead center."""
+    """Read each ring's half; front = True.  Raises ValueError unless
+    each ring box has a point of two ints on the segment from its front2
+    to its back2, where all its half-integral points lie, and
+    InconsistentCycle on a ring that mixes halves or sits dead center."""
     pts = proj.points2
     out = {}
     for v in gmap.variables:
         halves = set()
         for c in v.cycle:
             axis = 0 if c.front2[0] != c.back2[0] else 1
-            pt = pts[c.box]
+            pt = pts[c.box] if c.box in range(len(pts)) else ()
+            a, b = sorted((c.front2[axis], c.back2[axis]))
+            if (list(map(type, pt)) != [int, int] or not a <= pt[axis] <= b
+                    or pt[1 - axis] != c.front2[1 - axis]):
+                raise ValueError(f"variable {v.var}: box {c.box} has no "
+                                 "point of two ints on its ring segment")
             off = 1 + abs(pt[axis] - c.front2[axis])
             L = (abs(c.front2[axis] - c.back2[axis]) + 2) // 2
             if off == L:

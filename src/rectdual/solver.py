@@ -33,10 +33,11 @@ simplex (dual's module docstring) lies at a grid vertex w in the closure
 of both larger boxes. Their interiors are disjoint, so some axis k
 separates them, hi_k of one <= lo_k of the other, and w_k, bounded by
 both, equals that lo_k: w lies on a lower face of a box larger than a
-pixel. The root walks only those lower-face vertices, in lexicographic
-order (dual._seeds), so it reads the one chain the full walk reads, and
-each constraint keeps the seed, ordered ids, sign and place in the order
-that the full walk gives it; the root makes no orientation call. Domains
+pixel, and is interior. The root walks only the interior vertices
+of those faces, in lexicographic order (boxes.vertex_owners), so it
+reads the one chain the full walk reads, and each constraint keeps the
+seed, ordered ids, sign and place in the order that the full walk
+gives it; the root makes no orientation call. Domains
 are listed only for the boxes larger than a pixel and for the pixels
 that some constraint names; every other box's point is its center,
 filled into each solution. On a reduced grid-3SAT partition, where
@@ -81,7 +82,7 @@ point of d ints raises DimensionMismatch, and a partition whose domains
 together would hold more than boxes._GRID_LIMIT points raises
 DomainTooLarge, both before any domain is listed. A dimension whose d!
 chains per vertex exceed that limit raises dual.TooManyChains before the
-root lists a vertex. The search
+root reads a vertex. The search
 honours SolverConfig.node_limit between nodes. SolverConfig.time_limit
 fixes a deadline when solve or enumerate_all starts. It is read once per
 vertex the root walks, between nodes, before each revise of the
@@ -95,10 +96,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product, starmap
+from itertools import compress, product, starmap
 from math import prod
 
-from .boxes import _GRID_LIMIT, Partition, listed_vertex_owners
+from .boxes import _GRID_LIMIT, Partition, vertex_owners
 from .dual import (DimensionMismatch, _kernel, _refuse_too_many_chains,
                    _seeds, build_dual)
 from .embedding import Projection, classify_projection
@@ -168,24 +169,18 @@ def box_domain(box) -> tuple:
     return tuple(product(*ranges))
 
 
-def _boundary_vertices(boxes) -> list:
-    """The grid vertices on the lower faces of the boxes, lex sorted."""
-    found = set()
-    for box in boxes:
-        ranges = [range(a, b + 1) for a, b in zip(box.lo, box.hi)]
-        for k, full in enumerate(list(ranges)):
-            ranges[k] = (box.lo[k],)
-            found.update(product(*ranges))
-            ranges[k] = full
-    return sorted(found)
+def _lower_faces(boxes):
+    """The lower faces of the boxes, each as a closed vertex box (lo, hi)."""
+    return [(b.lo, b.hi[:k] + b.lo[k:k + 1] + b.hi[k + 1:])
+            for b in boxes for k in range(b.dim)]
 
 
-def _reading(deadline, vertices):
-    """The vertices, with the deadline read before each."""
-    for w in vertices:
+def _reading(deadline, pairs):
+    """The (w, around) pairs, with the deadline read before each."""
+    for pair in pairs:
         if time.monotonic() > deadline:
             raise _Deadline
-        yield w
+        yield pair
 
 
 class _Root:
@@ -193,7 +188,7 @@ class _Root:
 
     constraints: (ordered box ids, required sign) of the top simplices
     with two or more boxes larger than a pixel, in the order of the full
-    walk, found at the vertices of the lower faces of those boxes;
+    walk, found at the interior vertices on those boxes' lower faces;
     domains: box id -> box_domain's tuple, for the boxes larger than a
     pixel and the pixels some constraint names, ascending; watching: box
     id -> constraint indices; free: the boxes larger than a pixel,
@@ -201,20 +196,18 @@ class _Root:
     kept on it; solves read it and change only centers, once."""
 
     def __init__(self, p: Partition, deadline):
-        # the chain table's limit, before any vertex is listed
+        # the chain table's limit, before any vertex is read
         _refuse_too_many_chains(p.dim)
-        free = [i for i, b in enumerate(p.boxes) if not b.is_pixel()]
-        big = bytearray(len(p.boxes))
-        for i in free:
-            big[i] = 1
-        vertices = _boundary_vertices(p.boxes[i] for i in free)
+        big = [not b.is_pixel() for b in p.boxes]
+        free = list(compress(range(len(big)), big))
+        pairs = vertex_owners(p.dim, p.n, p.owner_grid(),
+                              _lower_faces(p.boxes[i] for i in free))
         if deadline is not None:
-            vertices = _reading(deadline, vertices)
+            pairs = _reading(deadline, pairs)
         # with at most one box larger than a pixel the simplex keeps its
         # seed sign wherever that box's point lies (one-box lemma)
         constraints = [(ordered, want) for _, _, ordered, want
-                       in _seeds(p.dim, listed_vertex_owners(
-                           p.dim, p.n, p.owner_grid(), vertices)).values()
+                       in _seeds(p.dim, pairs).values()
                        if sum(map(big.__getitem__, ordered)) > 1]
         listed = set(free).union(*(ordered for ordered, _ in constraints))
         self.domains = {i: box_domain(p.boxes[i]) for i in sorted(listed)}

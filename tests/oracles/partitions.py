@@ -7,7 +7,10 @@ guillotine-style partitions, random_disjoint_boxes a few seeded boxes
 that do not overlap, random_pixel_fill seeded boxes of side 1 or 2 amid
 unit pixels. pixel_fill_by_validation is the reference for
 boxes.pixel_fill: it lists the uncovered cells from a set of covered ones
-and validates the completed list as a whole.
+and validates the completed list as a whole. unit_grid2 and
+planar3_partition are two fixed planar partitions: the unit pixels of
+[0,n]^2, and [0,4]^2 with two boxes larger than a pixel amid ten
+pixels.
 """
 
 import random
@@ -136,3 +139,24 @@ def pixel_fill_by_validation(boxes, n):
     boxes += [IntBox(c, tuple(x + 1 for x in c))
               for c in product(range(n), repeat=d) if c not in covered]
     return validate_partition(boxes, d, n)
+
+
+def unit_grid2(n):
+    """The n^2 unit pixels of [0,n]^2."""
+    boxes = [IntBox((x, y), (x + 1, y + 1)) for x in range(n) for y in range(n)]
+    return validate_partition(boxes, 2, n)
+
+
+def planar3_partition():
+    """[0,4]^2 as the boxes [0,3]x[0,1] and [3,4]x[1,4] amid ten unit
+    pixels."""
+    boxes = [
+        IntBox((0, 0), (3, 1)),
+        IntBox((2, 1), (3, 2)),
+        IntBox((3, 1), (4, 4)),
+        IntBox((3, 0), (4, 1)),
+        IntBox((0, 1), (1, 2)), IntBox((1, 1), (2, 2)),
+        IntBox((0, 2), (1, 3)), IntBox((1, 2), (2, 3)), IntBox((2, 2), (3, 3)),
+        IntBox((0, 3), (1, 4)), IntBox((1, 3), (2, 4)), IntBox((2, 3), (3, 4)),
+    ]
+    return validate_partition(boxes, 2, 4)

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -126,6 +127,11 @@ def test_is_generic():
     flag, witness = is_generic(p2)
     assert flag and witness is None
     assert bool(is_generic(p2)) is True
+    # the 16 unit pixels of [0,2]^4: the boundary vertex (0, 1, 1, 1)
+    # already has 8 > 5 boxes around it, but the witness is the first
+    # interior vertex, which has all 16
+    p4 = validate_partition(pixels(product(range(2), repeat=4)), 4, 2)
+    assert is_generic(p4) == (False, (1, 1, 1, 1))
 
 
 def test_balance_of_set():

@@ -20,25 +20,11 @@ from rectdual.embedding import (
 from oracles.chains import _perm_parity as chain_parity, dual_of
 from oracles.determinant import orientation_sign
 from oracles.injectivity import projection_injective
-from oracles.partitions import random_partition
-
-
-def unit_grid2(n):
-    boxes = [IntBox((x, y), (x + 1, y + 1)) for x in range(n) for y in range(n)]
-    return validate_partition(boxes, 2, n)
-
-
-def planar3_partition():
-    boxes = [
-        IntBox((0, 0), (3, 1)),
-        IntBox((2, 1), (3, 2)),
-        IntBox((3, 1), (4, 4)),
-        IntBox((3, 0), (4, 1)),
-        IntBox((0, 1), (1, 2)), IntBox((1, 1), (2, 2)),
-        IntBox((0, 2), (1, 3)), IntBox((1, 2), (2, 3)), IntBox((2, 2), (3, 3)),
-        IntBox((0, 3), (1, 4)), IntBox((1, 3), (2, 4)), IntBox((2, 3), (3, 4)),
-    ]
-    return validate_partition(boxes, 2, 4)
+from oracles.partitions import (
+    planar3_partition,
+    random_partition,
+    unit_grid2,
+)
 
 
 def test_center_projection_is_faithful():

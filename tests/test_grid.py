@@ -15,8 +15,8 @@ from rectdual.boxes import (
     GridTooLarge,
     IntBox,
     Overlap,
-    grid_vertex_owners,
     validate_partition,
+    vertex_owners,
 )
 from rectdual.counterexamples import gen_3d_layered, gen_planar_lcycle
 from rectdual.dual import DualComplex, TooManyChains, build_dual
@@ -131,12 +131,44 @@ def test_owner_grid_matches_brute_force(case):
     # every cell of the padded grid, the -1 border included
     for cell in product(range(-1, n + 1), repeat=d):
         assert grid[p.cell_index(cell)] == _brute_owner(boxes, cell)
-    walk = list(grid_vertex_owners(d, n, grid))
-    assert [w for w, _ in walk] == list(product(range(n + 1), repeat=d))
+    # the whole cube selects every interior vertex
+    walk = list(vertex_owners(d, n, grid, [((0,) * d, (n,) * d)]))
+    assert [w for w, _ in walk] == list(product(range(1, n), repeat=d))
     for w, around in walk:
         assert list(around) == [
             _brute_owner(boxes, [x - 1 + (s >> k & 1) for k, x in enumerate(w)])
             for s in range(1 << d)]
+    # the default selection: all-below and all-above cells differ in owner
+    assert list(vertex_owners(d, n, grid)) == [
+        (w, around) for w, around in walk if around[0] != around[-1]]
+
+
+@st.composite
+def _vertex_boxes(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    within = []
+    for _ in range(draw(st.integers(0, 4))):
+        lo = [draw(st.integers(0, n)) for _ in range(d)]
+        hi = [draw(st.integers(a, n)) for a in lo]
+        within.append((tuple(lo), tuple(hi)))
+    return d, n, within
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_vertex_boxes())
+def test_vertex_boxes_select_the_interior_vertices_in_them(case):
+    # every box is given twice, so every selected vertex lies in two or
+    # more of them, and is still read once, in lexicographic order
+    d, n, within = case
+    grid = random_partition(d, n, random.Random(n)).owner_grid()
+    every = dict(vertex_owners(d, n, grid, [((0,) * d, (n,) * d)]))
+    got = list(vertex_owners(d, n, grid, within + within))
+    assert [w for w, _ in got] == [
+        w for w in product(range(1, n), repeat=d)
+        if any(all(a <= x <= b for a, x, b in zip(lo, w, hi))
+               for lo, hi in within)]
+    assert all(around == every[w] for w, around in got)
 
 
 def test_a_chain_table_larger_than_the_grid_limit_is_refused():
@@ -153,8 +185,8 @@ def test_a_chain_table_larger_than_the_grid_limit_is_refused():
 def test_solve_refuses_a_huge_chain_table_before_listing_vertices(
         monkeypatch):
     def refuse(boxes):
-        raise AssertionError("listed the lower-face vertices")
-    monkeypatch.setattr(solver, "_boundary_vertices", refuse)
+        raise AssertionError("selected the lower faces")
+    monkeypatch.setattr(solver, "_lower_faces", refuse)
     p = validate_partition([IntBox((0,) * 11, (2,) * 11)], 11, 2)
     with pytest.raises(TooManyChains):
         solve(p)

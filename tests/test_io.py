@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rectdual.boxes import IntBox, Overlap, validate_partition
+from rectdual.boxes import Overlap
 from rectdual.dual import build_dual
 from rectdual.embedding import Projection
 from rectdual.io import (
@@ -14,12 +14,7 @@ from rectdual.io import (
     parse_projection,
 )
 
-from oracles.partitions import random_partition
-
-
-def unit_grid2(n):
-    boxes = [IntBox((x, y), (x + 1, y + 1)) for x in range(n) for y in range(n)]
-    return validate_partition(boxes, 2, n)
+from oracles.partitions import random_partition, unit_grid2
 
 
 def test_partition_round_trip():

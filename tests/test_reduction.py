@@ -236,6 +236,31 @@ def test_an_inconsistent_ring_reads_back_as_no_assignment(reduced_of, where,
         assignment_from_projection(Projection(tuple(pts)), gmap)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("short", "no point of two ints"),
+    ("3d", "no point of two ints"),
+    ("off", "no point of two ints"),
+])
+def test_assignment_from_projection_refuses_a_malformed_projection(
+        reduced_of, case, message):
+    # a solved projection with its last ring box's point cut off, with a
+    # third coordinate on every point, or with one ring point moved off
+    # its rectangle
+    _, p, gmap = reduced_of("all_positive")
+    pts = list(projection_from_assignment({0: True}, p, gmap).points2)
+    cycle = gmap.variables[0].cycle
+    if case == "short":
+        pts = pts[:max(c.box for c in cycle)]
+    elif case == "3d":
+        pts = [pt + (1,) for pt in pts]
+    else:
+        x, y = pts[cycle[0].box]
+        pts[cycle[0].box] = (x + 10, y + 10)
+    with pytest.raises(ValueError, match=message) as info:
+        assignment_from_projection(Projection(tuple(pts)), gmap)
+    assert type(info.value) is ValueError
+
+
 @pytest.mark.parametrize("assignment, message", [
     ({0: "false"}, "is not a bool"),
     ({}, "names variables"),
@@ -402,16 +427,13 @@ def test_one_walk_per_partition(monkeypatch):
     walks = []
     real = dual._chains
     monkeypatch.setattr(dual, "_chains", lambda q: walks.append(q) or real(q))
-
-    def refuse(*args):
-        raise AssertionError("downward closure walked")
-    monkeypatch.setattr(dual, "grid_vertex_owners", refuse)
     proj = projection_from_assignment({0: True}, p, gmap)
     pins = {c.box: [c.front2] for v in gmap.variables for c in v.cycle}
     res = solve(p, SolverConfig(node_limit=2000), pins=pins)
     assert res.status == SAT
     assert assignment_from_projection(proj, gmap) == {0: True}
     assert len(walks) == 1 and walks[0] is p
+    assert p._dual._simplices is None
 
 
 def test_unit_simplices_orient_as_their_seeds(reduced_of):
@@ -446,12 +468,13 @@ def test_reduce_refuses_a_canvas_over_the_cell_limit(monkeypatch):
         raise AssertionError("routed")
     monkeypatch.setattr(reduction, "_route", refuse)
     monkeypatch.setattr(reduction, "pixel_fill", refuse)
-    # on a grid of 98 the canvas has (32 * 99)^2 > 10^7 cells
+    # on a grid of 98 the canvas's padded owner grid has
+    # (32 * 99 + 2)^2 > 10^7 cells
     big = parse_grid3sat(ALL_POSITIVE.replace("2 1 1 3", "98 1 1 3", 1))
     with pytest.raises(GridTooLarge) as info:
         reduce(big)
-    assert info.value.cells == (32 * 99) ** 2
-    # on a grid of 97, (32 * 98)^2 cells are within the limit
+    assert info.value.cells == (32 * 99 + 2) ** 2
+    # on a grid of 97, (32 * 98 + 2)^2 cells are within the limit
     with pytest.raises(AssertionError, match="routed"):
         reduce(parse_grid3sat(ALL_POSITIVE.replace("2 1 1 3", "97 1 1 3", 1)))
 

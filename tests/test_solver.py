@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from rectdual import dual, solver
-from rectdual.boxes import IntBox, pixel_fill, validate_partition
+from rectdual.boxes import (IntBox, pixel_fill, validate_partition,
+                            vertex_owners)
 from rectdual.counterexamples import gen_planar_lcycle
 from rectdual.dual import DimensionMismatch, build_dual, orientation
 from rectdual.embedding import (
@@ -30,29 +31,13 @@ from rectdual.solver import (
 )
 
 from oracles.partitions import (
+    planar3_partition,
     random_disjoint_boxes,
     random_partition,
     random_pixel_fill,
+    unit_grid2,
 )
 from oracles.roots import check_root
-
-
-def unit_grid2(n):
-    boxes = [IntBox((x, y), (x + 1, y + 1)) for x in range(n) for y in range(n)]
-    return validate_partition(boxes, 2, n)
-
-
-def planar3_partition():
-    boxes = [
-        IntBox((0, 0), (3, 1)),
-        IntBox((2, 1), (3, 2)),
-        IntBox((3, 1), (4, 4)),
-        IntBox((3, 0), (4, 1)),
-        IntBox((0, 1), (1, 2)), IntBox((1, 1), (2, 2)),
-        IntBox((0, 2), (1, 3)), IntBox((1, 2), (2, 3)), IntBox((2, 2), (3, 3)),
-        IntBox((0, 3), (1, 4)), IntBox((1, 3), (2, 4)), IntBox((2, 3), (3, 4)),
-    ]
-    return validate_partition(boxes, 2, 4)
 
 
 def test_box_domain():
@@ -234,9 +219,10 @@ def test_time_limit_times_out():
 
 
 def walked_vertices(p):
-    """The grid vertices the constraint root walks: those on the boundary
-    of a box larger than a pixel."""
-    return solver._boundary_vertices(b for b in p.boxes if not b.is_pixel())
+    """The grid vertices the constraint root walks: the interior ones on
+    a lower face of a box larger than a pixel."""
+    faces = solver._lower_faces(b for b in p.boxes if not b.is_pixel())
+    return [w for w, _ in vertex_owners(p.dim, p.n, p.owner_grid(), faces)]
 
 
 def test_time_limit_stops_root_propagation(monkeypatch):
@@ -296,11 +282,11 @@ def test_time_limit_stops_the_search_at_its_first_node(monkeypatch):
 
 def test_time_limit_stops_setup(monkeypatch):
     # the deadline, fixed at 0 + 2, passes at the third vertex the
-    # constraint root walks: reading 0 fixes it, readings 1, 2 and 3
-    # precede the first three vertices; the stopped solve caches no root,
-    # so enumerate_all reads it alike
+    # constraint root walks, so the root must walk three or more: reading
+    # 0 fixes it, readings 1, 2 and 3 precede the first three vertices;
+    # the stopped solve caches no root, so enumerate_all reads it alike
     p = planar3_partition()
-    assert len(walked_vertices(p)) > 3
+    assert len(walked_vertices(p)) >= 3
     readings = []
 
     def clock():
