@@ -4,26 +4,27 @@ All geometry in this package is exact. Coordinates of box corners are
 integers; half-integral data (pixel centers, projections) is stored as
 doubled integers so that every predicate reduces to integer arithmetic.
 
-A partition of [0,n]^d owns one flat grid of box ids over the unit cells
-of [-1,n+1]^d: the cube's cells hold their box (-1 where a partial
-partition leaves a gap) and a border one cell wide holds -1 on every
-side. Validation fills this grid, which is also how it finds overlaps
-and, from the cells left at -1, gaps, so every validated partition has
-one; a partition whose grid would exceed _GRID_LIMIT cells is refused
-with GridTooLarge before anything is allocated. pixel_fill
-fills the grid by validating the given boxes as a partial partition and
-then writing a unit pixel into each cell still left at -1, so its
-coverage holds by construction and GridTooLarge comes before any pixel
-is built. Its pixels are checked once, by construction: their corners
-are int tuples one apart, so they skip the IntBox constructor and its
+A partition of [0,n]^d owns one flat grid of box ids over the cube's
+n^d unit cells, row-major in their lower corners (last axis fastest):
+each cell holds its box, or -1 where a partial partition leaves a gap.
+Validation fills this grid, which is also how it finds overlaps and,
+from the cells left at -1, gaps, so every validated partition has one.
+_check_grid, the one size rule, refuses with GridTooLarge, before
+anything is allocated, n^d cells or a d with 2^d cells around a vertex
+(what a vertex walk reads) above _GRID_LIMIT. pixel_fill fills the grid
+by validating the given boxes as a partial partition and then writing
+a unit pixel into each cell still left at -1, so its coverage holds by
+construction and GridTooLarge comes before any pixel is built. Its
+pixels are checked once, by construction: their corners are int
+tuples one apart, so they skip the IntBox constructor and its
 re-checks (_pixel).
 
 IntBox.is_pixel is the one pixel test. The owner grid is read and
-written in runs along the last axis; _run_starts gives the padded index
-where each run of a block of cells starts, for validation, pixel_fill
-and the vertex walk alike; Partition.cell_index is the one other padded
-index formula. vertex_owners, the one vertex walk, reads interior
-vertices only (dual's and is_generic's docstrings say why).
+written in runs along the last axis; _run_starts gives the index where
+each run of a block of cells starts, for validation and the vertex walk
+alike, and Partition.owner_of indexes one cell. vertex_owners, the one
+vertex walk, reads interior vertices only (dual's and is_generic's
+docstrings say why), so every cell it reads lies in the cube.
 """
 
 from __future__ import annotations
@@ -66,9 +67,15 @@ class CoverageGap(ValidationError):
 
 
 class GridTooLarge(ValidationError):
-    def __init__(self, cells):
-        self.cells = cells
-        super().__init__(f"owner grid of {cells} cells exceeds the limit of {_GRID_LIMIT}")
+    def __init__(self, d, n):
+        self.d = d
+        self.n = n
+        super().__init__(f"owner grid of [0,{n}]^{d} exceeds {_GRID_LIMIT} "
+                         f"cells, {n}^{d} in all or 2^{d} around a vertex")
+
+    @property
+    def cells(self):
+        return self.n ** self.d
 
 
 # the one cell limit: owner grids, and materialized generator output
@@ -166,27 +173,27 @@ class Partition:
     _solver_root: object = field(default=None, repr=False, compare=False,
                                  init=False)
 
-    def cell_index(self, cell) -> int:
-        """Index in the padded owner grid of the cell with lower corner in [-1,n]^d."""
-        idx = 0
-        for c in cell:
-            idx = idx * (self.n + 2) + c + 1
-        return idx
-
     def owner_grid(self) -> list:
-        """Flat, padded cell -> box id map (-1 for uncovered cells)."""
+        """Flat cell -> box id map over the n^d cells of the cube, in
+        row-major order of their lower corners (-1 for uncovered cells)."""
         return self._owner
 
     def owner_of(self, cell) -> int:
+        """Owner of the unit cell with this lower corner, -1 outside the
+        cube or in a gap; ValueError unless it is dim ints (not bools)."""
+        if len(cell) != self.dim or any(type(c) is not int for c in cell):
+            raise ValueError(f"not a cell of a {self.dim}d partition: {cell!r}")
+        idx = 0
         for c in cell:
             if c < 0 or c >= self.n:
                 return -1
-        return self.owner_grid()[self.cell_index(cell)]
+            idx = idx * self.n + c
+        return self.owner_grid()[idx]
 
 
 def vertex_owners(d, n, grid, within=None):
     """(w, around) for interior grid vertices w in [1, n-1]^d, in
-    lexicographic order, read by rows from the padded owner grid of a
+    lexicographic order, read by rows from the owner grid of a
     partition of [0,n]^d; around[s] is the owner of the cell
     w - 1 + bits(s), bit k of s standing for axis k (-1 in a gap). By
     default, the vertices whose all-below and all-above cells differ in
@@ -194,9 +201,10 @@ def vertex_owners(d, n, grid, within=None):
     boxes (lo, hi), selects the interior vertices in them instead, each
     once, by a mask over their all-below cells."""
     strides = _strides(d, n)
-    # cell w - 1 + bits(s) has padded index sum(w[k] * strides[k]) + shift[s]
-    shift = [sum(st for k, st in enumerate(strides) if s >> k & 1)
-             for s in range(1 << d)]
+    # cell w - 1 + bits(s) has index sum((w[k] - 1) * strides[k]) + shift[s]
+    shift = [0]
+    for st in strides:
+        shift += [s + st for s in shift]
     m = n - 1
     rows = list(_run_starts(strides, (0,) * d, (m,) * d))
     if within is None:
@@ -219,29 +227,29 @@ def vertex_owners(d, n, grid, within=None):
 
 
 def _strides(d, n):
-    return [(n + 2) ** (d - 1 - k) for k in range(d)]
+    return [n ** (d - 1 - k) for k in range(d)]
 
 
 def _run_starts(strides, lo, hi):
-    """Padded index of the first cell of each run along the last axis of
-    the cells [lo, hi) of an owner grid with these strides, in
-    lexicographic order."""
-    return map(sum, product(*(range((a + 1) * st, (b + 1) * st, st)
+    """Index of the first cell of each run along the last axis of the
+    cells [lo, hi) of an owner grid with these strides, in lexicographic
+    order."""
+    return map(sum, product(*(range(a * st, b * st, st)
                               for a, b, st in zip(lo, hi, strides[:-1])),
-                            (lo[-1] + 1,)))
+                            (lo[-1],)))
 
 
 def _check_grid(d, n) -> int:
-    """Cell count of the padded owner grid of [0,n]^d; raises GridTooLarge
-    if it exceeds _GRID_LIMIT."""
-    cells = (n + 2) ** d
-    if cells > _GRID_LIMIT:
-        raise GridTooLarge(cells)
-    return cells
+    """Cell count n^d of the owner grid of [0,n]^d. GridTooLarge refuses
+    2^d > _GRID_LIMIT (d >= 24: a vertex walk reads 2^d cells) before n^d
+    is computed, then n^d > _GRID_LIMIT."""
+    if d >= _GRID_LIMIT.bit_length() or n ** d > _GRID_LIMIT:
+        raise GridTooLarge(d, n)
+    return n ** d
 
 
 def _claim_cells(boxes, d, n) -> list:
-    """Padded owner grid of the boxes, which lie inside [0,n]^d.
+    """Owner grid of the boxes, which lie inside [0,n]^d.
 
     Raises GridTooLarge before allocating, and Overlap at the first cell
     (in box order, then lexicographic cell order) claimed twice."""
@@ -279,8 +287,7 @@ def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partitio
             raise OutOfBounds(box)
     owner = _claim_cells(boxes, d, n)
     if not partial:
-        # the cube's uncovered cells: the grid's -1s but the border's
-        missing = owner.count(-1) - ((n + 2) ** d - n ** d)
+        missing = owner.count(-1)
         if missing:
             raise CoverageGap(missing)
     return Partition(d, n, boxes, partial, owner)
@@ -300,13 +307,10 @@ def pixel_fill(boxes, n: int) -> Partition:
     boxes = [b if isinstance(b, IntBox) else IntBox(*b) for b in boxes]
     d = boxes[0].dim if boxes else 2
     grid = validate_partition(boxes, d, n, partial=True).owner_grid()
-    # padded index of each cell of the cube, in lexicographic cell order
-    runs = _run_starts(_strides(d, n), (0,) * d, (n,) * d)
-    index = chain.from_iterable(range(r, r + n) for r in runs)
-    # lower and upper corners of each cell, in the same lexicographic order
+    # lower and upper corners of each cell, in the grid's row-major order
     corners = zip(product(range(n), repeat=d),
                   product(range(1, n + 1), repeat=d))
-    for (lo, hi), i in zip(corners, index):
+    for i, (lo, hi) in enumerate(corners):
         if grid[i] == -1:
             grid[i] = len(boxes)
             boxes.append(_pixel(lo, hi))

@@ -191,8 +191,8 @@ def gen_cubical_config(d, beta) -> Partition:
     dual.InexactCoordinate for a beta that is not an int or a Fraction,
     and BetaTooSmall for beta <= d/(d-2).
     Each b is refused with GridTooLarge before anything is built once
-    the owner grid of [0, 2b+2]^d would exceed its limit, so a beta too
-    close to d/(d-2) ends the scan there.
+    the (2b+2)^d cells of [0, 2b+2]^d exceed the cell limit (every b from
+    d = 24 on), so a beta too close to d/(d-2) ends the scan there.
     """
     if type(d) is not int or d < 3:
         raise ValueError(f"needs an int d >= 3, not {d!r}")

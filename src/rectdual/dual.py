@@ -58,7 +58,7 @@ vertex, but not for the closure: unit boxes at cells (1,0,0) and
 (1,1,0) alone in [0,2]^3 form an edge. The solver's root feeds _seeds
 some interior vertices in the same order (solver's module docstring).
 Every walk refuses d! chains above boxes._GRID_LIMIT with TooManyChains
-before it builds the chain table.
+before it reads a vertex or builds the chain table.
 
 _exact is the exactness gate of orientation, stabbing and the generators
 (ratlp._integer_row keeps its own TypeError): it accepts ints (not
@@ -375,6 +375,7 @@ def _chain_table(d):
 
 def _chains(p: Partition):
     """build_dual's walk, over vertex_owners' default selection."""
+    _refuse_too_many_chains(p.dim)
     return _seeds(p.dim, vertex_owners(p.dim, p.n, p.owner_grid()))
 
 

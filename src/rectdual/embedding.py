@@ -13,6 +13,12 @@ from dataclasses import dataclass
 from .boxes import Partition
 from .dual import DimensionMismatch, DualComplex, build_dual
 
+__all__ = [
+    "EmbeddingVerdict", "NotFaithful", "NotHalfIntegral", "Projection",
+    "Violation", "center_embeddable", "center_projection", "check_faithful",
+    "classify_projection",
+]
+
 
 class NotFaithful(ValueError):
     def __init__(self, vertex):

@@ -21,6 +21,11 @@ from .boxes import IntBox, Partition, validate_partition
 from .dual import DualComplex
 from .embedding import Projection
 
+__all__ = [
+    "ParseError", "format_dual", "format_partition", "format_projection",
+    "parse_partition", "parse_projection",
+]
+
 
 class ParseError(ValueError):
     def __init__(self, line, message):

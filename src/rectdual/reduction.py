@@ -525,9 +525,9 @@ def reduce(inst: Grid3SatInstance):
     geometry (blocks of side 32, thin rectangles at least 4 long, clause
     arms exactly 4), whose laws hold for half-integral drawings, the
     ones the solver searches.  Raises
-    boxes.GridTooLarge before routing anything when the padded owner
-    grid of the (32(n + 1))^2 canvas exceeds the cell limit, since every
-    free cell becomes a pixel box."""
+    boxes.GridTooLarge before routing anything when the owner grid of
+    the canvas, its (32(n + 1))^2 cells, exceeds the cell limit, since
+    every free cell becomes a pixel box."""
     n = _BLOCK * (inst.n + 1)
     _check_grid(2, n)
     canvas = _Canvas(n)

@@ -104,6 +104,12 @@ from .dual import (DimensionMismatch, _kernel, _refuse_too_many_chains,
                    _seeds, build_dual)
 from .embedding import Projection, classify_projection
 
+__all__ = [
+    "SAT", "TIMEOUT", "UNSAT", "CertificateRejected", "DomainTooLarge",
+    "SolveResult", "SolverConfig", "UnknownBox", "Unsupported", "box_domain",
+    "enumerate_all", "solve",
+]
+
 
 class Unsupported(Exception):
     """Partition has no top-dimensional simplex; embedding is undefined."""

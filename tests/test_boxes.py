@@ -63,6 +63,14 @@ def test_validate_unit_grid():
     assert p.owner_of((2, 0)) == -1
 
 
+@pytest.mark.parametrize("cell", [(1,), (0, 1, 0), (True, 1), (0, 1.0)],
+                         ids=["short", "long", "bool", "float"])
+def test_owner_of_refuses_a_cell_that_is_not_dim_ints(cell):
+    p = validate_partition(pixels([(0, 0), (0, 1), (1, 0), (1, 1)]), 2, 2)
+    with pytest.raises(ValueError):
+        p.owner_of(cell)
+
+
 def test_validate_single_box():
     p = validate_partition([IntBox((0, 0, 0), (2, 2, 2))], 3, 2)
     assert p.boxes[0].volume() == 8
@@ -252,7 +260,7 @@ def test_pixel_fill_refuses_before_building_pixels(monkeypatch):
                         lambda lo, hi: built.append(lo) or pixel(lo, hi))
     with pytest.raises(GridTooLarge) as info:
         pixel_fill(given, 20)
-    assert info.value.cells == 22 * 22
+    assert info.value.cells == 20 * 20
     assert built == []
     # with the limit lifted the same fill builds its 399 pixels there
     monkeypatch.setattr(boxes_mod, "_GRID_LIMIT", 10 ** 7)

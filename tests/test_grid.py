@@ -1,7 +1,9 @@
-"""The padded owner grid, its vertex walk, and the chains read from it,
-checked against brute force and the frozen generic enumerator."""
+"""The owner grid of the cube's n^d cells, its vertex walk, and the
+chains read from it, checked against brute force and the frozen generic
+enumerator."""
 
 import random
+import time
 from itertools import product
 from math import factorial
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectdual import solver
+from rectdual import boxes as boxes_mod
+from rectdual import dual, solver
 from rectdual.boxes import (
     _GRID_LIMIT,
     GridTooLarge,
@@ -127,10 +130,11 @@ def test_owner_grid_matches_brute_force(case):
         return
     p = validate_partition(boxes, d, n, partial=True)
     grid = p.owner_grid()
-    assert len(grid) == (n + 2) ** d
-    # every cell of the padded grid, the -1 border included
+    # the cube's cells in row-major order, and -1 outside the cube
+    assert grid == [_brute_owner(boxes, cell)
+                    for cell in product(range(n), repeat=d)]
     for cell in product(range(-1, n + 1), repeat=d):
-        assert grid[p.cell_index(cell)] == _brute_owner(boxes, cell)
+        assert p.owner_of(cell) == _brute_owner(boxes, cell)
     # the whole cube selects every interior vertex
     walk = list(vertex_owners(d, n, grid, [((0,) * d, (n,) * d)]))
     assert [w for w, _ in walk] == list(product(range(1, n), repeat=d))
@@ -172,7 +176,7 @@ def test_vertex_boxes_select_the_interior_vertices_in_them(case):
 
 
 def test_a_chain_table_larger_than_the_grid_limit_is_refused():
-    # 4^11 padded cells pass the grid limit; 11! chains per vertex do not
+    # 2^11 cells pass the grid limit; 11! chains per vertex do not
     p = validate_partition([IntBox((0,) * 11, (2,) * 11)], 11, 2)
     with pytest.raises(TooManyChains) as info:
         build_dual(p)
@@ -180,6 +184,17 @@ def test_a_chain_table_larger_than_the_grid_limit_is_refused():
     # the closure walk refuses it too, on a complex with no top simplex
     with pytest.raises(TooManyChains):
         DualComplex(p, {}).simplices
+
+
+def test_build_dual_refuses_a_huge_chain_table_before_reading_vertices(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("read a vertex")
+    # 2^23 cells around a vertex pass the grid limit; 23! chains do not
+    p = validate_partition([IntBox((0,) * 23, (1,) * 23)], 23, 1)
+    monkeypatch.setattr(dual, "vertex_owners", refuse)
+    with pytest.raises(TooManyChains):
+        build_dual(p)
 
 
 def test_solve_refuses_a_huge_chain_table_before_listing_vertices(
@@ -196,4 +211,28 @@ def test_huge_grid_is_refused_before_allocation():
     # the owner grid would need about 10^15 cells
     with pytest.raises(GridTooLarge) as info:
         parse_partition("3 100000 1\n0 100000 0 100000 0 100000\n")
-    assert info.value.cells == 100002 ** 3
+    assert info.value.cells == 100000 ** 3
+
+
+def test_the_size_rule_counts_the_cubes_cells(monkeypatch):
+    monkeypatch.setattr(boxes_mod, "_GRID_LIMIT", 100)
+    assert len(validate_partition([IntBox((0, 0), (10, 10))], 2, 10)
+               .owner_grid()) == 100
+    with pytest.raises(GridTooLarge) as info:
+        validate_partition([IntBox((0, 0), (11, 11))], 2, 11)
+    assert info.value.cells == 121
+
+
+def test_the_size_rule_bounds_the_dimension():
+    # 2^24 cells around a vertex exceed the limit, though [0,1]^24 has one
+    with pytest.raises(GridTooLarge) as info:
+        validate_partition([IntBox((0,) * 24, (1,) * 24)], 24, 1)
+    assert (info.value.d, info.value.n, info.value.cells) == (24, 1, 1)
+
+
+def test_a_huge_dimension_is_refused_before_any_power_is_built():
+    start = time.perf_counter()
+    with pytest.raises(GridTooLarge) as info:
+        parse_partition("10000000 1 0\n")
+    assert time.perf_counter() - start < 0.1
+    assert info.value.d == 10 ** 7

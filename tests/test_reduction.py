@@ -468,13 +468,12 @@ def test_reduce_refuses_a_canvas_over_the_cell_limit(monkeypatch):
         raise AssertionError("routed")
     monkeypatch.setattr(reduction, "_route", refuse)
     monkeypatch.setattr(reduction, "pixel_fill", refuse)
-    # on a grid of 98 the canvas's padded owner grid has
-    # (32 * 99 + 2)^2 > 10^7 cells
+    # on a grid of 98 the canvas's owner grid has (32 * 99)^2 > 10^7 cells
     big = parse_grid3sat(ALL_POSITIVE.replace("2 1 1 3", "98 1 1 3", 1))
     with pytest.raises(GridTooLarge) as info:
         reduce(big)
-    assert info.value.cells == (32 * 99 + 2) ** 2
-    # on a grid of 97, (32 * 98 + 2)^2 cells are within the limit
+    assert info.value.cells == (32 * 99) ** 2
+    # on a grid of 97, (32 * 98)^2 cells are within the limit
     with pytest.raises(AssertionError, match="routed"):
         reduce(parse_grid3sat(ALL_POSITIVE.replace("2 1 1 3", "97 1 1 3", 1)))
 
