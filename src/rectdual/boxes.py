@@ -7,17 +7,28 @@ doubled integers so that every predicate reduces to integer arithmetic.
 A partition of [0,n]^d owns one flat grid of box ids over the cube's
 n^d unit cells, row-major in their lower corners (last axis fastest):
 each cell holds its box, or -1 where a partial partition leaves a gap.
-Validation fills this grid, which is also how it finds overlaps and,
-from the cells left at -1, gaps, so every validated partition has one.
 _check_grid, the one size rule, refuses with GridTooLarge, before
 anything is allocated, n^d cells or a d with 2^d cells around a vertex
-(what a vertex walk reads) above _GRID_LIMIT. pixel_fill fills the grid
-by validating the given boxes as a partial partition and then writing
-a unit pixel into each cell still left at -1, so its coverage holds by
-construction and GridTooLarge comes before any pixel is built. Its
-pixels are checked once, by construction: their corners are int
-tuples one apart, so they skip the IntBox constructor and its
-re-checks (_pixel).
+(what a vertex walk reads) above _GRID_LIMIT.
+
+Validation checks whole box lists at once: every corner has length d,
+the least lower corner coordinate is >= 0 and the greatest upper one
+<= n. It then writes each box's runs into the owner grid unchecked, and
+counts: the boxes overlap exactly when their volumes add up to more than
+the cells the grid holds an owner for, and a full partition's gap is the
+count of cells left at -1. Only when a bulk check fails, or cannot
+apply (an empty list), are the boxes walked in order, or the grid
+filled again run by run, so the error raised names the first offender:
+the first box of the wrong dimension or out of the cube, or the first
+cell, in box order, claimed twice, with its earlier owner. pixel_fill
+validates the given boxes as a partial partition and then writes a unit
+pixel into each cell still left at -1, so its coverage holds by
+construction and GridTooLarge comes before any pixel is built.
+
+IntBox's constructor checks its corners. _unchecked_box skips those
+checks, and only code that has made them already may call it: pixel_fill
+for its pixels (int tuples one apart by construction) and
+io.parse_partition for boxes whose lines it has checked in bulk.
 
 IntBox.is_pixel is the one pixel test. The owner grid is read and
 written in runs along the last axis; _run_starts gives the index where
@@ -32,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, product
-from operator import add, ne
+from operator import add, attrgetter, ne
 from typing import Iterator, NamedTuple
 
 __all__ = [
@@ -130,15 +141,18 @@ class IntBox:
         return "x".join(f"[{a},{b}]" for a, b in zip(self.lo, self.hi))
 
 
-def _pixel(lo, hi) -> IntBox:
-    """The unit box [lo, hi], for int tuples with hi = lo + 1, built
-    without IntBox's re-checks. lo is set before hi, in field order, as
-    the constructor does, so the box keeps CPython's key-sharing instance
-    dict and costs no more memory than one the constructor builds."""
-    px = object.__new__(IntBox)
-    object.__setattr__(px, "lo", lo)
-    object.__setattr__(px, "hi", hi)
-    return px
+def _unchecked_box(lo, hi) -> IntBox:
+    """The box [lo, hi] built without IntBox's checks, for callers that
+    have made them already: lo and hi are tuples of the same length
+    d >= 1, of ints (not bools), with lo < hi on every axis. pixel_fill
+    and io.parse_partition are its callers. lo is set before hi, in field
+    order, as the constructor does, so the box keeps CPython's
+    key-sharing instance dict and costs no more memory than one the
+    constructor builds."""
+    box = object.__new__(IntBox)
+    object.__setattr__(box, "lo", lo)
+    object.__setattr__(box, "hi", hi)
+    return box
 
 
 @dataclass(frozen=True)
@@ -233,10 +247,20 @@ def _strides(d, n):
 def _run_starts(strides, lo, hi):
     """Index of the first cell of each run along the last axis of the
     cells [lo, hi) of an owner grid with these strides, in lexicographic
-    order."""
-    return map(sum, product(*(range(a * st, b * st, st)
-                              for a, b, st in zip(lo, hi, strides[:-1])),
-                            (lo[-1],)))
+    order: for d = 1 a range of one start, for d = 2 a range over the
+    first axis, and from d = 3 on a list, each further outer axis
+    expanded by a list comprehension. Validation, vertex_owners' rows
+    and its within mask all read the grid through it."""
+    last = lo[-1]
+    if len(lo) == 1:
+        return range(last, last + 1)
+    st = strides[0]
+    starts = range(lo[0] * st + last, hi[0] * st + last, st)
+    for k in range(1, len(lo) - 1):
+        st = strides[k]
+        starts = [s + o for s in starts
+                  for o in range(lo[k] * st, hi[k] * st, st)]
+    return starts
 
 
 def _check_grid(d, n) -> int:
@@ -248,23 +272,46 @@ def _check_grid(d, n) -> int:
     return n ** d
 
 
-def _claim_cells(boxes, d, n) -> list:
-    """Owner grid of the boxes, which lie inside [0,n]^d.
+def _claim_cells(boxes, d, n) -> tuple:
+    """(owner grid, cells left at -1) of the boxes, which lie inside
+    [0,n]^d.
 
     Raises GridTooLarge before allocating, and Overlap at the first cell
-    (in box order, then lexicographic cell order) claimed twice."""
+    (in box order, then lexicographic cell order) claimed twice. The
+    runs are written unchecked: a cell claimed twice leaves fewer cells
+    claimed than the boxes' volumes add up to, and only that mismatch
+    calls _first_overlap."""
     grid = [-1] * _check_grid(d, n)
     strides = _strides(d, n)
+    volume = 0
+    for bid, box in enumerate(boxes):
+        run = box.hi[-1] - box.lo[-1]
+        claim = [bid] * run
+        starts = _run_starts(strides, box.lo, box.hi)
+        volume += run * len(starts)
+        for start in starts:
+            grid[start:start + run] = claim
+    gaps = grid.count(-1)
+    if volume != len(grid) - gaps:
+        _first_overlap(boxes, len(grid), strides)
+    return grid, gaps
+
+
+def _first_overlap(boxes, cells, strides):
+    """Raise Overlap at the first cell, in box order and then
+    lexicographic cell order, that the boxes claim twice, by filling a
+    fresh grid of this many cells and checking each run before it is
+    written; _claim_cells calls it once its count has shown such a
+    cell."""
+    grid = [-1] * cells
     for bid, box in enumerate(boxes):
         run = box.hi[-1] - box.lo[-1]
         free = [-1] * run
-        claim = [bid] * run
         for start in _run_starts(strides, box.lo, box.hi):
             if grid[start:start + run] != free:
                 prev = next(o for o in grid[start:start + run] if o != -1)
                 raise Overlap(boxes[prev], box)
-            grid[start:start + run] = claim
-    return grid
+            grid[start:start + run] = [bid] * run
 
 
 def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partition:
@@ -273,24 +320,36 @@ def validate_partition(boxes, d: int, n: int, partial: bool = False) -> Partitio
     for a d or n that is not an int >= 1 (bools included), OutOfBounds,
     GridTooLarge (before the grid is allocated), Overlap or CoverageGap.
 
-    Disjointness is checked while the owner grid is filled; an overfull
-    partition covers some cell twice, so that check rejects it. Coverage
-    is then the count of cube cells the filled grid leaves at -1."""
+    Dimensions and bounds are checked over the whole list, disjointness
+    by counting the cells the filled owner grid claims (an overfull
+    partition covers some cell twice, so that count rejects it), and
+    coverage by counting the cells it leaves at -1; the module docstring
+    says how the first offender is found when a check fails."""
     if type(d) is not int or type(n) is not int or d < 1 or n < 1:
         raise ValueError(f"need int d >= 1 and n >= 1, not d={d!r}, "
                          f"n={n!r}")
     boxes = tuple(b if isinstance(b, IntBox) else IntBox(*b) for b in boxes)
+    los = list(map(attrgetter("lo"), boxes))
+    # an empty list or a 0-d corner fails the first test, as it must
+    if not (set(map(len, los)) == {d} and min(map(min, los)) >= 0
+            and max(map(max, map(attrgetter("hi"), boxes))) <= n):
+        _first_misfit(boxes, d, n)
+    owner, gaps = _claim_cells(boxes, d, n)
+    if gaps and not partial:
+        raise CoverageGap(gaps)
+    return Partition(d, n, boxes, partial, owner)
+
+
+def _first_misfit(boxes, d, n):
+    """Raise for the first box, in order, of a dimension other than d
+    (ValueError) or leaving [0,n]^d (OutOfBounds); validate_partition
+    walks the boxes here only when its bulk checks fail or cannot apply,
+    so that the first offender is the one reported."""
     for box in boxes:
         if box.dim != d:
             raise ValueError(f"box {box} has dimension {box.dim}, expected {d}")
         if any(a < 0 for a in box.lo) or any(b > n for b in box.hi):
             raise OutOfBounds(box)
-    owner = _claim_cells(boxes, d, n)
-    if not partial:
-        missing = owner.count(-1)
-        if missing:
-            raise CoverageGap(missing)
-    return Partition(d, n, boxes, partial, owner)
 
 
 def pixel_fill(boxes, n: int) -> Partition:
@@ -303,7 +362,7 @@ def pixel_fill(boxes, n: int) -> Partition:
     pixel is built); each cell the grid still holds -1 for then gets its
     pixel's id, so coverage holds by construction. The pixels' corners
     are int tuples one apart by construction, so they are built by
-    _pixel, without the checks of the IntBox constructor."""
+    _unchecked_box, without the checks of the IntBox constructor."""
     boxes = [b if isinstance(b, IntBox) else IntBox(*b) for b in boxes]
     d = boxes[0].dim if boxes else 2
     grid = validate_partition(boxes, d, n, partial=True).owner_grid()
@@ -313,7 +372,7 @@ def pixel_fill(boxes, n: int) -> Partition:
     for i, (lo, hi) in enumerate(corners):
         if grid[i] == -1:
             grid[i] = len(boxes)
-            boxes.append(_pixel(lo, hi))
+            boxes.append(_unchecked_box(lo, hi))
     return Partition(d, n, tuple(boxes), False, grid)
 
 

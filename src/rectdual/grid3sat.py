@@ -15,9 +15,10 @@ Text format (whitespace separated, # starts a comment line):
                                     path with k interior points, in order
                                     from the variable to the clause
 
-Path points exclude the variable and clause endpoints; the first must be
-grid-adjacent to the variable's point, the last to the clause's point
-(k = 0 means the two are adjacent).
+Every number is a token matching -?[0-9]+. Path points exclude the
+variable and clause endpoints; the first must be grid-adjacent to the
+variable's point, the last to the clause's point (k = 0 means the two
+are adjacent).
 
 A text that does not follow the format raises io.ParseError with its
 line number; a well-formed instance that breaks a structural rule raises
@@ -27,7 +28,7 @@ InvalidInstance or one of its more specific siblings below.
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .io import ParseError
+from .io import ParseError, _int_tokens
 
 __all__ = [
     "InvalidInstance",
@@ -104,7 +105,7 @@ def parse_grid3sat(text: str) -> Grid3SatInstance:
 
     def ints(lineno, toks):
         try:
-            return [int(t) for t in toks]
+            return _int_tokens(toks)
         except ValueError:
             raise ParseError(lineno, f"expected integers, got {toks}") from None
 

@@ -3,9 +3,17 @@
 Partition files:
     d n m
     lo_1 hi_1 lo_2 hi_2 ... lo_d hi_d     (one line per box, m lines)
-Lines starting with '#' and blank lines are ignored. Serialization is
+Lines starting with '#' and blank lines are ignored; every other line
+is whitespace-separated integers, each token matching -?[0-9]+ (int()
+alone would also take 1_0, +1 and non-ASCII digits). Serialization is
 canonical (single spaces, trailing newline), so files round-trip
 bit-exactly.
+
+parse_partition checks the box lines in bulk: their token counts, the
+token grammar over the joined tokens, one int conversion and lo < hi
+over the flat list. The boxes are then built by boxes._unchecked_box.
+Only when a bulk check fails does it walk the lines in order, so that
+the ParseError names the first bad line, as a line-by-line parse would.
 
 Projection files carry one line per box with d doubled coordinates, in
 the same box order as the partition they accompany.
@@ -17,7 +25,11 @@ the axis order as a comma-separated 1-based list.
 
 from __future__ import annotations
 
-from .boxes import IntBox, Partition, validate_partition
+import re
+from itertools import chain
+from operator import lt
+
+from .boxes import IntBox, Partition, _unchecked_box, validate_partition
 from .dual import DualComplex
 from .embedding import Projection
 
@@ -34,16 +46,24 @@ class ParseError(ValueError):
 
 
 def _content_lines(text):
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield no, line
+    return [(no, line)
+            for no, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and line[0] != "#"]
+
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _int_tokens(toks) -> list:
+    """The tokens as ints; ValueError unless each matches -?[0-9]+."""
+    if not all(map(_INT_TOKEN.fullmatch, toks)):
+        raise ValueError("not an integer token")
+    return list(map(int, toks))
 
 
 def _ints(no, line, expect=None):
     try:
-        vals = [int(tok) for tok in line.split()]
+        vals = _int_tokens(line.split())
     except ValueError:
         raise ParseError(no, f"expected integers, got {line!r}")
     if expect is not None and len(vals) != expect:
@@ -63,7 +83,7 @@ def format_partition(p: Partition) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise ParseError(0, "empty partition file")
     no, head = lines[0]
@@ -72,16 +92,36 @@ def parse_partition(text: str) -> Partition:
         raise ParseError(no, f"header needs d >= 1, n >= 1 and m >= 0, got {d} {n} {m}")
     if len(lines) - 1 != m:
         raise ParseError(no, f"header says {m} boxes, file has {len(lines) - 1}")
-    boxes = []
-    for no, line in lines[1:]:
-        vals = _ints(no, line, expect=2 * d)
-        lo = tuple(vals[0::2])
-        hi = tuple(vals[1::2])
-        try:
-            boxes.append(IntBox(lo, hi))
-        except ValueError as e:
-            raise ParseError(no, str(e))
+    boxes = _bulk_boxes([line.split() for _, line in lines[1:]], d)
+    if boxes is None:
+        boxes = []
+        for no, line in lines[1:]:
+            vals = _ints(no, line, expect=2 * d)
+            try:
+                boxes.append(IntBox(tuple(vals[0::2]), tuple(vals[1::2])))
+            except ValueError as e:
+                raise ParseError(no, str(e))
     return validate_partition(boxes, d, n)
+
+
+def _bulk_boxes(rows, d):
+    """The boxes of the split box lines, each lo_1 hi_1 ... lo_d hi_d; None
+    unless there are rows, every row has 2d tokens matching -?[0-9]+, and
+    lo < hi on every axis."""
+    flat = list(chain.from_iterable(rows))
+    joined = "".join(flat)
+    if set(map(len, rows)) != {2 * d} or not joined.isascii() or \
+            "_" in joined or "+" in joined:
+        return None
+    try:
+        vals = list(map(int, flat))
+    except ValueError:
+        return None
+    los, his = vals[0::2], vals[1::2]
+    if not all(map(lt, los, his)):
+        return None
+    return list(map(_unchecked_box, zip(*[iter(los)] * d),
+                    zip(*[iter(his)] * d)))
 
 
 def format_projection(proj: Projection) -> str:

@@ -17,6 +17,7 @@ from rectdual.boxes import (
     is_generic,
     pixel_fill,
     validate_partition,
+    vertex_owners,
 )
 from rectdual.dual import build_dual, partition_balance
 
@@ -91,6 +92,49 @@ def test_validate_errors():
     with pytest.raises(Overlap):
         validate_partition([IntBox((0, 0), (2, 2)), IntBox((1, 1), (2, 2))],
                            2, 2, partial=True)
+
+
+def test_validation_names_the_first_offender_in_box_order():
+    ok, wide = IntBox((0, 0), (1, 1)), IntBox((1, 0), (3, 1))
+    flat3, low = IntBox((0, 0, 0), (1, 1, 1)), IntBox((-1, 1), (0, 2))
+    for boxes, exc, offender in (
+            ([ok, wide, flat3], OutOfBounds, wide),
+            ([ok, flat3, wide], ValueError, flat3),
+            ([ok, low], OutOfBounds, low),
+            ([ok, low, wide], OutOfBounds, low),
+            ([ok, wide, low], OutOfBounds, wide),
+            # the lowest corner and the highest may lie in different boxes
+            ([ok, IntBox((1, 1), (2, 2)), wide, low], OutOfBounds, wide)):
+        with pytest.raises(exc) as info:
+            validate_partition(boxes, 2, 2, partial=True)
+        assert type(info.value) is exc
+        if exc is OutOfBounds:
+            assert info.value.box is offender
+        else:
+            assert str(info.value) == (f"box {offender} has dimension 3, "
+                                       f"expected 2")
+    # a misfit is named before any overlap, in any order
+    with pytest.raises(OutOfBounds):
+        validate_partition([ok, ok, wide], 2, 2)
+
+
+def test_the_first_cell_claimed_twice_names_the_overlap():
+    a, b = IntBox((0, 0), (2, 1)), IntBox((0, 1), (2, 2))
+    c, e = IntBox((1, 0), (2, 2)), IntBox((0, 0), (1, 2))
+    # c's first cell (1, 0) is a's, though b, owner of (1, 1), comes first
+    for boxes, pair in (([a, b, c, e], (a, c)), ([b, a, c, e], (a, c)),
+                        ([a, e, b, c], (a, e)), ([c, a, b], (c, a))):
+        with pytest.raises(Overlap) as info:
+            validate_partition(boxes, 2, 2)
+        assert (info.value.box_a, info.value.box_b) == pair
+
+
+def test_an_empty_partial_partition_is_all_gap():
+    for d, n in ((1, 3), (2, 3), (3, 2)):
+        p = validate_partition([], d, n, partial=True)
+        assert (p.boxes, p.partial) == ((), True)
+        assert p.owner_grid() == [-1] * n ** d
+        assert list(vertex_owners(d, n, p.owner_grid())) == []
 
 
 def test_coverage_gap_names_the_missing_volume():
@@ -247,7 +291,7 @@ def test_pixel_fill_matches_validation(boxes, n):
 def test_pixel_fill_refuses_before_building_pixels(monkeypatch):
     given = [IntBox((0, 0), (1, 1))]
     built = []
-    post_init, pixel = IntBox.__post_init__, boxes_mod._pixel
+    post_init, pixel = IntBox.__post_init__, boxes_mod._unchecked_box
 
     def counting(self):
         built.append(self)
@@ -256,7 +300,7 @@ def test_pixel_fill_refuses_before_building_pixels(monkeypatch):
     monkeypatch.setattr(boxes_mod, "_GRID_LIMIT", 100)
     monkeypatch.setattr(IntBox, "__post_init__", counting)
     # pixels skip the constructor, so count the path that builds them too
-    monkeypatch.setattr(boxes_mod, "_pixel",
+    monkeypatch.setattr(boxes_mod, "_unchecked_box",
                         lambda lo, hi: built.append(lo) or pixel(lo, hi))
     with pytest.raises(GridTooLarge) as info:
         pixel_fill(given, 20)

@@ -103,10 +103,22 @@ def _brute_owner(boxes, cell):
     return -1
 
 
+def _first_claimed_twice(boxes):
+    """(owner, box) for the first cell, in box order and then
+    lexicographic cell order, that a box shares with an earlier box, the
+    owner being the earlier box; None for disjoint boxes."""
+    for i, box in enumerate(boxes):
+        for cell in box.cells():
+            owner = _brute_owner(boxes[:i], cell)
+            if owner != -1:
+                return boxes[owner], box
+    return None
+
+
 @st.composite
 def _box_sets(draw):
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4 if d < 4 else 3))
     boxes = []
     for _ in range(draw(st.integers(1, 5))):
         lo = [draw(st.integers(0, n - 1)) for _ in range(d)]
@@ -124,9 +136,12 @@ def test_owner_grid_matches_brute_force(case):
         disjoint = True
     except Overlap:
         disjoint = False
-    if not disjoint:
-        with pytest.raises(Overlap):
+    pair = _first_claimed_twice(boxes)
+    assert (pair is None) == disjoint
+    if pair:
+        with pytest.raises(Overlap) as info:
             validate_partition(boxes, d, n, partial=True)
+        assert (info.value.box_a, info.value.box_b) == pair
         return
     p = validate_partition(boxes, d, n, partial=True)
     grid = p.owner_grid()

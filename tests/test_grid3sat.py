@@ -43,6 +43,13 @@ MALFORMED = {
                       ParseError, "bad header counts", 1),
     "not_integer": (edit("V 0 0 1", "V 0 x 1"),
                     ParseError, "expected integers", 2),
+    # int() alone would read these as 0, 1 and 1
+    "underscore_in_number": (edit("V 0 0 1", "V 0_0 0 1"),
+                             ParseError, "expected integers", 2),
+    "plus_sign_on_number": (edit("C 0 2 1 0 1 2", "C 0 2 +1 0 1 2"),
+                            ParseError, "expected integers", 3),
+    "non_ascii_digit": (edit("P 0 0 0 + 1 1 1", "P 0 0 0 + 1 \u0661 1"),
+                        ParseError, "expected integers", 4),
     "variable_shape": (edit("V 0 0 1", "V 0 0"),
                        ParseError, "variable needs", 2),
     "clause_shape": (edit("C 0 2 1 0 1 2", "C 0 2 1 0 1"),
@@ -133,6 +140,9 @@ MALFORMED = {
 def test_valid_instance_parses():
     inst = parse_grid3sat(VALID)
     assert (len(inst.variables), len(inst.clauses), len(inst.paths)) == (1, 1, 3)
+    # comments stay free text, and -0 and 001 are canonical tokens
+    text = "# 1_0 +1 \u0661\n" + edit("V 0 0 1", "V -0 0 001 # +2 1_0")
+    assert parse_grid3sat(text) == inst
 
 
 @pytest.mark.parametrize("text, exc, fragment, line", MALFORMED.values(),
